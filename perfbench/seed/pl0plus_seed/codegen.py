@@ -1,0 +1,402 @@
+"""Object code generation for the p+ stack machine.
+
+Each block compiles to: a leading SAL over the nested procedure bodies to
+its own INS (dead code for procedures, which are entered through LLA, but
+the jump at address 0 is how execution reaches the main body), then the
+nested procedures, then INS claiming 3 linkage cells plus one per local
+variable, the body, and RET.  Variables live at frame offset 3 plus their
+declaration index; every access pairs that offset with the static level
+difference between the using and the declaring block.
+
+Instructions carry optional `informacion` annotations (procedure markers,
+variable references, statement notes).  They make the XML readable but are
+never load-bearing: equality and execution ignore them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from enum import Enum
+
+from .diagnostics import Diagnostic, error
+from .parser import (Assign, BinOp, Block, Call, Cond, Empty, Ident, If, Neg,
+                     Num, Program as Ast, Read, Sequence, While, Write)
+from .semantics import CONSTANT, VARIABLE, SymbolTable
+from .xmldoc import Text, XmlDocument, XmlLoadError, XmlNode, cdata_element
+
+
+class Opcode(Enum):
+    LIT = "LIT"
+    CAR = "CAR"
+    ALM = "ALM"
+    LLA = "LLA"
+    INS = "INS"
+    SAL = "SAL"
+    SAC = "SAC"
+    OPR = "OPR"
+    RET = "RET"
+    LEE = "LEE"
+    ESC = "ESC"
+
+
+LEVEL_OPCODES = frozenset({Opcode.CAR, Opcode.ALM, Opcode.LLA})
+PARAMLESS_OPCODES = frozenset({Opcode.RET, Opcode.LEE, Opcode.ESC})
+JUMP_OPCODES = frozenset({Opcode.SAL, Opcode.SAC, Opcode.LLA})
+
+OPR_NEGATE = 1
+OPR_ODD = 6
+OPR_CODES = frozenset({1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13})
+
+_BINOP_OPR = {"suma": 2, "resta": 3, "multiplicacion": 4, "division": 5}
+_COND_OPR = {"odd": 6, "comparacion": 8, "diferente": 9, "menor_que": 10,
+             "mayor_igual": 11, "mayor_que": 12, "menor_igual": 13}
+
+_ELEMENT_NAMES = {
+    Opcode.LIT: "cargar_literal",
+    Opcode.CAR: "cargar_variable",
+    Opcode.ALM: "almacenar_variable",
+    Opcode.LLA: "llamar_procedimiento",
+    Opcode.INS: "instanciar_procedimiento",
+    Opcode.SAL: "salto_incondicional",
+    Opcode.SAC: "salto_condicional",
+    Opcode.OPR: "operacion",
+    Opcode.RET: "retornar",
+    Opcode.LEE: "leer",
+    Opcode.ESC: "escribir",
+}
+_OPCODES_BY_ELEMENT = {name: op for op, name in _ELEMENT_NAMES.items()}
+
+MAIN_LABEL = "--PRINCIPAL--"
+
+
+@dataclass
+class Annotation:
+    attributes: dict[str, str] = field(default_factory=dict)
+    text: str | None = None
+
+
+@dataclass
+class Instruction:
+    address: int
+    opcode: Opcode
+    level: int | None = None
+    param: int | None = None
+    annotations: list[Annotation] = field(default_factory=list, compare=False)
+
+
+@dataclass
+class Program:
+    instructions: list[Instruction]
+    source: str | None = field(default=None, compare=False)
+
+
+class _Generator:
+    def __init__(self, table: SymbolTable):
+        self.table = table
+        self.code: list[Instruction] = []
+        self.entries: dict[str, int] = {}   # procedure code -> INS address
+        self.fixups: list[tuple[Instruction, str]] = []
+
+    def emit(self, opcode: Opcode, level: int | None = None,
+             param: int | None = None) -> Instruction:
+        instruction = Instruction(len(self.code), opcode, level, param)
+        self.code.append(instruction)
+        return instruction
+
+    def block(self, blk: Block, proc, depth: int) -> None:
+        scope = self.table.scopes_by_code[blk.code]
+        if proc is None:
+            name = MAIN_LABEL
+            info = {"inicio_de_procedimiento": name, "codigo": blk.code}
+        else:
+            name = proc.name
+            info = {"columna": str(proc.column), "linea": str(proc.line),
+                    "inicio_de_procedimiento": name, "codigo": blk.code}
+        jump = self.emit(Opcode.SAL)
+        jump.annotations.append(Annotation(dict(info)))
+        for child in blk.procedures:
+            self.block(child.block, child, depth + 1)
+        jump.param = len(self.code)
+        entry = self.emit(Opcode.INS, param=3 + scope.count(VARIABLE))
+        entry.annotations.append(Annotation(dict(info)))
+        if proc is not None:
+            self.entries[proc.code] = entry.address
+        self.statement(blk.body, depth)
+        done = self.emit(Opcode.RET)
+        done.annotations.append(Annotation({"fin_de_procedimiento": name}))
+
+    def statement(self, node, depth: int) -> None:
+        if isinstance(node, Assign):
+            self.expression(node.expr, depth)
+            self.store(node, node.code, depth)
+        elif isinstance(node, Call):
+            symbol = self.table.by_code[node.code]
+            call = self.emit(Opcode.LLA, level=depth - symbol.depth)
+            target = self.entries.get(node.code)
+            if target is None:
+                self.fixups.append((call, node.code))
+            else:
+                call.param = target
+        elif isinstance(node, Sequence):
+            for child in node.statements:
+                self.statement(child, depth)
+        elif isinstance(node, If):
+            start = len(self.code)
+            self.condition(node.condition, depth)
+            branch = self.emit(Opcode.SAC)
+            self.statement(node.then_branch, depth)
+            if node.else_branch is None:
+                branch.param = len(self.code)
+                note = "Inicio de condicional (if-then)"
+            else:
+                skip = self.emit(Opcode.SAL)
+                branch.param = len(self.code)
+                self.statement(node.else_branch, depth)
+                skip.param = len(self.code)
+                note = "Inicio de condicional (if-then-else)"
+            self.note_at(start, node, note)
+        elif isinstance(node, While):
+            start = len(self.code)
+            self.condition(node.condition, depth)
+            branch = self.emit(Opcode.SAC)
+            self.statement(node.body, depth)
+            self.emit(Opcode.SAL, param=start)
+            branch.param = len(self.code)
+            self.note_at(start, node, "Inicio de ciclo (while-do)")
+        elif isinstance(node, Read):
+            self.emit(Opcode.LEE)
+            self.store(node, node.code, depth)
+        elif isinstance(node, Write):
+            self.load_symbol(node, node.code, depth)
+            self.emit(Opcode.ESC)
+        elif isinstance(node, Empty):
+            pass
+        else:
+            raise TypeError(f"not a statement node: {node!r}")
+
+    def condition(self, cond: Cond, depth: int) -> None:
+        for operand in cond.operands:
+            self.expression(operand, depth)
+        operation = self.emit(Opcode.OPR, param=_COND_OPR[cond.op])
+        operation.annotations.append(Annotation(text=cond.op))
+
+    def expression(self, node, depth: int) -> None:
+        if isinstance(node, Num):
+            self.emit(Opcode.LIT, param=node.value)
+        elif isinstance(node, Ident):
+            self.load_symbol(node, node.code, depth)
+        elif isinstance(node, BinOp):
+            self.expression(node.left, depth)
+            self.expression(node.right, depth)
+            operation = self.emit(Opcode.OPR, param=_BINOP_OPR[node.op])
+            operation.annotations.append(Annotation(text=node.op))
+        elif isinstance(node, Neg):
+            self.expression(node.operand, depth)
+            operation = self.emit(Opcode.OPR, param=OPR_NEGATE)
+            operation.annotations.append(Annotation(text="negativo"))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+
+    def load_symbol(self, node, code: str, depth: int) -> None:
+        """Push a named value: LIT for constants, CAR for variables."""
+        symbol = self.table.by_code[code]
+        if symbol.kind == CONSTANT:
+            self.emit(Opcode.LIT, param=symbol.value)
+            return
+        load = self.emit(Opcode.CAR, level=depth - symbol.depth,
+                         param=3 + symbol.index)
+        load.annotations.append(self.variable_note(node, symbol))
+
+    def store(self, node, code: str, depth: int) -> None:
+        symbol = self.table.by_code[code]
+        put = self.emit(Opcode.ALM, level=depth - symbol.depth,
+                        param=3 + symbol.index)
+        put.annotations.append(self.variable_note(node, symbol))
+
+    @staticmethod
+    def variable_note(node, symbol) -> Annotation:
+        return Annotation({"codigo": symbol.code, "linea": str(node.line),
+                           "columna": str(node.column),
+                           "variable": symbol.name})
+
+    def note_at(self, address: int, node, text: str) -> None:
+        # Statement notes go before any variable note already on the
+        # condition's first instruction.
+        self.code[address].annotations.insert(
+            0, Annotation({"linea": str(node.line),
+                           "columna": str(node.column)}, text))
+
+
+def _unresolved_reference(node):
+    """First code-less node in declaration-then-body order, or None."""
+    if isinstance(node, Block):
+        if node.code is None:
+            return node
+        for child in node.constants + node.variables:
+            if child.code is None:
+                return child
+        for proc in node.procedures:
+            if proc.code is None:
+                return proc
+            found = _unresolved_reference(proc.block)
+            if found is not None:
+                return found
+        return _unresolved_reference(node.body)
+    if hasattr(node, "code") and node.code is None:
+        return node
+    if isinstance(node, Assign):
+        return _unresolved_reference(node.expr)
+    if isinstance(node, Sequence):
+        for child in node.statements:
+            found = _unresolved_reference(child)
+            if found is not None:
+                return found
+        return None
+    if isinstance(node, If):
+        return (_unresolved_reference(node.condition)
+                or _unresolved_reference(node.then_branch)
+                or (node.else_branch is not None
+                    and _unresolved_reference(node.else_branch))
+                or None)
+    if isinstance(node, While):
+        return (_unresolved_reference(node.condition)
+                or _unresolved_reference(node.body))
+    if isinstance(node, Cond):
+        for operand in node.operands:
+            found = _unresolved_reference(operand)
+            if found is not None:
+                return found
+        return None
+    if isinstance(node, BinOp):
+        return (_unresolved_reference(node.left)
+                or _unresolved_reference(node.right))
+    if isinstance(node, Neg):
+        return _unresolved_reference(node.operand)
+    return None
+
+
+def generate(revised: Ast, table: SymbolTable) -> tuple[Program | None,
+                                                        list[Diagnostic]]:
+    """Translate an error-free revised tree; refuses trees that still
+    contain unresolved references."""
+    dangling = _unresolved_reference(revised.block)
+    if dangling is not None:
+        return None, [error("gen", dangling.line, dangling.column,
+                            "Referencia sin resolver")]
+    generator = _Generator(table)
+    generator.block(revised.block, None, 0)
+    for call, code in generator.fixups:
+        call.param = generator.entries[code]
+    return Program(generator.code), []
+
+
+# ---------------------------------------------------------------------------
+# Assembly listing
+
+_LEVEL_END = 12    # column where the level field ends
+_PARAM_START = 22  # column where the parameter field starts
+
+
+def format_instruction(instruction: Instruction) -> str:
+    """One listing line: address, mnemonic, level or -, parameter or -."""
+    level = "-" if instruction.level is None else str(instruction.level)
+    param = "-" if instruction.param is None else str(instruction.param)
+    line = f"{instruction.address} {instruction.opcode.value}"
+    line += " " * max(_LEVEL_END - len(level) - len(line), 1) + level
+    return line + " " * max(_PARAM_START - len(line), 1) + param
+
+
+def assembly_listing(program: Program) -> str:
+    return "".join(format_instruction(instruction) + "\n"
+                   for instruction in program.instructions)
+
+
+# ---------------------------------------------------------------------------
+# XML form
+
+ROOT_NAME = "codigo_pmas"
+
+
+def program_to_xml(program: Program) -> XmlDocument:
+    root = XmlNode(ROOT_NAME)
+    for instruction in program.instructions:
+        element = root.element(_ELEMENT_NAMES[instruction.opcode],
+                               direccion=instruction.address)
+        if instruction.level is not None:
+            element.set("diffnivel", instruction.level)
+        if instruction.param is not None:
+            element.set("parametro", instruction.param)
+        for annotation in instruction.annotations:
+            info = element.element("informacion", **annotation.attributes)
+            if annotation.text is not None:
+                info.add(Text(annotation.text))
+    root.add(cdata_element("ensamblador", assembly_listing(program)))
+    if program.source is not None:
+        root.add(cdata_element("fuente", program.source))
+    return XmlDocument(root)
+
+
+def _int_attr(element: XmlNode, name: str) -> int:
+    value = element.get(name)
+    if value is None:
+        raise XmlLoadError(
+            f"elemento '{element.name}' sin atributo '{name}'")
+    try:
+        return int(value, 10)
+    except ValueError:
+        raise XmlLoadError(
+            f"atributo '{name}' no numérico en '{element.name}': "
+            f"'{value}'") from None
+
+
+def program_from_xml(doc: XmlDocument) -> Program:
+    """Inverse of program_to_xml.  Annotations are carried along but the
+    `ensamblador` text is not consulted; the instruction elements alone
+    define the program."""
+    root = doc.root
+    if root.name != ROOT_NAME:
+        raise XmlLoadError(
+            f"se esperaba el elemento '{ROOT_NAME}', no '{root.name}'")
+    instructions: list[Instruction] = []
+    source = None
+    for element in root.elements():
+        if element.name == "ensamblador":
+            continue
+        if element.name == "fuente":
+            source = element.cdata()
+            continue
+        opcode = _OPCODES_BY_ELEMENT.get(element.name)
+        if opcode is None:
+            raise XmlLoadError(f"instrucción desconocida: '{element.name}'")
+        address = _int_attr(element, "direccion")
+        if address != len(instructions):
+            raise XmlLoadError(
+                f"direcciones no consecutivas: se esperaba "
+                f"{len(instructions)} y aparece {address}")
+        level = None
+        if opcode in LEVEL_OPCODES:
+            level = _int_attr(element, "diffnivel")
+        elif element.get("diffnivel") is not None:
+            raise XmlLoadError(
+                f"'{element.name}' no admite el atributo 'diffnivel'")
+        param = None
+        if opcode not in PARAMLESS_OPCODES:
+            param = _int_attr(element, "parametro")
+        elif element.get("parametro") is not None:
+            raise XmlLoadError(
+                f"'{element.name}' no admite el atributo 'parametro'")
+        if opcode is Opcode.OPR and param not in OPR_CODES:
+            raise XmlLoadError(f"código de operación inválido: {param}")
+        annotations = [Annotation(dict(info.attributes),
+                                  info.text() or None)
+                       for info in element.elements()
+                       if info.name == "informacion"]
+        instructions.append(Instruction(address, opcode, level, param,
+                                        annotations))
+    for instruction in instructions:
+        if instruction.opcode in JUMP_OPCODES:
+            if not 0 <= instruction.param < len(instructions):
+                raise XmlLoadError(
+                    f"salto fuera de rango en la dirección "
+                    f"{instruction.address}: {instruction.param}")
+    return Program(instructions, source)

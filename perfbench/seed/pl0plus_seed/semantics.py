@@ -1,0 +1,409 @@
+"""Semantic analysis: name resolution over nested scopes.
+
+Every declaration receives a short textual code that encodes where it
+lives: blocks are `b` plus the scope path joined with underscores (`b0`,
+`b0_0`), other symbols are a kind prefix (`c`, `v`, `p`) plus the scope
+path joined with slashes, an underscore, and the 0-based declaration index
+among symbols of the same kind (`v0_1`, `v0/0_2`).  The revised tree links
+every use back to its declaration through these codes, which is all the
+code generator needs.
+
+Visibility follows declaration order: a procedure sees itself (recursion
+works) and everything declared before it, but not siblings declared later.
+"""
+
+from __future__ import annotations
+
+from copy import deepcopy
+from dataclasses import dataclass, field
+
+from .diagnostics import Diagnostic, error
+from .parser import (Assign, BinOp, Block, Call, Cond, ConstDecl, Empty,
+                     Ident, If, Neg, Num, ProcDecl, Program, Read, Sequence,
+                     VarDecl, While, Write, ast_from_element, ast_to_element)
+from .xmldoc import XmlDocument, XmlLoadError, XmlNode, cdata_element
+
+CONSTANT = "constant"
+VARIABLE = "variable"
+PROCEDURE = "procedure"
+BLOCK = "block"
+
+_PREFIXES = {BLOCK: "b", CONSTANT: "c", VARIABLE: "v", PROCEDURE: "p"}
+
+
+def symbol_code(kind: str, scope_path, index: int | None = None) -> str:
+    """The textual id for a declaration (or a block, which has no index)."""
+    prefix = _PREFIXES[kind]
+    if kind == BLOCK:
+        return prefix + "_".join(str(step) for step in scope_path)
+    if index is None:
+        raise ValueError(f"{kind} symbols need a declaration index")
+    path = "/".join(str(step) for step in scope_path)
+    return f"{prefix}{path}_{index}"
+
+
+@dataclass
+class Symbol:
+    name: str
+    kind: str
+    code: str
+    index: int
+    line: int
+    column: int
+    depth: int
+    value: int | None = None  # constants only
+
+
+class Scope:
+    """One block's symbols plus a link to the enclosing scope."""
+
+    def __init__(self, path: list[int], parent: "Scope | None" = None,
+                 code: str | None = None):
+        self.path = list(path)
+        self.code = code if code is not None else symbol_code(BLOCK, path)
+        self.parent = parent
+        self.children: list[Scope] = []
+        self.symbols: dict[str, Symbol] = {}
+        self._counts = {CONSTANT: 0, VARIABLE: 0, PROCEDURE: 0}
+
+    @property
+    def depth(self) -> int:
+        return len(self.path) - 1
+
+    def count(self, kind: str) -> int:
+        return self._counts[kind]
+
+    def declare(self, name: str, kind: str, line: int, column: int,
+                value: int | None = None) -> Symbol | None:
+        """Add a symbol; None signals a duplicate name in this scope."""
+        if name in self.symbols:
+            return None
+        index = self._counts[kind]
+        self._counts[kind] += 1
+        symbol = Symbol(name, kind, symbol_code(kind, self.path, index),
+                        index, line, column, self.depth, value)
+        self.symbols[name] = symbol
+        return symbol
+
+    def lookup(self, name: str) -> Symbol | None:
+        scope: Scope | None = self
+        while scope is not None:
+            if name in scope.symbols:
+                return scope.symbols[name]
+            scope = scope.parent
+        return None
+
+
+class SymbolTable:
+    def __init__(self):
+        self.root = Scope([0])
+        self.by_code: dict[str, Symbol] = {}
+        self.scopes_by_code: dict[str, Scope] = {self.root.code: self.root}
+
+    def new_scope(self, parent: Scope, child_index: int,
+                  code: str | None = None) -> Scope:
+        scope = Scope(parent.path + [child_index], parent, code)
+        parent.children.append(scope)
+        if scope.code in self.scopes_by_code:
+            raise XmlLoadError(f"código de bloque duplicado: '{scope.code}'")
+        self.scopes_by_code[scope.code] = scope
+        return scope
+
+    def register(self, symbol: Symbol) -> None:
+        if symbol.code in self.by_code:
+            raise XmlLoadError(f"código duplicado: '{symbol.code}'")
+        self.by_code[symbol.code] = symbol
+
+
+# ---------------------------------------------------------------------------
+# Analysis proper
+
+
+class _Analyzer:
+    def __init__(self):
+        self.table = SymbolTable()
+        self.diags: list[Diagnostic] = []
+
+    def err(self, node, message: str) -> None:
+        self.diags.append(error("sem", node.line, node.column, message))
+
+    def visit_block(self, block: Block, scope: Scope) -> None:
+        block.code = scope.code
+        for const in block.constants:
+            self.declare(const, CONSTANT, scope, value=const.value)
+        for var in block.variables:
+            self.declare(var, VARIABLE, scope)
+        for position, proc in enumerate(block.procedures):
+            self.declare(proc, PROCEDURE, scope)
+            # The child scope index is the syntactic position, so block
+            # codes stay unique even when a duplicate name was rejected.
+            child = self.table.new_scope(scope, position)
+            self.visit_block(proc.block, child)
+        self.visit_stmt(block.body, scope)
+
+    def declare(self, node, kind: str, scope: Scope, value=None) -> None:
+        symbol = scope.declare(node.name, kind, node.line, node.column, value)
+        if symbol is None:
+            self.err(node, "Símbolo duplicado")
+            return
+        self.table.register(symbol)
+        node.code = symbol.code
+
+    def resolve_value(self, node, name: str, scope: Scope) -> Symbol | None:
+        """An identifier used where a value is needed."""
+        symbol = scope.lookup(name)
+        if symbol is None:
+            self.err(node, "Referencia a variable no declarada")
+            return None
+        if symbol.kind == PROCEDURE:
+            self.err(node, "Uso inválido de procedimiento")
+            return None
+        return symbol
+
+    def resolve_target(self, node, name: str, scope: Scope) -> Symbol | None:
+        """An identifier that is about to be stored into."""
+        symbol = scope.lookup(name)
+        if symbol is None:
+            self.err(node, "Referencia a variable no declarada")
+            return None
+        if symbol.kind == PROCEDURE:
+            self.err(node, "Uso inválido de procedimiento")
+            return None
+        if symbol.kind == CONSTANT:
+            self.err(node, "Asignación a constante")
+            return None
+        return symbol
+
+    def visit_stmt(self, node, scope: Scope) -> None:
+        if isinstance(node, Assign):
+            symbol = self.resolve_target(node, node.target, scope)
+            node.code = symbol.code if symbol else None
+            self.visit_expr(node.expr, scope)
+        elif isinstance(node, Call):
+            symbol = scope.lookup(node.procedure)
+            if symbol is None or symbol.kind != PROCEDURE:
+                self.err(node, "Referencia a procedimiento no declarado")
+            else:
+                node.code = symbol.code
+        elif isinstance(node, Sequence):
+            for child in node.statements:
+                self.visit_stmt(child, scope)
+        elif isinstance(node, If):
+            self.visit_cond(node.condition, scope)
+            self.visit_stmt(node.then_branch, scope)
+            if node.else_branch is not None:
+                self.visit_stmt(node.else_branch, scope)
+        elif isinstance(node, While):
+            self.visit_cond(node.condition, scope)
+            self.visit_stmt(node.body, scope)
+        elif isinstance(node, Read):
+            symbol = self.resolve_target(node, node.variable, scope)
+            node.code = symbol.code if symbol else None
+        elif isinstance(node, Write):
+            symbol = self.resolve_value(node, node.symbol, scope)
+            node.code = symbol.code if symbol else None
+        elif isinstance(node, Empty):
+            pass
+        else:
+            raise TypeError(f"not a statement node: {node!r}")
+
+    def visit_cond(self, cond: Cond, scope: Scope) -> None:
+        for operand in cond.operands:
+            self.visit_expr(operand, scope)
+
+    def visit_expr(self, node, scope: Scope) -> None:
+        if isinstance(node, Ident):
+            symbol = self.resolve_value(node, node.name, scope)
+            node.code = symbol.code if symbol else None
+        elif isinstance(node, BinOp):
+            self.visit_expr(node.left, scope)
+            self.visit_expr(node.right, scope)
+        elif isinstance(node, Neg):
+            self.visit_expr(node.operand, scope)
+        elif isinstance(node, Num):
+            pass
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+
+
+def analyze(ast: Program) -> tuple[Program, SymbolTable, list[Diagnostic]]:
+    """Return a deep copy of the tree with symbol codes filled in, the
+    symbol table behind those codes, and any findings.  Running analyze on
+    its own output assigns identical codes."""
+    revised = deepcopy(ast)
+    analyzer = _Analyzer()
+    analyzer.visit_block(revised.block, analyzer.table.root)
+    return revised, analyzer.table, analyzer.diags
+
+
+# ---------------------------------------------------------------------------
+# XML form of the revised tree
+
+ROOT_NAME = "arbol_de_sintaxis_revisado"
+
+
+def revised_to_xml(revised: Program, table: SymbolTable,
+                   source: str | None = None) -> XmlDocument:
+    """Requires a tree where analyze found no errors; the codes carried by
+    the nodes are the serialized form of `table`."""
+    del table  # the codes on the tree already say everything
+    root = XmlNode(ROOT_NAME)
+    root.add(ast_to_element(revised, with_codes=True))
+    if source is not None:
+        root.add(cdata_element("fuente", source))
+    return XmlDocument(root)
+
+
+def rebuild_symbol_table(revised: Program) -> SymbolTable:
+    """Reconstruct the table implied by a code-annotated tree.
+
+    Declarations keep the codes they carry (so hand-renamed codes keep
+    working as link keys); indices, depths and reference targets are
+    recomputed from the tree shape.  Read, write and call statements carry
+    no code in the XML form, so their links are re-resolved here by name.
+    Raises XmlLoadError for duplicate codes, dangling references, and
+    references to a symbol of the wrong kind.
+    """
+    table = SymbolTable()
+    table.scopes_by_code = {}
+    _rebuild_block(revised.block, table.root, table)
+    _relink_block(revised.block, table.root, table)
+    return table
+
+
+def _require_code(node, what: str) -> str:
+    if node.code is None:
+        raise XmlLoadError(
+            f"{what} '{node.name}' sin atributo 'codigo' (línea {node.line})")
+    return node.code
+
+
+def _rebuild_block(block: Block, scope: Scope, table: SymbolTable) -> None:
+    if block.code is None:
+        raise XmlLoadError(
+            f"bloque sin atributo 'codigo' (línea {block.line})")
+    scope.code = block.code
+    if scope.code in table.scopes_by_code:
+        raise XmlLoadError(f"código de bloque duplicado: '{scope.code}'")
+    table.scopes_by_code[scope.code] = scope
+
+    def declare(node, kind: str, value=None) -> None:
+        code = _require_code(node, {CONSTANT: "constante",
+                                    VARIABLE: "variable",
+                                    PROCEDURE: "procedimiento"}[kind])
+        symbol = scope.declare(node.name, kind, node.line, node.column, value)
+        if symbol is None:
+            raise XmlLoadError(
+                f"símbolo duplicado en el bloque: '{node.name}'")
+        symbol.code = code
+        table.register(symbol)
+
+    for const in block.constants:
+        declare(const, CONSTANT, const.value)
+    for var in block.variables:
+        declare(var, VARIABLE)
+    for position, proc in enumerate(block.procedures):
+        proc.code = None  # assigned canonically below
+        symbol = scope.declare(proc.name, PROCEDURE, proc.line, proc.column)
+        if symbol is None:
+            raise XmlLoadError(
+                f"símbolo duplicado en el bloque: '{proc.name}'")
+        table.register(symbol)
+        proc.code = symbol.code
+        child = Scope(scope.path + [position], scope)
+        scope.children.append(child)
+        _rebuild_block(proc.block, child, table)
+
+
+def _lookup_code(table: SymbolTable, node, kinds: tuple[str, ...]) -> Symbol:
+    code = node.code
+    if code is None:
+        raise XmlLoadError(
+            f"referencia sin atributo 'codigo' (línea {node.line})")
+    symbol = table.by_code.get(code)
+    if symbol is None:
+        raise XmlLoadError(f"referencia a un código inexistente: '{code}'")
+    if symbol.kind not in kinds:
+        raise XmlLoadError(
+            f"el código '{code}' no es de la clase de símbolo esperada")
+    return symbol
+
+
+def _resolve_name(scope: Scope, node, name: str,
+                  kinds: tuple[str, ...]) -> Symbol:
+    symbol = scope.lookup(name)
+    if symbol is None or symbol.kind not in kinds:
+        raise XmlLoadError(
+            f"referencia irresoluble a '{name}' (línea {node.line})")
+    return symbol
+
+
+def _relink_block(block: Block, scope: Scope, table: SymbolTable) -> None:
+    for proc, child in zip(block.procedures, scope.children):
+        _relink_block(proc.block, child, table)
+    _relink_stmt(block.body, scope, table)
+
+
+def _relink_stmt(node, scope: Scope, table: SymbolTable) -> None:
+    if isinstance(node, Assign):
+        _lookup_code(table, node, (VARIABLE,))
+        _relink_expr(node.expr, table)
+    elif isinstance(node, Call):
+        node.code = _resolve_name(scope, node, node.procedure,
+                                  (PROCEDURE,)).code
+    elif isinstance(node, Read):
+        node.code = _resolve_name(scope, node, node.variable,
+                                  (VARIABLE,)).code
+    elif isinstance(node, Write):
+        node.code = _resolve_name(scope, node, node.symbol,
+                                  (VARIABLE, CONSTANT)).code
+    elif isinstance(node, Sequence):
+        for child in node.statements:
+            _relink_stmt(child, scope, table)
+    elif isinstance(node, If):
+        _relink_cond(node.condition, table)
+        _relink_stmt(node.then_branch, scope, table)
+        if node.else_branch is not None:
+            _relink_stmt(node.else_branch, scope, table)
+    elif isinstance(node, While):
+        _relink_cond(node.condition, table)
+        _relink_stmt(node.body, scope, table)
+
+
+def _relink_cond(cond: Cond, table: SymbolTable) -> None:
+    for operand in cond.operands:
+        _relink_expr(operand, table)
+
+
+def _relink_expr(node, table: SymbolTable) -> None:
+    if isinstance(node, Ident):
+        _lookup_code(table, node, (VARIABLE, CONSTANT))
+    elif isinstance(node, BinOp):
+        _relink_expr(node.left, table)
+        _relink_expr(node.right, table)
+    elif isinstance(node, Neg):
+        _relink_expr(node.operand, table)
+
+
+def revised_from_xml(doc: XmlDocument) -> tuple[Program, str | None]:
+    """Inverse of revised_to_xml; also validates every code reference."""
+    root = doc.root
+    if root.name != ROOT_NAME:
+        raise XmlLoadError(
+            f"se esperaba el elemento '{ROOT_NAME}', no '{root.name}'")
+    program_el = None
+    source = None
+    for child in root.elements():
+        if child.name == "programa":
+            if program_el is not None:
+                raise XmlLoadError("más de un elemento 'programa'")
+            program_el = child
+        elif child.name == "fuente":
+            source = child.cdata()
+        else:
+            raise XmlLoadError(f"elemento inesperado: '{child.name}'")
+    if program_el is None:
+        raise XmlLoadError("falta el elemento 'programa'")
+    revised = ast_from_element(program_el, keep_codes=True)
+    rebuild_symbol_table(revised)
+    return revised, source

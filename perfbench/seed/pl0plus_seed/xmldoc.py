@@ -1,0 +1,350 @@
+"""Minimal XML document model shared by every compiler phase.
+
+The phases exchange their results as small XML documents (token lists,
+syntax trees, object code, error reports).  This module covers exactly what
+those documents need: elements with ordered attributes, text, and CDATA
+sections.  Parsing is delegated to expat; serialization follows the fixed
+house style (one XML declaration, two-space indentation, self-closing empty
+elements, CDATA kept inline with its parent tag).
+"""
+
+from __future__ import annotations
+
+import re
+import xml.parsers.expat
+from dataclasses import dataclass, field
+
+
+class XmlParseError(Exception):
+    """Malformed XML input.  Carries the position of the first offense."""
+
+    def __init__(self, message: str, line: int, column: int):
+        super().__init__(f"{message} (línea {line}, columna {column})")
+        self.message = message
+        self.line = line
+        self.column = column
+
+
+class XmlLoadError(Exception):
+    """A well-formed document does not encode what a phase expected."""
+
+
+# Element and attribute names: non-empty, no whitespace, none of the
+# characters that XML reserves for markup.
+_NAME_RE = re.compile(r"[^\s<>&'\"/=?!]+")
+
+
+def _check_name(name: str) -> str:
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+        raise ValueError(f"invalid XML name: {name!r}")
+    return name
+
+
+@dataclass
+class Text:
+    data: str
+
+
+@dataclass
+class Cdata:
+    """A CDATA section.  The payload is reproduced verbatim on output.
+
+    A single section can never contain the terminator "]]>"; callers with
+    arbitrary payloads use cdata_sections() which applies the standard
+    split-into-adjacent-sections escape.
+    """
+
+    data: str
+
+    def __post_init__(self):
+        if "]]>" in self.data:
+            raise ValueError('CDATA payload must not contain "]]>"')
+
+
+def cdata_sections(text: str) -> list[Cdata]:
+    """Split arbitrary text into CDATA sections, escaping any "]]>"."""
+    parts = []
+    while "]]>" in text:
+        cut = text.index("]]>") + 2
+        parts.append(Cdata(text[:cut]))
+        text = text[cut:]
+    parts.append(Cdata(text))
+    return parts
+
+
+@dataclass
+class XmlNode:
+    """An element: a name, ordered unique attributes, ordered children."""
+
+    name: str
+    attributes: dict[str, str] = field(default_factory=dict)
+    children: list = field(default_factory=list)
+
+    def __post_init__(self):
+        _check_name(self.name)
+        coerced = {}
+        for key, value in self.attributes.items():
+            coerced[_check_name(key)] = str(value)
+        self.attributes = coerced
+
+    def set(self, name: str, value) -> None:
+        self.attributes[_check_name(name)] = str(value)
+
+    def get(self, name: str, default=None):
+        return self.attributes.get(name, default)
+
+    def add(self, child):
+        self.children.append(child)
+        return child
+
+    def element(self, name: str, **attributes) -> "XmlNode":
+        """Append and return a new child element (attribute order preserved)."""
+        return self.add(XmlNode(name, dict(attributes)))
+
+    def elements(self) -> list["XmlNode"]:
+        return [c for c in self.children if isinstance(c, XmlNode)]
+
+    def find(self, name: str) -> "XmlNode | None":
+        for child in self.children:
+            if isinstance(child, XmlNode) and child.name == name:
+                return child
+        return None
+
+    def text(self) -> str:
+        return "".join(c.data for c in self.children if isinstance(c, Text))
+
+    def cdata(self) -> str:
+        return "".join(c.data for c in self.children if isinstance(c, Cdata))
+
+
+@dataclass
+class XmlDocument:
+    root: XmlNode
+
+
+def cdata_element(name: str, text: str) -> XmlNode:
+    """An element wrapping arbitrary text as CDATA (used for `fuente` etc.)."""
+    return XmlNode(name, {}, list(cdata_sections(text)))
+
+
+# ---------------------------------------------------------------------------
+# Parsing
+
+
+def parse_document(text: str) -> XmlDocument:
+    """Parse XML text into a document tree.
+
+    Only elements, attributes, text, and CDATA are accepted; comments are
+    discarded.  Processing instructions and DTDs raise XmlParseError, as
+    does any well-formedness violation (with the line and column of the
+    first offense; lines are 1-based, columns 0-based).  Whitespace-only
+    text between sibling elements is dropped.
+    """
+    parser = xml.parsers.expat.ParserCreate()
+    parser.ordered_attributes = True
+
+    root: list[XmlNode] = []
+    stack: list[XmlNode] = []
+    text_buf: list[str] = []
+    cdata_buf: list[str] = []
+    in_cdata = False
+
+    def fail(message: str):
+        raise XmlParseError(message, parser.CurrentLineNumber,
+                            parser.CurrentColumnNumber)
+
+    def flush_text():
+        if text_buf:
+            data = "".join(text_buf)
+            text_buf.clear()
+            if stack:
+                stack[-1].add(Text(data))
+            elif data.strip():
+                fail("texto fuera del elemento raíz")
+
+    def start_element(name, attrs):
+        flush_text()
+        node = XmlNode(name, dict(zip(attrs[0::2], attrs[1::2])))
+        if stack:
+            stack[-1].add(node)
+        elif root:
+            fail("más de un elemento raíz")
+        else:
+            root.append(node)
+        stack.append(node)
+
+    def end_element(name):
+        flush_text()
+        stack.pop()
+
+    def char_data(data):
+        if in_cdata:
+            cdata_buf.append(data)
+        else:
+            text_buf.append(data)
+
+    def start_cdata():
+        nonlocal in_cdata
+        flush_text()
+        if not stack:
+            fail("CDATA fuera del elemento raíz")
+        in_cdata = True
+
+    def end_cdata():
+        nonlocal in_cdata
+        in_cdata = False
+        stack[-1].add(Cdata("".join(cdata_buf)))
+        cdata_buf.clear()
+
+    def reject_pi(target, data):
+        fail("instrucción de procesamiento no admitida")
+
+    def reject_doctype(*args):
+        fail("declaración DOCTYPE no admitida")
+
+    parser.StartElementHandler = start_element
+    parser.EndElementHandler = end_element
+    parser.CharacterDataHandler = char_data
+    parser.StartCdataSectionHandler = start_cdata
+    parser.EndCdataSectionHandler = end_cdata
+    parser.ProcessingInstructionHandler = reject_pi
+    parser.StartDoctypeDeclHandler = reject_doctype
+    parser.CommentHandler = lambda data: None
+
+    try:
+        parser.Parse(text, True)
+    except xml.parsers.expat.ExpatError as exc:
+        raise XmlParseError(
+            xml.parsers.expat.errors.messages[exc.code],
+            exc.lineno, exc.offset) from None
+    if not root:
+        raise XmlParseError("documento sin elemento raíz", 1, 0)
+
+    _drop_blank_text(root[0])
+    return XmlDocument(root[0])
+
+
+def _drop_blank_text(node: XmlNode) -> None:
+    # Indentation whitespace around child elements or CDATA sections is
+    # formatting, not content; text-only elements keep their text as is.
+    if any(not isinstance(c, Text) for c in node.children):
+        node.children = [
+            c for c in node.children
+            if not (isinstance(c, Text) and not c.data.strip())
+        ]
+    for child in node.children:
+        if isinstance(child, XmlNode):
+            _drop_blank_text(child)
+
+
+# ---------------------------------------------------------------------------
+# Serialization
+
+
+def _escape_text(data: str) -> str:
+    data = data.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    # Bare carriage returns would be line-end-normalized away on reparse.
+    return data.replace("\r", "&#13;")
+
+
+def _escape_attr(data: str) -> str:
+    # Newlines and tabs in attribute values must become character references
+    # or the reparse would whitespace-normalize them to plain spaces.
+    return (_escape_text(data).replace('"', "&quot;")
+            .replace("\n", "&#10;").replace("\t", "&#9;"))
+
+
+def _inline_content(children) -> str:
+    parts = []
+    for child in children:
+        if isinstance(child, Text):
+            parts.append(_escape_text(child.data))
+        else:
+            parts.append(f"<![CDATA[{child.data}]]>")
+    return "".join(parts)
+
+
+def _render(node: XmlNode, depth: int, lines: list[str]) -> None:
+    pad = "  " * depth
+    attrs = "".join(f' {k}="{_escape_attr(v)}"'
+                    for k, v in node.attributes.items())
+    if not node.children:
+        lines.append(f"{pad}<{node.name}{attrs}/>")
+        return
+    if not any(isinstance(c, XmlNode) for c in node.children):
+        content = _inline_content(node.children)
+        lines.append(f"{pad}<{node.name}{attrs}>{content}</{node.name}>")
+        return
+    lines.append(f"{pad}<{node.name}{attrs}>")
+    for child in node.children:
+        if isinstance(child, XmlNode):
+            _render(child, depth + 1, lines)
+        elif isinstance(child, Text):
+            lines.append(f"{pad}  {_escape_text(child.data)}")
+        else:
+            lines.append(f"{pad}  <![CDATA[{child.data}]]>")
+    lines.append(f"{pad}</{node.name}>")
+
+
+def serialize_document(doc: XmlDocument) -> str:
+    """Pretty-print a document in the fixed style used by every phase."""
+    lines = ['<?xml version="1.0" ?>']
+    _render(doc.root, 0, lines)
+    return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Canonical comparison
+
+
+def _canonical_children(children) -> list:
+    """Children as (kind, payload) pairs: adjacent text runs merged and
+    trimmed, adjacent CDATA sections concatenated verbatim (undoing the
+    "]]>" split escape, so no Cdata value is re-validated here)."""
+    merged: list = []
+    for child in children:
+        if isinstance(child, (Text, Cdata)):
+            kind = type(child)
+            if merged and merged[-1][0] is kind:
+                merged[-1] = (kind, merged[-1][1] + child.data)
+            else:
+                merged.append((kind, child.data))
+        else:
+            merged.append((XmlNode, child))
+    out = []
+    for kind, payload in merged:
+        if kind is Text:
+            stripped = payload.strip()
+            if stripped:
+                out.append((Text, stripped))
+        else:
+            out.append((kind, payload))
+    return out
+
+
+def _canonical_node_equal(a: XmlNode, b: XmlNode) -> bool:
+    if a.name != b.name or a.attributes != b.attributes:
+        return False
+    ca = _canonical_children(a.children)
+    cb = _canonical_children(b.children)
+    if len(ca) != len(cb):
+        return False
+    for (ka, pa), (kb, pb) in zip(ca, cb):
+        if ka is not kb:
+            return False
+        if ka is XmlNode:
+            if not _canonical_node_equal(pa, pb):
+                return False
+        elif pa != pb:
+            return False
+    return True
+
+
+def canonical_equal(a, b) -> bool:
+    """Structural equality: attribute order is irrelevant, text nodes are
+    compared with surrounding whitespace trimmed (adjacent runs merged),
+    CDATA is compared verbatim (adjacent sections merged first, so the
+    "]]>" split escape does not affect equality)."""
+    ra = a.root if isinstance(a, XmlDocument) else a
+    rb = b.root if isinstance(b, XmlDocument) else b
+    return _canonical_node_equal(ra, rb)
