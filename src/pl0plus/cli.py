@@ -47,8 +47,8 @@ def _save_tree(ast, source):
 
 
 def _load_revised(doc):
-    revised, source = semantics.revised_from_xml(doc)
-    return (revised, semantics.rebuild_symbol_table(revised)), source
+    revised, table, source = semantics.revised_from_xml(doc)
+    return (revised, table), source
 
 
 def _save_revised(payload, source):

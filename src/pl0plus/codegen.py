@@ -20,9 +20,10 @@ from enum import Enum
 
 from .diagnostics import Diagnostic, error
 from .parser import (Assign, BinOp, Block, Call, Cond, Empty, Ident, If, Neg,
-                     Num, Program as Ast, Read, Sequence, While, Write)
+                     Num, Program as Ast, Read, Sequence, While, Write, walk)
 from .semantics import CONSTANT, VARIABLE, SymbolTable
-from .xmldoc import Text, XmlDocument, XmlLoadError, XmlNode, cdata_element
+from .xmldoc import (Text, XmlDocument, XmlLoadError, XmlNode, cdata_element,
+                     int_attr)
 
 
 class Opcode(Enum):
@@ -227,59 +228,13 @@ class _Generator:
                            "columna": str(node.column)}, text))
 
 
-def _unresolved_reference(node):
-    """First code-less node in declaration-then-body order, or None."""
-    if isinstance(node, Block):
-        if node.code is None:
-            return node
-        for child in node.constants + node.variables:
-            if child.code is None:
-                return child
-        for proc in node.procedures:
-            if proc.code is None:
-                return proc
-            found = _unresolved_reference(proc.block)
-            if found is not None:
-                return found
-        return _unresolved_reference(node.body)
-    if hasattr(node, "code") and node.code is None:
-        return node
-    if isinstance(node, Assign):
-        return _unresolved_reference(node.expr)
-    if isinstance(node, Sequence):
-        for child in node.statements:
-            found = _unresolved_reference(child)
-            if found is not None:
-                return found
-        return None
-    if isinstance(node, If):
-        return (_unresolved_reference(node.condition)
-                or _unresolved_reference(node.then_branch)
-                or (node.else_branch is not None
-                    and _unresolved_reference(node.else_branch))
-                or None)
-    if isinstance(node, While):
-        return (_unresolved_reference(node.condition)
-                or _unresolved_reference(node.body))
-    if isinstance(node, Cond):
-        for operand in node.operands:
-            found = _unresolved_reference(operand)
-            if found is not None:
-                return found
-        return None
-    if isinstance(node, BinOp):
-        return (_unresolved_reference(node.left)
-                or _unresolved_reference(node.right))
-    if isinstance(node, Neg):
-        return _unresolved_reference(node.operand)
-    return None
-
-
 def generate(revised: Ast, table: SymbolTable) -> tuple[Program | None,
                                                         list[Diagnostic]]:
     """Translate an error-free revised tree; refuses trees that still
     contain unresolved references."""
-    dangling = _unresolved_reference(revised.block)
+    # The first node, in source order, whose `code` field is still empty.
+    dangling = next((node for node in walk(revised.block)
+                     if getattr(node, "code", "") is None), None)
     if dangling is not None:
         return None, [error("gen", dangling.line, dangling.column,
                             "Referencia sin resolver")]
@@ -336,19 +291,6 @@ def program_to_xml(program: Program) -> XmlDocument:
     return XmlDocument(root)
 
 
-def _int_attr(element: XmlNode, name: str) -> int:
-    value = element.get(name)
-    if value is None:
-        raise XmlLoadError(
-            f"elemento '{element.name}' sin atributo '{name}'")
-    try:
-        return int(value, 10)
-    except ValueError:
-        raise XmlLoadError(
-            f"atributo '{name}' no numérico en '{element.name}': "
-            f"'{value}'") from None
-
-
 def program_from_xml(doc: XmlDocument) -> Program:
     """Inverse of program_to_xml.  Annotations are carried along but the
     `ensamblador` text is not consulted; the instruction elements alone
@@ -368,20 +310,20 @@ def program_from_xml(doc: XmlDocument) -> Program:
         opcode = _OPCODES_BY_ELEMENT.get(element.name)
         if opcode is None:
             raise XmlLoadError(f"instrucción desconocida: '{element.name}'")
-        address = _int_attr(element, "direccion")
+        address = int_attr(element, "direccion")
         if address != len(instructions):
             raise XmlLoadError(
                 f"direcciones no consecutivas: se esperaba "
                 f"{len(instructions)} y aparece {address}")
         level = None
         if opcode in LEVEL_OPCODES:
-            level = _int_attr(element, "diffnivel")
+            level = int_attr(element, "diffnivel")
         elif element.get("diffnivel") is not None:
             raise XmlLoadError(
                 f"'{element.name}' no admite el atributo 'diffnivel'")
         param = None
         if opcode not in PARAMLESS_OPCODES:
-            param = _int_attr(element, "parametro")
+            param = int_attr(element, "parametro")
         elif element.get("parametro") is not None:
             raise XmlLoadError(
                 f"'{element.name}' no admite el atributo 'parametro'")

@@ -7,11 +7,13 @@ looking at the source again.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, unique
 
 from .diagnostics import Diagnostic, error
-from .xmldoc import (XmlDocument, XmlLoadError, XmlNode, cdata_element)
+from .xmldoc import (XmlDocument, XmlLoadError, XmlNode, cdata_element,
+                     int_attr, str_attr)
 
 MAX_NUMBER = 2**31 - 1
 
@@ -87,10 +89,26 @@ SYMBOL_TEXT = {
     TokenKind.PUNTO: ".",
 }
 
-_TWO_CHAR = {text: kind for kind, text in SYMBOL_TEXT.items()
-             if len(text) == 2}
-_ONE_CHAR = {text: kind for kind, text in SYMBOL_TEXT.items()
-             if len(text) == 1}
+_SYMBOL_KINDS = {text: kind for kind, text in SYMBOL_TEXT.items()}
+
+# One alternative per lexical class, tried in order at each position, so
+# a comment opener wins over `(`, and two-character symbols (listed
+# longest first) over their one-character prefixes.  An unterminated
+# comment swallows the rest of the input.  `\d` is exactly the digits
+# `int()` reads.  Only `space` and the comments can span lines.
+_TOKEN_PATTERNS = (
+    ("space", r"[ \t\r\n]+"),
+    ("comment", r"\(\*.*?\*\)"),
+    ("unclosed", r"\(\*.*"),
+    ("word", r"[A-Za-z][A-Za-z\d_]*"),
+    ("number", r"\d+"),
+    ("symbol", "|".join(re.escape(text) for text in
+                        sorted(SYMBOL_TEXT.values(), key=len, reverse=True))),
+    ("invalid", "."),
+)
+_TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})"
+                                for name, pattern in _TOKEN_PATTERNS),
+                       re.DOTALL)
 
 _KIND_BY_ELEMENT = {kind.value: kind for kind in TokenKind}
 
@@ -105,14 +123,6 @@ class Token:
     value: int | None = None  # NUMERO only
 
 
-def _is_letter(ch: str) -> bool:
-    return "a" <= ch <= "z" or "A" <= ch <= "Z"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return _is_letter(ch) or ch.isdigit() or ch == "_"
-
-
 def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
     """Scan the whole source with maximal munch.
 
@@ -122,77 +132,39 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
     """
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    line, col, i = 1, 0, 0
-    n = len(source)
-
-    def advance(count=1):
-        nonlocal line, col, i
-        for _ in range(count):
-            if source[i] == "\n":
-                line += 1
-                col = 0
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if ch == "(" and i + 1 < n and source[i + 1] == "*":
-            start_line, start_col = line, col
-            advance(2)
-            closed = False
-            while i < n:
-                if source[i] == "*" and i + 1 < n and source[i + 1] == ")":
-                    advance(2)
-                    closed = True
-                    break
-                advance()
-            if not closed:
-                diags.append(error("lex", start_line, start_col,
-                                   "Comentario sin cerrar"))
-            continue
-        if _is_letter(ch):
-            start_line, start_col = line, col
-            start = i
-            while i < n and _is_ident_char(source[i]):
-                advance()
-            word = source[start:i]
-            kind = KEYWORDS.get(word)
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(source):
+        group = match.lastgroup
+        text = match.group()
+        column = match.start() - line_start
+        if group == "word":
+            kind = KEYWORDS.get(text)
             if kind is not None:
-                tokens.append(Token(kind, start_line, start_col, len(word)))
+                tokens.append(Token(kind, line, column, len(text)))
             else:
-                tokens.append(Token(TokenKind.IDENTIFICADOR, start_line,
-                                    start_col, len(word), name=word))
-            continue
-        if ch.isdigit():
-            start_line, start_col = line, col
-            start = i
-            while i < n and source[i].isdigit():
-                advance()
-            digits = source[start:i]
-            value = int(digits)
+                tokens.append(Token(TokenKind.IDENTIFICADOR, line, column,
+                                    len(text), name=text))
+        elif group == "number":
+            value = int(text)
             if value > MAX_NUMBER:
-                diags.append(error("lex", start_line, start_col,
+                diags.append(error("lex", line, column,
                                    "Número demasiado grande"))
                 value = MAX_NUMBER
-            tokens.append(Token(TokenKind.NUMERO, start_line, start_col,
-                                len(digits), value=value))
-            continue
-        two = source[i:i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token(_TWO_CHAR[two], line, col, 2))
-            advance(2)
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token(_ONE_CHAR[ch], line, col, 1))
-            advance()
-            continue
-        diags.append(error("lex", line, col, "Caracter inválido."))
-        advance()
-
+            tokens.append(Token(TokenKind.NUMERO, line, column, len(text),
+                                value=value))
+        elif group == "symbol":
+            tokens.append(Token(_SYMBOL_KINDS[text], line, column,
+                                len(text)))
+        elif group == "invalid":
+            diags.append(error("lex", line, column, "Caracter inválido."))
+        else:
+            if group == "unclosed":
+                diags.append(error("lex", line, column,
+                                   "Comentario sin cerrar"))
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = match.start() + text.rindex("\n") + 1
     return tokens, diags
 
 
@@ -217,19 +189,6 @@ def tokens_to_xml(tokens, source: str | None = None) -> XmlDocument:
     return XmlDocument(root)
 
 
-def _int_attr(element: XmlNode, name: str) -> int:
-    raw = element.get(name)
-    if raw is None:
-        raise XmlLoadError(
-            f"elemento '{element.name}': falta el atributo '{name}'")
-    try:
-        return int(raw)
-    except ValueError:
-        raise XmlLoadError(
-            f"elemento '{element.name}': el atributo '{name}' no es un "
-            f"entero: {raw!r}") from None
-
-
 def tokens_from_xml(doc: XmlDocument) -> tuple[list[Token], str | None]:
     """Rebuild a token list from a `lexemas` document.
 
@@ -249,18 +208,15 @@ def tokens_from_xml(doc: XmlDocument) -> tuple[list[Token], str | None]:
         kind = _KIND_BY_ELEMENT.get(element.name)
         if kind is None:
             raise XmlLoadError(f"lexema desconocido: '{element.name}'")
-        line = _int_attr(element, "linea")
-        column = _int_attr(element, "columna")
-        length = _int_attr(element, "longitud")
+        line = int_attr(element, "linea")
+        column = int_attr(element, "columna")
+        length = int_attr(element, "longitud")
         if kind is TokenKind.IDENTIFICADOR:
-            name = element.get("nombre")
-            if name is None:
-                raise XmlLoadError("elemento 'IDENTIFICADOR': falta el "
-                                   "atributo 'nombre'")
-            tokens.append(Token(kind, line, column, length, name=name))
+            tokens.append(Token(kind, line, column, length,
+                                name=str_attr(element, "nombre")))
         elif kind is TokenKind.NUMERO:
             tokens.append(Token(kind, line, column, length,
-                                value=_int_attr(element, "valor")))
+                                value=int_attr(element, "valor")))
         else:
             tokens.append(Token(kind, line, column, length))
     return tokens, source

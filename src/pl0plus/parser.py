@@ -25,7 +25,7 @@ from typing import Union
 from .diagnostics import Diagnostic, error, warning
 from .lexer import Token, TokenKind
 from .xmldoc import (Cdata, Text, XmlDocument, XmlLoadError, XmlNode,
-                     cdata_element)
+                     cdata_element, int_attr, str_attr)
 
 # ---------------------------------------------------------------------------
 # Tree nodes.  `code` fields stay None until semantic analysis fills them.
@@ -182,6 +182,32 @@ class Program:
     block: Block
     line: int
     column: int
+
+
+_NODE_TYPES = frozenset({
+    ConstDecl, VarDecl, ProcDecl, Num, Ident, BinOp, Neg, Cond, Assign, Call,
+    Sequence, If, While, Read, Write, Empty, Block, Program,
+})
+
+
+def walk(node):
+    """Yield `node` and every node below it in source order: a parent
+    before its children, children in field declaration order.
+
+    Uses an explicit stack, so the depth of the tree is not limited by
+    Python's recursion limit.
+    """
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = []
+        for value in vars(node).values():
+            if type(value) is list:
+                children.extend(value)
+            elif type(value) in _NODE_TYPES:
+                children.append(value)
+        stack.extend(reversed(children))
 
 
 def _block_anchor(block: Block) -> tuple[int, int]:
@@ -651,27 +677,8 @@ def _load_error(element: XmlNode, detail: str) -> XmlLoadError:
     return XmlLoadError(f"elemento '{element.name}': {detail}")
 
 
-def _int_attr(element: XmlNode, name: str) -> int:
-    raw = element.get(name)
-    if raw is None:
-        raise _load_error(element, f"falta el atributo '{name}'")
-    try:
-        return int(raw)
-    except ValueError:
-        raise _load_error(
-            element, f"el atributo '{name}' no es un entero: {raw!r}") \
-            from None
-
-
-def _str_attr(element: XmlNode, name: str) -> str:
-    raw = element.get(name)
-    if raw is None:
-        raise _load_error(element, f"falta el atributo '{name}'")
-    return raw
-
-
 def _position(element: XmlNode) -> tuple[int, int]:
-    return _int_attr(element, "linea"), _int_attr(element, "columna")
+    return int_attr(element, "linea"), int_attr(element, "columna")
 
 
 def _no_stray_content(element: XmlNode) -> None:
@@ -695,19 +702,19 @@ def _read_block(element: XmlNode, keep_codes: bool) -> Block:
     statements: list = []
     for child in element.elements():
         if child.name == "constante":
-            node = ConstDecl(_str_attr(child, "nombre"),
-                             _int_attr(child, "valor"), *_position(child))
+            node = ConstDecl(str_attr(child, "nombre"),
+                             int_attr(child, "valor"), *_position(child))
             _read_code(child, node, keep_codes)
             constants.append(node)
         elif child.name == "variable":
-            node = VarDecl(_str_attr(child, "nombre"), *_position(child))
+            node = VarDecl(str_attr(child, "nombre"), *_position(child))
             _read_code(child, node, keep_codes)
             variables.append(node)
         elif child.name == "procedimiento":
             inner = child.find("bloque")
             if inner is None or len(child.elements()) != 1:
                 raise _load_error(child, "se esperaba exactamente un 'bloque'")
-            procedures.append(ProcDecl(_str_attr(child, "nombre"),
+            procedures.append(ProcDecl(str_attr(child, "nombre"),
                                        _read_block(inner, keep_codes),
                                        *_position(child)))
         else:
@@ -729,14 +736,14 @@ def _read_stmt(element: XmlNode, keep_codes: bool):
     if name == "asignacion":
         if len(children) != 1:
             raise _load_error(element, "se esperaba exactamente una expresión")
-        node = Assign(_str_attr(element, "variable"),
+        node = Assign(str_attr(element, "variable"),
                       _read_expr(children[0], keep_codes), *_position(element))
         _read_code(element, node, keep_codes)
         return node
     if name == "llamada":
         if children:
             raise _load_error(element, "no admite hijos")
-        return Call(_str_attr(element, "procedimiento"), *_position(element))
+        return Call(str_attr(element, "procedimiento"), *_position(element))
     if name == "secuencia":
         return Sequence([_read_stmt(c, keep_codes) for c in children],
                         *_position(element))
@@ -758,11 +765,11 @@ def _read_stmt(element: XmlNode, keep_codes: bool):
     if name == "leer":
         if children:
             raise _load_error(element, "no admite hijos")
-        return Read(_str_attr(element, "variable"), *_position(element))
+        return Read(str_attr(element, "variable"), *_position(element))
     if name == "escribir":
         if children:
             raise _load_error(element, "no admite hijos")
-        return Write(_str_attr(element, "simbolo"), *_position(element))
+        return Write(str_attr(element, "simbolo"), *_position(element))
     if name == "nada":
         if children:
             raise _load_error(element, "no admite hijos")
@@ -772,7 +779,7 @@ def _read_stmt(element: XmlNode, keep_codes: bool):
 
 def _read_cond(element: XmlNode, keep_codes: bool) -> Cond:
     _no_stray_content(element)
-    op = _str_attr(element, "operacion")
+    op = str_attr(element, "operacion")
     if op not in _COND_OPS:
         raise _load_error(element, f"operación desconocida: '{op}'")
     children = element.elements()
@@ -791,11 +798,11 @@ def _read_expr(element: XmlNode, keep_codes: bool):
     if name == "numero":
         if children:
             raise _load_error(element, "no admite hijos")
-        return Num(_int_attr(element, "valor"), *_position(element))
+        return Num(int_attr(element, "valor"), *_position(element))
     if name == "identificador":
         if children:
             raise _load_error(element, "no admite hijos")
-        node = Ident(_str_attr(element, "simbolo"), *_position(element))
+        node = Ident(str_attr(element, "simbolo"), *_position(element))
         _read_code(element, node, keep_codes)
         return node
     if name in _BINOP_NAMES:

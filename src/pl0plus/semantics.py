@@ -14,13 +14,11 @@ works) and everything declared before it, but not siblings declared later.
 
 from __future__ import annotations
 
-from copy import deepcopy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, error
-from .parser import (Assign, BinOp, Block, Call, Cond, ConstDecl, Empty,
-                     Ident, If, Neg, Num, ProcDecl, Program, Read, Sequence,
-                     VarDecl, While, Write, ast_from_element, ast_to_element)
+from .parser import (Assign, Block, Call, Ident, Program, Read, Write,
+                     ast_from_element, ast_to_element, walk)
 from .xmldoc import XmlDocument, XmlLoadError, XmlNode, cdata_element
 
 CONSTANT = "constant"
@@ -139,7 +137,7 @@ class _Analyzer:
             # codes stay unique even when a duplicate name was rejected.
             child = self.table.new_scope(scope, position)
             self.visit_block(proc.block, child)
-        self.visit_stmt(block.body, scope)
+        self.visit_body(block.body, scope)
 
     def declare(self, node, kind: str, scope: Scope, value=None) -> None:
         symbol = scope.declare(node.name, kind, node.line, node.column, value)
@@ -174,66 +172,37 @@ class _Analyzer:
             return None
         return symbol
 
-    def visit_stmt(self, node, scope: Scope) -> None:
-        if isinstance(node, Assign):
-            symbol = self.resolve_target(node, node.target, scope)
-            node.code = symbol.code if symbol else None
-            self.visit_expr(node.expr, scope)
-        elif isinstance(node, Call):
-            symbol = scope.lookup(node.procedure)
-            if symbol is None or symbol.kind != PROCEDURE:
-                self.err(node, "Referencia a procedimiento no declarado")
-            else:
-                node.code = symbol.code
-        elif isinstance(node, Sequence):
-            for child in node.statements:
-                self.visit_stmt(child, scope)
-        elif isinstance(node, If):
-            self.visit_cond(node.condition, scope)
-            self.visit_stmt(node.then_branch, scope)
-            if node.else_branch is not None:
-                self.visit_stmt(node.else_branch, scope)
-        elif isinstance(node, While):
-            self.visit_cond(node.condition, scope)
-            self.visit_stmt(node.body, scope)
-        elif isinstance(node, Read):
-            symbol = self.resolve_target(node, node.variable, scope)
-            node.code = symbol.code if symbol else None
-        elif isinstance(node, Write):
-            symbol = self.resolve_value(node, node.symbol, scope)
-            node.code = symbol.code if symbol else None
-        elif isinstance(node, Empty):
-            pass
-        else:
-            raise TypeError(f"not a statement node: {node!r}")
-
-    def visit_cond(self, cond: Cond, scope: Scope) -> None:
-        for operand in cond.operands:
-            self.visit_expr(operand, scope)
-
-    def visit_expr(self, node, scope: Scope) -> None:
-        if isinstance(node, Ident):
-            symbol = self.resolve_value(node, node.name, scope)
-            node.code = symbol.code if symbol else None
-        elif isinstance(node, BinOp):
-            self.visit_expr(node.left, scope)
-            self.visit_expr(node.right, scope)
-        elif isinstance(node, Neg):
-            self.visit_expr(node.operand, scope)
-        elif isinstance(node, Num):
-            pass
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
+    def visit_body(self, body, scope: Scope) -> None:
+        # A statement never contains declarations, so the whole body
+        # resolves in the block's own scope.
+        for node in walk(body):
+            if isinstance(node, Assign):
+                symbol = self.resolve_target(node, node.target, scope)
+                node.code = symbol.code if symbol else None
+            elif isinstance(node, Call):
+                symbol = scope.lookup(node.procedure)
+                if symbol is None or symbol.kind != PROCEDURE:
+                    self.err(node, "Referencia a procedimiento no declarado")
+                else:
+                    node.code = symbol.code
+            elif isinstance(node, Read):
+                symbol = self.resolve_target(node, node.variable, scope)
+                node.code = symbol.code if symbol else None
+            elif isinstance(node, Write):
+                symbol = self.resolve_value(node, node.symbol, scope)
+                node.code = symbol.code if symbol else None
+            elif isinstance(node, Ident):
+                symbol = self.resolve_value(node, node.name, scope)
+                node.code = symbol.code if symbol else None
 
 
 def analyze(ast: Program) -> tuple[Program, SymbolTable, list[Diagnostic]]:
-    """Return a deep copy of the tree with symbol codes filled in, the
-    symbol table behind those codes, and any findings.  Running analyze on
-    its own output assigns identical codes."""
-    revised = deepcopy(ast)
+    """Fill in the symbol codes of `ast` in place and return that same
+    tree, the symbol table behind its codes, and any findings.  Running
+    analyze again on the annotated tree assigns identical codes."""
     analyzer = _Analyzer()
-    analyzer.visit_block(revised.block, analyzer.table.root)
-    return revised, analyzer.table, analyzer.diags
+    analyzer.visit_block(ast.block, analyzer.table.root)
+    return ast, analyzer.table, analyzer.diags
 
 
 # ---------------------------------------------------------------------------
@@ -341,52 +310,27 @@ def _resolve_name(scope: Scope, node, name: str,
 def _relink_block(block: Block, scope: Scope, table: SymbolTable) -> None:
     for proc, child in zip(block.procedures, scope.children):
         _relink_block(proc.block, child, table)
-    _relink_stmt(block.body, scope, table)
+    for node in walk(block.body):
+        if isinstance(node, Assign):
+            _lookup_code(table, node, (VARIABLE,))
+        elif isinstance(node, Ident):
+            _lookup_code(table, node, (VARIABLE, CONSTANT))
+        elif isinstance(node, Call):
+            node.code = _resolve_name(scope, node, node.procedure,
+                                      (PROCEDURE,)).code
+        elif isinstance(node, Read):
+            node.code = _resolve_name(scope, node, node.variable,
+                                      (VARIABLE,)).code
+        elif isinstance(node, Write):
+            node.code = _resolve_name(scope, node, node.symbol,
+                                      (VARIABLE, CONSTANT)).code
 
 
-def _relink_stmt(node, scope: Scope, table: SymbolTable) -> None:
-    if isinstance(node, Assign):
-        _lookup_code(table, node, (VARIABLE,))
-        _relink_expr(node.expr, table)
-    elif isinstance(node, Call):
-        node.code = _resolve_name(scope, node, node.procedure,
-                                  (PROCEDURE,)).code
-    elif isinstance(node, Read):
-        node.code = _resolve_name(scope, node, node.variable,
-                                  (VARIABLE,)).code
-    elif isinstance(node, Write):
-        node.code = _resolve_name(scope, node, node.symbol,
-                                  (VARIABLE, CONSTANT)).code
-    elif isinstance(node, Sequence):
-        for child in node.statements:
-            _relink_stmt(child, scope, table)
-    elif isinstance(node, If):
-        _relink_cond(node.condition, table)
-        _relink_stmt(node.then_branch, scope, table)
-        if node.else_branch is not None:
-            _relink_stmt(node.else_branch, scope, table)
-    elif isinstance(node, While):
-        _relink_cond(node.condition, table)
-        _relink_stmt(node.body, scope, table)
-
-
-def _relink_cond(cond: Cond, table: SymbolTable) -> None:
-    for operand in cond.operands:
-        _relink_expr(operand, table)
-
-
-def _relink_expr(node, table: SymbolTable) -> None:
-    if isinstance(node, Ident):
-        _lookup_code(table, node, (VARIABLE, CONSTANT))
-    elif isinstance(node, BinOp):
-        _relink_expr(node.left, table)
-        _relink_expr(node.right, table)
-    elif isinstance(node, Neg):
-        _relink_expr(node.operand, table)
-
-
-def revised_from_xml(doc: XmlDocument) -> tuple[Program, str | None]:
-    """Inverse of revised_to_xml; also validates every code reference."""
+def revised_from_xml(doc: XmlDocument) -> tuple[Program, SymbolTable,
+                                                 str | None]:
+    """Inverse of revised_to_xml; also validates every code reference.
+    Returns the tree, the symbol table rebuilt from its codes, and the
+    source text when the document carries it."""
     root = doc.root
     if root.name != ROOT_NAME:
         raise XmlLoadError(
@@ -405,5 +349,4 @@ def revised_from_xml(doc: XmlDocument) -> tuple[Program, str | None]:
     if program_el is None:
         raise XmlLoadError("falta el elemento 'programa'")
     revised = ast_from_element(program_el, keep_codes=True)
-    rebuild_symbol_table(revised)
-    return revised, source
+    return revised, rebuild_symbol_table(revised), source

@@ -127,6 +127,27 @@ def cdata_element(name: str, text: str) -> XmlNode:
     return XmlNode(name, {}, list(cdata_sections(text)))
 
 
+def str_attr(element: XmlNode, name: str) -> str:
+    """A required attribute; XmlLoadError when it is missing."""
+    raw = element.get(name)
+    if raw is None:
+        raise XmlLoadError(
+            f"elemento '{element.name}': falta el atributo '{name}'")
+    return raw
+
+
+def int_attr(element: XmlNode, name: str) -> int:
+    """A required integer attribute; XmlLoadError when it is missing or
+    not an integer."""
+    raw = str_attr(element, name)
+    try:
+        return int(raw)
+    except ValueError:
+        raise XmlLoadError(
+            f"elemento '{element.name}': el atributo '{name}' no es un "
+            f"entero: {raw!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 

@@ -145,6 +145,17 @@ class TestPipeline:
         assert "Referencia a variable no declarada" in captured.out
         assert captured.err == ""
 
+    def test_superscript_digit_is_an_invalid_character(self, tmp_path,
+                                                       capsys):
+        source = tmp_path / "cuadrado.pl0+"
+        source.write_text("var x; begin x := ² end.", encoding="utf-8")
+        assert compiler_main([str(source)]) == 1
+        captured = capsys.readouterr()
+        assert ("Fase de origen:lex\nLínea 1: Caracter inválido.\n"
+                "var x; begin x := ² end.\n" + "-" * 18 + "^\n"
+                in captured.out)
+        assert captured.err == ""
+
     def test_xml_report_goes_to_stderr(self, tmp_path, capsys):
         source = tmp_path / "malo.pl0+"
         source.write_text(UNDECLARED, encoding="utf-8")

@@ -196,9 +196,9 @@ class TestTranslation:
 
     def test_unresolved_tree_is_refused(self):
         tokens, _ = tokenize("var x;\nbegin x := 1 end.")
-        ast, _ = parse(tokens)
-        _, table, _ = analyze(ast)
-        program, diags = generate(ast, table)
+        _, table, _ = analyze(parse(tokens)[0])
+        never_analyzed, _ = parse(tokens)
+        program, diags = generate(never_analyzed, table)
         assert program is None
         assert [(d.phase, d.severity, d.line, d.column, d.message)
                 for d in diags] == [
@@ -382,6 +382,18 @@ class TestXml:
         self.load_error('<codigo_pmas>'
                         '<cargar_literal direccion="0" parametro="x"/>'
                         "</codigo_pmas>")
+
+    @pytest.mark.parametrize("element, message", [
+        ('<retornar/>', "elemento 'retornar': falta el atributo 'direccion'"),
+        ('<cargar_literal direccion="0" parametro="x"/>',
+         "elemento 'cargar_literal': el atributo 'parametro' no es un "
+         "entero: 'x'"),
+    ])
+    def test_attribute_messages(self, element, message):
+        with pytest.raises(XmlLoadError) as caught:
+            program_from_xml(parse_document(
+                f"<codigo_pmas>{element}</codigo_pmas>"))
+        assert str(caught.value) == message
 
     def test_missing_level_rejected(self):
         self.load_error('<codigo_pmas>'

@@ -1,9 +1,11 @@
 """Scanner behavior and the `lexemas` XML representation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pl0plus.lexer import (KEYWORDS, SYMBOL_TEXT, Token, TokenKind, tokenize,
-                           tokens_from_xml, tokens_to_xml)
+from pl0plus.lexer import (KEYWORDS, MAX_NUMBER, SYMBOL_TEXT, Token,
+                           TokenKind, tokenize, tokens_from_xml, tokens_to_xml)
 from pl0plus.xmldoc import XmlLoadError, parse_document
 
 K = TokenKind
@@ -133,6 +135,14 @@ class TestTokenize:
         assert [t.kind for t in tokens] == [K.IDENTIFICADOR]
         assert [d.message for d in diags] == ["Caracter inválido."] * 2
 
+    def test_digits_are_what_int_reads(self):
+        # `²` passes str.isdigit() but int() cannot read it.
+        tokens, diags = tokenize("a² ² \u0663")
+        assert [(t.kind, t.name, t.value) for t in tokens] == [
+            (K.IDENTIFICADOR, "a", None), (K.NUMERO, None, 3)]
+        assert [(d.line, d.column, d.message) for d in diags] == [
+            (1, 1, "Caracter inválido."), (1, 3, "Caracter inválido.")]
+
     def test_tab_counts_one_column(self):
         tokens, _ = tokenize("\tx")
         assert (tokens[0].line, tokens[0].column) == (1, 1)
@@ -142,6 +152,31 @@ class TestTokenize:
         assert not diags
         assert [(t.name, t.line, t.column) for t in tokens] == [
             ("a", 1, 0), ("b", 2, 0)]
+
+
+# Arbitrary text, biased towards the characters the scanner treats
+# specially.
+_SCAN_TEXT = st.text(st.one_of(st.sampled_from("(*)\n\r\t :=<>;.,+-/_aZ09²"),
+                               st.characters()), max_size=60)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_SCAN_TEXT)
+def test_every_token_is_its_source_slice(source):
+    tokens, _ = tokenize(source)
+    lines = source.split("\n")
+    for tok in tokens:
+        text = lines[tok.line - 1][tok.column:tok.column + tok.length]
+        assert len(text) == tok.length
+        if tok.kind is K.IDENTIFICADOR:
+            assert text == tok.name
+        elif tok.kind is K.NUMERO:
+            assert text.isdecimal()
+            assert tok.value == min(int(text), MAX_NUMBER)
+        elif tok.kind in SYMBOL_TEXT:
+            assert text == SYMBOL_TEXT[tok.kind]
+        else:
+            assert KEYWORDS[text] is tok.kind
 
 
 class TestXml:

@@ -211,20 +211,31 @@ class TestFindings:
 
 
 class TestAnalyze:
-    def test_input_tree_is_untouched(self):
+    def test_input_tree_is_annotated_in_place(self):
         ast = parsed("var x;\nbegin x := 1 end.")
-        revised, _, _ = analyze(ast)
         assert ast.block.code is None
-        assert ast.block.variables[0].code is None
-        assert revised.block.code == "b0"
-        assert revised is not ast
+        revised, _, _ = analyze(ast)
+        assert revised is ast
+        assert ast.block.code == "b0"
+        assert ast.block.variables[0].code == "v0_0"
+        assert ast.block.body.statements[0].code == "v0_0"
 
     def test_reanalysis_is_stable(self):
-        revised, _ = analyzed("var x;\nprocedure p;\n    var y;\n"
-                              "begin y := x end;\nbegin call p end.")
+        source = ("var x;\nprocedure p;\n    var y;\n"
+                  "begin y := x end;\nbegin call p end.")
+        revised, _ = analyzed(source)
+        independent, _ = analyzed(source)
         again, _, diags = analyze(revised)
         assert not diags
-        assert again == revised
+        assert again == independent
+
+    def test_flat_sum_compiles_and_runs(self):
+        # The benchmark's known-defect probe: a 300-term sum is a
+        # 300-deep left spine, which once overflowed the recursion limit.
+        source = ("var x;\nbegin\n    x := " + " + ".join(["1"] * 300)
+                  + ";\n    write x\nend.\n")
+        program = checks.compile_clean(source).program
+        assert checks.run_vm(program, ()) == (0, [300])
 
     def test_rebuild_recovers_the_same_codes(self):
         revised, table = analyzed(checks.FIB.read_text(encoding="utf-8"))
@@ -294,7 +305,8 @@ class TestXml:
 
     def test_round_trip(self):
         revised, table = analyzed(SMALL)
-        again, source = revised_from_xml(revised_to_xml(revised, table, SMALL))
+        again, _, source = revised_from_xml(
+            revised_to_xml(revised, table, SMALL))
         assert again == revised
         assert source == SMALL
 
@@ -304,7 +316,7 @@ class TestXml:
             for element in find_elements(doc.root, name):
                 if element.attributes.get("codigo") == "v0_0":
                     element.attributes["codigo"] = "mi_clave"
-        revised, _ = revised_from_xml(doc)
+        revised, _, _ = revised_from_xml(doc)
         assert revised.block.variables[0].code == "mi_clave"
         assert revised.block.body.statements[1].code == "mi_clave"
 
