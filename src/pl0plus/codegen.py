@@ -182,21 +182,31 @@ class _Generator:
         operation.annotations.append(Annotation(text=cond.op))
 
     def expression(self, node, depth: int) -> None:
-        if isinstance(node, Num):
-            self.emit(Opcode.LIT, param=node.value)
-        elif isinstance(node, Ident):
-            self.load_symbol(node, node.code, depth)
-        elif isinstance(node, BinOp):
-            self.expression(node.left, depth)
-            self.expression(node.right, depth)
-            operation = self.emit(Opcode.OPR, param=_BINOP_OPR[node.op])
-            operation.annotations.append(Annotation(text=node.op))
-        elif isinstance(node, Neg):
-            self.expression(node.operand, depth)
-            operation = self.emit(Opcode.OPR, param=OPR_NEGATE)
-            operation.annotations.append(Annotation(text="negativo"))
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
+        # Operands before their operator: the reverse of a pre-order walk
+        # that visits the right operand first.  An explicit stack, so a
+        # long flat sum does not hit Python's recursion limit.
+        order = []
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            if isinstance(node, BinOp):
+                stack += (node.left, node.right)
+            elif isinstance(node, Neg):
+                stack.append(node.operand)
+        for node in reversed(order):
+            if isinstance(node, Num):
+                self.emit(Opcode.LIT, param=node.value)
+            elif isinstance(node, Ident):
+                self.load_symbol(node, node.code, depth)
+            elif isinstance(node, BinOp):
+                operation = self.emit(Opcode.OPR, param=_BINOP_OPR[node.op])
+                operation.annotations.append(Annotation(text=node.op))
+            elif isinstance(node, Neg):
+                operation = self.emit(Opcode.OPR, param=OPR_NEGATE)
+                operation.annotations.append(Annotation(text="negativo"))
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
 
     def load_symbol(self, node, code: str, depth: int) -> None:
         """Push a named value: LIT for constants, CAR for variables."""

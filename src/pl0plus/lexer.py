@@ -145,7 +145,10 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
                 tokens.append(Token(TokenKind.IDENTIFICADOR, line, column,
                                     len(text), name=text))
         elif group == "number":
-            value = int(text)
+            # A nonzero digit before the last ten makes the value too
+            # large, so int() never reads more than ten digits.
+            value = (MAX_NUMBER + 1 if any(map(int, text[:-10]))
+                     else int(text[-10:]))
             if value > MAX_NUMBER:
                 diags.append(error("lex", line, column,
                                    "Número demasiado grande"))

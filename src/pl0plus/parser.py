@@ -20,7 +20,7 @@ operator token, conditions at their first operand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union, get_args
 
 from .diagnostics import Diagnostic, error, warning
 from .lexer import Token, TokenKind
@@ -184,10 +184,70 @@ class Program:
     column: int
 
 
-_NODE_TYPES = frozenset({
-    ConstDecl, VarDecl, ProcDecl, Num, Ident, BinOp, Neg, Cond, Assign, Call,
-    Sequence, If, While, Read, Write, Empty, Block, Program,
-})
+# How each node class appears in the tree's XML form (`arbol_de_sintaxis`),
+# and the order of its child fields, which is also the source order.
+class _Form(NamedTuple):
+    element: str | None  # None: the element is named by the node's `op`
+    attributes: tuple | None  # (name, field, reader) after linea/columna;
+    #                           None: no position attributes either
+    children: tuple  # child fields, in declaration order
+    coded: bool  # a revised tree adds `codigo`
+    # Reading only: the allowed numbers of child elements (None: any, read
+    # as one list), the message when they do not fit, the class the first
+    # child must have, and the classes the other children may have.
+    arity: tuple | None
+    shape: str | None
+    first: type | None
+    kinds: frozenset | None
+
+
+_EXPRESSIONS = frozenset(get_args(Expr))
+_STATEMENTS = frozenset(get_args(Stmt))
+_MEMBERS = _STATEMENTS | {ConstDecl, VarDecl, ProcDecl}
+_NAME = (("nombre", "name", str_attr),)
+_LEAF = ((0,), "no admite hijos", None, None)
+_ONE_BLOCK = ((1,), "se esperaba exactamente un 'bloque'", Block, None)
+
+_FORMS = {
+    Program: _Form("programa", None, ("block",), False, *_ONE_BLOCK),
+    Block: _Form("bloque", None,
+                 ("constants", "variables", "procedures", "body"), True,
+                 None, None, None, _MEMBERS),
+    ConstDecl: _Form("constante", _NAME + (("valor", "value", int_attr),),
+                     (), True, *_LEAF),
+    VarDecl: _Form("variable", _NAME, (), True, *_LEAF),
+    ProcDecl: _Form("procedimiento", _NAME, ("block",), False, *_ONE_BLOCK),
+    Assign: _Form("asignacion", (("variable", "target", str_attr),),
+                  ("expr",), True,
+                  (1,), "se esperaba exactamente una expresión", None,
+                  _EXPRESSIONS),
+    Call: _Form("llamada", (("procedimiento", "procedure", str_attr),),
+                (), False, *_LEAF),
+    Sequence: _Form("secuencia", (), ("statements",), False,
+                    None, None, None, _STATEMENTS),
+    If: _Form("condicional", (), ("condition", "then_branch", "else_branch"),
+              False, (2, 3),
+              "se esperaba una condición y una o dos instrucciones", Cond,
+              _STATEMENTS),
+    While: _Form("ciclo", (), ("condition", "body"), False,
+                 (2,), "se esperaba una condición y una instrucción", Cond,
+                 _STATEMENTS),
+    Read: _Form("leer", (("variable", "variable", str_attr),), (), False,
+                *_LEAF),
+    Write: _Form("escribir", (("simbolo", "symbol", str_attr),), (), False,
+                 *_LEAF),
+    Empty: _Form("nada", (), (), False, *_LEAF),
+    # The operand count depends on the operation; the reader checks it.
+    Cond: _Form("condicion", (("operacion", "op", str_attr),), ("operands",),
+                False, None, None, None, _EXPRESSIONS),
+    Num: _Form("numero", (("valor", "value", int_attr),), (), False, *_LEAF),
+    Ident: _Form("identificador", (("simbolo", "name", str_attr),), (), True,
+                 *_LEAF),
+    BinOp: _Form(None, (), ("left", "right"), False,
+                 (2,), "se esperaban dos operandos", None, _EXPRESSIONS),
+    Neg: _Form("negativo", (), ("operand",), False,
+               (1,), "se esperaba un operando", None, _EXPRESSIONS),
+}
 
 
 def walk(node):
@@ -201,13 +261,12 @@ def walk(node):
     while stack:
         node = stack.pop()
         yield node
-        children = []
-        for value in vars(node).values():
+        for name in reversed(_FORMS[type(node)].children):
+            value = getattr(node, name)
             if type(value) is list:
-                children.extend(value)
-            elif type(value) in _NODE_TYPES:
-                children.append(value)
-        stack.extend(reversed(children))
+                stack += reversed(value)
+            elif value is not None:
+                stack.append(value)
 
 
 def _block_anchor(block: Block) -> tuple[int, int]:
@@ -303,14 +362,6 @@ class _Parser:
             raise _Resync
         return tok
 
-    def expect_ident(self) -> Token:
-        tok = self.accept(TokenKind.IDENTIFICADOR)
-        if tok is None:
-            line, column = self.cur_pos()
-            self.error_at(line, column, "Se esperaba un identificador")
-            raise _Resync
-        return tok
-
     def skip_to_sync(self) -> None:
         while self.peek() is not None and self.peek().kind not in _SYNC:
             self.advance()
@@ -372,7 +423,7 @@ class _Parser:
         self.advance()  # const
         decls = []
         while True:
-            name = self.expect_ident()
+            name = self.expect(TokenKind.IDENTIFICADOR, "un identificador")
             self.expect(TokenKind.IGUAL, "'='")
             sign = 1
             if not self.accept(TokenKind.MAS) and self.accept(TokenKind.MENOS):
@@ -389,7 +440,7 @@ class _Parser:
         self.advance()  # var
         decls = []
         while True:
-            name = self.expect_ident()
+            name = self.expect(TokenKind.IDENTIFICADOR, "un identificador")
             decls.append(VarDecl(name.name, name.line, name.column))
             if not self.accept(TokenKind.COMA):
                 break
@@ -398,7 +449,7 @@ class _Parser:
 
     def proc_decl(self) -> ProcDecl:
         self.advance()  # procedure
-        name = self.expect_ident()
+        name = self.expect(TokenKind.IDENTIFICADOR, "un identificador")
         self.expect(TokenKind.PUNTO_Y_COMA, "';'")
         block = self.block()
         self.expect(TokenKind.PUNTO_Y_COMA, "';'")
@@ -423,7 +474,7 @@ class _Parser:
             return Assign(target.name, expr, target.line, target.column)
         if tok.kind is TokenKind.CALL:
             self.advance()
-            name = self.expect_ident()
+            name = self.expect(TokenKind.IDENTIFICADOR, "un identificador")
             return Call(name.name, name.line, name.column)
         if tok.kind is TokenKind.BEGIN:
             return self.sequence()
@@ -444,11 +495,11 @@ class _Parser:
             return While(condition, body, kw.line, kw.column)
         if tok.kind is TokenKind.READ:
             self.advance()
-            name = self.expect_ident()
+            name = self.expect(TokenKind.IDENTIFICADOR, "un identificador")
             return Read(name.name, name.line, name.column)
         # write
         self.advance()
-        name = self.expect_ident()
+        name = self.expect(TokenKind.IDENTIFICADOR, "un identificador")
         return Write(name.name, name.line, name.column)
 
     def sequence(self) -> Sequence:
@@ -561,114 +612,56 @@ def parse(tokens: list[Token]) -> tuple[Program | None, list[Diagnostic]]:
 # XML representation (`arbol_de_sintaxis`)
 
 
-def _positioned(parent: XmlNode, name: str, node, **attrs) -> XmlNode:
-    element = XmlNode(name, {"linea": node.line, "columna": node.column})
-    for key, value in attrs.items():
-        element.set(key, value)
-    parent.add(element)
-    return element
+def _tree_to_element(tree: Program, with_codes: bool) -> XmlNode:
+    """The `programa` element of `tree`, with codes for a revised tree."""
+    found: list[XmlNode] = []
+    # Entries: a node, and the list its element goes to.
+    stack = [(tree, found)]
+    while stack:
+        node, siblings = stack.pop()
+        tag, attributes, fields, coded, _, _, _, _ = _FORMS[type(node)]
+        attrs = {}
+        if attributes is not None:
+            attrs = {"linea": node.line, "columna": node.column}
+            for key, name, _ in attributes:
+                attrs[key] = getattr(node, name)
+        if with_codes and coded:
+            if node.code is None:
+                raise ValueError("tree node carries no symbol code; run "
+                                 "semantic analysis first")
+            attrs["codigo"] = node.code
+        element = XmlNode(tag or node.op, attrs)
+        siblings.append(element)
+        kids = element.children
+        for name in reversed(fields):
+            value = getattr(node, name)
+            if type(value) is list:
+                stack += [(kid, kids) for kid in reversed(value)]
+            elif value is not None:
+                stack.append((value, kids))
+    return found[0]
 
 
-def _set_code(element: XmlNode, node, with_codes: bool) -> None:
-    if with_codes:
-        if node.code is None:
-            raise ValueError("tree node carries no symbol code; run "
-                             "semantic analysis first")
-        element.set("codigo", node.code)
-
-
-def _emit_block(parent: XmlNode, block: Block, with_codes: bool) -> None:
-    element = parent.element("bloque")
-    if with_codes:
-        if block.code is None:
-            raise ValueError("tree node carries no symbol code; run "
-                             "semantic analysis first")
-        element.set("codigo", block.code)
-    for const in block.constants:
-        child = _positioned(element, "constante", const, nombre=const.name,
-                            valor=const.value)
-        _set_code(child, const, with_codes)
-    for var in block.variables:
-        child = _positioned(element, "variable", var, nombre=var.name)
-        _set_code(child, var, with_codes)
-    for proc in block.procedures:
-        child = _positioned(element, "procedimiento", proc, nombre=proc.name)
-        _emit_block(child, proc.block, with_codes)
-    _emit_stmt(element, block.body, with_codes)
-
-
-def _emit_stmt(parent: XmlNode, node, with_codes: bool) -> None:
-    if isinstance(node, Assign):
-        element = _positioned(parent, "asignacion", node, variable=node.target)
-        _set_code(element, node, with_codes)
-        _emit_expr(element, node.expr, with_codes)
-    elif isinstance(node, Call):
-        _positioned(parent, "llamada", node, procedimiento=node.procedure)
-    elif isinstance(node, Sequence):
-        element = _positioned(parent, "secuencia", node)
-        for child in node.statements:
-            _emit_stmt(element, child, with_codes)
-    elif isinstance(node, If):
-        element = _positioned(parent, "condicional", node)
-        _emit_cond(element, node.condition, with_codes)
-        _emit_stmt(element, node.then_branch, with_codes)
-        if node.else_branch is not None:
-            _emit_stmt(element, node.else_branch, with_codes)
-    elif isinstance(node, While):
-        element = _positioned(parent, "ciclo", node)
-        _emit_cond(element, node.condition, with_codes)
-        _emit_stmt(element, node.body, with_codes)
-    elif isinstance(node, Read):
-        _positioned(parent, "leer", node, variable=node.variable)
-    elif isinstance(node, Write):
-        _positioned(parent, "escribir", node, simbolo=node.symbol)
-    elif isinstance(node, Empty):
-        _positioned(parent, "nada", node)
-    else:
-        raise TypeError(f"not a statement node: {node!r}")
-
-
-def _emit_cond(parent: XmlNode, cond: Cond, with_codes: bool) -> None:
-    element = _positioned(parent, "condicion", cond, operacion=cond.op)
-    for operand in cond.operands:
-        _emit_expr(element, operand, with_codes)
-
-
-def _emit_expr(parent: XmlNode, node, with_codes: bool) -> None:
-    if isinstance(node, Num):
-        _positioned(parent, "numero", node, valor=node.value)
-    elif isinstance(node, Ident):
-        element = _positioned(parent, "identificador", node, simbolo=node.name)
-        _set_code(element, node, with_codes)
-    elif isinstance(node, BinOp):
-        element = _positioned(parent, node.op, node)
-        _emit_expr(element, node.left, with_codes)
-        _emit_expr(element, node.right, with_codes)
-    elif isinstance(node, Neg):
-        element = _positioned(parent, "negativo", node)
-        _emit_expr(element, node.operand, with_codes)
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-
-
-def ast_to_element(ast: Program, with_codes: bool = False) -> XmlNode:
-    """The `programa` element (shared with the revised-tree emitter)."""
-    element = XmlNode("programa")
-    _emit_block(element, ast.block, with_codes)
-    return element
-
-
-def ast_to_xml(ast: Program, source: str | None = None) -> XmlDocument:
-    root = XmlNode("arbol_de_sintaxis")
-    root.add(ast_to_element(ast, with_codes=False))
+def tree_to_xml(root_name: str, tree: Program, source: str | None,
+                with_codes: bool) -> XmlDocument:
+    """A tree document: the `programa` element, then `fuente` if given."""
+    root = XmlNode(root_name)
+    root.add(_tree_to_element(tree, with_codes))
     if source is not None:
         root.add(cdata_element("fuente", source))
     return XmlDocument(root)
 
 
+def ast_to_xml(ast: Program, source: str | None = None) -> XmlDocument:
+    return tree_to_xml("arbol_de_sintaxis", ast, source, with_codes=False)
+
+
 # -- reading back
 
-_BINOP_NAMES = {"suma", "resta", "multiplicacion", "division"}
+_CLASSES = {form.element: cls for cls, form in _FORMS.items()
+            if form.element is not None}
+_CLASSES.update(dict.fromkeys(
+    ("suma", "resta", "multiplicacion", "division"), BinOp))
 _COND_OPS = {"comparacion", "diferente", "menor_que", "mayor_que",
              "menor_igual", "mayor_igual", "odd"}
 
@@ -689,154 +682,96 @@ def _no_stray_content(element: XmlNode) -> None:
             raise _load_error(element, "CDATA inesperado")
 
 
-def _read_code(element: XmlNode, node, keep_codes: bool) -> None:
+def _node(cls, element: XmlNode, args: list, kids: list, keep_codes: bool):
+    """The node of `element`, from its leading arguments and the nodes of
+    its children; its position is read last."""
+    if cls is Program:
+        return Program(kids[0], kids[0].line, kids[0].column)
+    if cls is Block:
+        groups = {ConstDecl: [], VarDecl: [], ProcDecl: []}
+        statements: list = []
+        for kid in kids:
+            groups.get(type(kid), statements).append(kid)
+        if len(statements) > 1:
+            raise _load_error(element, "más de una instrucción")
+        body = statements[0] if statements else Empty(0, 0)
+        node = Block(*groups.values(), body, 0, 0)
+        node.line, node.column = _block_anchor(node)
+    else:
+        form = _FORMS[cls]
+        if form.arity is None:
+            args.append(kids)
+        else:
+            args += kids + [None] * (len(form.children) - len(kids))
+        node = cls(*args, *_position(element))
+        if not form.coded:
+            return node
     if keep_codes:
         node.code = element.get("codigo")
+    return node
 
 
-def _read_block(element: XmlNode, keep_codes: bool) -> Block:
-    _no_stray_content(element)
-    constants: list[ConstDecl] = []
-    variables: list[VarDecl] = []
-    procedures: list[ProcDecl] = []
-    statements: list = []
-    for child in element.elements():
-        if child.name == "constante":
-            node = ConstDecl(str_attr(child, "nombre"),
-                             int_attr(child, "valor"), *_position(child))
-            _read_code(child, node, keep_codes)
-            constants.append(node)
-        elif child.name == "variable":
-            node = VarDecl(str_attr(child, "nombre"), *_position(child))
-            _read_code(child, node, keep_codes)
-            variables.append(node)
-        elif child.name == "procedimiento":
-            inner = child.find("bloque")
-            if inner is None or len(child.elements()) != 1:
-                raise _load_error(child, "se esperaba exactamente un 'bloque'")
-            procedures.append(ProcDecl(str_attr(child, "nombre"),
-                                       _read_block(inner, keep_codes),
-                                       *_position(child)))
+def _tree_from_element(programa: XmlNode, keep_codes: bool) -> Program:
+    """Read a `programa` element.  Each element is checked for stray
+    content, then its name, its children's shape and its attributes in
+    field order, then its children, then its position; the first failed
+    check raises XmlLoadError."""
+    found: list = []
+    # One frame per element whose children are being read: its class, the
+    # element, its leading arguments, an iterator over the child elements
+    # still to read, the classes they may have, the class the shape check
+    # already gave its first child, and the nodes read so far.
+    stack = [(None, None, None, iter((programa,)), {Program}, None, found)]
+    while stack:
+        cls, element, args, children, kinds, first, kids = stack[-1]
+        for child in children:
+            elements = child.children
+            if elements:  # anything but a child element must be blank
+                elements = [c for c in elements if type(c) is XmlNode]
+                if len(elements) != len(child.children):
+                    _no_stray_content(child)
+            child_cls = _CLASSES.get(child.name)
+            # A first child fixed by the parent's shape is already checked.
+            if (kids or first is None) and child_cls not in kinds:
+                what = "expresión" if kinds is _EXPRESSIONS else "instrucción"
+                raise XmlLoadError(f"{what} desconocida: '{child.name}'")
+            (tag, attributes, fields, _, arity, shape, child_first,
+             child_kinds) = _FORMS[child_cls]
+            if arity is not None and (
+                    len(elements) not in arity or child_first is not None
+                    and _CLASSES.get(elements[0].name) is not child_first):
+                raise _load_error(child, shape)
+            child_args = [] if tag is not None else [child.name]
+            for key, _, read in attributes or ():
+                child_args.append(read(child, key))
+            if child_cls is Cond:
+                op = child_args[0]
+                if op not in _COND_OPS:
+                    raise _load_error(child, f"operación desconocida: '{op}'")
+                expected = 1 if op == "odd" else 2
+                if len(elements) != expected:
+                    raise _load_error(child, f"la operación '{op}' requiere "
+                                             f"{expected} operando(s)")
+            if fields:
+                stack.append((child_cls, child, child_args, iter(elements),
+                              child_kinds, child_first, []))
+                break
+            kids.append(_node(child_cls, child, child_args, [], keep_codes))
         else:
-            statements.append(_read_stmt(child, keep_codes))
-    if len(statements) > 1:
-        raise _load_error(element, "más de una instrucción")
-    body = statements[0] if statements else Empty(0, 0)
-    block = Block(constants, variables, procedures, body, 0, 0)
-    if keep_codes:
-        block.code = element.get("codigo")
-    block.line, block.column = _block_anchor(block)
-    return block
+            stack.pop()
+            if stack:
+                stack[-1][-1].append(_node(cls, element, args, kids,
+                                           keep_codes))
+    return found[0]
 
 
-def _read_stmt(element: XmlNode, keep_codes: bool):
-    _no_stray_content(element)
-    name = element.name
-    children = element.elements()
-    if name == "asignacion":
-        if len(children) != 1:
-            raise _load_error(element, "se esperaba exactamente una expresión")
-        node = Assign(str_attr(element, "variable"),
-                      _read_expr(children[0], keep_codes), *_position(element))
-        _read_code(element, node, keep_codes)
-        return node
-    if name == "llamada":
-        if children:
-            raise _load_error(element, "no admite hijos")
-        return Call(str_attr(element, "procedimiento"), *_position(element))
-    if name == "secuencia":
-        return Sequence([_read_stmt(c, keep_codes) for c in children],
-                        *_position(element))
-    if name == "condicional":
-        if len(children) not in (2, 3) or children[0].name != "condicion":
-            raise _load_error(
-                element, "se esperaba una condición y una o dos instrucciones")
-        condition = _read_cond(children[0], keep_codes)
-        then_branch = _read_stmt(children[1], keep_codes)
-        else_branch = (_read_stmt(children[2], keep_codes)
-                       if len(children) == 3 else None)
-        return If(condition, then_branch, else_branch, *_position(element))
-    if name == "ciclo":
-        if len(children) != 2 or children[0].name != "condicion":
-            raise _load_error(
-                element, "se esperaba una condición y una instrucción")
-        return While(_read_cond(children[0], keep_codes),
-                     _read_stmt(children[1], keep_codes), *_position(element))
-    if name == "leer":
-        if children:
-            raise _load_error(element, "no admite hijos")
-        return Read(str_attr(element, "variable"), *_position(element))
-    if name == "escribir":
-        if children:
-            raise _load_error(element, "no admite hijos")
-        return Write(str_attr(element, "simbolo"), *_position(element))
-    if name == "nada":
-        if children:
-            raise _load_error(element, "no admite hijos")
-        return Empty(*_position(element))
-    raise XmlLoadError(f"instrucción desconocida: '{name}'")
-
-
-def _read_cond(element: XmlNode, keep_codes: bool) -> Cond:
-    _no_stray_content(element)
-    op = str_attr(element, "operacion")
-    if op not in _COND_OPS:
-        raise _load_error(element, f"operación desconocida: '{op}'")
-    children = element.elements()
-    expected = 1 if op == "odd" else 2
-    if len(children) != expected:
-        raise _load_error(
-            element, f"la operación '{op}' requiere {expected} operando(s)")
-    return Cond(op, [_read_expr(c, keep_codes) for c in children],
-                *_position(element))
-
-
-def _read_expr(element: XmlNode, keep_codes: bool):
-    _no_stray_content(element)
-    name = element.name
-    children = element.elements()
-    if name == "numero":
-        if children:
-            raise _load_error(element, "no admite hijos")
-        return Num(int_attr(element, "valor"), *_position(element))
-    if name == "identificador":
-        if children:
-            raise _load_error(element, "no admite hijos")
-        node = Ident(str_attr(element, "simbolo"), *_position(element))
-        _read_code(element, node, keep_codes)
-        return node
-    if name in _BINOP_NAMES:
-        if len(children) != 2:
-            raise _load_error(element, "se esperaban dos operandos")
-        return BinOp(name, _read_expr(children[0], keep_codes),
-                     _read_expr(children[1], keep_codes), *_position(element))
-    if name == "negativo":
-        if len(children) != 1:
-            raise _load_error(element, "se esperaba un operando")
-        return Neg(_read_expr(children[0], keep_codes), *_position(element))
-    raise XmlLoadError(f"expresión desconocida: '{name}'")
-
-
-def ast_from_element(element: XmlNode, keep_codes: bool = False) -> Program:
-    """Read a `programa` element (shared with the revised-tree reader)."""
-    _no_stray_content(element)
-    children = element.elements()
-    if len(children) != 1 or children[0].name != "bloque":
-        raise _load_error(element, "se esperaba exactamente un 'bloque'")
-    block = _read_block(children[0], keep_codes)
-    return Program(block, *_block_anchor(block))
-
-
-def ast_from_xml(doc: XmlDocument) -> tuple[Program, str | None]:
-    """Inverse of ast_to_xml.  Also accepts a revised tree, in which case
-    the symbol codes are simply ignored."""
-    root = doc.root
-    if root.name not in ("arbol_de_sintaxis", "arbol_de_sintaxis_revisado"):
-        raise XmlLoadError(f"se esperaba el elemento raíz 'arbol_de_sintaxis',"
-                           f" no '{root.name}'")
+def tree_from_xml(doc: XmlDocument,
+                  keep_codes: bool) -> tuple[Program, str | None]:
+    """The tree and the source text of a tree document whose root name
+    the caller has checked."""
     programa = None
     source = None
-    for child in root.elements():
+    for child in doc.root.elements():
         if child.name == "programa":
             if programa is not None:
                 raise XmlLoadError("más de un elemento 'programa'")
@@ -847,4 +782,14 @@ def ast_from_xml(doc: XmlDocument) -> tuple[Program, str | None]:
             raise XmlLoadError(f"elemento inesperado: '{child.name}'")
     if programa is None:
         raise XmlLoadError("falta el elemento 'programa'")
-    return ast_from_element(programa, keep_codes=False), source
+    return _tree_from_element(programa, keep_codes), source
+
+
+def ast_from_xml(doc: XmlDocument) -> tuple[Program, str | None]:
+    """Inverse of ast_to_xml.  Also accepts a revised tree, in which case
+    the symbol codes are simply ignored."""
+    root = doc.root
+    if root.name not in ("arbol_de_sintaxis", "arbol_de_sintaxis_revisado"):
+        raise XmlLoadError(f"se esperaba el elemento raíz 'arbol_de_sintaxis',"
+                           f" no '{root.name}'")
+    return tree_from_xml(doc, keep_codes=False)

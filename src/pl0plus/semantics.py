@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, error
 from .parser import (Assign, Block, Call, Ident, Program, Read, Write,
-                     ast_from_element, ast_to_element, walk)
-from .xmldoc import XmlDocument, XmlLoadError, XmlNode, cdata_element
+                     tree_from_xml, tree_to_xml, walk)
+from .xmldoc import XmlDocument, XmlLoadError
 
 CONSTANT = "constant"
 VARIABLE = "variable"
@@ -216,11 +216,7 @@ def revised_to_xml(revised: Program, table: SymbolTable,
     """Requires a tree where analyze found no errors; the codes carried by
     the nodes are the serialized form of `table`."""
     del table  # the codes on the tree already say everything
-    root = XmlNode(ROOT_NAME)
-    root.add(ast_to_element(revised, with_codes=True))
-    if source is not None:
-        root.add(cdata_element("fuente", source))
-    return XmlDocument(root)
+    return tree_to_xml(ROOT_NAME, revised, source, with_codes=True)
 
 
 def rebuild_symbol_table(revised: Program) -> SymbolTable:
@@ -335,18 +331,5 @@ def revised_from_xml(doc: XmlDocument) -> tuple[Program, SymbolTable,
     if root.name != ROOT_NAME:
         raise XmlLoadError(
             f"se esperaba el elemento '{ROOT_NAME}', no '{root.name}'")
-    program_el = None
-    source = None
-    for child in root.elements():
-        if child.name == "programa":
-            if program_el is not None:
-                raise XmlLoadError("más de un elemento 'programa'")
-            program_el = child
-        elif child.name == "fuente":
-            source = child.cdata()
-        else:
-            raise XmlLoadError(f"elemento inesperado: '{child.name}'")
-    if program_el is None:
-        raise XmlLoadError("falta el elemento 'programa'")
-    revised = ast_from_element(program_el, keep_codes=True)
+    revised, source = tree_from_xml(doc, keep_codes=True)
     return revised, rebuild_symbol_table(revised), source

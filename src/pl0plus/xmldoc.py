@@ -163,59 +163,52 @@ def parse_document(text: str) -> XmlDocument:
     """
     parser = xml.parsers.expat.ParserCreate()
     parser.ordered_attributes = True
-
-    root: list[XmlNode] = []
-    stack: list[XmlNode] = []
-    text_buf: list[str] = []
-    cdata_buf: list[str] = []
+    parser.buffer_text = True
+    # expat admits exactly one root element, so the holder at the bottom
+    # of the stack ends up with exactly that one child.
+    stack = [XmlNode("documento")]
     in_cdata = False
 
     def fail(message: str):
         raise XmlParseError(message, parser.CurrentLineNumber,
                             parser.CurrentColumnNumber)
 
-    def flush_text():
-        if text_buf:
-            data = "".join(text_buf)
-            text_buf.clear()
-            if stack:
-                stack[-1].add(Text(data))
-            elif data.strip():
-                fail("texto fuera del elemento raíz")
+    def drop_blank(children: list) -> None:
+        # Indentation whitespace next to a child element or CDATA section
+        # is formatting, not content; text-only elements keep their text.
+        if children and type(children[-1]) is Text \
+                and not children[-1].data.strip():
+            children.pop()
 
     def start_element(name, attrs):
-        flush_text()
+        siblings = stack[-1].children
+        drop_blank(siblings)
         node = XmlNode(name, dict(zip(attrs[0::2], attrs[1::2])))
-        if stack:
-            stack[-1].add(node)
-        elif root:
-            fail("más de un elemento raíz")
-        else:
-            root.append(node)
+        siblings.append(node)
         stack.append(node)
 
     def end_element(name):
-        flush_text()
-        stack.pop()
+        children = stack.pop().children
+        if len(children) > 1:
+            drop_blank(children)
 
     def char_data(data):
-        if in_cdata:
-            cdata_buf.append(data)
+        children = stack[-1].children
+        if in_cdata or (children and type(children[-1]) is Text):
+            children[-1].data += data
         else:
-            text_buf.append(data)
+            children.append(Text(data))
 
     def start_cdata():
         nonlocal in_cdata
-        flush_text()
-        if not stack:
-            fail("CDATA fuera del elemento raíz")
+        children = stack[-1].children
+        drop_blank(children)
+        children.append(Cdata(""))
         in_cdata = True
 
     def end_cdata():
         nonlocal in_cdata
         in_cdata = False
-        stack[-1].add(Cdata("".join(cdata_buf)))
-        cdata_buf.clear()
 
     def reject_pi(target, data):
         fail("instrucción de procesamiento no admitida")
@@ -238,24 +231,7 @@ def parse_document(text: str) -> XmlDocument:
         raise XmlParseError(
             xml.parsers.expat.errors.messages[exc.code],
             exc.lineno, exc.offset) from None
-    if not root:
-        raise XmlParseError("documento sin elemento raíz", 1, 0)
-
-    _drop_blank_text(root[0])
-    return XmlDocument(root[0])
-
-
-def _drop_blank_text(node: XmlNode) -> None:
-    # Indentation whitespace around child elements or CDATA sections is
-    # formatting, not content; text-only elements keep their text as is.
-    if any(not isinstance(c, Text) for c in node.children):
-        node.children = [
-            c for c in node.children
-            if not (isinstance(c, Text) and not c.data.strip())
-        ]
-    for child in node.children:
-        if isinstance(child, XmlNode):
-            _drop_blank_text(child)
+    return XmlDocument(stack[0].children[0])
 
 
 # ---------------------------------------------------------------------------
@@ -285,32 +261,35 @@ def _inline_content(children) -> str:
     return "".join(parts)
 
 
-def _render(node: XmlNode, depth: int, lines: list[str]) -> None:
-    pad = "  " * depth
-    attrs = "".join(f' {k}="{_escape_attr(v)}"'
-                    for k, v in node.attributes.items())
-    if not node.children:
-        lines.append(f"{pad}<{node.name}{attrs}/>")
-        return
-    if not any(isinstance(c, XmlNode) for c in node.children):
-        content = _inline_content(node.children)
-        lines.append(f"{pad}<{node.name}{attrs}>{content}</{node.name}>")
-        return
-    lines.append(f"{pad}<{node.name}{attrs}>")
-    for child in node.children:
-        if isinstance(child, XmlNode):
-            _render(child, depth + 1, lines)
-        elif isinstance(child, Text):
-            lines.append(f"{pad}  {_escape_text(child.data)}")
-        else:
-            lines.append(f"{pad}  <![CDATA[{child.data}]]>")
-    lines.append(f"{pad}</{node.name}>")
-
-
 def serialize_document(doc: XmlDocument) -> str:
     """Pretty-print a document in the fixed style used by every phase."""
     lines = ['<?xml version="1.0" ?>']
-    _render(doc.root, 0, lines)
+    # One entry per open element: an iterator over the children still to
+    # render, their indentation, and the element's closing tag.
+    stack = [(iter((doc.root,)), "", None)]
+    while stack:
+        children, pad, closing = stack[-1]
+        for child in children:
+            if not isinstance(child, XmlNode):
+                lines.append(pad + _inline_content((child,)))
+                continue
+            name = child.name
+            attrs = "".join(f' {k}="{_escape_attr(v)}"'
+                            for k, v in child.attributes.items())
+            if not child.children:
+                lines.append(f"{pad}<{name}{attrs}/>")
+            elif not any(isinstance(c, XmlNode) for c in child.children):
+                content = _inline_content(child.children)
+                lines.append(f"{pad}<{name}{attrs}>{content}</{name}>")
+            else:
+                lines.append(f"{pad}<{name}{attrs}>")
+                stack.append((iter(child.children), pad + "  ",
+                              f"{pad}</{name}>"))
+                break
+        else:
+            stack.pop()
+            if closing is not None:
+                lines.append(closing)
     return "\n".join(lines)
 
 
@@ -344,20 +323,22 @@ def _canonical_children(children) -> list:
 
 
 def _canonical_node_equal(a: XmlNode, b: XmlNode) -> bool:
-    if a.name != b.name or a.attributes != b.attributes:
-        return False
-    ca = _canonical_children(a.children)
-    cb = _canonical_children(b.children)
-    if len(ca) != len(cb):
-        return False
-    for (ka, pa), (kb, pb) in zip(ca, cb):
-        if ka is not kb:
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if a.name != b.name or a.attributes != b.attributes:
             return False
-        if ka is XmlNode:
-            if not _canonical_node_equal(pa, pb):
+        ca = _canonical_children(a.children)
+        cb = _canonical_children(b.children)
+        if len(ca) != len(cb):
+            return False
+        for (ka, pa), (kb, pb) in zip(ca, cb):
+            if ka is not kb:
                 return False
-        elif pa != pb:
-            return False
+            if ka is XmlNode:
+                pairs.append((pa, pb))
+            elif pa != pb:
+                return False
     return True
 
 

@@ -29,6 +29,13 @@ CORPUS_NAMES = ("anidado.pl0+", "aritmetica.pl0+", "ciclos.pl0+",
                 "fibonacci.pl0+", "recursivo.pl0+")
 
 
+def flat_sum(terms: int) -> str:
+    """A program that writes `1 + 1 + ...` of `terms` terms: a left spine
+    of that depth in every tree."""
+    return ("var x;\nbegin\n    x := " + " + ".join(["1"] * terms)
+            + ";\n    write x\nend.\n")
+
+
 @dataclass(frozen=True)
 class Artifacts:
     source: str

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from checks import flat_sum
 from pl0plus.cli import (PHASES, CompileConfig, compiler_main,
                          interpreter_main, parse_compiler_args,
                          parse_interpreter_args, run_pipeline)
@@ -124,6 +125,15 @@ class TestPipeline:
             config_for(tmp_path / "etapas.pl0+sin", "--sem", "--gen")) == 0
         assert (tmp_path / "etapas.p+").read_text(encoding="utf-8") == \
             (tmp_path / "directo.p+").read_text(encoding="utf-8")
+
+    def test_huge_number_is_clamped(self, tmp_path, capsys):
+        source = tmp_path / "enorme.pl0+"
+        source.write_text("var x;\nbegin x := " + "9" * 5000 + " end.\n",
+                          encoding="utf-8")
+        assert run_pipeline(config_for(source)) == 1
+        out = capsys.readouterr().out
+        assert "Línea 2: Número demasiado grande\n" in out
+        assert "\n" + "-" * 11 + "^" in out
 
     def test_warnings_still_produce_output(self, tmp_path, capsys):
         source = tmp_path / "aviso.pl0+"
@@ -249,6 +259,31 @@ class TestInterpreter:
         err = capsys.readouterr().err
         assert "p=0 b=0 t=-1" in err
         assert "pila:" in err
+
+
+class TestFlatSums:
+    """A flat sum is a left spine as deep as it has terms: no phase, XML
+    writer or XML reader may hit Python's recursion limit on it."""
+
+    @pytest.mark.parametrize("terms", [1000, 10000])
+    def test_compiles_and_runs(self, tmp_path, capsys, terms):
+        target = compiled_file(tmp_path, flat_sum(terms))
+        capsys.readouterr()
+        assert interpreter_main([str(target)]) == 0
+        assert capsys.readouterr().out == f"{terms}\n"
+
+    # The tree documents indent by depth, so their size grows with the
+    # square of the terms: 1,000 terms give 3 MB, 10,000 give 301 MB.
+    @pytest.mark.parametrize("terms", [1000])
+    def test_staged_compilation_matches_direct(self, tmp_path, terms):
+        direct = compiled_file(tmp_path, flat_sum(terms), "directo")
+        (tmp_path / "etapas.pl0+").write_text(flat_sum(terms),
+                                               encoding="utf-8")
+        for flag, extension in (("--lex", ".pl0+"), ("--sin", ".pl0+lex"),
+                                ("--sem", ".pl0+sin"), ("--gen", ".pl0+sem")):
+            path = tmp_path / f"etapas{extension}"
+            assert run_pipeline(config_for(path, flag)) == 0, flag
+        assert (tmp_path / "etapas.p+").read_bytes() == direct.read_bytes()
 
 
 @pytest.mark.usefixtures("installed_scripts")

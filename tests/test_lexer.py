@@ -88,6 +88,18 @@ class TestTokenize:
             ("lex", "Número demasiado grande")]
         assert diags[0].line == 1 and diags[0].column == 0
 
+    def test_huge_number_clamped(self):
+        # Longer than the 4,300 digits int() converts from a string.
+        tokens, diags = tokenize("x := " + "1" * 5000)
+        assert (tokens[-1].value, tokens[-1].length) == (MAX_NUMBER, 5000)
+        assert [(d.line, d.column, d.message) for d in diags] == [
+            (1, 5, "Número demasiado grande")]
+
+    def test_leading_zeros_never_make_a_number_too_large(self):
+        tokens, diags = tokenize("0" * 5000 + "1")
+        assert not diags
+        assert (tokens[0].value, tokens[0].length) == (1, 5001)
+
     def test_number_glued_to_identifier(self):
         # Maximal munch: digits first, then a separate identifier.
         tokens, diags = tokenize("12abc")

@@ -7,6 +7,7 @@ from pl0plus.parser import (Assign, BinOp, Block, Call, Cond, ConstDecl,
                             Empty, Ident, If, Neg, Num, Program, Read,
                             Sequence, VarDecl, While, Write, ast_from_xml,
                             ast_to_xml, parse)
+from pl0plus.semantics import revised_from_xml
 from pl0plus.xmldoc import XmlLoadError, canonical_equal, parse_document
 
 
@@ -344,3 +345,107 @@ class TestXml:
             "</bloque></programa></arbol_de_sintaxis>")
         with pytest.raises(XmlLoadError):
             ast_from_xml(doc)
+
+
+# One malformed tree document per message of the tree reader.  The body
+# goes inside `<programa><bloque>`; `sem` loads it as a revised tree.
+P = 'linea="1" columna="0"'
+NADA = f"<nada {P}/>"
+UNO = f'<numero {P} valor="1"/>'
+ODD = f'<condicion {P} operacion="odd">{UNO}</condicion>'
+
+
+def assign(expression):
+    return f'<asignacion {P} variable="x">{expression}</asignacion>'
+
+
+def condition(operation, *operands):
+    return (f'<condicion {P} operacion="{operation}">{"".join(operands)}'
+            f"</condicion>")
+
+
+LOADER_MESSAGES = [
+    (f'<leer {P} variable="x">{UNO}</leer>',
+     "elemento 'leer': no admite hijos"),
+    (f'<asignacion {P} variable="x"/>',
+     "elemento 'asignacion': se esperaba exactamente una expresión"),
+    (f"<condicional {P}>{NADA}{NADA}</condicional>",
+     "elemento 'condicional': se esperaba una condición y una o dos "
+     "instrucciones"),
+    (f"<condicional {P}>{ODD}</condicional>",
+     "elemento 'condicional': se esperaba una condición y una o dos "
+     "instrucciones"),
+    (f"<ciclo {P}>{NADA}{ODD}</ciclo>",
+     "elemento 'ciclo': se esperaba una condición y una instrucción"),
+    (f"<ciclo {P}>{ODD}{NADA}{NADA}</ciclo>",
+     "elemento 'ciclo': se esperaba una condición y una instrucción"),
+    (assign(f"<suma {P}>{UNO}</suma>"),
+     "elemento 'suma': se esperaban dos operandos"),
+    (assign(f"<negativo {P}/>"),
+     "elemento 'negativo': se esperaba un operando"),
+    (f"<ciclo {P}>{condition('igual', UNO, UNO)}{NADA}</ciclo>",
+     "elemento 'condicion': operación desconocida: 'igual'"),
+    (f"<ciclo {P}>{condition('odd', UNO, UNO)}{NADA}</ciclo>",
+     "elemento 'condicion': la operación 'odd' requiere 1 operando(s)"),
+    (f"<ciclo {P}>{condition('menor_que', UNO)}{NADA}</ciclo>",
+     "elemento 'condicion': la operación 'menor_que' requiere 2 "
+     "operando(s)"),
+    (NADA + NADA, "elemento 'bloque': más de una instrucción"),
+    (f"<secuencia {P}>{NADA}hola</secuencia>",
+     "elemento 'secuencia': texto inesperado"),
+    (f"<secuencia {P}><![CDATA[hola]]></secuencia>",
+     "elemento 'secuencia': CDATA inesperado"),
+    (f"<brinco {P}/>", "instrucción desconocida: 'brinco'"),
+    (assign(NADA), "expresión desconocida: 'nada'"),
+    (f"<secuencia {P}>{ODD}</secuencia>",
+     "instrucción desconocida: 'condicion'"),
+    (f'<procedimiento {P} nombre="p"/>{NADA}',
+     "elemento 'procedimiento': se esperaba exactamente un 'bloque'"),
+    (f'<leer linea="uno" columna="0" variable="x"/>',
+     "elemento 'leer': el atributo 'linea' no es un entero: 'uno'"),
+    (assign(f'<identificador {P}/>'),
+     "elemento 'identificador': falta el atributo 'simbolo'"),
+    # Checks the parent reader did not make on declarations: every
+    # element is now checked alike.
+    (f'<constante {P} nombre="c" valor="1">uno</constante>{NADA}',
+     "elemento 'constante': texto inesperado"),
+    (f'<variable {P} nombre="v">{UNO}</variable>{NADA}',
+     "elemento 'variable': no admite hijos"),
+    (f'<procedimiento {P} nombre="p">x<bloque>{NADA}</bloque>'
+     f"</procedimiento>{NADA}",
+     "elemento 'procedimiento': texto inesperado"),
+]
+
+
+@pytest.mark.parametrize("revised", [False, True], ids=["sin", "sem"])
+@pytest.mark.parametrize("body, message", LOADER_MESSAGES,
+                         ids=[message for _, message in LOADER_MESSAGES])
+def test_tree_loader_messages(body, message, revised):
+    root = "arbol_de_sintaxis_revisado" if revised else "arbol_de_sintaxis"
+    doc = parse_document(f"<{root}><programa><bloque>{body}</bloque>"
+                         f"</programa></{root}>")
+    loader = revised_from_xml if revised else ast_from_xml
+    with pytest.raises(XmlLoadError) as info:
+        loader(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("loader, document, message", [
+    (ast_from_xml, "<arbol/>",
+     "se esperaba el elemento raíz 'arbol_de_sintaxis', no 'arbol'"),
+    (revised_from_xml, "<arbol_de_sintaxis/>",
+     "se esperaba el elemento 'arbol_de_sintaxis_revisado', "
+     "no 'arbol_de_sintaxis'"),
+    (ast_from_xml, "<arbol_de_sintaxis/>", "falta el elemento 'programa'"),
+    (ast_from_xml,
+     "<arbol_de_sintaxis><programa/><programa/></arbol_de_sintaxis>",
+     "más de un elemento 'programa'"),
+    (ast_from_xml, "<arbol_de_sintaxis><otro/></arbol_de_sintaxis>",
+     "elemento inesperado: 'otro'"),
+    (ast_from_xml, "<arbol_de_sintaxis><programa/></arbol_de_sintaxis>",
+     "elemento 'programa': se esperaba exactamente un 'bloque'"),
+])
+def test_tree_envelope_messages(loader, document, message):
+    with pytest.raises(XmlLoadError) as info:
+        loader(parse_document(document))
+    assert str(info.value) == message

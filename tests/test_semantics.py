@@ -6,7 +6,7 @@ import pytest
 
 import checks
 from pl0plus.lexer import tokenize
-from pl0plus.parser import parse
+from pl0plus.parser import ast_from_xml, ast_to_xml, parse, walk
 from pl0plus.semantics import (ROOT_NAME, analyze, rebuild_symbol_table,
                                revised_from_xml, revised_to_xml, symbol_code)
 from pl0plus.xmldoc import (XmlLoadError, canonical_equal, parse_document)
@@ -319,6 +319,18 @@ class TestXml:
         revised, _, _ = revised_from_xml(doc)
         assert revised.block.variables[0].code == "mi_clave"
         assert revised.block.body.statements[1].code == "mi_clave"
+
+    def test_flat_sum_trees_round_trip(self):
+        # A 10,000-deep left spine through both tree writers and readers.
+        def outline(tree):
+            return [(type(node), node.line, node.column,
+                     getattr(node, "code", None)) for node in walk(tree)]
+        source = checks.flat_sum(10000)
+        ast = parsed(source)
+        assert outline(ast_from_xml(ast_to_xml(ast))[0]) == outline(ast)
+        revised, table = analyzed(source)
+        again, _, _ = revised_from_xml(revised_to_xml(revised, table))
+        assert outline(again) == outline(revised)
 
     def test_wrong_root_rejected(self):
         with pytest.raises(XmlLoadError):

@@ -120,6 +120,31 @@ class TestParse:
             parse_document("<!DOCTYPE a><a/>")
 
 
+class TestDeepNesting:
+    """No step of the document layer recurses per level of nesting."""
+
+    def test_ten_thousand_levels_parse(self):
+        text = "<a>" * 10000 + "x" + "</a>" * 10000
+        node = parse_document(text).root
+        for _ in range(9999):
+            (node,) = node.children
+        assert node.children == [Text("x")]
+        assert canonical_equal(parse_document(text), parse_document(text))
+
+    def test_deep_nesting_serializes(self):
+        # The indentation grows with the depth, so the text grows with its
+        # square (200 MB at 10,000 levels); 1,500 levels (4.5 MB) is
+        # already beyond Python's default recursion limit.
+        depth = 1500
+        text = serialize_document(parse_document("<a>" * depth
+                                                 + "</a>" * depth))
+        assert text == "\n".join(
+            ['<?xml version="1.0" ?>']
+            + ["  " * level + "<a>" for level in range(depth - 1)]
+            + ["  " * (depth - 1) + "<a/>"]
+            + ["  " * level + "</a>" for level in reversed(range(depth - 1))])
+
+
 class TestSerialize:
     def test_known_layout(self):
         root = XmlNode("raiz", {"v": "1"})
