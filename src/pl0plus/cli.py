@@ -241,6 +241,14 @@ def compiler_main(argv=None) -> int:
 class InterpretConfig:
     input_path: str
     debug: bool = False
+    max_steps: int | None = None
+
+
+def _step_count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"no es un número de pasos: '{text}'")
+    return int(text)
 
 
 def parse_interpreter_args(argv=None) -> InterpretConfig:
@@ -252,9 +260,14 @@ def parse_interpreter_args(argv=None) -> InterpretConfig:
     prog.add_argument("-d", "--depurar", action="store_true",
                       help="ejecuta paso a paso mostrando los registros, la "
                            "instrucción y el tope de la pila")
+    prog.add_argument("--max-pasos", dest="max_pasos", metavar="N",
+                      type=_step_count,
+                      help="termina con un error en tiempo de ejecución si "
+                           "el programa no se detiene en N pasos")
     prog.add_argument("archivo", help="programa objeto (.p+)")
     namespace = prog.parse_args(argv)
-    return InterpretConfig(namespace.archivo, namespace.depurar)
+    return InterpretConfig(namespace.archivo, namespace.depurar,
+                           namespace.max_pasos)
 
 
 def interpreter_main(argv=None) -> int:
@@ -283,7 +296,7 @@ def interpreter_main(argv=None) -> int:
             control = None
     try:
         return pvm.run(state, pvm.StreamIo(), debug=config.debug,
-                       control=control)
+                       control=control, max_steps=config.max_steps)
     finally:
         if opened is not None:
             opened.close()

@@ -11,6 +11,13 @@ that one typo yields one message and a usable tree:
 * at most one syntax error is reported per source line, and on anything
   unrecoverable the parser skips ahead to `;`, `end`, or `.`.
 
+The one problem it does give up on is nesting deeper than MAX_NESTING:
+statements inside statements, procedures inside procedures and
+parentheses inside parentheses all count, together.  The token that
+opens the level past the limit gets the error and the parse yields no
+tree.  The limit keeps this parser, and the code generator that recurses
+the same way over statements, within Python's recursion limit.
+
 Every node records the line and column of its anchor token.  Statements
 anchor at their leading keyword, except that assignment, call, read, and
 write anchor at the identifier they mention; binary operators anchor at the
@@ -289,6 +296,9 @@ _STATEMENT_INITIAL = {
 
 _SYNC = {TokenKind.PUNTO_Y_COMA, TokenKind.END, TokenKind.PUNTO}
 
+MAX_NESTING = 200
+TOO_DEEP = "Anidamiento demasiado profundo."
+
 _RELATIONAL = {
     TokenKind.IGUAL: "comparacion",
     TokenKind.DIFERENTE: "diferente",
@@ -303,12 +313,17 @@ class _Resync(Exception):
     """Internal signal: skip to a synchronization token."""
 
 
+class _TooDeep(Exception):
+    """Internal signal: nesting past MAX_NESTING, the parse ends."""
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
         self.diags: list[Diagnostic] = []
         self._error_lines: set[int] = set()
+        self.depth = 0
 
     # -- token plumbing
 
@@ -361,6 +376,15 @@ class _Parser:
             self.error_at(line, column, f"Se esperaba {what}")
             raise _Resync
         return tok
+
+    def nest(self) -> None:
+        """Enter one more level of nesting at the current token.  The
+        caller leaves it with `self.depth -= 1` in a `finally`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            line, column = self.cur_pos()
+            self.diags.append(error("sin", line, column, TOO_DEEP))
+            raise _TooDeep
 
     def skip_to_sync(self) -> None:
         while self.peek() is not None and self.peek().kind not in _SYNC:
@@ -448,20 +472,27 @@ class _Parser:
         return decls
 
     def proc_decl(self) -> ProcDecl:
-        self.advance()  # procedure
-        name = self.expect(TokenKind.IDENTIFICADOR, "un identificador")
-        self.expect(TokenKind.PUNTO_Y_COMA, "';'")
-        block = self.block()
-        self.expect(TokenKind.PUNTO_Y_COMA, "';'")
-        return ProcDecl(name.name, block, name.line, name.column)
+        self.nest()
+        try:
+            self.advance()  # procedure
+            name = self.expect(TokenKind.IDENTIFICADOR, "un identificador")
+            self.expect(TokenKind.PUNTO_Y_COMA, "';'")
+            block = self.block()
+            self.expect(TokenKind.PUNTO_Y_COMA, "';'")
+            return ProcDecl(name.name, block, name.line, name.column)
+        finally:
+            self.depth -= 1
 
     def statement(self) -> Stmt:
         start = self.cur_pos()
+        self.nest()
         try:
             return self._statement()
         except _Resync:
             self.sync()
             return Empty(*start)
+        finally:
+            self.depth -= 1
 
     def _statement(self) -> Stmt:
         tok = self.peek()
@@ -588,9 +619,13 @@ class _Parser:
             self.advance()
             node = Num(tok.value, tok.line, tok.column)
         elif tok is not None and tok.kind is TokenKind.PARENTESIS_APERTURA:
-            self.advance()
-            node = self.expression()
-            self.expect(TokenKind.PARENTESIS_CIERRE, "')'")
+            self.nest()
+            try:
+                self.advance()
+                node = self.expression()
+                self.expect(TokenKind.PARENTESIS_CIERRE, "')'")
+            finally:
+                self.depth -= 1
         else:
             line, column = self.cur_pos()
             self.error_at(line, column, "Se esperaba una expresión")
@@ -602,9 +637,13 @@ class _Parser:
 
 def parse(tokens: list[Token]) -> tuple[Program | None, list[Diagnostic]]:
     """Parse a token list.  The tree is absent only when there was nothing
-    to parse at all; otherwise recovery always yields some Program."""
+    to parse at all or the nesting went past MAX_NESTING; otherwise
+    recovery always yields some Program."""
     parser = _Parser(tokens)
-    program = parser.program()
+    try:
+        program = parser.program()
+    except _TooDeep:
+        program = None
     return program, parser.diags
 
 

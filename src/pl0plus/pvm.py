@@ -11,13 +11,17 @@ Before the first step, `run` materializes the main frame's linkage cells:
 static and dynamic link get -1 (there is no frame before main, and a
 static chain that walks past main must fail, not loop), the return
 address gets 0, which is what lets main's RET halt the machine.
+
+Instructions are executed by one loop, `_execute`, over the program
+decoded once into tuples of small ints.  `run` gives it the whole step
+budget; `step` and the debugger give it one instruction at a time.
 """
 
 from __future__ import annotations
 
-import operator
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .codegen import Opcode, format_instruction, program_from_xml
 from .parser import (Assign, BinOp, Call, Cond, Empty, Ident, If, Neg, Num,
@@ -38,6 +42,7 @@ DIVISION_BY_ZERO = "División por cero"
 BAD_STACK_ACCESS = "Acceso inválido a la pila"
 BAD_INPUT = "Entrada inválida"
 BAD_CODE_ADDRESS = "Dirección de código inválida"
+STEP_LIMIT = "Límite de pasos alcanzado"
 
 DEFAULT_STACK_LIMIT = 1 << 20
 
@@ -119,47 +124,18 @@ def load(doc: XmlDocument) -> MachineState:
 
 def base(state: MachineState, dif: int) -> int:
     """Follow the static chain dif frames up from the current one."""
-    a = state.b
+    return _chain(state.stack, state.b, dif)
+
+
+def _chain(stack: list[int], frame: int, dif: int) -> int:
     for _ in range(dif):
-        if not 0 <= a < len(state.stack):
+        if not 0 <= frame < len(stack):
             raise PvmRuntimeError(BAD_STACK_ACCESS)
-        a = state.stack[a]
-        if a < 0:
+        frame = stack[frame]
+        if frame < 0:
             # walked past the outermost frame into the bootstrap sentinel
             raise PvmRuntimeError(BAD_STACK_ACCESS)
-    return a
-
-
-def _ensure(state: MachineState, index: int) -> None:
-    """Materialize backing cells up to index, enforcing the stack cap."""
-    if index >= state.stack_limit:
-        raise PvmRuntimeError(BAD_STACK_ACCESS)
-    if index >= len(state.stack):
-        state.stack.extend([0] * (index + 1 - len(state.stack)))
-
-
-def _push(state: MachineState, value: int) -> None:
-    _ensure(state, state.t + 1)
-    state.t += 1
-    state.stack[state.t] = value
-
-
-def _pop(state: MachineState) -> int:
-    if state.t < 0:
-        raise PvmRuntimeError(BAD_STACK_ACCESS)
-    value = state.stack[state.t]
-    state.t -= 1
-    return value
-
-
-def _cell(state: MachineState, index: int) -> int:
-    if index < 0 or index > state.t:
-        raise PvmRuntimeError(BAD_STACK_ACCESS)
-    return index
-
-
-_RELATIONS = {8: operator.eq, 9: operator.ne, 10: operator.lt,
-              11: operator.ge, 12: operator.gt, 13: operator.le}
+    return frame
 
 
 def _truncated_div(left: int, right: int) -> int:
@@ -167,112 +143,196 @@ def _truncated_div(left: int, right: int) -> int:
     return -quotient if (left < 0) != (right < 0) else quotient
 
 
-def _operate(state: MachineState, code: int) -> None:
-    if code == 1:
-        if state.t < 0:
-            raise PvmRuntimeError(BAD_STACK_ACCESS)
-        state.stack[state.t] = wrap32(-state.stack[state.t])
-    elif code == 6:
-        _push(state, 1 if _pop(state) % 2 != 0 else 0)
-    elif code in (2, 3, 4, 5):
-        right = _pop(state)
-        left = _pop(state)
-        if code == 2:
-            value = left + right
-        elif code == 3:
-            value = left - right
-        elif code == 4:
-            value = left * right
+# Decoded opcodes are small ints, numbered in the order the loop tests them,
+# which is about how often programs execute them.  OPR is split by its
+# operation code; the ten operations on two operands are numbered together,
+# so one test picks them, and an operation code no OPR has is _BAD_OPR.
+(_CAR, _LIT, _ALM, _ADD, _SUB, _MUL, _DIV, _LT, _GT, _LE, _GE, _EQ, _NE,
+ _SAC, _SAL, _ODD, _NEG, _LLA, _INS, _RET, _LEE, _ESC, _BAD_OPR) = range(23)
+
+_DECODED = {Opcode.CAR: _CAR, Opcode.LIT: _LIT, Opcode.ALM: _ALM,
+            Opcode.SAC: _SAC, Opcode.SAL: _SAL, Opcode.LLA: _LLA,
+            Opcode.INS: _INS, Opcode.RET: _RET, Opcode.LEE: _LEE,
+            Opcode.ESC: _ESC}
+_OPERATIONS = {1: _NEG, 2: _ADD, 3: _SUB, 4: _MUL, 5: _DIV, 6: _ODD,
+               8: _EQ, 9: _NE, 10: _LT, 11: _GE, 12: _GT, 13: _LE}
+
+
+def _decode(code: list) -> list[tuple]:
+    """The program as (opcode, level, param) tuples the loop dispatches on;
+    LIT's param is wrapped to a word here, once."""
+    decoded = []
+    for instruction in code:
+        op, param = instruction.opcode, instruction.param
+        if op is Opcode.OPR:
+            number = _OPERATIONS.get(param, _BAD_OPR)
         else:
-            if right == 0:
-                raise PvmRuntimeError(DIVISION_BY_ZERO)
-            value = _truncated_div(left, right)
-        _push(state, wrap32(value))
-    elif code in _RELATIONS:
-        right = _pop(state)
-        left = _pop(state)
-        _push(state, 1 if _RELATIONS[code](left, right) else 0)
-    else:
-        raise PvmRuntimeError(f"Operación inválida: {code}")
+            number = _DECODED[op]
+            if number == _LIT:
+                param = wrap32(param)
+        decoded.append((number, instruction.level, param))
+    return decoded
+
+
+def _execute(state: MachineState, io, code: list[tuple],
+             budget: int | None) -> None:
+    """Execute the decoded code in place until the machine halts or budget
+    instructions have run (None: no limit).
+
+    The registers live in locals while the loop runs and go back to the
+    state however it stops.  The stack is a list that only grows: t is
+    kept apart from its length, because LLA writes the callee's linkage
+    above t and the static chain is checked against the cells that exist.
+    t never passes the list's end, so a push stores into its cell or, at
+    the end, appends it.  Every cell t claims is checked against the
+    stack limit, so t stays below it and an operation may write its
+    result in place.  A runtime error carries the address of the
+    instruction that raised it.
+    """
+    if state.halted:
+        return
+    p, b, t = state.p, state.b, state.t
+    stack = state.stack
+    highest = state.stack_limit - 1   # the last cell t may claim
+    size = len(code)
+    halted = False
+    try:
+        for _ in repeat(None) if budget is None else repeat(None, budget):
+            if not 0 <= p < size:
+                raise PvmRuntimeError(BAD_CODE_ADDRESS, p)
+            op, level, param = code[p]
+            p += 1
+            if op == _CAR:
+                index = (_chain(stack, b, level) if level > 0 else b) + param
+                if index < 0 or index > t or t >= highest:
+                    raise PvmRuntimeError(BAD_STACK_ACCESS)
+                t += 1
+                try:
+                    stack[t] = stack[index]
+                except IndexError:
+                    stack.append(stack[index])
+            elif op == _LIT:
+                if t >= highest:
+                    raise PvmRuntimeError(BAD_STACK_ACCESS)
+                t += 1
+                try:
+                    stack[t] = param
+                except IndexError:
+                    stack.append(param)
+            elif op == _ALM:
+                if t < 0:
+                    raise PvmRuntimeError(BAD_STACK_ACCESS)
+                t -= 1
+                index = (_chain(stack, b, level) if level > 0 else b) + param
+                if index < 0 or index > t:
+                    raise PvmRuntimeError(BAD_STACK_ACCESS)
+                stack[index] = stack[t + 1]
+            elif op <= _NE:   # two operands, one result
+                if t < 1:
+                    raise PvmRuntimeError(BAD_STACK_ACCESS)
+                right = stack[t]
+                t -= 1
+                left = stack[t]
+                if op == _ADD:
+                    stack[t] = wrap32(left + right)
+                elif op == _SUB:
+                    stack[t] = wrap32(left - right)
+                elif op == _MUL:
+                    stack[t] = wrap32(left * right)
+                elif op == _DIV:
+                    if right == 0:
+                        raise PvmRuntimeError(DIVISION_BY_ZERO)
+                    stack[t] = wrap32(_truncated_div(left, right))
+                elif op == _LT:
+                    stack[t] = 1 if left < right else 0
+                elif op == _GT:
+                    stack[t] = 1 if left > right else 0
+                elif op == _LE:
+                    stack[t] = 1 if left <= right else 0
+                elif op == _GE:
+                    stack[t] = 1 if left >= right else 0
+                elif op == _EQ:
+                    stack[t] = 1 if left == right else 0
+                else:
+                    stack[t] = 1 if left != right else 0
+            elif op == _SAC:
+                if t < 0:
+                    raise PvmRuntimeError(BAD_STACK_ACCESS)
+                t -= 1
+                if stack[t + 1] == 0:
+                    p = param
+            elif op == _SAL:
+                p = param
+            elif op == _ODD:
+                if t < 0:
+                    raise PvmRuntimeError(BAD_STACK_ACCESS)
+                stack[t] %= 2
+            elif op == _NEG:
+                if t < 0:
+                    raise PvmRuntimeError(BAD_STACK_ACCESS)
+                stack[t] = wrap32(-stack[t])
+            elif op == _LLA:
+                link = _chain(stack, b, level) if level > 0 else b
+                if t + 3 > highest:
+                    raise PvmRuntimeError(BAD_STACK_ACCESS)
+                # t < len(stack), so this writes cells t+1..t+3, growing
+                # the list by what it lacks
+                stack[t + 1:t + 4] = link, b, p
+                b = t + 1
+                p = param
+            elif op == _INS:
+                top = t + param
+                if top < -1 or top > highest:
+                    raise PvmRuntimeError(BAD_STACK_ACCESS)
+                if top >= len(stack):
+                    stack.extend([0] * (top + 1 - len(stack)))
+                for index in range(t + 1, top + 1):
+                    # claim cells as fresh zeroed variables, but never
+                    # clobber the linkage written by LLA (or the bootstrap)
+                    if index < b or index > b + 2:
+                        stack[index] = 0
+                t = top
+            elif op == _RET:
+                frame = b
+                if frame < 0 or frame + 2 >= len(stack):
+                    raise PvmRuntimeError(BAD_STACK_ACCESS)
+                t = frame - 1
+                p = stack[frame + 2]
+                b = stack[frame + 1]
+                if frame == 0 and p == 0:
+                    halted = True
+                    return
+            elif op == _LEE:
+                try:
+                    value = io.read_integer()
+                except InputError:
+                    raise PvmRuntimeError(BAD_INPUT) from None
+                if t >= highest:
+                    raise PvmRuntimeError(BAD_STACK_ACCESS)
+                t += 1
+                try:
+                    stack[t] = wrap32(value)
+                except IndexError:
+                    stack.append(wrap32(value))
+            elif op == _ESC:
+                if t < 0:
+                    raise PvmRuntimeError(BAD_STACK_ACCESS)
+                t -= 1
+                io.write_integer(stack[t + 1])
+            else:
+                raise PvmRuntimeError(f"Operación inválida: {param}")
+    except PvmRuntimeError as error:
+        if error.address is None:
+            error.address = p - 1
+        raise
+    finally:
+        state.p, state.b, state.t, state.halted = p, b, t, halted
 
 
 def step(state: MachineState, io) -> MachineState:
     """Execute one instruction in place; also returns the state."""
-    if state.halted:
-        return state
-    if not 0 <= state.p < len(state.code):
-        raise PvmRuntimeError(BAD_CODE_ADDRESS, state.p)
-    instruction = state.code[state.p]
-    address = state.p
-    state.p += 1
-    try:
-        _execute(state, instruction, io)
-    except PvmRuntimeError as error:
-        if error.address is None:
-            error.address = address
-        raise
+    _execute(state, io, _decode(state.code), 1)
     return state
-
-
-def _execute(state: MachineState, instruction, io) -> None:
-    op = instruction.opcode
-    if op is Opcode.LIT:
-        _push(state, wrap32(instruction.param))
-    elif op is Opcode.CAR:
-        index = _cell(state, base(state, instruction.level)
-                      + instruction.param)
-        _push(state, state.stack[index])
-    elif op is Opcode.ALM:
-        value = _pop(state)
-        index = _cell(state, base(state, instruction.level)
-                      + instruction.param)
-        state.stack[index] = value
-    elif op is Opcode.LLA:
-        link = base(state, instruction.level)
-        _ensure(state, state.t + 3)
-        state.stack[state.t + 1] = link
-        state.stack[state.t + 2] = state.b
-        state.stack[state.t + 3] = state.p
-        state.b = state.t + 1
-        state.p = instruction.param
-    elif op is Opcode.INS:
-        top = state.t + instruction.param
-        if top < -1:
-            raise PvmRuntimeError(BAD_STACK_ACCESS)
-        _ensure(state, top)
-        for index in range(state.t + 1, top + 1):
-            # claim cells as fresh zeroed variables, but never clobber
-            # the linkage written by LLA (or the bootstrap)
-            if index < state.b or index > state.b + 2:
-                state.stack[index] = 0
-        state.t = top
-    elif op is Opcode.SAL:
-        state.p = instruction.param
-    elif op is Opcode.SAC:
-        if _pop(state) == 0:
-            state.p = instruction.param
-    elif op is Opcode.OPR:
-        _operate(state, instruction.param)
-    elif op is Opcode.RET:
-        frame = state.b
-        if frame < 0 or frame + 2 >= len(state.stack):
-            raise PvmRuntimeError(BAD_STACK_ACCESS)
-        returning = state.stack[frame + 2]
-        state.t = frame - 1
-        state.p = returning
-        state.b = state.stack[frame + 1]
-        if frame == 0 and returning == 0:
-            state.halted = True
-    elif op is Opcode.LEE:
-        try:
-            value = io.read_integer()
-        except InputError:
-            raise PvmRuntimeError(BAD_INPUT) from None
-        _push(state, wrap32(value))
-    elif op is Opcode.ESC:
-        io.write_integer(_pop(state))
-    else:  # pragma: no cover - the opcode set is closed
-        raise PvmRuntimeError(f"Instrucción desconocida: {op}")
 
 
 def _trace(state: MachineState, err) -> None:
@@ -286,31 +346,51 @@ def _trace(state: MachineState, err) -> None:
           f"pila: [{values}]", file=err)
 
 
+def _source_line(code: list, address: int) -> str:
+    """`, línea L` for the instruction at address: the `linea` of its
+    first `informacion` that has one, or of the nearest such instruction
+    before it; empty when there is none."""
+    if 0 <= address < len(code):
+        for instruction in reversed(code[:address + 1]):
+            for annotation in instruction.annotations:
+                line = annotation.attributes.get("linea", "")
+                if line.isdecimal():
+                    return f", línea {int(line)}"
+    return ""
+
+
 def run(state: MachineState, io, debug: bool = False, control=None,
-        err=None) -> int:
+        err=None, max_steps: int | None = None) -> int:
     """Drive a freshly loaded machine to completion.
 
     Returns the exit status: 0 for a normal halt, 1 for a runtime error
-    (reported to err, default stderr).  In debug mode one trace line per
-    step goes to err and execution waits for a newline on the control
-    stream (default stdin) before each step.
+    (reported to err, default stderr), which includes running more than
+    max_steps instructions when that is given.  In debug mode one trace
+    line per step goes to err and execution waits for a newline on the
+    control stream (default stdin) before each step.
     """
     if err is None:
         err = sys.stderr
-    _ensure(state, 2)
-    state.stack[0] = -1
-    state.stack[1] = -1
-    state.stack[2] = 0
-    while not state.halted:
-        if debug:
-            _trace(state, err)
-            (control if control is not None else sys.stdin).readline()
-        try:
-            step(state, io)
-        except PvmRuntimeError as error:
-            print(f"Error en tiempo de ejecución: {error.message} "
-                  f"(dirección {error.address})", file=err)
-            return 1
+    state.stack[:3] = [-1, -1, 0]
+    code = _decode(state.code)
+    try:
+        if not debug:
+            _execute(state, io, code, max_steps)
+        else:
+            steps = repeat(None) if max_steps is None else range(max_steps)
+            for _ in steps:
+                if state.halted:
+                    break
+                _trace(state, err)
+                (control if control is not None else sys.stdin).readline()
+                _execute(state, io, code, 1)
+        if not state.halted:
+            raise PvmRuntimeError(STEP_LIMIT, state.p)
+    except PvmRuntimeError as error:
+        print(f"Error en tiempo de ejecución: {error.message} "
+              f"(dirección {error.address}"
+              f"{_source_line(state.code, error.address)})", file=err)
+        return 1
     return 0
 
 

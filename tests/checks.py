@@ -36,6 +36,44 @@ def flat_sum(terms: int) -> str:
             + ";\n    write x\nend.\n")
 
 
+def nested(shape: str, depth: int) -> str:
+    """A program that writes 1 from `depth` levels of nesting, counted as
+    the parser counts them: each statement, procedure and parenthesis
+    inside the ones around it."""
+    if shape == "paren":
+        return ("var x;\nbegin x := " + "(" * (depth - 2) + "1"
+                + ")" * (depth - 2) + "; write x end.\n")
+    if shape == "begin":
+        return ("var x;\n" + "begin " * (depth - 1) + "x := 1; write x"
+                + " end" * (depth - 1) + ".\n")
+    if shape == "if":
+        return ("var x;\nbegin x := 1; " + "if x = 1 then " * (depth - 2)
+                + "write x end.\n")
+    # procedure p(i+1) inside p(i), each calling the next, the last writes
+    procedures = depth - 1
+    return ("var x;\n"
+            + "".join(f"procedure p{i};\n" for i in range(procedures))
+            + "write x;\n"
+            + "".join(f"call p{i + 1};\n"
+                      for i in reversed(range(procedures - 1)))
+            + "begin x := 1; call p0 end.\n")
+
+
+def nesting_opener(shape: str, level: int) -> tuple[int, int]:
+    """(line, column) of the token that opens `level` in `nested(shape,
+    depth)` for any depth >= level."""
+    if shape == "paren":
+        return 2, len("begin x := ") + level - 3
+    if shape == "begin":
+        return 2, len("begin ") * (level - 1)
+    if shape == "if":
+        return 2, len("begin x := 1; ") + len("if x = 1 then ") * (level - 2)
+    return level + 1, 0
+
+
+NESTING_SHAPES = ("paren", "begin", "if", "procedure")
+
+
 @dataclass(frozen=True)
 class Artifacts:
     source: str

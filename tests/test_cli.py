@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
-from checks import flat_sum
+from checks import NESTING_SHAPES, flat_sum, nested, nesting_opener
 from pl0plus.cli import (PHASES, CompileConfig, compiler_main,
                          interpreter_main, parse_compiler_args,
                          parse_interpreter_args, run_pipeline)
+from pl0plus.parser import MAX_NESTING, TOO_DEEP
 from pl0plus.xmldoc import parse_document
 
 ECHO = "var x;\nbegin\n    read x;\n    write x;\nend.\n"
@@ -17,6 +18,9 @@ ECHO = "var x;\nbegin\n    read x;\n    write x;\nend.\n"
 MISSING_SEMI = "var x;\nbegin\n    x := 1\n    write x;\nend.\n"
 
 UNDECLARED = "begin y := 1 end.\n"
+
+RUNAWAY = ("var x;\nbegin\n    x := 0;\n    while 1 = 1 do\n"
+           "        x := x + 1\nend.\n")
 
 # Seconds a command may take before its test fails instead of stalling
 # the suite; one run takes well under a second.
@@ -252,6 +256,35 @@ class TestInterpreter:
         assert interpreter_main([str(target)]) == 1
         assert "Error en tiempo de ejecución" in capsys.readouterr().err
 
+    def test_args_max_steps(self):
+        assert parse_interpreter_args(["objeto.p+"]).max_steps is None
+        assert parse_interpreter_args(
+            ["--max-pasos", "40", "objeto.p+"]).max_steps == 40
+
+    @pytest.mark.parametrize("count", ["-1", "x", ""])
+    def test_args_max_steps_must_be_a_count(self, count, capsys):
+        with pytest.raises(SystemExit) as info:
+            parse_interpreter_args(["--max-pasos", count, "objeto.p+"])
+        assert info.value.code == 2
+        assert "no es un número de pasos" in capsys.readouterr().err
+
+    def test_max_steps_stops_a_runaway_loop(self, tmp_path, capsys):
+        target = compiled_file(tmp_path, RUNAWAY)
+        assert interpreter_main(["--max-pasos", "40", str(target)]) == 1
+        assert capsys.readouterr().err == (
+            "Error en tiempo de ejecución: Límite de pasos alcanzado "
+            "(dirección 4, línea 4)\n")
+
+    def test_runtime_error_names_the_source_line(self, tmp_path, capsys,
+                                                 monkeypatch):
+        target = compiled_file(
+            tmp_path, "var x, y;\nbegin read x; y := y / x; end.\n")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("0\n"))
+        assert interpreter_main([str(target)]) == 1
+        assert capsys.readouterr().err == (
+            "Error en tiempo de ejecución: División por cero "
+            "(dirección 6, línea 2)\n")
+
     def test_debug_traces_to_stderr(self, tmp_path, capsys, monkeypatch):
         target = compiled_file(tmp_path, "begin end.\n")
         monkeypatch.setattr(sys, "stdin", io.StringIO("\n" * 10))
@@ -286,6 +319,33 @@ class TestFlatSums:
         assert (tmp_path / "etapas.p+").read_bytes() == direct.read_bytes()
 
 
+class TestNesting:
+    @pytest.mark.parametrize("shape", NESTING_SHAPES)
+    def test_the_limit_compiles_and_runs(self, tmp_path, capsys, shape):
+        target = compiled_file(tmp_path, nested(shape, MAX_NESTING))
+        capsys.readouterr()
+        assert interpreter_main([str(target)]) == 0
+        assert capsys.readouterr().out == "1\n"
+
+    @pytest.mark.parametrize("shape", NESTING_SHAPES)
+    def test_the_limit_compiles_staged(self, tmp_path, shape):
+        (tmp_path / "etapas.pl0+").write_text(nested(shape, MAX_NESTING),
+                                               encoding="utf-8")
+        for flag, extension in (("--lex", ".pl0+"), ("--sin", ".pl0+lex"),
+                                ("--sem", ".pl0+sin"), ("--gen", ".pl0+sem")):
+            path = tmp_path / f"etapas{extension}"
+            assert run_pipeline(config_for(path, flag)) == 0, flag
+
+    @pytest.mark.parametrize("shape", NESTING_SHAPES)
+    def test_past_the_limit_is_a_diagnostic(self, tmp_path, capsys, shape):
+        source = tmp_path / "hondo.pl0+"
+        source.write_text(nested(shape, MAX_NESTING + 1), encoding="utf-8")
+        assert run_pipeline(config_for(source)) == 1
+        assert not (tmp_path / "hondo.p+").exists()
+        line, _ = nesting_opener(shape, MAX_NESTING + 1)
+        assert f"Línea {line}: {TOO_DEEP}" in capsys.readouterr().out
+
+
 @pytest.mark.usefixtures("installed_scripts")
 class TestInstalledScripts:
     def test_compilador_round_trip(self, tmp_path):
@@ -309,3 +369,16 @@ class TestInstalledScripts:
                                 timeout=SCRIPT_TIMEOUT)
         assert result.returncode == 1
         assert "ERROR" in result.stdout
+
+    def test_interprete_max_pasos_ends_a_runaway_loop(self, tmp_path):
+        source = tmp_path / "bucle.pl0+"
+        source.write_text(RUNAWAY, encoding="utf-8")
+        subprocess.run(["compilador", str(source)], check=True,
+                       capture_output=True, timeout=SCRIPT_TIMEOUT)
+        result = subprocess.run(["interprete", "--max-pasos", "100000",
+                                 str(tmp_path / "bucle.p+")],
+                                capture_output=True, text=True,
+                                timeout=SCRIPT_TIMEOUT)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "Límite de pasos alcanzado" in result.stderr

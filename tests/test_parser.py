@@ -2,11 +2,12 @@
 
 import pytest
 
+import checks
 from pl0plus.lexer import tokenize
-from pl0plus.parser import (Assign, BinOp, Block, Call, Cond, ConstDecl,
-                            Empty, Ident, If, Neg, Num, Program, Read,
-                            Sequence, VarDecl, While, Write, ast_from_xml,
-                            ast_to_xml, parse)
+from pl0plus.parser import (MAX_NESTING, TOO_DEEP, Assign, BinOp, Block,
+                            Call, Cond, ConstDecl, Empty, Ident, If, Neg, Num,
+                            Program, Read, Sequence, VarDecl, While, Write,
+                            ast_from_xml, ast_to_xml, parse)
 from pl0plus.semantics import revised_from_xml
 from pl0plus.xmldoc import XmlLoadError, canonical_equal, parse_document
 
@@ -246,6 +247,34 @@ class TestRecovery:
         assert diags
         statements = ast.block.body.statements
         assert statements[-1] == Assign("x", Num(3, 4, 9), 4, 4)
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("shape", checks.NESTING_SHAPES)
+    def test_the_limit_parses(self, shape):
+        assert parsed(checks.nested(shape, MAX_NESTING)) is not None
+
+    # 1,500 levels (500 for parentheses, whose level costs the parser more
+    # Python frames) used to end in a RecursionError.
+    @pytest.mark.parametrize("shape", checks.NESTING_SHAPES)
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 500, 1500])
+    def test_past_the_limit_is_one_error(self, shape, depth):
+        ast, diags = parse_with_diags(checks.nested(shape, depth))
+        assert ast is None
+        line, column = checks.nesting_opener(shape, MAX_NESTING + 1)
+        assert [(d.phase, d.severity, d.line, d.column, d.message)
+                for d in diags] == [("sin", "error", line, column, TOO_DEEP)]
+
+    def test_the_count_is_undone_on_the_way_out(self):
+        # Many shallow nestings in a row are fine, also after recovery.
+        statement = "x := " + "(" * 50 + "1" + ")" * 50
+        broken = "x := " + "(" * 50 + "1 +" + ")" * 50
+        source = ("var x;\nbegin\n"
+                  + ";\n".join([statement, broken] * 10) + "\nend.\n")
+        ast, diags = parse_with_diags(source)
+        assert ast is not None
+        assert [d.message for d in diags if d.severity == "error"] \
+            == ["Se esperaba una expresión"] * 10
 
 
 class TestXml:

@@ -5,11 +5,14 @@ import io
 import pytest
 
 import checks
-from pl0plus.codegen import Instruction, Opcode, program_to_xml
+from pl0plus.codegen import (Annotation, Instruction, Opcode, Program,
+                             program_to_xml)
 from pl0plus.pvm import (BAD_CODE_ADDRESS, BAD_INPUT, BAD_STACK_ACCESS,
-                         DIVISION_BY_ZERO, WORD_MAX, WORD_MIN, InputError,
-                         ListIo, MachineState, PvmRuntimeError, StreamIo,
-                         base, load, reference_eval, run, step, wrap32)
+                         DIVISION_BY_ZERO, STEP_LIMIT, WORD_MAX, WORD_MIN,
+                         InputError, ListIo, MachineState, PvmRuntimeError,
+                         StreamIo, base, load, reference_eval, run, step,
+                         wrap32)
+from pl0plus.xmldoc import parse_document, serialize_document
 
 
 def code(*specs):
@@ -401,3 +404,152 @@ class TestPrograms:
         expected = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
         assert checks.run_vm(artifacts.program, [10]) == (0, expected)
         assert reference_eval(artifacts.revised, [10]) == expected
+
+
+def machine(specs, loadable=True, stack_limit=None):
+    """A machine for hand-written instructions: loaded from their `.p+`
+    text, like a hand-edited file, or built directly when `load` would
+    refuse them."""
+    instructions = code(*specs)
+    if loadable:
+        text = serialize_document(program_to_xml(Program(instructions)))
+        state = load(parse_document(text))
+    else:
+        state = MachineState(code=instructions)
+    if stack_limit is not None:
+        state.stack_limit = stack_limit
+    return state
+
+
+MAIN = (Opcode.INS, None, 3)
+RET = (Opcode.RET, None, None)
+
+FAULTS = [
+    pytest.param([MAIN, (Opcode.LIT, None, 7), (Opcode.LIT, None, 0),
+                  (Opcode.OPR, None, 5), RET], {}, (),
+                 DIVISION_BY_ZERO, 3, id="division-by-zero"),
+    pytest.param([MAIN, (Opcode.CAR, 0, 3), RET], {}, (),
+                 BAD_STACK_ACCESS, 1, id="car-outside-the-frame"),
+    pytest.param([MAIN, (Opcode.LIT, None, 1), (Opcode.ALM, 0, 3), RET], {},
+                 (), BAD_STACK_ACCESS, 2, id="alm-outside-the-frame"),
+    pytest.param([MAIN, (Opcode.CAR, 1, 3), RET], {}, (),
+                 BAD_STACK_ACCESS, 1, id="chain-past-the-sentinel"),
+    pytest.param([MAIN, (Opcode.LLA, 1, 3), RET, MAIN, RET], {}, (),
+                 BAD_STACK_ACCESS, 1, id="call-past-the-sentinel"),
+    pytest.param([MAIN, (Opcode.LIT, None, 1), (Opcode.LIT, None, 2),
+                  (Opcode.LIT, None, 3), RET], {"stack_limit": 5}, (),
+                 BAD_STACK_ACCESS, 3, id="push-hits-the-stack-limit"),
+    pytest.param([MAIN, (Opcode.LLA, 0, 3), RET, MAIN, RET],
+                 {"stack_limit": 5}, (),
+                 BAD_STACK_ACCESS, 1, id="lla-hits-the-stack-limit"),
+    pytest.param([(Opcode.INS, None, 6), RET], {"stack_limit": 5}, (),
+                 BAD_STACK_ACCESS, 0, id="ins-hits-the-stack-limit"),
+    pytest.param([MAIN, (Opcode.LIT, None, -5), (Opcode.ALM, 0, 2), RET], {},
+                 (), BAD_CODE_ADDRESS, -5, id="ret-to-a-negative-address"),
+    pytest.param([MAIN, (Opcode.LIT, None, 99), (Opcode.ALM, 0, 2), RET], {},
+                 (), BAD_CODE_ADDRESS, 99, id="ret-past-the-code"),
+    # a procedure overwrites the return address LLA left in its frame
+    pytest.param([(Opcode.SAL, None, 5), MAIN, (Opcode.LIT, None, 8),
+                  (Opcode.ALM, 0, 2), RET, MAIN, (Opcode.LLA, 0, 1), RET],
+                 {}, (), BAD_CODE_ADDRESS, 8,
+                 id="alm-overwrites-a-return-address"),
+    pytest.param([MAIN], {}, (), BAD_CODE_ADDRESS, 1,
+                 id="runs-off-the-end"),
+    pytest.param([MAIN, (Opcode.LIT, None, 1), (Opcode.LIT, None, 2),
+                  (Opcode.OPR, None, 7), RET], {"loadable": False}, (),
+                 "Operación inválida: 7", 3, id="invalid-operation"),
+    pytest.param([MAIN, (Opcode.LEE, None, None), RET], {}, (),
+                 BAD_INPUT, 1, id="exhausted-input"),
+]
+
+
+class TestFaults:
+    """Each runtime fault, with its exact message and address, both
+    through `run` and through `step`."""
+
+    @pytest.mark.parametrize("specs,options,inputs,message,address", FAULTS)
+    def test_run_reports_the_fault(self, specs, options, inputs, message,
+                                   address):
+        err = io.StringIO()
+        assert run(machine(specs, **options), ListIo(inputs), err=err) == 1
+        assert err.getvalue() == (f"Error en tiempo de ejecución: {message} "
+                                  f"(dirección {address})\n")
+
+    @pytest.mark.parametrize("specs,options,inputs,message,address", FAULTS)
+    def test_step_raises_the_fault(self, specs, options, inputs, message,
+                                   address):
+        state = machine(specs, **options)
+        state.stack[:3] = [-1, -1, 0]
+        channel = ListIo(inputs)
+        with pytest.raises(PvmRuntimeError) as info:
+            for _ in range(2 * len(specs)):
+                step(state, channel)
+        assert (info.value.message, info.value.address) == (message, address)
+
+
+class TestStepLimit:
+    LOOP = [MAIN, (Opcode.SAL, None, 1)]
+
+    def test_run_stops_at_the_limit(self):
+        err = io.StringIO()
+        assert run(machine(self.LOOP), ListIo(), err=err, max_steps=10) == 1
+        assert err.getvalue() == ("Error en tiempo de ejecución: "
+                                  f"{STEP_LIMIT} (dirección 1)\n")
+
+    def test_debug_mode_stops_at_the_limit(self):
+        err = io.StringIO()
+        assert run(machine(self.LOOP), ListIo(), debug=True,
+                   control=io.StringIO(), err=err, max_steps=10) == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 11
+        assert lines[-1] == ("Error en tiempo de ejecución: "
+                             f"{STEP_LIMIT} (dirección 1)")
+
+    @pytest.mark.parametrize("debug", [False, True])
+    def test_a_halt_on_the_last_allowed_step_is_normal(self, debug):
+        program = [MAIN, RET]
+        options = {"debug": debug, "control": io.StringIO(),
+                   "err": io.StringIO()}
+        assert run(machine(program), ListIo(), max_steps=2, **options) == 0
+        assert run(machine(program), ListIo(), max_steps=1, **options) == 1
+
+
+class TestSourceLines:
+    def test_runtime_error_names_the_source_line(self):
+        artifacts = checks.compile_clean(
+            "var x, y;\nbegin\n    read x;\n    y := 1;\n"
+            "    y := y / x\nend.\n")
+        division = next(instruction.address
+                        for instruction in artifacts.program.instructions
+                        if instruction.opcode is Opcode.OPR
+                        and instruction.param == 5)
+        err = io.StringIO()
+        state = load(program_to_xml(artifacts.program))
+        assert run(state, ListIo([0]), err=err) == 1
+        assert err.getvalue() == (
+            f"Error en tiempo de ejecución: {DIVISION_BY_ZERO} "
+            f"(dirección {division}, línea 5)\n")
+
+    def test_the_nearest_annotation_before_gives_the_line(self):
+        instructions = code(MAIN, (Opcode.LIT, None, 1),
+                            (Opcode.LIT, None, 0), (Opcode.OPR, None, 5), RET)
+        instructions[1].annotations.append(Annotation({"linea": "4"}))
+        instructions[2].annotations.append(Annotation({"linea": "x"}))
+        err = io.StringIO()
+        assert run(MachineState(code=instructions), ListIo(), err=err) == 1
+        assert err.getvalue().endswith("(dirección 3, línea 4)\n")
+
+
+@pytest.mark.parametrize("seed", range(1000, 1020))
+def test_debug_mode_runs_like_run(seed):
+    artifacts = checks.seeded(seed)
+    document = program_to_xml(artifacts.program)
+    plain, stepped = load(document), load(document)
+    plain_io, stepped_io = ListIo(artifacts.inputs), ListIo(artifacts.inputs)
+    plain_err, stepped_err = io.StringIO(), io.StringIO()
+    assert run(plain, plain_io, err=plain_err) == \
+        run(stepped, stepped_io, debug=True, control=io.StringIO(),
+            err=stepped_err)
+    assert stepped_io.outputs == plain_io.outputs
+    assert len(stepped.stack) == len(plain.stack)
+    assert stepped_err.getvalue().endswith(plain_err.getvalue())
