@@ -1,4 +1,4 @@
-"""Command-line front ends: the compiler driver and the interpreter.
+"""The `compilador` command, and the `interprete` entry points from `pvm`.
 
 The compiler is a pipeline over four phases.  Each phase is described by
 a PhaseDescriptor naming the representation it consumes and the one it
@@ -15,9 +15,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import codegen, lexer, parser, pvm, semantics
+from . import codegen, lexer, parser, semantics
 from .diagnostics import (PHASE_DESCRIPTIONS, attach_context, has_errors,
                           render_text, render_xml, sort_diagnostics)
+# The interpreter lives in pvm, so that `interprete` loads no compiler
+# phase; these names keep it reachable from here as well.
+from .pvm import (interpreter_main, parse_interpreter_args,  # noqa: F401
+                  read_input)
 from .xmldoc import (XmlLoadError, XmlParseError, parse_document,
                      serialize_document)
 
@@ -181,11 +185,8 @@ def run_pipeline(config: CompileConfig) -> int:
     path = config.input_path
     first = config.phases[0]
     input_rep = REPRESENTATIONS[first.input_representation]
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"Error: no se pudo leer '{path}': {exc.strerror or exc}",
-              file=sys.stderr)
+    text = read_input(path)
+    if text is None:
         return 2
 
     if input_rep.name == "source":
@@ -235,71 +236,6 @@ def run_pipeline(config: CompileConfig) -> int:
 
 def compiler_main(argv=None) -> int:
     return run_pipeline(parse_compiler_args(argv))
-
-
-@dataclass
-class InterpretConfig:
-    input_path: str
-    debug: bool = False
-    max_steps: int | None = None
-
-
-def _step_count(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"no es un número de pasos: '{text}'")
-    return int(text)
-
-
-def parse_interpreter_args(argv=None) -> InterpretConfig:
-    prog = argparse.ArgumentParser(
-        prog="interprete", add_help=False,
-        description="Intérprete de código p+ en su representación XML.")
-    prog.add_argument("-a", "--ayuda", action="help",
-                      help="muestra esta ayuda y termina")
-    prog.add_argument("-d", "--depurar", action="store_true",
-                      help="ejecuta paso a paso mostrando los registros, la "
-                           "instrucción y el tope de la pila")
-    prog.add_argument("--max-pasos", dest="max_pasos", metavar="N",
-                      type=_step_count,
-                      help="termina con un error en tiempo de ejecución si "
-                           "el programa no se detiene en N pasos")
-    prog.add_argument("archivo", help="programa objeto (.p+)")
-    namespace = prog.parse_args(argv)
-    return InterpretConfig(namespace.archivo, namespace.depurar,
-                           namespace.max_pasos)
-
-
-def interpreter_main(argv=None) -> int:
-    config = parse_interpreter_args(argv)
-    try:
-        text = Path(config.input_path).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"Error: no se pudo leer '{config.input_path}': "
-              f"{exc.strerror or exc}", file=sys.stderr)
-        return 2
-    try:
-        state = pvm.load(parse_document(text))
-    except (XmlParseError, XmlLoadError) as exc:
-        print(f"Error: '{config.input_path}': {exc}", file=sys.stderr)
-        return 2
-
-    control = None
-    opened = None
-    if config.debug:
-        # With program input redirected from a file, stepping must still
-        # read from the terminal; fall back to stdin when there is none.
-        try:
-            opened = open("/dev/tty", "r", encoding="utf-8")
-            control = opened
-        except OSError:
-            control = None
-    try:
-        return pvm.run(state, pvm.StreamIo(), debug=config.debug,
-                       control=control, max_steps=config.max_steps)
-    finally:
-        if opened is not None:
-            opened.close()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -9,86 +9,27 @@ declaration index; every access pairs that offset with the static level
 difference between the using and the declaring block.
 
 Instructions carry optional `informacion` annotations (procedure markers,
-variable references, statement notes).  They make the XML readable but are
-never load-bearing: equality and execution ignore them.
+variable references, statement notes).  The p+ format itself, with its XML
+writer and reader, lives in `pvm`, so running a `.p+` needs no compiler.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-
 from .diagnostics import Diagnostic, error
 from .parser import (Assign, BinOp, Block, Call, Cond, Empty, Ident, If, Neg,
                      Num, Program as Ast, Read, Sequence, While, Write, walk)
+from .pvm import Annotation, Instruction, Opcode, Program
+# The compiler's output format, reachable beside the generator.
+from .pvm import program_from_xml, program_to_xml  # noqa: F401
 from .semantics import CONSTANT, VARIABLE, SymbolTable
-from .xmldoc import (Text, XmlDocument, XmlLoadError, XmlNode, cdata_element,
-                     int_attr)
-
-
-class Opcode(Enum):
-    LIT = "LIT"
-    CAR = "CAR"
-    ALM = "ALM"
-    LLA = "LLA"
-    INS = "INS"
-    SAL = "SAL"
-    SAC = "SAC"
-    OPR = "OPR"
-    RET = "RET"
-    LEE = "LEE"
-    ESC = "ESC"
-
-
-LEVEL_OPCODES = frozenset({Opcode.CAR, Opcode.ALM, Opcode.LLA})
-PARAMLESS_OPCODES = frozenset({Opcode.RET, Opcode.LEE, Opcode.ESC})
-JUMP_OPCODES = frozenset({Opcode.SAL, Opcode.SAC, Opcode.LLA})
 
 OPR_NEGATE = 1
-OPR_ODD = 6
-OPR_CODES = frozenset({1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13})
 
 _BINOP_OPR = {"suma": 2, "resta": 3, "multiplicacion": 4, "division": 5}
 _COND_OPR = {"odd": 6, "comparacion": 8, "diferente": 9, "menor_que": 10,
              "mayor_igual": 11, "mayor_que": 12, "menor_igual": 13}
 
-_ELEMENT_NAMES = {
-    Opcode.LIT: "cargar_literal",
-    Opcode.CAR: "cargar_variable",
-    Opcode.ALM: "almacenar_variable",
-    Opcode.LLA: "llamar_procedimiento",
-    Opcode.INS: "instanciar_procedimiento",
-    Opcode.SAL: "salto_incondicional",
-    Opcode.SAC: "salto_condicional",
-    Opcode.OPR: "operacion",
-    Opcode.RET: "retornar",
-    Opcode.LEE: "leer",
-    Opcode.ESC: "escribir",
-}
-_OPCODES_BY_ELEMENT = {name: op for op, name in _ELEMENT_NAMES.items()}
-
 MAIN_LABEL = "--PRINCIPAL--"
-
-
-@dataclass
-class Annotation:
-    attributes: dict[str, str] = field(default_factory=dict)
-    text: str | None = None
-
-
-@dataclass
-class Instruction:
-    address: int
-    opcode: Opcode
-    level: int | None = None
-    param: int | None = None
-    annotations: list[Annotation] = field(default_factory=list, compare=False)
-
-
-@dataclass
-class Program:
-    instructions: list[Instruction]
-    source: str | None = field(default=None, compare=False)
 
 
 class _Generator:
@@ -253,102 +194,3 @@ def generate(revised: Ast, table: SymbolTable) -> tuple[Program | None,
     for call, code in generator.fixups:
         call.param = generator.entries[code]
     return Program(generator.code), []
-
-
-# ---------------------------------------------------------------------------
-# Assembly listing
-
-_LEVEL_END = 12    # column where the level field ends
-_PARAM_START = 22  # column where the parameter field starts
-
-
-def format_instruction(instruction: Instruction) -> str:
-    """One listing line: address, mnemonic, level or -, parameter or -."""
-    level = "-" if instruction.level is None else str(instruction.level)
-    param = "-" if instruction.param is None else str(instruction.param)
-    line = f"{instruction.address} {instruction.opcode.value}"
-    line += " " * max(_LEVEL_END - len(level) - len(line), 1) + level
-    return line + " " * max(_PARAM_START - len(line), 1) + param
-
-
-def assembly_listing(program: Program) -> str:
-    return "".join(format_instruction(instruction) + "\n"
-                   for instruction in program.instructions)
-
-
-# ---------------------------------------------------------------------------
-# XML form
-
-ROOT_NAME = "codigo_pmas"
-
-
-def program_to_xml(program: Program) -> XmlDocument:
-    root = XmlNode(ROOT_NAME)
-    for instruction in program.instructions:
-        element = root.element(_ELEMENT_NAMES[instruction.opcode],
-                               direccion=instruction.address)
-        if instruction.level is not None:
-            element.set("diffnivel", instruction.level)
-        if instruction.param is not None:
-            element.set("parametro", instruction.param)
-        for annotation in instruction.annotations:
-            info = element.element("informacion", **annotation.attributes)
-            if annotation.text is not None:
-                info.add(Text(annotation.text))
-    root.add(cdata_element("ensamblador", assembly_listing(program)))
-    if program.source is not None:
-        root.add(cdata_element("fuente", program.source))
-    return XmlDocument(root)
-
-
-def program_from_xml(doc: XmlDocument) -> Program:
-    """Inverse of program_to_xml.  Annotations are carried along but the
-    `ensamblador` text is not consulted; the instruction elements alone
-    define the program."""
-    root = doc.root
-    if root.name != ROOT_NAME:
-        raise XmlLoadError(
-            f"se esperaba el elemento '{ROOT_NAME}', no '{root.name}'")
-    instructions: list[Instruction] = []
-    source = None
-    for element in root.elements():
-        if element.name == "ensamblador":
-            continue
-        if element.name == "fuente":
-            source = element.cdata()
-            continue
-        opcode = _OPCODES_BY_ELEMENT.get(element.name)
-        if opcode is None:
-            raise XmlLoadError(f"instrucción desconocida: '{element.name}'")
-        address = int_attr(element, "direccion")
-        if address != len(instructions):
-            raise XmlLoadError(
-                f"direcciones no consecutivas: se esperaba "
-                f"{len(instructions)} y aparece {address}")
-        level = None
-        if opcode in LEVEL_OPCODES:
-            level = int_attr(element, "diffnivel")
-        elif element.get("diffnivel") is not None:
-            raise XmlLoadError(
-                f"'{element.name}' no admite el atributo 'diffnivel'")
-        param = None
-        if opcode not in PARAMLESS_OPCODES:
-            param = int_attr(element, "parametro")
-        elif element.get("parametro") is not None:
-            raise XmlLoadError(
-                f"'{element.name}' no admite el atributo 'parametro'")
-        if opcode is Opcode.OPR and param not in OPR_CODES:
-            raise XmlLoadError(f"código de operación inválido: {param}")
-        annotations = [Annotation(dict(info.attributes),
-                                  info.text() or None)
-                       for info in element.elements()
-                       if info.name == "informacion"]
-        instructions.append(Instruction(address, opcode, level, param,
-                                        annotations))
-    for instruction in instructions:
-        if instruction.opcode in JUMP_OPCODES:
-            if not 0 <= instruction.param < len(instructions):
-                raise XmlLoadError(
-                    f"salto fuera de rango en la dirección "
-                    f"{instruction.address}: {instruction.param}")
-    return Program(instructions, source)

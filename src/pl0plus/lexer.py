@@ -93,13 +93,15 @@ _SYMBOL_KINDS = {text: kind for kind, text in SYMBOL_TEXT.items()}
 
 # One alternative per lexical class, tried in order at each position, so
 # a comment opener wins over `(`, and two-character symbols (listed
-# longest first) over their one-character prefixes.  An unterminated
-# comment swallows the rest of the input.  `\d` is exactly the digits
-# `int()` reads.  Only `space` and the comments can span lines.
+# longest first) over their one-character prefixes.  Comments are
+# `(* ... *)` and `{ ... }`; they do not nest, and each form ignores the
+# other's delimiters.  An unterminated comment swallows the rest of the
+# input.  `\d` is exactly the digits `int()` reads.  Only `space` and the
+# comments can span lines.
 _TOKEN_PATTERNS = (
     ("space", r"[ \t\r\n]+"),
-    ("comment", r"\(\*.*?\*\)"),
-    ("unclosed", r"\(\*.*"),
+    ("comment", r"\(\*.*?\*\)|\{[^}]*\}"),
+    ("unclosed", r"\(\*.*|\{.*"),
     ("word", r"[A-Za-z][A-Za-z\d_]*"),
     ("number", r"\d+"),
     ("symbol", "|".join(re.escape(text) for text in

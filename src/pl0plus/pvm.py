@@ -1,4 +1,10 @@
-"""The p+ virtual machine, plus a tree-walking reference evaluator.
+"""The p+ object format, the machine that runs it, and `interprete`.
+
+The format: a program is a list of instructions (opcode, level difference,
+parameter), each with optional `informacion` annotations (procedure
+markers, variable references, statement notes).  Annotations make the XML
+readable but are never load-bearing: equality and execution ignore them.
+`codegen` writes programs in this format; nothing here needs the compiler.
 
 The machine keeps three registers: p (next instruction), b (base of the
 current frame) and t (top of stack, -1 when empty).  A frame is three
@@ -19,15 +25,185 @@ budget; `step` and the debugger give it one instruction at a time.
 
 from __future__ import annotations
 
+import argparse
 import sys
-from dataclasses import dataclass, field
+from enum import Enum
 from itertools import repeat
 
-from .codegen import Opcode, format_instruction, program_from_xml
-from .parser import (Assign, BinOp, Call, Cond, Empty, Ident, If, Neg, Num,
-                     Program as Ast, Read, Sequence, While, Write)
-from .semantics import CONSTANT, rebuild_symbol_table
-from .xmldoc import XmlDocument, XmlLoadError
+from .xmldoc import (Record, Text, XmlDocument, XmlLoadError, XmlNode,
+                     XmlParseError, cdata_element, int_attr, parse_document)
+
+
+class Opcode(Enum):
+    LIT = "LIT"
+    CAR = "CAR"
+    ALM = "ALM"
+    LLA = "LLA"
+    INS = "INS"
+    SAL = "SAL"
+    SAC = "SAC"
+    OPR = "OPR"
+    RET = "RET"
+    LEE = "LEE"
+    ESC = "ESC"
+
+
+LEVEL_OPCODES = frozenset({Opcode.CAR, Opcode.ALM, Opcode.LLA})
+PARAMLESS_OPCODES = frozenset({Opcode.RET, Opcode.LEE, Opcode.ESC})
+JUMP_OPCODES = frozenset({Opcode.SAL, Opcode.SAC, Opcode.LLA})
+
+OPR_CODES = frozenset({1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13})
+
+_ELEMENT_NAMES = {
+    Opcode.LIT: "cargar_literal",
+    Opcode.CAR: "cargar_variable",
+    Opcode.ALM: "almacenar_variable",
+    Opcode.LLA: "llamar_procedimiento",
+    Opcode.INS: "instanciar_procedimiento",
+    Opcode.SAL: "salto_incondicional",
+    Opcode.SAC: "salto_condicional",
+    Opcode.OPR: "operacion",
+    Opcode.RET: "retornar",
+    Opcode.LEE: "leer",
+    Opcode.ESC: "escribir",
+}
+_OPCODES_BY_ELEMENT = {name: op for op, name in _ELEMENT_NAMES.items()}
+
+
+class Annotation(Record):
+    __slots__ = ("attributes", "text")
+
+    def __init__(self, attributes: dict[str, str] | None = None,
+                 text: str | None = None):
+        self.attributes = {} if attributes is None else attributes
+        self.text = text
+
+
+class Instruction(Record):
+    __slots__ = ("address", "opcode", "level", "param", "annotations")
+    _uncompared = ("annotations",)
+
+    def __init__(self, address: int, opcode: Opcode, level: int | None = None,
+                 param: int | None = None,
+                 annotations: list[Annotation] | None = None):
+        self.address = address
+        self.opcode = opcode
+        self.level = level
+        self.param = param
+        self.annotations = [] if annotations is None else annotations
+
+
+class Program(Record):
+    __slots__ = ("instructions", "source")
+    _uncompared = ("source",)
+
+    def __init__(self, instructions: list[Instruction],
+                 source: str | None = None):
+        self.instructions = instructions
+        self.source = source
+
+
+# ---------------------------------------------------------------------------
+# Assembly listing
+
+_LEVEL_END = 12    # column where the level field ends
+_PARAM_START = 22  # column where the parameter field starts
+
+
+def format_instruction(instruction: Instruction) -> str:
+    """One listing line: address, mnemonic, level or -, parameter or -."""
+    level = "-" if instruction.level is None else str(instruction.level)
+    param = "-" if instruction.param is None else str(instruction.param)
+    line = f"{instruction.address} {instruction.opcode.value}"
+    line += " " * max(_LEVEL_END - len(level) - len(line), 1) + level
+    return line + " " * max(_PARAM_START - len(line), 1) + param
+
+
+def assembly_listing(program: Program) -> str:
+    return "".join(format_instruction(instruction) + "\n"
+                   for instruction in program.instructions)
+
+
+# ---------------------------------------------------------------------------
+# XML form
+
+ROOT_NAME = "codigo_pmas"
+
+
+def program_to_xml(program: Program) -> XmlDocument:
+    root = XmlNode(ROOT_NAME)
+    for instruction in program.instructions:
+        element = root.element(_ELEMENT_NAMES[instruction.opcode],
+                               direccion=instruction.address)
+        if instruction.level is not None:
+            element.set("diffnivel", instruction.level)
+        if instruction.param is not None:
+            element.set("parametro", instruction.param)
+        for annotation in instruction.annotations:
+            info = element.element("informacion", **annotation.attributes)
+            if annotation.text is not None:
+                info.add(Text(annotation.text))
+    root.add(cdata_element("ensamblador", assembly_listing(program)))
+    if program.source is not None:
+        root.add(cdata_element("fuente", program.source))
+    return XmlDocument(root)
+
+
+def program_from_xml(doc: XmlDocument) -> Program:
+    """Inverse of program_to_xml.  Annotations are carried along but the
+    `ensamblador` text is not consulted; the instruction elements alone
+    define the program."""
+    root = doc.root
+    if root.name != ROOT_NAME:
+        raise XmlLoadError(
+            f"se esperaba el elemento '{ROOT_NAME}', no '{root.name}'")
+    instructions: list[Instruction] = []
+    source = None
+    for element in root.elements():
+        if element.name == "ensamblador":
+            continue
+        if element.name == "fuente":
+            source = element.cdata()
+            continue
+        opcode = _OPCODES_BY_ELEMENT.get(element.name)
+        if opcode is None:
+            raise XmlLoadError(f"instrucción desconocida: '{element.name}'")
+        address = int_attr(element, "direccion")
+        if address != len(instructions):
+            raise XmlLoadError(
+                f"direcciones no consecutivas: se esperaba "
+                f"{len(instructions)} y aparece {address}")
+        level = None
+        if opcode in LEVEL_OPCODES:
+            level = int_attr(element, "diffnivel")
+        elif element.get("diffnivel") is not None:
+            raise XmlLoadError(
+                f"'{element.name}' no admite el atributo 'diffnivel'")
+        param = None
+        if opcode not in PARAMLESS_OPCODES:
+            param = int_attr(element, "parametro")
+        elif element.get("parametro") is not None:
+            raise XmlLoadError(
+                f"'{element.name}' no admite el atributo 'parametro'")
+        if opcode is Opcode.OPR and param not in OPR_CODES:
+            raise XmlLoadError(f"código de operación inválido: {param}")
+        annotations = [Annotation(dict(info.attributes),
+                                  info.text() or None)
+                       for info in element.elements()
+                       if info.name == "informacion"]
+        instructions.append(Instruction(address, opcode, level, param,
+                                        annotations))
+    for instruction in instructions:
+        if instruction.opcode in JUMP_OPCODES:
+            if not 0 <= instruction.param < len(instructions):
+                raise XmlLoadError(
+                    f"salto fuera de rango en la dirección "
+                    f"{instruction.address}: {instruction.param}")
+    return Program(instructions, source)
+
+
+# ---------------------------------------------------------------------------
+# Machine
 
 WORD_MIN = -(1 << 31)
 WORD_MAX = (1 << 31) - 1
@@ -104,15 +280,19 @@ class StreamIo:
         stream.write(f"{value}\n")
 
 
-@dataclass
-class MachineState:
-    code: list
-    p: int = 0
-    b: int = 0
-    t: int = -1
-    stack: list[int] = field(default_factory=list)
-    halted: bool = False
-    stack_limit: int = DEFAULT_STACK_LIMIT
+class MachineState(Record):
+    __slots__ = ("code", "p", "b", "t", "stack", "halted", "stack_limit")
+
+    def __init__(self, code: list, p: int = 0, b: int = 0, t: int = -1,
+                 stack: list[int] | None = None, halted: bool = False,
+                 stack_limit: int = DEFAULT_STACK_LIMIT):
+        self.code = code
+        self.p = p
+        self.b = b
+        self.t = t
+        self.stack = [] if stack is None else stack
+        self.halted = halted
+        self.stack_limit = stack_limit
 
 
 def load(doc: XmlDocument) -> MachineState:
@@ -395,6 +575,91 @@ def run(state: MachineState, io, debug: bool = False, control=None,
 
 
 # ---------------------------------------------------------------------------
+# The `interprete` command
+
+
+def read_input(path: str) -> str | None:
+    """The text of a UTF-8 input file, or None after reporting to stderr
+    why it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        print(f"Error: no se pudo leer '{path}': {exc.strerror or exc}",
+              file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"Error: '{path}': no es texto UTF-8: byte "
+              f"0x{exc.object[exc.start]:02x} en la posición {exc.start}",
+              file=sys.stderr)
+    return None
+
+
+class InterpretConfig(Record):
+    __slots__ = ("input_path", "debug", "max_steps")
+
+    def __init__(self, input_path: str, debug: bool = False,
+                 max_steps: int | None = None):
+        self.input_path = input_path
+        self.debug = debug
+        self.max_steps = max_steps
+
+
+def _step_count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"no es un número de pasos: '{text}'")
+    return int(text)
+
+
+def parse_interpreter_args(argv=None) -> InterpretConfig:
+    prog = argparse.ArgumentParser(
+        prog="interprete", add_help=False,
+        description="Intérprete de código p+ en su representación XML.")
+    prog.add_argument("-a", "--ayuda", action="help",
+                      help="muestra esta ayuda y termina")
+    prog.add_argument("-d", "--depurar", action="store_true",
+                      help="ejecuta paso a paso mostrando los registros, la "
+                           "instrucción y el tope de la pila")
+    prog.add_argument("--max-pasos", dest="max_pasos", metavar="N",
+                      type=_step_count,
+                      help="termina con un error en tiempo de ejecución si "
+                           "el programa no se detiene en N pasos")
+    prog.add_argument("archivo", help="programa objeto (.p+)")
+    namespace = prog.parse_args(argv)
+    return InterpretConfig(namespace.archivo, namespace.depurar,
+                           namespace.max_pasos)
+
+
+def interpreter_main(argv=None) -> int:
+    config = parse_interpreter_args(argv)
+    text = read_input(config.input_path)
+    if text is None:
+        return 2
+    try:
+        state = load(parse_document(text))
+    except (XmlParseError, XmlLoadError) as exc:
+        print(f"Error: '{config.input_path}': {exc}", file=sys.stderr)
+        return 2
+
+    control = None
+    opened = None
+    if config.debug:
+        # With program input redirected from a file, stepping must still
+        # read from the terminal; fall back to stdin when there is none.
+        try:
+            opened = open("/dev/tty", "r", encoding="utf-8")
+            control = opened
+        except OSError:
+            control = None
+    try:
+        return run(state, StreamIo(), debug=config.debug, control=control,
+                   max_steps=config.max_steps)
+    finally:
+        if opened is not None:
+            opened.close()
+
+
+# ---------------------------------------------------------------------------
 # Reference evaluator
 
 class _Frame:
@@ -406,7 +671,7 @@ class _Frame:
         self.depth = depth
 
 
-def reference_eval(revised: Ast, inputs=()) -> list[int]:
+def reference_eval(revised, inputs=()) -> list[int]:
     """Evaluate a code-annotated tree by direct recursion and return the
     written integers.
 
@@ -415,6 +680,11 @@ def reference_eval(revised: Ast, inputs=()) -> list[int]:
     route so the two can be checked against each other.  Raises
     PvmRuntimeError for the same error conditions the machine reports.
     """
+    # The compiler's modules load here, so running a .p+ never needs them.
+    from .parser import (Assign, BinOp, Call, Cond, Empty, Ident, If, Neg,
+                         Num, Read, Sequence, While, Write)
+    from .semantics import CONSTANT, rebuild_symbol_table
+
     table = rebuild_symbol_table(revised)
     procedures = {}
 

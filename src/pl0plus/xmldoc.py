@@ -4,15 +4,15 @@ The phases exchange their results as small XML documents (token lists,
 syntax trees, object code, error reports).  This module covers exactly what
 those documents need: elements with ordered attributes, text, and CDATA
 sections.  Parsing is delegated to expat; serialization follows the fixed
-house style (one XML declaration, two-space indentation, self-closing empty
-elements, CDATA kept inline with its parent tag).
+house style (one XML declaration, two-space indentation up to 32 levels,
+self-closing empty elements, CDATA kept inline with its parent tag).  The
+`Record` base here also serves the p+ format's records in `pvm`.
 """
 
 from __future__ import annotations
 
 import re
 import xml.parsers.expat
-from dataclasses import dataclass, field
 
 
 class XmlParseError(Exception):
@@ -40,13 +40,40 @@ def _check_name(name: str) -> str:
     return name
 
 
-@dataclass
-class Text:
-    data: str
+class Record:
+    """A slotted record: equality and repr over the fields in `__slots__`.
+
+    Two records compare equal when they have the same class and equal
+    fields, leaving out those named in `_uncompared`.  Defining `__eq__`
+    leaves them unhashable, as mutable records should be.
+    """
+
+    __slots__ = ()
+    _uncompared = ()
+
+    def _compared(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__
+                     if name not in self._uncompared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass
-class Cdata:
+class Text(Record):
+    __slots__ = ("data",)
+
+    def __init__(self, data: str):
+        self.data = data
+
+
+class Cdata(Record):
     """A CDATA section.  The payload is reproduced verbatim on output.
 
     A single section can never contain the terminator "]]>"; callers with
@@ -54,11 +81,12 @@ class Cdata:
     split-into-adjacent-sections escape.
     """
 
-    data: str
+    __slots__ = ("data",)
 
-    def __post_init__(self):
-        if "]]>" in self.data:
+    def __init__(self, data: str):
+        if "]]>" in data:
             raise ValueError('CDATA payload must not contain "]]>"')
+        self.data = data
 
 
 def cdata_sections(text: str) -> list[Cdata]:
@@ -72,20 +100,17 @@ def cdata_sections(text: str) -> list[Cdata]:
     return parts
 
 
-@dataclass
-class XmlNode:
+class XmlNode(Record):
     """An element: a name, ordered unique attributes, ordered children."""
 
-    name: str
-    attributes: dict[str, str] = field(default_factory=dict)
-    children: list = field(default_factory=list)
+    __slots__ = ("name", "attributes", "children")
 
-    def __post_init__(self):
-        _check_name(self.name)
-        coerced = {}
-        for key, value in self.attributes.items():
-            coerced[_check_name(key)] = str(value)
-        self.attributes = coerced
+    def __init__(self, name: str, attributes: dict | None = None,
+                 children: list | None = None):
+        self.name = _check_name(name)
+        self.attributes = {_check_name(key): str(value)
+                           for key, value in (attributes or {}).items()}
+        self.children = [] if children is None else children
 
     def set(self, name: str, value) -> None:
         self.attributes[_check_name(name)] = str(value)
@@ -99,7 +124,7 @@ class XmlNode:
 
     def element(self, name: str, **attributes) -> "XmlNode":
         """Append and return a new child element (attribute order preserved)."""
-        return self.add(XmlNode(name, dict(attributes)))
+        return self.add(XmlNode(name, attributes))
 
     def elements(self) -> list["XmlNode"]:
         return [c for c in self.children if isinstance(c, XmlNode)]
@@ -117,9 +142,11 @@ class XmlNode:
         return "".join(c.data for c in self.children if isinstance(c, Cdata))
 
 
-@dataclass
-class XmlDocument:
-    root: XmlNode
+class XmlDocument(Record):
+    __slots__ = ("root",)
+
+    def __init__(self, root: XmlNode):
+        self.root = root
 
 
 def cdata_element(name: str, text: str) -> XmlNode:
@@ -261,6 +288,13 @@ def _inline_content(children) -> str:
     return "".join(parts)
 
 
+# Elements deeper than this many levels get no more indentation than it,
+# so a document's size grows with its element count, not with the square
+# of its depth.  Every phase document of a sensible program is shallower.
+MAX_INDENT_LEVELS = 32
+_MAX_PAD = 2 * MAX_INDENT_LEVELS   # spaces
+
+
 def serialize_document(doc: XmlDocument) -> str:
     """Pretty-print a document in the fixed style used by every phase."""
     lines = ['<?xml version="1.0" ?>']
@@ -283,7 +317,8 @@ def serialize_document(doc: XmlDocument) -> str:
                 lines.append(f"{pad}<{name}{attrs}>{content}</{name}>")
             else:
                 lines.append(f"{pad}<{name}{attrs}>")
-                stack.append((iter(child.children), pad + "  ",
+                inner = pad + "  " if len(pad) < _MAX_PAD else pad
+                stack.append((iter(child.children), inner,
                               f"{pad}</{name}>"))
                 break
         else:

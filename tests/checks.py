@@ -14,9 +14,10 @@ from pathlib import Path
 
 import progen
 from pl0plus import pvm
-from pl0plus.codegen import generate, program_from_xml, program_to_xml
+from pl0plus.codegen import generate
 from pl0plus.lexer import tokenize, tokens_from_xml, tokens_to_xml
 from pl0plus.parser import ast_from_xml, ast_to_xml, parse
+from pl0plus.pvm import program_from_xml, program_to_xml
 from pl0plus.semantics import analyze, revised_from_xml, revised_to_xml
 from pl0plus.xmldoc import parse_document, serialize_document
 

@@ -1,6 +1,8 @@
 """The compiler driver and the interpreter front end."""
 
 import io
+import json
+import shutil
 import subprocess
 import sys
 
@@ -190,6 +192,14 @@ class TestPipeline:
         assert run_pipeline(config) == 2
         assert "no se pudo leer" in capsys.readouterr().err
 
+    def test_input_that_is_not_utf8(self, tmp_path, capsys):
+        source = tmp_path / "latin.pl0+"
+        source.write_bytes(b"\xff\xfevar x;")
+        assert run_pipeline(config_for(source)) == 2
+        assert capsys.readouterr().err == (
+            f"Error: '{source}': no es texto UTF-8: byte 0xff en la "
+            f"posición 0\n")
+
     def test_malformed_intermediate_file(self, tmp_path, capsys):
         bad = tmp_path / "roto.pl0+lex"
         bad.write_text("esto no es XML", encoding="utf-8")
@@ -240,6 +250,14 @@ class TestInterpreter:
     def test_missing_file(self, capsys, tmp_path):
         assert interpreter_main([str(tmp_path / "nada.p+")]) == 2
         assert "no se pudo leer" in capsys.readouterr().err
+
+    def test_input_that_is_not_utf8(self, tmp_path, capsys):
+        target = tmp_path / "latin.p+"
+        target.write_bytes("<codigo_pmas/>".encode("utf-8") + b"\xe9")
+        assert interpreter_main([str(target)]) == 2
+        assert capsys.readouterr().err == (
+            f"Error: '{target}': no es texto UTF-8: byte 0xe9 en la "
+            f"posición 14\n")
 
     def test_invalid_document(self, tmp_path, capsys):
         bad = tmp_path / "roto.p+"
@@ -305,10 +323,9 @@ class TestFlatSums:
         assert interpreter_main([str(target)]) == 0
         assert capsys.readouterr().out == f"{terms}\n"
 
-    # The tree documents indent by depth, so their size grows with the
-    # square of the terms: 1,000 terms give 3 MB, 10,000 give 301 MB.
-    @pytest.mark.parametrize("terms", [1000])
-    def test_staged_compilation_matches_direct(self, tmp_path, terms):
+    @pytest.mark.parametrize("terms", [1000, 10000])
+    def test_staged_compilation_matches_direct(self, tmp_path, capsys,
+                                               terms):
         direct = compiled_file(tmp_path, flat_sum(terms), "directo")
         (tmp_path / "etapas.pl0+").write_text(flat_sum(terms),
                                                encoding="utf-8")
@@ -317,6 +334,14 @@ class TestFlatSums:
             path = tmp_path / f"etapas{extension}"
             assert run_pipeline(config_for(path, flag)) == 0, flag
         assert (tmp_path / "etapas.p+").read_bytes() == direct.read_bytes()
+        # Tree documents indent at most 32 levels deep, so they grow
+        # linearly with the terms (indenting by the full depth made each
+        # 10,000-term tree 301 MB).
+        for document in tmp_path.glob("etapas.*"):
+            assert document.stat().st_size < 5_000_000, document.name
+        capsys.readouterr()
+        assert interpreter_main([str(tmp_path / "etapas.p+")]) == 0
+        assert capsys.readouterr().out == f"{terms}\n"
 
 
 class TestNesting:
@@ -369,6 +394,29 @@ class TestInstalledScripts:
                                 timeout=SCRIPT_TIMEOUT)
         assert result.returncode == 1
         assert "ERROR" in result.stdout
+
+    def test_interprete_loads_only_the_machine(self, tmp_path):
+        # Running a .p+ through the [project.scripts] target loads no
+        # compiler phase and no dataclasses.
+        target = compiled_file(tmp_path, ECHO)
+        report = tmp_path / "modulos.json"
+        probe = "\n".join([
+            "import atexit, json, runpy, sys",
+            "def report():",
+            f"    with open({str(report)!r}, 'w') as out:",
+            "        json.dump(sorted(sys.modules), out)",
+            "atexit.register(report)",
+            f"sys.argv = [{shutil.which('interprete')!r}, {str(target)!r}]",
+            "runpy.run_path(sys.argv[0], run_name='__main__')"])
+        result = subprocess.run([sys.executable, "-c", probe], input="5\n",
+                                capture_output=True, text=True,
+                                timeout=SCRIPT_TIMEOUT)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "5\n"
+        modules = json.loads(report.read_text(encoding="utf-8"))
+        assert [name for name in modules if name.startswith("pl0plus")] == [
+            "pl0plus", "pl0plus.pvm", "pl0plus.xmldoc"]
+        assert "dataclasses" not in modules
 
     def test_interprete_max_pasos_ends_a_runaway_loop(self, tmp_path):
         source = tmp_path / "bucle.pl0+"

@@ -3,11 +3,11 @@
 import pytest
 
 import checks
-from pl0plus.codegen import (MAIN_LABEL, Instruction, Opcode, Program,
-                             assembly_listing, format_instruction, generate,
-                             program_from_xml, program_to_xml)
+from pl0plus.codegen import MAIN_LABEL, generate
 from pl0plus.lexer import tokenize
 from pl0plus.parser import parse
+from pl0plus.pvm import (Instruction, Opcode, assembly_listing,
+                         format_instruction, program_from_xml, program_to_xml)
 from pl0plus.semantics import analyze
 from pl0plus.xmldoc import XmlLoadError, canonical_equal, parse_document
 

@@ -133,6 +133,27 @@ class TestTokenize:
                                   K.PARENTESIS_APERTURA, K.IDENTIFICADOR,
                                   K.PARENTESIS_CIERRE]
 
+    @pytest.mark.parametrize("comment", [
+        "{ comentario }", "(* comentario *)", "{ (* }", "(* { *)",
+        "{ varias\nlineas }"])
+    def test_both_comment_forms_skipped(self, comment):
+        tokens, diags = tokenize(f"var x; {comment} begin x := 1 end.")
+        assert not diags
+        assert [t.kind for t in tokens][:4] == [
+            K.VAR, K.IDENTIFICADOR, K.PUNTO_Y_COMA, K.BEGIN]
+
+    def test_brace_comments_do_not_nest(self):
+        tokens, diags = tokenize("{ a { b } c }")
+        assert [t.name for t in tokens] == ["c"]
+        assert [(d.line, d.column, d.message) for d in diags] == [
+            (1, 12, "Caracter inválido.")]
+
+    def test_unterminated_brace_comment_reported_at_opening(self):
+        tokens, diags = tokenize("x\n  { sin (* fin *)\ny")
+        assert [t.kind for t in tokens] == [K.IDENTIFICADOR]
+        assert [(d.line, d.column, d.message) for d in diags] == [
+            (2, 2, "Comentario sin cerrar")]
+
     def test_invalid_character_skipped_and_scan_continues(self):
         source = "\n" * 3 + "    i := 2 % 4;"
         tokens, diags = tokenize(source)
@@ -168,8 +189,9 @@ class TestTokenize:
 
 # Arbitrary text, biased towards the characters the scanner treats
 # specially.
-_SCAN_TEXT = st.text(st.one_of(st.sampled_from("(*)\n\r\t :=<>;.,+-/_aZ09²"),
-                               st.characters()), max_size=60)
+_SCAN_TEXT = st.text(
+    st.one_of(st.sampled_from("(*){}\n\r\t :=<>;.,+-/_aZ09²"),
+              st.characters()), max_size=60)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -5,13 +5,12 @@ import io
 import pytest
 
 import checks
-from pl0plus.codegen import (Annotation, Instruction, Opcode, Program,
-                             program_to_xml)
 from pl0plus.pvm import (BAD_CODE_ADDRESS, BAD_INPUT, BAD_STACK_ACCESS,
                          DIVISION_BY_ZERO, STEP_LIMIT, WORD_MAX, WORD_MIN,
-                         InputError, ListIo, MachineState, PvmRuntimeError,
-                         StreamIo, base, load, reference_eval, run, step,
-                         wrap32)
+                         Annotation, InputError, Instruction, ListIo,
+                         MachineState, Opcode, Program, PvmRuntimeError,
+                         StreamIo, base, load, program_to_xml, reference_eval,
+                         run, step, wrap32)
 from pl0plus.xmldoc import parse_document, serialize_document
 
 
@@ -32,6 +31,28 @@ def operate(opr_code, stack):
     state.t = len(stack) - 1
     step(state, ListIo())
     return state.stack[:state.t + 1]
+
+
+class TestRecords:
+    def test_instruction_equality_ignores_annotations(self):
+        plain = Instruction(0, Opcode.CAR, 1, 3)
+        noted = Instruction(0, Opcode.CAR, 1, 3,
+                            [Annotation({"linea": "2"}, "nota")])
+        assert plain == noted
+        assert plain != Instruction(0, Opcode.CAR, 0, 3)
+        assert plain.annotations == []
+
+    def test_program_equality_ignores_source(self):
+        assert Program(code((Opcode.RET, None, None)), "begin end.") == \
+            Program(code((Opcode.RET, None, None)))
+        assert Program([]) != Program(code((Opcode.RET, None, None)))
+
+    def test_machine_state_defaults(self):
+        first, second = MachineState([]), MachineState([])
+        first.stack.append(1)
+        assert (second.p, second.b, second.t, second.stack,
+                second.halted) == (0, 0, -1, [], False)
+        assert first != second
 
 
 class TestWrap32:

@@ -44,6 +44,22 @@ class TestModel:
         assert node.text() == "uno tres"
         assert node.cdata() == "dos"
 
+    def test_equality_is_by_class_and_fields(self):
+        assert Text("x") == Text("x")
+        assert Text("x") != Cdata("x")
+        assert XmlNode("a", {"n": 1}, [Text("x")]) == XmlNode(
+            "a", {"n": "1"}, [Text("x")])
+        assert XmlNode("a") != XmlNode("a", {}, [Cdata("x")])
+        assert XmlDocument(XmlNode("a")) == XmlDocument(XmlNode("a"))
+        with pytest.raises(TypeError):
+            hash(XmlNode("a"))
+
+    def test_each_node_gets_its_own_containers(self):
+        first, second = XmlNode("a"), XmlNode("a")
+        first.set("n", 1)
+        first.add(Text("x"))
+        assert (second.attributes, second.children) == ({}, [])
+
     def test_cdata_rejects_terminator(self):
         with pytest.raises(ValueError):
             Cdata("a]]>b")
@@ -132,17 +148,21 @@ class TestDeepNesting:
         assert canonical_equal(parse_document(text), parse_document(text))
 
     def test_deep_nesting_serializes(self):
-        # The indentation grows with the depth, so the text grows with its
-        # square (200 MB at 10,000 levels); 1,500 levels (4.5 MB) is
-        # already beyond Python's default recursion limit.
+        # 1,500 levels is beyond Python's default recursion limit.  The
+        # indentation stops growing at 32 levels, so the text grows
+        # linearly with the depth.
         depth = 1500
+
+        def pad(level):
+            return "  " * min(level, 32)
+
         text = serialize_document(parse_document("<a>" * depth
                                                  + "</a>" * depth))
         assert text == "\n".join(
             ['<?xml version="1.0" ?>']
-            + ["  " * level + "<a>" for level in range(depth - 1)]
-            + ["  " * (depth - 1) + "<a/>"]
-            + ["  " * level + "</a>" for level in reversed(range(depth - 1))])
+            + [pad(level) + "<a>" for level in range(depth - 1)]
+            + [pad(depth - 1) + "<a/>"]
+            + [pad(level) + "</a>" for level in reversed(range(depth - 1))])
 
 
 class TestSerialize:
