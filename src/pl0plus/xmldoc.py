@@ -7,6 +7,11 @@ sections.  Parsing is delegated to expat; serialization follows the fixed
 house style (one XML declaration, two-space indentation up to 32 levels,
 self-closing empty elements, CDATA kept inline with its parent tag).  The
 `Record` base here also serves the p+ format's records in `pvm`.
+
+The reader trusts expat: it only delivers well-formed names and `str`
+values, so the reader's nodes skip the name check and the `str` coercion.
+The building API (`XmlNode(...)`, `.set()`, `.element()`) keeps both, and
+checks each name in full only the first time it sees it.
 """
 
 from __future__ import annotations
@@ -34,9 +39,20 @@ class XmlLoadError(Exception):
 _NAME_RE = re.compile(r"[^\s<>&'\"/=?!]+")
 
 
+# Names that have passed the check.  Only exact `str` values go in, so a
+# `str` subclass is always checked in full; the cap bounds the memory that
+# names taken from documents can claim in a long-lived process.
+_valid_names: set = set()
+_MAX_VALID_NAMES = 1024
+
+
 def _check_name(name: str) -> str:
+    if type(name) is str and name in _valid_names:
+        return name
     if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
         raise ValueError(f"invalid XML name: {name!r}")
+    if type(name) is str and len(_valid_names) < _MAX_VALID_NAMES:
+        _valid_names.add(name)
     return name
 
 
@@ -164,15 +180,19 @@ def str_attr(element: XmlNode, name: str) -> str:
 
 
 def int_attr(element: XmlNode, name: str) -> int:
-    """A required integer attribute; XmlLoadError when it is missing or
-    not an integer."""
+    """A required integer attribute: an optional "-" and ASCII digits.
+    XmlLoadError when it is missing or anything else, such as "+3", " 7",
+    "0_1" or non-ASCII digits, all of which int() would take."""
     raw = str_attr(element, name)
-    try:
-        return int(raw)
-    except ValueError:
-        raise XmlLoadError(
-            f"elemento '{element.name}': el atributo '{name}' no es un "
-            f"entero: {raw!r}") from None
+    if raw.isascii() and (raw.isdigit()
+                          or raw[:1] == "-" and raw[1:].isdigit()):
+        try:
+            return int(raw)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise XmlLoadError(
+        f"elemento '{element.name}': el atributo '{name}' no es un "
+        f"entero: {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +209,12 @@ def parse_document(text: str) -> XmlDocument:
     text between sibling elements is dropped.
     """
     parser = xml.parsers.expat.ParserCreate()
-    parser.ordered_attributes = True
     parser.buffer_text = True
     # expat admits exactly one root element, so the holder at the bottom
     # of the stack ends up with exactly that one child.
     stack = [XmlNode("documento")]
     in_cdata = False
+    new_node = XmlNode.__new__
 
     def fail(message: str):
         raise XmlParseError(message, parser.CurrentLineNumber,
@@ -207,10 +227,15 @@ def parse_document(text: str) -> XmlDocument:
                 and not children[-1].data.strip():
             children.pop()
 
-    def start_element(name, attrs):
+    def start_element(name, attributes):
         siblings = stack[-1].children
         drop_blank(siblings)
-        node = XmlNode(name, dict(zip(attrs[0::2], attrs[1::2])))
+        # expat hands over checked names and a fresh dict of `str` values
+        # in document order, so the node is built without XmlNode's checks.
+        node = new_node(XmlNode)
+        node.name = name
+        node.attributes = attributes
+        node.children = []
         siblings.append(node)
         stack.append(node)
 
@@ -265,13 +290,22 @@ def parse_document(text: str) -> XmlDocument:
 # Serialization
 
 
+# The characters each escape function rewrites; most values have none.
+_TEXT_SPECIAL = re.compile("[&<>\r]")
+_ATTR_SPECIAL = re.compile('[&<>\r"\n\t]')
+
+
 def _escape_text(data: str) -> str:
+    if _TEXT_SPECIAL.search(data) is None:
+        return data
     data = data.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     # Bare carriage returns would be line-end-normalized away on reparse.
     return data.replace("\r", "&#13;")
 
 
 def _escape_attr(data: str) -> str:
+    if _ATTR_SPECIAL.search(data) is None:
+        return data
     # Newlines and tabs in attribute values must become character references
     # or the reparse would whitespace-normalize them to plain spaces.
     return (_escape_text(data).replace('"', "&quot;")
@@ -308,11 +342,11 @@ def serialize_document(doc: XmlDocument) -> str:
                 lines.append(pad + _inline_content((child,)))
                 continue
             name = child.name
-            attrs = "".join(f' {k}="{_escape_attr(v)}"'
-                            for k, v in child.attributes.items())
+            attrs = "".join([f' {k}="{_escape_attr(v)}"'
+                             for k, v in child.attributes.items()])
             if not child.children:
                 lines.append(f"{pad}<{name}{attrs}/>")
-            elif not any(isinstance(c, XmlNode) for c in child.children):
+            elif XmlNode not in map(type, child.children):
                 content = _inline_content(child.children)
                 lines.append(f"{pad}<{name}{attrs}>{content}</{name}>")
             else:

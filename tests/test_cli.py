@@ -206,6 +206,22 @@ class TestPipeline:
         assert run_pipeline(config_for(bad, "--sin")) == 2
         assert "Error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("written", ["٧", "+4", " 4", "0_4", "4.0"])
+    def test_lexeme_integers_are_ascii_decimal(self, tmp_path, capsys,
+                                               written):
+        source = tmp_path / "eco.pl0+"
+        source.write_text(ECHO, encoding="utf-8")
+        assert run_pipeline(config_for(source, "--lex")) == 0
+        lexemes = tmp_path / "eco.pl0+lex"
+        text = lexemes.read_text(encoding="utf-8")
+        assert '<IDENTIFICADOR nombre="x" linea="1" columna="4"' in text
+        lexemes.write_text(text.replace('columna="4"', f'columna="{written}"',
+                                        1), encoding="utf-8")
+        assert run_pipeline(config_for(lexemes, "--sin")) == 2
+        assert capsys.readouterr().err == (
+            f"Error: '{lexemes}': elemento 'IDENTIFICADOR': el atributo "
+            f"'columna' no es un entero: '{written}'\n")
+
     def test_wrong_document_in_right_extension(self, tmp_path, capsys):
         bad = tmp_path / "roto.pl0+sin"
         bad.write_text("<lexemas/>", encoding="utf-8")
@@ -265,6 +281,20 @@ class TestInterpreter:
                        encoding="utf-8")
         assert interpreter_main([str(bad)]) == 2
         assert "Error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("written", ["0_1", "+1", "1 ", "١", ""])
+    def test_integer_attributes_are_ascii_decimal(self, tmp_path, capsys,
+                                                  written):
+        target = compiled_file(tmp_path, ECHO)
+        text = target.read_text(encoding="utf-8")
+        assert '<instanciar_procedimiento direccion="1"' in text
+        target.write_text(text.replace('direccion="1"',
+                                       f'direccion="{written}"'),
+                          encoding="utf-8")
+        assert interpreter_main([str(target)]) == 2
+        assert capsys.readouterr().err == (
+            f"Error: '{target}': elemento 'instanciar_procedimiento': el "
+            f"atributo 'direccion' no es un entero: '{written}'\n")
 
     def test_runtime_error_exits_with_one(self, tmp_path, capsys,
                                           monkeypatch):

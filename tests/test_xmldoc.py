@@ -11,6 +11,10 @@ def doc(root):
     return XmlDocument(root)
 
 
+class Name(str):
+    """A `str` subclass: XmlNode checks its value, not its type."""
+
+
 class TestModel:
     def test_attributes_keep_insertion_order(self):
         node = XmlNode("a", {"uno": "1", "dos": "2"})
@@ -26,10 +30,22 @@ class TestModel:
         for bad in ("", "con tilde ", "a<b", "x&y", 'q"r', None, 12):
             with pytest.raises(ValueError):
                 XmlNode(bad)
+        # Valid names are remembered; a bad one must still fail after a
+        # good one, whatever its type.
+        XmlNode("a")
+        for bad in ("a b", Name("a b"), ["a"]):
+            with pytest.raises(ValueError):
+                XmlNode(bad)
+        with pytest.raises(ValueError):
+            XmlNode("a").element("x y")
 
     def test_invalid_attribute_name_rejected(self):
         with pytest.raises(ValueError):
             XmlNode("a", {"mal nombre": "1"})
+        with pytest.raises(ValueError):
+            XmlNode("a").set("mal nombre", 1)
+        with pytest.raises(ValueError):
+            XmlNode("a", {Name("mal nombre"): "1"})
 
     def test_find_and_elements_skip_text(self):
         node = XmlNode("a")
