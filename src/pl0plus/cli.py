@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
 from . import codegen, lexer, parser, semantics
 from .diagnostics import (PHASE_DESCRIPTIONS, attach_context, has_errors,
@@ -22,16 +20,18 @@ from .diagnostics import (PHASE_DESCRIPTIONS, attach_context, has_errors,
 # phase; these names keep it reachable from here as well.
 from .pvm import (interpreter_main, parse_interpreter_args,  # noqa: F401
                   read_input)
-from .xmldoc import (XmlLoadError, XmlParseError, parse_document,
+from .xmldoc import (Record, XmlLoadError, XmlParseError, parse_document,
                      serialize_document)
 
 
-@dataclass(frozen=True)
-class Representation:
-    name: str
-    extension: str
-    load: object = None   # XmlDocument -> (payload, source or None)
-    save: object = None   # (payload, source or None) -> XmlDocument
+class Representation(Record):
+    __slots__ = ("name", "extension", "load", "save")
+
+    def __init__(self, name: str, extension: str, load=None, save=None):
+        self.name = name
+        self.extension = extension
+        self.load = load  # XmlDocument -> (payload, source or None)
+        self.save = save  # (payload, source or None) -> XmlDocument
 
 
 def _load_lexemes(doc):
@@ -77,14 +77,19 @@ REPRESENTATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class PhaseDescriptor:
-    short_name: str
-    description: str
-    input_representation: str
-    output_representation: str
-    run: object            # (payload, diagnostics) -> payload or None
-    needs_error_free: bool = False
+class PhaseDescriptor(Record):
+    __slots__ = ("short_name", "description", "input_representation",
+                 "output_representation", "run", "needs_error_free")
+
+    def __init__(self, short_name: str, description: str,
+                 input_representation: str, output_representation: str,
+                 run, needs_error_free: bool = False):
+        self.short_name = short_name
+        self.description = description
+        self.input_representation = input_representation
+        self.output_representation = output_representation
+        self.run = run  # (payload, diagnostics) -> payload or None
+        self.needs_error_free = needs_error_free
 
 
 def _run_lex(source, diags):
@@ -124,12 +129,15 @@ PHASES = (
 )
 
 
-@dataclass
-class CompileConfig:
-    input_path: str
-    phases: tuple
-    show_result: bool = False
-    xml_errors: bool = False
+class CompileConfig(Record):
+    __slots__ = ("input_path", "phases", "show_result", "xml_errors")
+
+    def __init__(self, input_path: str, phases: tuple,
+                 show_result: bool = False, xml_errors: bool = False):
+        self.input_path = input_path
+        self.phases = phases
+        self.show_result = show_result
+        self.xml_errors = xml_errors
 
 
 def _match_extension(path: str) -> Representation | None:
@@ -219,7 +227,8 @@ def run_pipeline(config: CompileConfig) -> int:
         output_path = path[:-len(input_rep.extension)] \
             + output_rep.extension
         try:
-            Path(output_path).write_text(rendered + "\n", encoding="utf-8")
+            with open(output_path, "w", encoding="utf-8") as out:
+                out.write(rendered + "\n")
         except OSError as exc:
             print(f"Error: no se pudo escribir '{output_path}': "
                   f"{exc.strerror or exc}", file=sys.stderr)

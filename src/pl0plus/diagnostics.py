@@ -8,9 +8,7 @@ All user-facing message text is Spanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .xmldoc import Text, XmlDocument, XmlNode, cdata_element
+from .xmldoc import Record, Text, XmlDocument, XmlNode, cdata_element
 
 ERROR = "error"
 WARNING = "warning"
@@ -25,8 +23,7 @@ PHASE_DESCRIPTIONS = {
 }
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(Record):
     """One finding: where it happened, which phase saw it, and what it says.
 
     Lines are 1-based, columns 0-based.  `context` holds the offending
@@ -35,18 +32,20 @@ class Diagnostic:
     carries no `fuente`).
     """
 
-    severity: str
-    phase: str
-    line: int
-    column: int
-    message: str
-    context: str = ""
+    __slots__ = ("severity", "phase", "line", "column", "message", "context")
 
-    def __post_init__(self):
-        if self.severity not in (ERROR, WARNING):
-            raise ValueError(f"unknown severity: {self.severity!r}")
-        if self.phase not in PHASES:
-            raise ValueError(f"unknown phase: {self.phase!r}")
+    def __init__(self, severity: str, phase: str, line: int, column: int,
+                 message: str, context: str = ""):
+        if severity not in (ERROR, WARNING):
+            raise ValueError(f"unknown severity: {severity!r}")
+        if phase not in PHASES:
+            raise ValueError(f"unknown phase: {phase!r}")
+        self.severity = severity
+        self.phase = phase
+        self.line = line
+        self.column = column
+        self.message = message
+        self.context = context
 
 
 def error(phase: str, line: int, column: int, message: str) -> Diagnostic:

@@ -8,12 +8,11 @@ looking at the source again.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, unique
 
 from .diagnostics import Diagnostic, error
-from .xmldoc import (XmlDocument, XmlLoadError, XmlNode, cdata_element,
-                     int_attr, str_attr)
+from .xmldoc import (Record, XmlDocument, XmlLoadError, XmlNode,
+                     cdata_element, int_attr, str_attr)
 
 MAX_NUMBER = 2**31 - 1
 
@@ -115,14 +114,17 @@ _TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})"
 _KIND_BY_ELEMENT = {kind.value: kind for kind in TokenKind}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: TokenKind
-    line: int
-    column: int
-    length: int
-    name: str | None = None   # IDENTIFICADOR only
-    value: int | None = None  # NUMERO only
+class Token(Record):
+    __slots__ = ("kind", "line", "column", "length", "name", "value")
+
+    def __init__(self, kind: TokenKind, line: int, column: int, length: int,
+                 name: str | None = None, value: int | None = None):
+        self.kind = kind
+        self.line = line
+        self.column = column
+        self.length = length
+        self.name = name    # IDENTIFICADOR only
+        self.value = value  # NUMERO only
 
 
 def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:

@@ -26,190 +26,221 @@ operator token, conditions at their first operand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Union, get_args
+from collections import namedtuple
 
 from .diagnostics import Diagnostic, error, warning
 from .lexer import Token, TokenKind
-from .xmldoc import (Cdata, Text, XmlDocument, XmlLoadError, XmlNode,
-                     cdata_element, int_attr, str_attr)
+from .xmldoc import (Cdata, Record, Text, XmlDocument, XmlLoadError,
+                     XmlNode, cdata_element, int_attr, str_attr)
 
 # ---------------------------------------------------------------------------
 # Tree nodes.  `code` fields stay None until semantic analysis fills them.
 
 
-@dataclass
-class ConstDecl:
-    name: str
-    value: int  # sign already folded in
-    line: int
-    column: int
-    code: str | None = None
+class ConstDecl(Record):
+    __slots__ = ("name", "value", "line", "column", "code")
+
+    def __init__(self, name: str, value: int, line: int, column: int,
+                 code=None):
+        self.name = name
+        self.value = value  # sign already folded in
+        self.line = line
+        self.column = column
+        self.code = code
 
 
-@dataclass
-class VarDecl:
-    name: str
-    line: int
-    column: int
-    code: str | None = None
+class VarDecl(Record):
+    __slots__ = ("name", "line", "column", "code")
+
+    def __init__(self, name: str, line: int, column: int, code=None):
+        self.name = name
+        self.line = line
+        self.column = column
+        self.code = code
 
 
-@dataclass
-class ProcDecl:
-    name: str
-    block: "Block"
-    line: int
-    column: int
-    code: str | None = None
+class ProcDecl(Record):
+    __slots__ = ("name", "block", "line", "column", "code")
+
+    def __init__(self, name: str, block: Block, line: int, column: int,
+                 code=None):
+        self.name = name
+        self.block = block
+        self.line = line
+        self.column = column
+        self.code = code
 
 
-@dataclass
-class Num:
-    value: int
-    line: int
-    column: int
+class Num(Record):
+    __slots__ = ("value", "line", "column")
+
+    def __init__(self, value: int, line: int, column: int):
+        self.value = value
+        self.line = line
+        self.column = column
 
 
-@dataclass
-class Ident:
-    name: str
-    line: int
-    column: int
-    code: str | None = None
+class Ident(Record):
+    __slots__ = ("name", "line", "column", "code")
+
+    def __init__(self, name: str, line: int, column: int, code=None):
+        self.name = name
+        self.line = line
+        self.column = column
+        self.code = code
 
 
-@dataclass
-class BinOp:
-    op: str  # suma | resta | multiplicacion | division
-    left: "Expr"
-    right: "Expr"
-    line: int
-    column: int
+class BinOp(Record):
+    __slots__ = ("op", "left", "right", "line", "column")
+
+    def __init__(self, op: str, left: Expr, right: Expr, line: int,
+                 column: int):
+        self.op = op  # suma | resta | multiplicacion | division
+        self.left = left
+        self.right = right
+        self.line = line
+        self.column = column
 
 
-@dataclass
-class Neg:
-    operand: "Expr"
-    line: int
-    column: int
+class Neg(Record):
+    __slots__ = ("operand", "line", "column")
+
+    def __init__(self, operand: Expr, line: int, column: int):
+        self.operand = operand
+        self.line = line
+        self.column = column
 
 
-Expr = Union[Num, Ident, BinOp, Neg]
+class Cond(Record):
+    __slots__ = ("op", "operands", "line", "column")
+
+    def __init__(self, op: str, operands: list, line: int, column: int):
+        self.op = op  # comparacion | diferente | menor_que | mayor_que |
+        #               menor_igual | mayor_igual | odd
+        self.operands = operands  # one expression for odd, two otherwise
+        self.line = line
+        self.column = column
 
 
-@dataclass
-class Cond:
-    op: str  # comparacion | diferente | menor_que | mayor_que |
-    #          menor_igual | mayor_igual | odd
-    operands: list  # one expression for odd, two otherwise
-    line: int
-    column: int
+class Assign(Record):
+    __slots__ = ("target", "expr", "line", "column", "code")
+
+    def __init__(self, target: str, expr: Expr, line: int, column: int,
+                 code=None):
+        self.target = target
+        self.expr = expr
+        self.line = line
+        self.column = column
+        self.code = code
 
 
-@dataclass
-class Assign:
-    target: str
-    expr: Expr
-    line: int
-    column: int
-    code: str | None = None
+class Call(Record):
+    __slots__ = ("procedure", "line", "column", "code")
+
+    def __init__(self, procedure: str, line: int, column: int, code=None):
+        self.procedure = procedure
+        self.line = line
+        self.column = column
+        self.code = code
 
 
-@dataclass
-class Call:
-    procedure: str
-    line: int
-    column: int
-    code: str | None = None
+class Sequence(Record):
+    __slots__ = ("statements", "line", "column")
+
+    def __init__(self, statements: list, line: int, column: int):
+        self.statements = statements
+        self.line = line
+        self.column = column
 
 
-@dataclass
-class Sequence:
-    statements: list
-    line: int
-    column: int
+class If(Record):
+    __slots__ = ("condition", "then_branch", "else_branch", "line", "column")
+
+    def __init__(self, condition: Cond, then_branch: Stmt,
+                 else_branch: Stmt | None, line: int, column: int):
+        self.condition = condition
+        self.then_branch = then_branch
+        self.else_branch = else_branch
+        self.line = line
+        self.column = column
 
 
-@dataclass
-class If:
-    condition: Cond
-    then_branch: "Stmt"
-    else_branch: "Stmt | None"
-    line: int
-    column: int
+class While(Record):
+    __slots__ = ("condition", "body", "line", "column")
+
+    def __init__(self, condition: Cond, body: Stmt, line: int, column: int):
+        self.condition = condition
+        self.body = body
+        self.line = line
+        self.column = column
 
 
-@dataclass
-class While:
-    condition: Cond
-    body: "Stmt"
-    line: int
-    column: int
+class Read(Record):
+    __slots__ = ("variable", "line", "column", "code")
+
+    def __init__(self, variable: str, line: int, column: int, code=None):
+        self.variable = variable
+        self.line = line
+        self.column = column
+        self.code = code
 
 
-@dataclass
-class Read:
-    variable: str
-    line: int
-    column: int
-    code: str | None = None
+class Write(Record):
+    __slots__ = ("symbol", "line", "column", "code")
+
+    def __init__(self, symbol: str, line: int, column: int, code=None):
+        self.symbol = symbol
+        self.line = line
+        self.column = column
+        self.code = code
 
 
-@dataclass
-class Write:
-    symbol: str
-    line: int
-    column: int
-    code: str | None = None
+class Empty(Record):
+    __slots__ = ("line", "column")
+
+    def __init__(self, line: int, column: int):
+        self.line = line
+        self.column = column
 
 
-@dataclass
-class Empty:
-    line: int
-    column: int
+class Block(Record):
+    __slots__ = ("constants", "variables", "procedures", "body", "line",
+                 "column", "code")
+
+    def __init__(self, constants: list, variables: list, procedures: list,
+                 body: Stmt, line: int, column: int, code=None):
+        self.constants = constants
+        self.variables = variables
+        self.procedures = procedures
+        self.body = body
+        self.line = line
+        self.column = column
+        self.code = code
 
 
-Stmt = Union[Assign, Call, Sequence, If, While, Read, Write, Empty]
+class Program(Record):
+    __slots__ = ("block", "line", "column")
 
-
-@dataclass
-class Block:
-    constants: list
-    variables: list
-    procedures: list
-    body: Stmt
-    line: int
-    column: int
-    code: str | None = None
-
-
-@dataclass
-class Program:
-    block: Block
-    line: int
-    column: int
+    def __init__(self, block: Block, line: int, column: int):
+        self.block = block
+        self.line = line
+        self.column = column
 
 
 # How each node class appears in the tree's XML form (`arbol_de_sintaxis`),
-# and the order of its child fields, which is also the source order.
-class _Form(NamedTuple):
-    element: str | None  # None: the element is named by the node's `op`
-    attributes: tuple | None  # (name, field, reader) after linea/columna;
-    #                           None: no position attributes either
-    children: tuple  # child fields, in declaration order
-    coded: bool  # a revised tree adds `codigo`
-    # Reading only: the allowed numbers of child elements (None: any, read
-    # as one list), the message when they do not fit, the class the first
-    # child must have, and the classes the other children may have.
-    arity: tuple | None
-    shape: str | None
-    first: type | None
-    kinds: frozenset | None
-
-
-_EXPRESSIONS = frozenset(get_args(Expr))
-_STATEMENTS = frozenset(get_args(Stmt))
+# and the order of its child fields, which is also the source order:
+# `element` (None: named by the node's `op`), `attributes` ((name, field,
+# reader) after linea/columna; None: no position attributes either),
+# `children` (child fields in declaration order) and `coded` (a revised
+# tree adds `codigo`).  Reading only: the allowed numbers of child elements
+# (None: any, read as one list), the message when they do not fit, the
+# class the first child must have, and those the other children may have.
+_Form = namedtuple("_Form", "element attributes children coded arity shape "
+                            "first kinds")
+Expr = (Num, Ident, BinOp, Neg)  # the expression node classes
+Stmt = (Assign, Call, Sequence, If, While, Read, Write, Empty)  # statements
+_EXPRESSIONS = frozenset(Expr)
+_STATEMENTS = frozenset(Stmt)
 _MEMBERS = _STATEMENTS | {ConstDecl, VarDecl, ProcDecl}
 _NAME = (("nombre", "name", str_attr),)
 _LEAF = ((0,), "no admite hijos", None, None)

@@ -270,10 +270,13 @@ class StreamIo:
                 raise InputError("fin de la entrada")
             self._pending = line.split()
         token = self._pending.pop(0)
-        try:
-            return int(token, 10)
-        except ValueError:
-            raise InputError(f"no es un entero: '{token}'") from None
+        digits = token[1:] if token[0] in "+-" else token
+        if digits.isascii() and digits.isdigit():  # int() takes "0_1", "٣"
+            try:
+                return int(token)
+            except ValueError:  # more digits than int() converts
+                pass
+        raise InputError(f"no es un entero: '{token}'")
 
     def write_integer(self, value: int) -> None:
         stream = self._stdout if self._stdout is not None else sys.stdout
@@ -605,10 +608,12 @@ class InterpretConfig(Record):
 
 
 def _step_count(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"no es un número de pasos: '{text}'")
-    return int(text)
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"no es un número de pasos: '{text}'")
 
 
 def parse_interpreter_args(argv=None) -> InterpretConfig:

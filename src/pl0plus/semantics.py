@@ -14,12 +14,10 @@ works) and everything declared before it, but not siblings declared later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagnostics import Diagnostic, error
 from .parser import (Assign, Block, Call, Ident, Program, Read, Write,
                      tree_from_xml, tree_to_xml, walk)
-from .xmldoc import XmlDocument, XmlLoadError
+from .xmldoc import Record, XmlDocument, XmlLoadError
 
 CONSTANT = "constant"
 VARIABLE = "variable"
@@ -40,16 +38,20 @@ def symbol_code(kind: str, scope_path, index: int | None = None) -> str:
     return f"{prefix}{path}_{index}"
 
 
-@dataclass
-class Symbol:
-    name: str
-    kind: str
-    code: str
-    index: int
-    line: int
-    column: int
-    depth: int
-    value: int | None = None  # constants only
+class Symbol(Record):
+    __slots__ = ("name", "kind", "code", "index", "line", "column", "depth",
+                 "value")
+
+    def __init__(self, name: str, kind: str, code: str, index: int,
+                 line: int, column: int, depth: int, value: int | None = None):
+        self.name = name
+        self.kind = kind
+        self.code = code
+        self.index = index
+        self.line = line
+        self.column = column
+        self.depth = depth
+        self.value = value  # constants only
 
 
 class Scope:

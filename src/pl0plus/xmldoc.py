@@ -5,8 +5,8 @@ syntax trees, object code, error reports).  This module covers exactly what
 those documents need: elements with ordered attributes, text, and CDATA
 sections.  Parsing is delegated to expat; serialization follows the fixed
 house style (one XML declaration, two-space indentation up to 32 levels,
-self-closing empty elements, CDATA kept inline with its parent tag).  The
-`Record` base here also serves the p+ format's records in `pvm`.
+self-closing empty elements, CDATA kept inline with its parent tag).  Its
+`Record` base serves every record of the compiler and the machine too.
 
 The reader trusts expat: it only delivers well-formed names and `str`
 values, so the reader's nodes skip the name check and the `str` coercion.
@@ -59,9 +59,11 @@ def _check_name(name: str) -> str:
 class Record:
     """A slotted record: equality and repr over the fields in `__slots__`.
 
-    Two records compare equal when they have the same class and equal
-    fields, leaving out those named in `_uncompared`.  Defining `__eq__`
-    leaves them unhashable, as mutable records should be.
+    The one record base of the compiler and the machine.  Each subclass
+    sets its fields in a plain `__init__`, which costs nothing at import,
+    unlike a generated one.  Two records compare equal when they have the
+    same class and equal fields, leaving out those named in `_uncompared`.
+    Defining `__eq__` leaves them unhashable, as mutable records should be.
     """
 
     __slots__ = ()

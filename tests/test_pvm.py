@@ -9,8 +9,8 @@ from pl0plus.pvm import (BAD_CODE_ADDRESS, BAD_INPUT, BAD_STACK_ACCESS,
                          DIVISION_BY_ZERO, STEP_LIMIT, WORD_MAX, WORD_MIN,
                          Annotation, InputError, Instruction, ListIo,
                          MachineState, Opcode, Program, PvmRuntimeError,
-                         StreamIo, base, load, program_to_xml, reference_eval,
-                         run, step, wrap32)
+                         StreamIo, base, load, parse_interpreter_args,
+                         program_to_xml, reference_eval, run, step, wrap32)
 from pl0plus.xmldoc import parse_document, serialize_document
 
 
@@ -93,6 +93,33 @@ class TestIo:
         channel = StreamIo(stdin=io.StringIO("siete\n"))
         with pytest.raises(InputError):
             channel.read_integer()
+
+    def test_stream_io_takes_a_sign_and_ascii_digits(self):
+        channel = StreamIo(stdin=io.StringIO("+5 -0 007 -2147483648\n"))
+        assert [channel.read_integer() for _ in range(4)] == [
+            5, 0, 7, -2147483648]
+
+    @pytest.mark.parametrize("token", [
+        "0_1", "1_000", "٣", "+", "-", "+-1", "--1", "1-", "1.0", "0x10",
+        "١٢", "²", pytest.param("9" * 5000, id="5000-digits")])
+    def test_stream_io_rejects_what_only_int_would_take(self, token):
+        channel = StreamIo(stdin=io.StringIO(f"{token}\n"))
+        with pytest.raises(InputError) as info:
+            channel.read_integer()
+        assert str(info.value) == f"no es un entero: '{token}'"
+
+    @pytest.mark.parametrize("count", [
+        "٤", "+4", "0_1", "4 ", pytest.param("9" * 5000, id="5000-digits")])
+    def test_max_pasos_takes_ascii_digits_only(self, count, capsys):
+        with pytest.raises(SystemExit) as info:
+            parse_interpreter_args(["--max-pasos", count, "objeto.p+"])
+        assert info.value.code == 2
+        assert (f"no es un número de pasos: '{count}'"
+                in capsys.readouterr().err)
+
+    def test_max_pasos_takes_leading_zeros(self):
+        assert parse_interpreter_args(
+            ["--max-pasos", "007", "objeto.p+"]).max_steps == 7
 
     def test_stream_io_writes_one_value_per_line(self):
         out = io.StringIO()
