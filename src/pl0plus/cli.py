@@ -31,7 +31,7 @@ class Representation(Record):
         self.name = name
         self.extension = extension
         self.load = load  # XmlDocument -> (payload, source or None)
-        self.save = save  # (payload, source or None) -> XmlDocument
+        self.save = save  # (payload, source or None) -> document text
 
 
 def _load_lexemes(doc):
@@ -223,7 +223,7 @@ def run_pipeline(config: CompileConfig) -> int:
 
     if not failed and payload is not None and last_run is not None:
         output_rep = REPRESENTATIONS[last_run.output_representation]
-        rendered = serialize_document(output_rep.save(payload, source))
+        rendered = output_rep.save(payload, source)
         output_path = path[:-len(input_rep.extension)] \
             + output_rep.extension
         try:

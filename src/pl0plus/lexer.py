@@ -11,8 +11,8 @@ import re
 from enum import Enum, unique
 
 from .diagnostics import Diagnostic, error
-from .xmldoc import (Record, XmlDocument, XmlLoadError, XmlNode,
-                     cdata_element, int_attr, str_attr)
+from .xmldoc import (DECLARATION, Record, XmlDocument, XmlLoadError,
+                     cdata_line, escape_attr, indent, int_attr, str_attr)
 
 MAX_NUMBER = 2**31 - 1
 
@@ -179,21 +179,26 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
 # XML representation (`lexemas`)
 
 
-def tokens_to_xml(tokens, source: str | None = None) -> XmlDocument:
-    root = XmlNode("lexemas")
+def tokens_to_xml(tokens, source: str | None = None) -> str:
+    """The `lexemas` document's text: the tokens, then `fuente` if given."""
+    lines = [DECLARATION, "<lexemas>"]
+    pad = indent(1)
     for tok in tokens:
-        if tok.kind is TokenKind.IDENTIFICADOR:
-            root.element(tok.kind.value, nombre=tok.name, linea=tok.line,
-                         columna=tok.column, longitud=tok.length)
-        elif tok.kind is TokenKind.NUMERO:
-            root.element(tok.kind.value, valor=tok.value, linea=tok.line,
-                         columna=tok.column, longitud=tok.length)
+        kind = tok.kind
+        if kind is TokenKind.IDENTIFICADOR:
+            attrs = f' nombre="{escape_attr(tok.name)}"'
+        elif kind is TokenKind.NUMERO:
+            attrs = f' valor="{tok.value}"'
         else:
-            root.element(tok.kind.value, linea=tok.line, columna=tok.column,
-                         longitud=tok.length)
+            attrs = ""
+        lines.append(f'{pad}<{kind._value_}{attrs} linea="{tok.line}" '
+                     f'columna="{tok.column}" longitud="{tok.length}"/>')
     if source is not None:
-        root.add(cdata_element("fuente", source))
-    return XmlDocument(root)
+        lines.append(cdata_line(1, "fuente", source))
+    if len(lines) == 2:
+        return f"{DECLARATION}\n<lexemas/>"
+    lines.append("</lexemas>")
+    return "\n".join(lines)
 
 
 def tokens_from_xml(doc: XmlDocument) -> tuple[list[Token], str | None]:

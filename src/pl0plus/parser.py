@@ -30,8 +30,9 @@ from collections import namedtuple
 
 from .diagnostics import Diagnostic, error, warning
 from .lexer import Token, TokenKind
-from .xmldoc import (Cdata, Record, Text, XmlDocument, XmlLoadError,
-                     XmlNode, cdata_element, int_attr, str_attr)
+from .xmldoc import (DECLARATION, Cdata, Record, Text, XmlDocument,
+                     XmlLoadError, XmlNode, cdata_line, escape_attr, indent,
+                     int_attr, str_attr)
 
 # ---------------------------------------------------------------------------
 # Tree nodes.  `code` fields stay None until semantic analysis fills them.
@@ -682,47 +683,53 @@ def parse(tokens: list[Token]) -> tuple[Program | None, list[Diagnostic]]:
 # XML representation (`arbol_de_sintaxis`)
 
 
-def _tree_to_element(tree: Program, with_codes: bool) -> XmlNode:
-    """The `programa` element of `tree`, with codes for a revised tree."""
-    found: list[XmlNode] = []
-    # Entries: a node, and the list its element goes to.
-    stack = [(tree, found)]
+def tree_to_xml(root_name: str, tree: Program, source: str | None,
+                with_codes: bool) -> str:
+    """A tree document's text: the `programa` element, with codes for a
+    revised tree, then `fuente` if given."""
+    lines = [DECLARATION, f"<{root_name}>"]
+    # Entries: a node and its depth, or a closing tag and None.
+    stack = [(tree, 1)]
     while stack:
-        node, siblings = stack.pop()
+        node, depth = stack.pop()
+        if depth is None:
+            lines.append(node)
+            continue
         tag, attributes, fields, coded, _, _, _, _ = _FORMS[type(node)]
-        attrs = {}
+        tag = tag or node.op
+        head = f"{indent(depth)}<{tag}"
         if attributes is not None:
-            attrs = {"linea": node.line, "columna": node.column}
-            for key, name, _ in attributes:
-                attrs[key] = getattr(node, name)
+            head += f' linea="{node.line}" columna="{node.column}"'
+            for key, name, read in attributes:
+                value = getattr(node, name)
+                if read is str_attr:
+                    value = escape_attr(value)
+                head += f' {key}="{value}"'
         if with_codes and coded:
             if node.code is None:
                 raise ValueError("tree node carries no symbol code; run "
                                  "semantic analysis first")
-            attrs["codigo"] = node.code
-        element = XmlNode(tag or node.op, attrs)
-        siblings.append(element)
-        kids = element.children
-        for name in reversed(fields):
+            head += f' codigo="{escape_attr(node.code)}"'
+        kids = []
+        for name in fields:
             value = getattr(node, name)
             if type(value) is list:
-                stack += [(kid, kids) for kid in reversed(value)]
+                kids += value
             elif value is not None:
-                stack.append((value, kids))
-    return found[0]
-
-
-def tree_to_xml(root_name: str, tree: Program, source: str | None,
-                with_codes: bool) -> XmlDocument:
-    """A tree document: the `programa` element, then `fuente` if given."""
-    root = XmlNode(root_name)
-    root.add(_tree_to_element(tree, with_codes))
+                kids.append(value)
+        if kids:
+            lines.append(head + ">")
+            stack.append((f"{indent(depth)}</{tag}>", None))
+            stack += [(kid, depth + 1) for kid in reversed(kids)]
+        else:
+            lines.append(head + "/>")
     if source is not None:
-        root.add(cdata_element("fuente", source))
-    return XmlDocument(root)
+        lines.append(cdata_line(1, "fuente", source))
+    lines.append(f"</{root_name}>")
+    return "\n".join(lines)
 
 
-def ast_to_xml(ast: Program, source: str | None = None) -> XmlDocument:
+def ast_to_xml(ast: Program, source: str | None = None) -> str:
     return tree_to_xml("arbol_de_sintaxis", ast, source, with_codes=False)
 
 

@@ -30,8 +30,9 @@ import sys
 from enum import Enum
 from itertools import repeat
 
-from .xmldoc import (Record, Text, XmlDocument, XmlLoadError, XmlNode,
-                     XmlParseError, cdata_element, int_attr, parse_document)
+from .xmldoc import (DECLARATION, Record, XmlDocument, XmlLoadError,
+                     XmlParseError, cdata_line, check_name, escape_attr,
+                     escape_text, indent, int_attr, parse_document)
 
 
 class Opcode(Enum):
@@ -54,20 +55,21 @@ JUMP_OPCODES = frozenset({Opcode.SAL, Opcode.SAC, Opcode.LLA})
 
 OPR_CODES = frozenset({1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13})
 
+# Keyed by mnemonic, `opcode._value_`: hashing an Enum member runs Python.
 _ELEMENT_NAMES = {
-    Opcode.LIT: "cargar_literal",
-    Opcode.CAR: "cargar_variable",
-    Opcode.ALM: "almacenar_variable",
-    Opcode.LLA: "llamar_procedimiento",
-    Opcode.INS: "instanciar_procedimiento",
-    Opcode.SAL: "salto_incondicional",
-    Opcode.SAC: "salto_condicional",
-    Opcode.OPR: "operacion",
-    Opcode.RET: "retornar",
-    Opcode.LEE: "leer",
-    Opcode.ESC: "escribir",
+    "LIT": "cargar_literal",
+    "CAR": "cargar_variable",
+    "ALM": "almacenar_variable",
+    "LLA": "llamar_procedimiento",
+    "INS": "instanciar_procedimiento",
+    "SAL": "salto_incondicional",
+    "SAC": "salto_condicional",
+    "OPR": "operacion",
+    "RET": "retornar",
+    "LEE": "leer",
+    "ESC": "escribir",
 }
-_OPCODES_BY_ELEMENT = {name: op for op, name in _ELEMENT_NAMES.items()}
+_OPCODES_BY_ELEMENT = {name: Opcode(op) for op, name in _ELEMENT_NAMES.items()}
 
 
 class Annotation(Record):
@@ -114,14 +116,14 @@ def format_instruction(instruction: Instruction) -> str:
     """One listing line: address, mnemonic, level or -, parameter or -."""
     level = "-" if instruction.level is None else str(instruction.level)
     param = "-" if instruction.param is None else str(instruction.param)
-    line = f"{instruction.address} {instruction.opcode.value}"
-    line += " " * max(_LEVEL_END - len(level) - len(line), 1) + level
-    return line + " " * max(_PARAM_START - len(line), 1) + param
+    head = f"{instruction.address} {instruction.opcode._value_} "
+    line = head.ljust(_LEVEL_END - len(level)) + level
+    return line.ljust(_PARAM_START - 1) + " " + param
 
 
 def assembly_listing(program: Program) -> str:
-    return "".join(format_instruction(instruction) + "\n"
-                   for instruction in program.instructions)
+    return "".join([format_instruction(instruction) + "\n"
+                    for instruction in program.instructions])
 
 
 # ---------------------------------------------------------------------------
@@ -130,23 +132,41 @@ def assembly_listing(program: Program) -> str:
 ROOT_NAME = "codigo_pmas"
 
 
-def program_to_xml(program: Program) -> XmlDocument:
-    root = XmlNode(ROOT_NAME)
+def program_to_xml(program: Program) -> str:
+    """The `codigo_pmas` document's text: the instructions with their
+    annotations, the listing, then `fuente` if the program has a source."""
+    lines = [DECLARATION, f"<{ROOT_NAME}>"]
+    pad, inner = indent(1), indent(2)
+    keys = set()  # of the annotations' attributes, checked once at the end
     for instruction in program.instructions:
-        element = root.element(_ELEMENT_NAMES[instruction.opcode],
-                               direccion=instruction.address)
+        name = _ELEMENT_NAMES[instruction.opcode._value_]
+        head = f'{pad}<{name} direccion="{instruction.address}"'
         if instruction.level is not None:
-            element.set("diffnivel", instruction.level)
+            head += f' diffnivel="{instruction.level}"'
         if instruction.param is not None:
-            element.set("parametro", instruction.param)
+            head += f' parametro="{instruction.param}"'
+        if not instruction.annotations:
+            lines.append(head + "/>")
+            continue
+        lines.append(head + ">")
         for annotation in instruction.annotations:
-            info = element.element("informacion", **annotation.attributes)
-            if annotation.text is not None:
-                info.add(Text(annotation.text))
-    root.add(cdata_element("ensamblador", assembly_listing(program)))
+            keys.update(annotation.attributes)
+            info = f"{inner}<informacion" + "".join([
+                f' {key}="{escape_attr(str(value))}"'
+                for key, value in annotation.attributes.items()])
+            if annotation.text is None:
+                lines.append(info + "/>")
+            else:
+                lines.append(f"{info}>{escape_text(annotation.text)}"
+                             f"</informacion>")
+        lines.append(f"{pad}</{name}>")
+    lines.append(cdata_line(1, "ensamblador", assembly_listing(program)))
     if program.source is not None:
-        root.add(cdata_element("fuente", program.source))
-    return XmlDocument(root)
+        lines.append(cdata_line(1, "fuente", program.source))
+    lines.append(f"</{ROOT_NAME}>")
+    for key in keys:
+        check_name(key)
+    return "\n".join(lines)
 
 
 def program_from_xml(doc: XmlDocument) -> Program:

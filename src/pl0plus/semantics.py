@@ -214,7 +214,7 @@ ROOT_NAME = "arbol_de_sintaxis_revisado"
 
 
 def revised_to_xml(revised: Program, table: SymbolTable,
-                   source: str | None = None) -> XmlDocument:
+                   source: str | None = None) -> str:
     """Requires a tree where analyze found no errors; the codes carried by
     the nodes are the serialized form of `table`."""
     del table  # the codes on the tree already say everything

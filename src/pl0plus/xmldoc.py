@@ -3,15 +3,16 @@
 The phases exchange their results as small XML documents (token lists,
 syntax trees, object code, error reports).  This module covers exactly what
 those documents need: elements with ordered attributes, text, and CDATA
-sections.  Parsing is delegated to expat; serialization follows the fixed
+sections.  Parsing is delegated to expat; the output follows the fixed
 house style (one XML declaration, two-space indentation up to 32 levels,
-self-closing empty elements, CDATA kept inline with its parent tag).  Its
-`Record` base serves every record of the compiler and the machine too.
+self-closing empty elements, text and CDATA kept inline with their parent
+tag).  Its `Record` base serves every record of the compiler and the
+machine too.
 
-The reader trusts expat: it only delivers well-formed names and `str`
-values, so the reader's nodes skip the name check and the `str` coercion.
-The building API (`XmlNode(...)`, `.set()`, `.element()`) keeps both, and
-checks each name in full only the first time it sees it.
+Trees are the reader's form: the phase writers emit their text with the
+writing helpers that `serialize_document` uses too.  The reader trusts
+expat's names and `str` values; the building API (`XmlNode(...)`,
+`.set()`, `.element()`) checks names and coerces values to `str`.
 """
 
 from __future__ import annotations
@@ -39,20 +40,10 @@ class XmlLoadError(Exception):
 _NAME_RE = re.compile(r"[^\s<>&'\"/=?!]+")
 
 
-# Names that have passed the check.  Only exact `str` values go in, so a
-# `str` subclass is always checked in full; the cap bounds the memory that
-# names taken from documents can claim in a long-lived process.
-_valid_names: set = set()
-_MAX_VALID_NAMES = 1024
-
-
-def _check_name(name: str) -> str:
-    if type(name) is str and name in _valid_names:
-        return name
+def check_name(name: str) -> str:
+    """`name` if it is a valid element or attribute name, else ValueError."""
     if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
         raise ValueError(f"invalid XML name: {name!r}")
-    if type(name) is str and len(_valid_names) < _MAX_VALID_NAMES:
-        _valid_names.add(name)
     return name
 
 
@@ -125,13 +116,13 @@ class XmlNode(Record):
 
     def __init__(self, name: str, attributes: dict | None = None,
                  children: list | None = None):
-        self.name = _check_name(name)
-        self.attributes = {_check_name(key): str(value)
+        self.name = check_name(name)
+        self.attributes = {check_name(key): str(value)
                            for key, value in (attributes or {}).items()}
         self.children = [] if children is None else children
 
     def set(self, name: str, value) -> None:
-        self.attributes[_check_name(name)] = str(value)
+        self.attributes[check_name(name)] = str(value)
 
     def get(self, name: str, default=None):
         return self.attributes.get(name, default)
@@ -285,11 +276,29 @@ def parse_document(text: str) -> XmlDocument:
         raise XmlParseError(
             xml.parsers.expat.errors.messages[exc.code],
             exc.lineno, exc.offset) from None
+    finally:
+        # The parser holds the handlers, and `fail` holds the parser: with
+        # that cycle broken, a dropped tree is freed without the collector.
+        del parser
     return XmlDocument(stack[0].children[0])
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Writing: the house style, for `serialize_document` and the phase writers
+
+
+DECLARATION = '<?xml version="1.0" ?>'
+
+# Elements deeper than this many levels get no more indentation than it,
+# so a document's size grows with its element count, not with the square
+# of its depth.  Every phase document of a sensible program is shallower.
+MAX_INDENT_LEVELS = 32
+_INDENTS = tuple("  " * depth for depth in range(MAX_INDENT_LEVELS + 1))
+
+
+def indent(depth: int) -> str:
+    """The indentation of an element `depth` levels below the root."""
+    return _INDENTS[min(depth, MAX_INDENT_LEVELS)]
 
 
 # The characters each escape function rewrites; most values have none.
@@ -297,7 +306,7 @@ _TEXT_SPECIAL = re.compile("[&<>\r]")
 _ATTR_SPECIAL = re.compile('[&<>\r"\n\t]')
 
 
-def _escape_text(data: str) -> str:
+def escape_text(data: str) -> str:
     if _TEXT_SPECIAL.search(data) is None:
         return data
     data = data.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -305,46 +314,45 @@ def _escape_text(data: str) -> str:
     return data.replace("\r", "&#13;")
 
 
-def _escape_attr(data: str) -> str:
+def escape_attr(data: str) -> str:
     if _ATTR_SPECIAL.search(data) is None:
         return data
     # Newlines and tabs in attribute values must become character references
     # or the reparse would whitespace-normalize them to plain spaces.
-    return (_escape_text(data).replace('"', "&quot;")
+    return (escape_text(data).replace('"', "&quot;")
             .replace("\n", "&#10;").replace("\t", "&#9;"))
 
 
+def cdata(text: str) -> str:
+    """Arbitrary text as CDATA, each "]]>" split as by cdata_sections()."""
+    return "<![CDATA[" + text.replace("]]>", "]]]]><![CDATA[>") + "]]>"
+
+
+def cdata_line(depth: int, name: str, text: str) -> str:
+    """An element at `depth` holding only `text`, as CDATA."""
+    return f"{indent(depth)}<{name}>{cdata(text)}</{name}>"
+
+
 def _inline_content(children) -> str:
-    parts = []
-    for child in children:
-        if isinstance(child, Text):
-            parts.append(_escape_text(child.data))
-        else:
-            parts.append(f"<![CDATA[{child.data}]]>")
-    return "".join(parts)
-
-
-# Elements deeper than this many levels get no more indentation than it,
-# so a document's size grows with its element count, not with the square
-# of its depth.  Every phase document of a sensible program is shallower.
-MAX_INDENT_LEVELS = 32
-_MAX_PAD = 2 * MAX_INDENT_LEVELS   # spaces
+    return "".join([escape_text(child.data) if isinstance(child, Text)
+                    else cdata(child.data) for child in children])
 
 
 def serialize_document(doc: XmlDocument) -> str:
     """Pretty-print a document in the fixed style used by every phase."""
-    lines = ['<?xml version="1.0" ?>']
+    lines = [DECLARATION]
     # One entry per open element: an iterator over the children still to
-    # render, their indentation, and the element's closing tag.
-    stack = [(iter((doc.root,)), "", None)]
+    # render, their depth, and the element's closing tag.
+    stack = [(iter((doc.root,)), 0, None)]
     while stack:
-        children, pad, closing = stack[-1]
+        children, depth, closing = stack[-1]
+        pad = indent(depth)
         for child in children:
             if not isinstance(child, XmlNode):
                 lines.append(pad + _inline_content((child,)))
                 continue
             name = child.name
-            attrs = "".join([f' {k}="{_escape_attr(v)}"'
+            attrs = "".join([f' {k}="{escape_attr(v)}"'
                              for k, v in child.attributes.items()])
             if not child.children:
                 lines.append(f"{pad}<{name}{attrs}/>")
@@ -353,8 +361,7 @@ def serialize_document(doc: XmlDocument) -> str:
                 lines.append(f"{pad}<{name}{attrs}>{content}</{name}>")
             else:
                 lines.append(f"{pad}<{name}{attrs}>")
-                inner = pad + "  " if len(pad) < _MAX_PAD else pad
-                stack.append((iter(child.children), inner,
+                stack.append((iter(child.children), depth + 1,
                               f"{pad}</{name}>"))
                 break
         else:

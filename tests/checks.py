@@ -116,13 +116,30 @@ def corpus(name: str) -> Artifacts:
 
 def run_vm(program, inputs):
     """Execute on the virtual machine; return (exit_code, outputs)."""
-    state = pvm.load(program_to_xml(program))
+    state = pvm.load(parse_document(program_to_xml(program)))
     io = pvm.ListIo(list(inputs))
     return pvm.run(state, io), io.outputs
 
 
+def phase_documents(artifacts: Artifacts) -> tuple:
+    """The texts the four phase writers give for one compiled program,
+    each carrying the source."""
+    source = artifacts.source
+    return (tokens_to_xml(list(artifacts.tokens), source),
+            ast_to_xml(artifacts.ast, source),
+            revised_to_xml(artifacts.revised, artifacts.table, source),
+            program_to_xml(pvm.Program(artifacts.program.instructions,
+                                       source)))
+
+
 # ---------------------------------------------------------------------------
 # Exact round-trip checks
+
+
+def check_house_style(text):
+    """A written document is exactly the serialization of the tree it
+    reads back as."""
+    assert serialize_document(parse_document(text)) == text
 
 
 def check_document_roundtrip(doc):
@@ -131,25 +148,27 @@ def check_document_roundtrip(doc):
 
 
 def check_token_roundtrip(tokens, source):
-    again, source_again = tokens_from_xml(tokens_to_xml(list(tokens), source))
+    again, source_again = tokens_from_xml(
+        parse_document(tokens_to_xml(list(tokens), source)))
     assert again == list(tokens)
     assert source_again == source
 
 
 def check_ast_roundtrip(ast):
-    again, source = ast_from_xml(ast_to_xml(ast))
+    again, source = ast_from_xml(parse_document(ast_to_xml(ast)))
     assert again == ast
     assert source is None
 
 
 def check_revised_roundtrip(revised, table):
-    again, _, source = revised_from_xml(revised_to_xml(revised, table))
+    again, _, source = revised_from_xml(
+        parse_document(revised_to_xml(revised, table)))
     assert again == revised
     assert source is None
 
 
 def check_program_roundtrip(program):
-    again = program_from_xml(program_to_xml(program))
+    again = program_from_xml(parse_document(program_to_xml(program)))
     assert again.instructions == program.instructions
     for mine, theirs in zip(program.instructions, again.instructions):
         assert ([(a.attributes, a.text) for a in mine.annotations]

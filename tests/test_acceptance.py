@@ -41,7 +41,7 @@ def test_criterion_1_lexeme_golden(capsys):
     ok = False
     try:
         artifacts = checks.corpus("fibonacci.pl0+")
-        emitted = tokens_to_xml(list(artifacts.tokens), None)
+        emitted = parse_document(tokens_to_xml(list(artifacts.tokens), None))
         expected = parse_document(
             (checks.DATA / "fibonacci_lexemas_prefijo.xml")
             .read_text(encoding="utf-8"))
@@ -69,7 +69,8 @@ def _mask_disputed_positions(doc):
 def test_criterion_2_syntax_tree_golden(capsys):
     ok = False
     try:
-        emitted = ast_to_xml(checks.corpus("fibonacci.pl0+").ast)
+        emitted = parse_document(
+            ast_to_xml(checks.corpus("fibonacci.pl0+").ast))
         expected = parse_document(
             (checks.DATA / "fibonacci_sintaxis.xml")
             .read_text(encoding="utf-8"))
@@ -119,7 +120,7 @@ def test_criterion_4_object_code_structure(capsys):
                 instructions[3].param) == (Opcode.CAR, 1, 3)
         assert instructions[-2].opcode is Opcode.ESC
         assert instructions[-1].opcode is Opcode.RET
-        doc = program_to_xml(program)
+        doc = parse_document(program_to_xml(program))
         reloaded = program_from_xml(doc)
         assert doc.root.find("ensamblador").cdata() == \
             assembly_listing(reloaded)
@@ -187,7 +188,7 @@ def test_criterion_6_end_to_end_execution(capsys):
         import io
         from pl0plus import pvm
         out = io.StringIO()
-        state = pvm.load(program_to_xml(artifacts.program))
+        state = pvm.load(parse_document(program_to_xml(artifacts.program)))
         channel = StreamIo(stdin=io.StringIO("10\n"), stdout=out)
         assert pvm.run(state, channel) == 0
         assert out.getvalue() == "".join(f"{n}\n" for n in FIB_OUTPUTS)
@@ -245,7 +246,7 @@ def test_criterion_8_round_trips(capsys):
         for seed in range(200):
             artifacts = checks.seeded(seed)
             checks.check_document_roundtrip(
-                program_to_xml(artifacts.program))
+                parse_document(program_to_xml(artifacts.program)))
             checks.check_token_roundtrip(artifacts.tokens, artifacts.source)
             checks.check_ast_roundtrip(artifacts.ast)
             checks.check_revised_roundtrip(artifacts.revised,

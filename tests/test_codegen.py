@@ -317,11 +317,12 @@ SMALL_XML = """
 
 class TestXml:
     def test_known_document(self):
-        doc = program_to_xml(compiled(SMALL))
+        doc = parse_document(program_to_xml(compiled(SMALL)))
         assert canonical_equal(doc, parse_document(SMALL_XML))
 
     def test_level_only_on_frame_relative_opcodes(self):
-        doc = program_to_xml(checks.corpus("fibonacci.pl0+").program)
+        doc = parse_document(
+            program_to_xml(checks.corpus("fibonacci.pl0+").program))
         for element in doc.root.elements():
             if element.name in ("ensamblador", "fuente"):
                 continue
@@ -331,21 +332,22 @@ class TestXml:
                 "llamar_procedimiento"))
 
     def test_parameterless_opcodes_have_no_parameter(self):
-        doc = program_to_xml(checks.corpus("fibonacci.pl0+").program)
+        doc = parse_document(
+            program_to_xml(checks.corpus("fibonacci.pl0+").program))
         for element in doc.root.elements():
             if element.name in ("retornar", "leer", "escribir"):
                 assert "parametro" not in element.attributes
 
     def test_listing_matches_instruction_elements(self):
         program = checks.corpus("recursivo.pl0+").program
-        doc = program_to_xml(program)
+        doc = parse_document(program_to_xml(program))
         assert doc.root.find("ensamblador").cdata() == \
             assembly_listing(program)
 
     def test_fuente_round_trip(self):
         program = compiled(SMALL)
         program.source = SMALL
-        doc = program_to_xml(program)
+        doc = parse_document(program_to_xml(program))
         assert doc.root.find("fuente").cdata() == SMALL
         assert program_from_xml(doc).source == SMALL
 
@@ -354,7 +356,7 @@ class TestXml:
             checks.check_program_roundtrip(checks.corpus(name).program)
 
     def test_listing_text_is_not_consulted(self):
-        doc = program_to_xml(compiled(SMALL))
+        doc = parse_document(program_to_xml(compiled(SMALL)))
         doc.root.find("ensamblador").children.clear()
         program = program_from_xml(doc)
         assert shape(program) == SMALL_SHAPE

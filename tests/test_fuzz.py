@@ -24,7 +24,7 @@ from pl0plus.lexer import tokens_to_xml
 from pl0plus.parser import ast_to_xml
 from pl0plus.pvm import Program, interpreter_main, program_to_xml
 from pl0plus.semantics import revised_to_xml
-from pl0plus.xmldoc import serialize_document
+from pl0plus.xmldoc import parse_document, serialize_document
 
 # (extension, argv before the path) for each form a program can take
 FORMS = ((".pl0+", []),
@@ -45,10 +45,12 @@ TEXTS = ("", "x", "1", "(", ")", ";", ":=", "begin", "end", "call p",
 def forms(name: str) -> tuple[str, ...]:
     """The program's text in each of FORMS, as the compiler writes it."""
     art = checks.corpus(name)
-    docs = (tokens_to_xml(art.tokens, art.source),
-            ast_to_xml(art.ast, art.source),
-            revised_to_xml(art.revised, art.table, art.source),
-            program_to_xml(Program(art.program.instructions, art.source)))
+    docs = (parse_document(tokens_to_xml(art.tokens, art.source)),
+            parse_document(ast_to_xml(art.ast, art.source)),
+            parse_document(revised_to_xml(art.revised, art.table,
+                                          art.source)),
+            parse_document(program_to_xml(
+                Program(art.program.instructions, art.source))))
     return (art.source,) + tuple(serialize_document(doc) + "\n"
                                  for doc in docs)
 

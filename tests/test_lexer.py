@@ -215,8 +215,8 @@ def test_every_token_is_its_source_slice(source):
 
 class TestXml:
     def test_identifier_element(self):
-        doc = tokens_to_xml([Token(K.IDENTIFICADOR, 7, 10, 9,
-                                   name="fibonacci")])
+        doc = parse_document(tokens_to_xml([Token(K.IDENTIFICADOR, 7, 10, 9,
+                                                  name="fibonacci")]))
         node = doc.root.elements()[0]
         assert node.name == "IDENTIFICADOR"
         assert dict(node.attributes) == {
@@ -224,39 +224,42 @@ class TestXml:
             "longitud": "9"}
 
     def test_number_element(self):
-        doc = tokens_to_xml([Token(K.NUMERO, 12, 13, 1, value=0)])
+        doc = parse_document(
+            tokens_to_xml([Token(K.NUMERO, 12, 13, 1, value=0)]))
         node = doc.root.elements()[0]
         assert node.name == "NUMERO"
         assert dict(node.attributes) == {
             "valor": "0", "linea": "12", "columna": "13", "longitud": "1"}
 
     def test_keyword_and_symbol_element_names(self):
-        doc = tokens_to_xml([Token(K.VAR, 6, 0, 3),
-                             Token(K.PUNTO_Y_COMA, 6, 8, 1)])
+        doc = parse_document(tokens_to_xml([Token(K.VAR, 6, 0, 3),
+                                            Token(K.PUNTO_Y_COMA, 6, 8, 1)]))
         assert [e.name for e in doc.root.elements()] == [
             "VAR", "punto_y_coma"]
 
     def test_source_kept_as_cdata(self):
-        doc = tokens_to_xml([], "var x;\n")
+        doc = parse_document(tokens_to_xml([], "var x;\n"))
         assert doc.root.name == "lexemas"
         assert [e.name for e in doc.root.elements()] == ["fuente"]
         assert doc.root.find("fuente").cdata() == "var x;\n"
 
     def test_no_fuente_without_source(self):
-        doc = tokens_to_xml([])
+        doc = parse_document(tokens_to_xml([]))
         assert doc.root.children == []
 
     def test_round_trip(self):
         source = "var n, f;\nbegin n := 2147483647; write f; end."
         tokens, diags = tokenize(source)
         assert not diags
-        again, source_again = tokens_from_xml(tokens_to_xml(tokens, source))
+        again, source_again = tokens_from_xml(
+            parse_document(tokens_to_xml(tokens, source)))
         assert again == tokens
         assert source_again == source
 
     def test_round_trip_without_source(self):
         tokens, _ = tokenize("x := 1.")
-        again, source_again = tokens_from_xml(tokens_to_xml(tokens))
+        again, source_again = tokens_from_xml(
+            parse_document(tokens_to_xml(tokens)))
         assert again == tokens
         assert source_again is None
 

@@ -279,8 +279,9 @@ class TestNestingLimit:
 
 class TestXml:
     def test_known_tree(self):
-        doc = ast_to_xml(parsed("var x;\nbegin\n    read x;\n"
-                                "    if odd x then write x;\nend."))
+        doc = parse_document(ast_to_xml(parsed(
+            "var x;\nbegin\n    read x;\n"
+            "    if odd x then write x;\nend.")))
         expected = parse_document("""
             <arbol_de_sintaxis>
               <programa>
@@ -301,15 +302,15 @@ class TestXml:
         assert canonical_equal(doc, expected)
 
     def test_constant_element_carries_value(self):
-        doc = ast_to_xml(parsed("const a=-3;\nbegin end."))
+        doc = parse_document(ast_to_xml(parsed("const a=-3;\nbegin end.")))
         const = doc.root.find("programa").find("bloque").find("constante")
         assert dict(const.attributes) == {
             "linea": "1", "columna": "6", "nombre": "a", "valor": "-3"}
 
     def test_fuente_present_only_with_source(self):
         ast = parsed("begin end.")
-        assert ast_to_xml(ast).root.find("fuente") is None
-        doc = ast_to_xml(ast, "begin end.\n")
+        assert parse_document(ast_to_xml(ast)).root.find("fuente") is None
+        doc = parse_document(ast_to_xml(ast, "begin end.\n"))
         assert doc.root.find("fuente").cdata() == "begin end.\n"
 
     def test_round_trip_with_source(self):
@@ -318,7 +319,8 @@ class TestXml:
                   "        call p;\n        x := x - 1;\n    end;\n"
                   "    write x;\nend.")
         ast = parsed(source)
-        again, source_again = ast_from_xml(ast_to_xml(ast, source))
+        again, source_again = ast_from_xml(
+            parse_document(ast_to_xml(ast, source)))
         assert again == ast
         assert source_again == source
 

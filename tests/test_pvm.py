@@ -401,7 +401,7 @@ class TestStepAndRun:
     def test_runaway_recursion_hits_the_stack_limit(self):
         program = checks.compile_clean(
             "procedure p;\nbegin call p end;\nbegin call p end.").program
-        state = load(program_to_xml(program))
+        state = load(parse_document(program_to_xml(program)))
         state.stack_limit = 1000
         err = io.StringIO()
         assert run(state, ListIo(), err=err) == 1
@@ -460,7 +460,8 @@ def machine(specs, loadable=True, stack_limit=None):
     refuse them."""
     instructions = code(*specs)
     if loadable:
-        text = serialize_document(program_to_xml(Program(instructions)))
+        text = serialize_document(
+            parse_document(program_to_xml(Program(instructions))))
         state = load(parse_document(text))
     else:
         state = MachineState(code=instructions)
@@ -572,7 +573,7 @@ class TestSourceLines:
                         if instruction.opcode is Opcode.OPR
                         and instruction.param == 5)
         err = io.StringIO()
-        state = load(program_to_xml(artifacts.program))
+        state = load(parse_document(program_to_xml(artifacts.program)))
         assert run(state, ListIo([0]), err=err) == 1
         assert err.getvalue() == (
             f"Error en tiempo de ejecución: {DIVISION_BY_ZERO} "
@@ -591,7 +592,7 @@ class TestSourceLines:
 @pytest.mark.parametrize("seed", range(1000, 1020))
 def test_debug_mode_runs_like_run(seed):
     artifacts = checks.seeded(seed)
-    document = program_to_xml(artifacts.program)
+    document = parse_document(program_to_xml(artifacts.program))
     plain, stepped = load(document), load(document)
     plain_io, stepped_io = ListIo(artifacts.inputs), ListIo(artifacts.inputs)
     plain_err, stepped_err = io.StringIO(), io.StringIO()

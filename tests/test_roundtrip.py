@@ -6,13 +6,20 @@ generator for trees and object code, where instances must come out of
 the real pipeline to be meaningful.
 """
 
+from copy import deepcopy
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import checks
-from pl0plus.lexer import Token, TokenKind
-from pl0plus.pvm import WORD_MAX
-from pl0plus.xmldoc import Cdata, Text, XmlDocument, XmlNode
+from pl0plus.lexer import Token, TokenKind, tokens_from_xml, tokens_to_xml
+from pl0plus.parser import ast_from_xml, ast_to_xml, walk
+from pl0plus.pvm import (WORD_MAX, Annotation, Instruction, Opcode, Program,
+                         program_from_xml, program_to_xml)
+from pl0plus.semantics import revised_from_xml, revised_to_xml
+from pl0plus.xmldoc import (MAX_INDENT_LEVELS, Cdata, Text, XmlDocument,
+                            XmlNode, parse_document)
 
 SEEDS = range(200)
 
@@ -128,3 +135,97 @@ def test_object_code_survives_serialization():
             checks.check_program_roundtrip(checks.seeded(seed).program)
         except AssertionError as exc:
             raise AssertionError(f"semilla {seed}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# The writers emit the house style: exactly what serialize_document gives
+# for the tree their text reads back as.
+
+
+@EXACT
+@given(st.lists(_tokens(), max_size=20), _SOURCES)
+def test_token_documents_are_in_house_style(tokens, source):
+    checks.check_house_style(tokens_to_xml(tokens, source))
+
+
+def test_phase_documents_are_in_house_style():
+    for seed in SEEDS:
+        for text in checks.phase_documents(checks.seeded(seed)):
+            try:
+                checks.check_house_style(text)
+            except AssertionError as exc:
+                raise AssertionError(f"semilla {seed}: {exc}") from None
+
+
+MARKUP = 'a<b&c"d'  # a value with every character markup reserves
+
+
+class TestHouseStyleEdges:
+    def test_indentation_stops_at_the_cap(self):
+        artifacts = checks.compile_clean(checks.flat_sum(40))
+        for text in checks.phase_documents(artifacts):
+            checks.check_house_style(text)
+        lines = ast_to_xml(artifacts.ast).splitlines()
+        cap = " " * (2 * MAX_INDENT_LEVELS)
+        assert max(len(line) - len(line.lstrip(" ")) for line in lines) \
+            == len(cap)
+        # The sums below the 32nd level all sit at the cap.
+        assert sum(line.startswith(cap + "<suma") for line in lines) > 2
+
+    def test_markup_in_token_names(self):
+        tokens = [Token(TokenKind.IDENTIFICADOR, 1, 0, 7, name=MARKUP)]
+        text = tokens_to_xml(tokens)
+        checks.check_house_style(text)
+        assert tokens_from_xml(parse_document(text))[0] == tokens
+
+    def test_markup_in_tree_names_and_codes(self):
+        revised = deepcopy(checks.corpus("anidado.pl0+").revised)
+        for node in walk(revised):
+            for field in ("name", "target", "procedure", "variable",
+                          "symbol", "code"):
+                if isinstance(getattr(node, field, None), str):
+                    setattr(node, field, getattr(node, field) + MARKUP)
+        tree, revised_text = ast_to_xml(revised), revised_to_xml(revised, None)
+        checks.check_house_style(tree)
+        checks.check_house_style(revised_text)
+        # Read back and written again, each gives the same text.
+        again, _ = ast_from_xml(parse_document(tree))
+        assert ast_to_xml(again) == tree
+        again, _, _ = revised_from_xml(parse_document(revised_text))
+        assert revised_to_xml(again, None) == revised_text
+
+    def test_markup_in_annotations(self):
+        program = Program([
+            Instruction(0, Opcode.INS, param=3, annotations=[
+                Annotation({"nota": MARKUP}, MARKUP), Annotation()]),
+            Instruction(1, Opcode.RET)])
+        text = program_to_xml(program)
+        checks.check_house_style(text)
+        assert "    <informacion/>\n" in text
+        first = program_from_xml(parse_document(text)) \
+            .instructions[0].annotations[0]
+        assert (first.attributes, first.text) == ({"nota": MARKUP}, MARKUP)
+
+    def test_empty_annotation_text_is_written_out(self):
+        # An empty text node is not a fixed point of the reader: it reads
+        # back as no text, so this document is pinned, not round-tripped.
+        program = Program([Instruction(0, Opcode.RET, annotations=[
+            Annotation(text="")])])
+        assert "\n    <informacion></informacion>\n" in program_to_xml(program)
+
+    def test_annotation_attribute_names_are_checked(self):
+        program = Program([Instruction(0, Opcode.RET, annotations=[
+            Annotation({"mal nombre": "1"})])])
+        with pytest.raises(ValueError):
+            program_to_xml(program)
+
+    def test_source_with_cdata_terminator(self):
+        source = "var x;\n{ ]]> y ]]]]>> }\nbegin x := 1; write x end.\n"
+        lexemes, tree, revised, code = checks.phase_documents(
+            checks.compile_clean(source))
+        for text in (lexemes, tree, revised, code):
+            checks.check_house_style(text)
+        assert tokens_from_xml(parse_document(lexemes))[1] == source
+        assert ast_from_xml(parse_document(tree))[1] == source
+        assert revised_from_xml(parse_document(revised))[2] == source
+        assert program_from_xml(parse_document(code)).source == source

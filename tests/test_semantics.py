@@ -276,7 +276,7 @@ SMALL_XML = """
 class TestXml:
     def small_doc(self, source=None):
         revised, table = analyzed(SMALL)
-        return revised_to_xml(revised, table, source)
+        return parse_document(revised_to_xml(revised, table, source))
 
     def test_known_tree(self):
         assert canonical_equal(self.small_doc(), parse_document(SMALL_XML))
@@ -297,7 +297,7 @@ class TestXml:
     def test_procedure_element_carries_no_code(self):
         revised, table = analyzed(
             "procedure p;\nbegin end;\nbegin call p end.")
-        root = revised_to_xml(revised, table).root
+        root = parse_document(revised_to_xml(revised, table)).root
         (proc,) = find_elements(root, "procedimiento")
         assert "codigo" not in proc.attributes
         (call,) = find_elements(root, "llamada")
@@ -306,7 +306,7 @@ class TestXml:
     def test_round_trip(self):
         revised, table = analyzed(SMALL)
         again, _, source = revised_from_xml(
-            revised_to_xml(revised, table, SMALL))
+            parse_document(revised_to_xml(revised, table, SMALL)))
         assert again == revised
         assert source == SMALL
 
@@ -327,9 +327,11 @@ class TestXml:
                      getattr(node, "code", None)) for node in walk(tree)]
         source = checks.flat_sum(10000)
         ast = parsed(source)
-        assert outline(ast_from_xml(ast_to_xml(ast))[0]) == outline(ast)
+        assert (outline(ast_from_xml(parse_document(ast_to_xml(ast)))[0])
+                == outline(ast))
         revised, table = analyzed(source)
-        again, _, _ = revised_from_xml(revised_to_xml(revised, table))
+        again, _, _ = revised_from_xml(
+            parse_document(revised_to_xml(revised, table)))
         assert outline(again) == outline(revised)
 
     def test_wrong_root_rejected(self):

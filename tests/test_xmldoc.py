@@ -1,5 +1,7 @@
 """Document model, parsing, serialization, and canonical comparison."""
 
+import gc
+
 import pytest
 
 from pl0plus.xmldoc import (Cdata, Text, XmlDocument, XmlNode, XmlParseError,
@@ -30,8 +32,7 @@ class TestModel:
         for bad in ("", "con tilde ", "a<b", "x&y", 'q"r', None, 12):
             with pytest.raises(ValueError):
                 XmlNode(bad)
-        # Valid names are remembered; a bad one must still fail after a
-        # good one, whatever its type.
+        # A bad name must still fail after a good one, whatever its type.
         XmlNode("a")
         for bad in ("a b", Name("a b"), ["a"]):
             with pytest.raises(ValueError):
@@ -150,6 +151,36 @@ class TestParse:
     def test_doctype_rejected(self):
         with pytest.raises(XmlParseError):
             parse_document("<!DOCTYPE a><a/>")
+
+
+def _garbage_after(text: str) -> int:
+    """What the cyclic collector finds after `text` is parsed and the
+    document, or the error, is dropped, with the collector off meanwhile."""
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            parse_document(text)
+        except XmlParseError:
+            pass
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestNoCycles:
+    """Reference counting alone frees what parse_document leaves."""
+
+    def test_dropped_document(self):
+        text = ('<a x="1">' + "<b>t</b><![CDATA[c]]>" * 200
+                + "<c><d/></c></a>")
+        assert _garbage_after(text) == 0
+
+    def test_processing_instruction_error(self):
+        assert _garbage_after("<a><b/><?php eco ?></a>") == 0
+
+    def test_malformed_document_error(self):
+        assert _garbage_after("<a><b></a>") == 0
 
 
 class TestDeepNesting:
