@@ -20,8 +20,7 @@ from .diagnostics import (PHASE_DESCRIPTIONS, attach_context, has_errors,
 # phase; these names keep it reachable from here as well.
 from .pvm import (interpreter_main, parse_interpreter_args,  # noqa: F401
                   read_input)
-from .xmldoc import (Record, XmlLoadError, XmlParseError, parse_document,
-                     serialize_document)
+from .xmldoc import Record, XmlLoadError, XmlParseError, serialize_document
 
 
 class Representation(Record):
@@ -30,28 +29,28 @@ class Representation(Record):
     def __init__(self, name: str, extension: str, load=None, save=None):
         self.name = name
         self.extension = extension
-        self.load = load  # XmlDocument -> (payload, source or None)
+        self.load = load  # document text -> (payload, source or None)
         self.save = save  # (payload, source or None) -> document text
 
 
-def _load_lexemes(doc):
-    return lexer.tokens_from_xml(doc)
+def _load_lexemes(text):
+    return lexer.tokens_from_xml(text)
 
 
 def _save_lexemes(tokens, source):
     return lexer.tokens_to_xml(tokens, source)
 
 
-def _load_tree(doc):
-    return parser.ast_from_xml(doc)
+def _load_tree(text):
+    return parser.ast_from_xml(text)
 
 
 def _save_tree(ast, source):
     return parser.ast_to_xml(ast, source)
 
 
-def _load_revised(doc):
-    revised, table, source = semantics.revised_from_xml(doc)
+def _load_revised(text):
+    revised, table, source = semantics.revised_from_xml(text)
     return (revised, table), source
 
 
@@ -201,7 +200,7 @@ def run_pipeline(config: CompileConfig) -> int:
         payload, source = text, text
     else:
         try:
-            payload, source = input_rep.load(parse_document(text))
+            payload, source = input_rep.load(text)
         except (XmlParseError, XmlLoadError) as exc:
             print(f"Error: '{path}': {exc}", file=sys.stderr)
             return 2

@@ -11,8 +11,8 @@ import re
 from enum import Enum, unique
 
 from .diagnostics import Diagnostic, error
-from .xmldoc import (DECLARATION, Record, XmlDocument, XmlLoadError,
-                     cdata_line, escape_attr, indent, int_attr, str_attr)
+from .xmldoc import (DECLARATION, Record, XmlLoadError, cdata_line,
+                     escape_attr, indent, int_attr, read_document, str_attr)
 
 MAX_NUMBER = 2**31 - 1
 
@@ -201,34 +201,53 @@ def tokens_to_xml(tokens, source: str | None = None) -> str:
     return "\n".join(lines)
 
 
-def tokens_from_xml(doc: XmlDocument) -> tuple[list[Token], str | None]:
-    """Rebuild a token list from a `lexemas` document.
+def tokens_from_xml(text: str) -> tuple[list[Token], str | None]:
+    """Rebuild a token list from a `lexemas` document's text.
 
     Returns the recovered source text as well when the document carries a
     `fuente` section.
     """
-    root = doc.root
-    if root.name != "lexemas":
-        raise XmlLoadError(f"se esperaba el elemento raíz 'lexemas', "
-                           f"no '{root.name}'")
     tokens: list[Token] = []
     source: str | None = None
-    for element in root.elements():
-        if element.name == "fuente":
-            source = element.cdata()
-            continue
-        kind = _KIND_BY_ELEMENT.get(element.name)
+    sections: list[str] | None = None  # of the `fuente` being read
+    depth = 0  # of the open elements; tokens are at 2, below the root
+
+    def start(name, attributes):
+        nonlocal depth, sections
+        depth += 1
+        if depth != 2:
+            if depth == 1 and name != "lexemas":
+                raise XmlLoadError(f"se esperaba el elemento raíz 'lexemas', "
+                                   f"no '{name}'")
+            return
+        if name == "fuente":
+            sections = []
+            return
+        kind = _KIND_BY_ELEMENT.get(name)
         if kind is None:
-            raise XmlLoadError(f"lexema desconocido: '{element.name}'")
-        line = int_attr(element, "linea")
-        column = int_attr(element, "columna")
-        length = int_attr(element, "longitud")
+            raise XmlLoadError(f"lexema desconocido: '{name}'")
+        line = int_attr(name, attributes, "linea")
+        column = int_attr(name, attributes, "columna")
+        length = int_attr(name, attributes, "longitud")
         if kind is TokenKind.IDENTIFICADOR:
             tokens.append(Token(kind, line, column, length,
-                                name=str_attr(element, "nombre")))
+                                name=str_attr(name, attributes, "nombre")))
         elif kind is TokenKind.NUMERO:
             tokens.append(Token(kind, line, column, length,
-                                value=int_attr(element, "valor")))
+                                value=int_attr(name, attributes, "valor")))
         else:
             tokens.append(Token(kind, line, column, length))
+
+    def end(name):
+        nonlocal depth, sections, source
+        depth -= 1
+        if depth == 1 and sections is not None:
+            source = "".join(sections)
+            sections = None
+
+    def cdata(data):
+        if depth == 2 and sections is not None:
+            sections.append(data)
+
+    read_document(text, start, end, cdata=cdata)
     return tokens, source

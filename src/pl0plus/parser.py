@@ -30,9 +30,8 @@ from collections import namedtuple
 
 from .diagnostics import Diagnostic, error, warning
 from .lexer import Token, TokenKind
-from .xmldoc import (DECLARATION, Cdata, Record, Text, XmlDocument,
-                     XmlLoadError, XmlNode, cdata_line, escape_attr, indent,
-                     int_attr, str_attr)
+from .xmldoc import (DECLARATION, Record, XmlLoadError, cdata_line,
+                     escape_attr, indent, int_attr, read_document, str_attr)
 
 # ---------------------------------------------------------------------------
 # Tree nodes.  `code` fields stay None until semantic analysis fills them.
@@ -743,130 +742,241 @@ _COND_OPS = {"comparacion", "diferente", "menor_que", "mayor_que",
              "menor_igual", "mayor_igual", "odd"}
 
 
-def _load_error(element: XmlNode, detail: str) -> XmlLoadError:
-    return XmlLoadError(f"elemento '{element.name}': {detail}")
+# Statements and procedures count toward MAX_NESTING here as they do in
+# the parser, so a tree document admits the nesting a source admits.
+# Expressions do not count: a flat sum is as deep as it is long.
+_NESTED = _STATEMENTS | {ProcDecl}
 
 
-def _position(element: XmlNode) -> tuple[int, int]:
-    return int_attr(element, "linea"), int_attr(element, "columna")
+def _load_error(name: str, detail: str) -> XmlLoadError:
+    return XmlLoadError(f"elemento '{name}': {detail}")
 
 
-def _no_stray_content(element: XmlNode) -> None:
-    for child in element.children:
-        if isinstance(child, Text) and child.data.strip():
-            raise _load_error(element, "texto inesperado")
-        if isinstance(child, Cdata):
-            raise _load_error(element, "CDATA inesperado")
+def _shape_error(name: str, cls, arity, args: list) -> XmlLoadError:
+    """The error of an element whose children do not fit its shape."""
+    if cls is Cond:
+        return _load_error(name, f"la operación '{args[0]}' requiere "
+                                 f"{arity[0]} operando(s)")
+    return _load_error(name, _FORMS[cls].shape)
 
 
-def _node(cls, element: XmlNode, args: list, kids: list, keep_codes: bool):
-    """The node of `element`, from its leading arguments and the nodes of
-    its children; its position is read last."""
-    if cls is Program:
-        return Program(kids[0], kids[0].line, kids[0].column)
-    if cls is Block:
-        groups = {ConstDecl: [], VarDecl: [], ProcDecl: []}
-        statements: list = []
-        for kid in kids:
-            groups.get(type(kid), statements).append(kid)
-        if len(statements) > 1:
-            raise _load_error(element, "más de una instrucción")
-        body = statements[0] if statements else Empty(0, 0)
-        node = Block(*groups.values(), body, 0, 0)
-        node.line, node.column = _block_anchor(node)
-    else:
-        form = _FORMS[cls]
-        if form.arity is None:
-            args.append(kids)
-        else:
-            args += kids + [None] * (len(form.children) - len(kids))
-        node = cls(*args, *_position(element))
-        if not form.coded:
-            return node
-    if keep_codes:
-        node.code = element.get("codigo")
-    return node
-
-
-def _tree_from_element(programa: XmlNode, keep_codes: bool) -> Program:
-    """Read a `programa` element.  Each element is checked for stray
-    content, then its name, its children's shape and its attributes in
-    field order, then its children, then its position; the first failed
-    check raises XmlLoadError."""
-    found: list = []
-    # One frame per element whose children are being read: its class, the
-    # element, its leading arguments, an iterator over the child elements
-    # still to read, the classes they may have, the class the shape check
-    # already gave its first child, and the nodes read so far.
-    stack = [(None, None, None, iter((programa,)), {Program}, None, found)]
-    while stack:
-        cls, element, args, children, kinds, first, kids = stack[-1]
-        for child in children:
-            elements = child.children
-            if elements:  # anything but a child element must be blank
-                elements = [c for c in elements if type(c) is XmlNode]
-                if len(elements) != len(child.children):
-                    _no_stray_content(child)
-            child_cls = _CLASSES.get(child.name)
-            # A first child fixed by the parent's shape is already checked.
-            if (kids or first is None) and child_cls not in kinds:
-                what = "expresión" if kinds is _EXPRESSIONS else "instrucción"
-                raise XmlLoadError(f"{what} desconocida: '{child.name}'")
-            (tag, attributes, fields, _, arity, shape, child_first,
-             child_kinds) = _FORMS[child_cls]
-            if arity is not None and (
-                    len(elements) not in arity or child_first is not None
-                    and _CLASSES.get(elements[0].name) is not child_first):
-                raise _load_error(child, shape)
-            child_args = [] if tag is not None else [child.name]
-            for key, _, read in attributes or ():
-                child_args.append(read(child, key))
-            if child_cls is Cond:
-                op = child_args[0]
-                if op not in _COND_OPS:
-                    raise _load_error(child, f"operación desconocida: '{op}'")
-                expected = 1 if op == "odd" else 2
-                if len(elements) != expected:
-                    raise _load_error(child, f"la operación '{op}' requiere "
-                                             f"{expected} operando(s)")
-            if fields:
-                stack.append((child_cls, child, child_args, iter(elements),
-                              child_kinds, child_first, []))
-                break
-            kids.append(_node(child_cls, child, child_args, [], keep_codes))
-        else:
-            stack.pop()
-            if stack:
-                stack[-1][-1].append(_node(cls, element, args, kids,
-                                           keep_codes))
-    return found[0]
-
-
-def tree_from_xml(doc: XmlDocument,
+def tree_from_xml(text: str, check_root,
                   keep_codes: bool) -> tuple[Program, str | None]:
-    """The tree and the source text of a tree document whose root name
-    the caller has checked."""
-    programa = None
-    source = None
-    for child in doc.root.elements():
-        if child.name == "programa":
-            if programa is not None:
+    """The tree and the source text of a tree document; `check_root(name)`
+    raises XmlLoadError for a root element the caller does not take.
+
+    The first fault counts, in the order of the checks: the root; the
+    elements below it (a second `programa`, an element other than
+    `programa` and `fuente`, then a missing `programa`); then the elements
+    of `programa` from the top down, each one's checks before its
+    children's.  Those are: stray text or CDATA, its name and nesting, its
+    number of children and the class of the first, its attributes in field
+    order, and a condition's operation and number of operands; after its
+    children come a block's one statement and its position.  Events come
+    in document order, so an element's stray content and children become
+    known only after its children's faults may have been found.  So after
+    a fault, the elements open around it are watched until they close, and
+    a stray-content or shape fault of theirs takes its place."""
+    tree = source = root = fault = sections = None
+    seen = False  # a `programa`
+    skipped = 0  # open elements whose content is not read
+    # One frame per open element of `programa`: its name, class, allowed
+    # numbers of children, form, leading arguments, the nodes of its
+    # children read so far, its attributes and its nesting.
+    stack: list[tuple] = []
+    # After a fault, one entry per element still open around it: its name,
+    # its shape error, or None if its shape cannot hide the fault, its
+    # allowed numbers of children, the class its first child must have,
+    # its number of children, its first child's class, and its stray
+    # content error, or None.
+    around: list[list] = []
+
+    def found(exc, hides=True, child=(), entry=None) -> None:
+        """Record the fault `exc` and watch the elements open around it.
+        The innermost one's shape may hide the fault if `hides`; `child`
+        holds the class of its child the fault came with, if any, and
+        `entry` is the element opening with the fault."""
+        nonlocal fault
+        fault = exc.with_traceback(None)  # its frames would hold the reader
+        for name, cls, arity, form, args, kids, _, _ in stack:
+            if around:  # this element is the open child of the one before
+                count_child(cls)
+            shape = None
+            if arity is not None:
+                shape = _shape_error(name, cls, arity, args)
+            around.append([name, shape, arity, form.first, len(kids),
+                           type(kids[0]) if kids else None, None])
+        stack.clear()
+        if around:
+            if not hides:
+                around[-1][1] = None
+            for cls in child:
+                count_child(cls)
+        if entry is not None:
+            around.append(entry)
+
+    def opening(name: str, form=None) -> list:
+        """The entry of an element opening with a fault; its shape may
+        hide the fault only if its `form` is given, for a fault in its
+        attributes."""
+        if form is None or form.arity is None:
+            return [name, None, None, None, 0, None, None]
+        return [name, _load_error(name, form.shape), form.arity, form.first,
+                0, None, None]
+
+    def count_child(cls) -> None:
+        top = around[-1]
+        top[4] += 1
+        if top[4] == 1:
+            top[5] = cls
+
+    def start(name, attributes):
+        nonlocal root, seen, sections, skipped
+        if stack:
+            parent, pcls, parity, pform, pargs, kids, _, nesting = stack[-1]
+            cls = _CLASSES.get(name)
+            if parity is not None:
+                count = len(kids)
+                if count == parity[-1] or (
+                        count == 0 and pform.first is not None
+                        and cls is not pform.first):
+                    found(_shape_error(parent, pcls, parity, pargs), False,
+                          (cls,))
+                    skipped = 1
+                    return
+            if (kids or pform.first is None) and cls not in pform.kinds:
+                what = "expresión" if pform.kinds is _EXPRESSIONS \
+                    else "instrucción"
+                return found(XmlLoadError(f"{what} desconocida: '{name}'"),
+                             True, (cls,), opening(name))
+            form = _FORMS[cls]
+            if cls in _NESTED:
+                nesting += 1
+                if nesting > MAX_NESTING:
+                    return found(_load_error(name, f"anidamiento de más de "
+                                                   f"{MAX_NESTING} niveles"),
+                                 True, (cls,), opening(name))
+            args = [] if form.element is not None else [name]
+            try:
+                for key, _, read in form.attributes or ():
+                    args.append(read(name, attributes, key))
+            except XmlLoadError as exc:
+                return found(exc, True, (cls,), opening(name, form))
+            arity = form.arity
+            if cls is Cond:
+                op = args[0]
+                if op not in _COND_OPS:
+                    unknown = f"operación desconocida: '{op}'"
+                    return found(_load_error(name, unknown), True, (cls,),
+                                 opening(name))
+                arity = (1,) if op == "odd" else (2,)
+            stack.append((name, cls, arity, form, args, [], attributes,
+                          nesting))
+        elif skipped:
+            skipped += 1
+        elif around:
+            count_child(_CLASSES.get(name))
+            skipped = 1
+        elif root is None:
+            check_root(name)
+            root = name
+        elif name == "programa":
+            if seen:
                 raise XmlLoadError("más de un elemento 'programa'")
-            programa = child
-        elif child.name == "fuente":
-            source = child.cdata()
+            seen = True
+            form = _FORMS[Program]
+            stack.append((name, Program, form.arity, form, [], [],
+                          attributes, 0))
+        elif name == "fuente":
+            sections = []
+            skipped = 1
         else:
-            raise XmlLoadError(f"elemento inesperado: '{child.name}'")
-    if programa is None:
+            raise XmlLoadError(f"elemento inesperado: '{name}'")
+
+    def end(name):
+        nonlocal tree, fault, sections, skipped, source
+        if stack:
+            frame = stack.pop()
+            _, cls, arity, form, args, kids, attributes, _ = frame
+            try:
+                if arity is not None and len(kids) not in arity:
+                    raise _shape_error(name, cls, arity, args)
+                if cls is Block:
+                    groups = {ConstDecl: [], VarDecl: [], ProcDecl: []}
+                    statements: list = []
+                    for kid in kids:
+                        groups.get(type(kid), statements).append(kid)
+                    if len(statements) > 1:
+                        raise _load_error(name, "más de una instrucción")
+                    body = statements[0] if statements else Empty(0, 0)
+                    node = Block(*groups.values(), body, 0, 0)
+                    node.line, node.column = _block_anchor(node)
+                elif cls is Program:
+                    tree = Program(kids[0], kids[0].line, kids[0].column)
+                    return
+                else:
+                    if form.arity is None:
+                        args.append(kids)
+                    else:
+                        args += kids + [None] * (len(form.children)
+                                                 - len(kids))
+                    node = cls(*args, int_attr(name, attributes, "linea"),
+                               int_attr(name, attributes, "columna"))
+            except XmlLoadError as exc:
+                return found(exc, True, (cls,))
+            if keep_codes and form.coded:
+                node.code = attributes.get("codigo")
+            stack[-1][5].append(node)
+        elif skipped:
+            skipped -= 1
+            if not skipped and sections is not None:
+                source = "".join(sections)
+                sections = None
+        elif around:
+            _, shape, arity, first, count, first_cls, stray = around.pop()
+            if stray is not None:
+                fault = stray
+            elif shape is not None and (count not in arity or first
+                                        is not None and first_cls
+                                        is not first):
+                fault = shape
+
+    def chars(data):
+        if (stack or around and not skipped) and not data.isspace():
+            stray("texto inesperado")
+
+    def cdata(data):
+        if stack or around and not skipped:
+            stray("CDATA inesperado")
+        elif skipped == 1 and sections is not None:
+            sections.append(data)
+
+    def stray(detail: str) -> None:
+        """Stray content in the innermost element read or watched: the
+        first of its own checks."""
+        if stack:
+            found(_load_error(stack[-1][0], detail), False)
+        if around[-1][6] is None:
+            around[-1][6] = _load_error(around[-1][0], detail)
+
+    read_document(text, start, end, chars, cdata)
+    if not seen:
         raise XmlLoadError("falta el elemento 'programa'")
-    return _tree_from_element(programa, keep_codes), source
+    if fault is not None:
+        try:
+            raise fault
+        finally:
+            fault = None  # or this frame and the error would hold each other
+    return tree, source
 
 
-def ast_from_xml(doc: XmlDocument) -> tuple[Program, str | None]:
+def ast_from_xml(text: str) -> tuple[Program, str | None]:
     """Inverse of ast_to_xml.  Also accepts a revised tree, in which case
     the symbol codes are simply ignored."""
-    root = doc.root
-    if root.name not in ("arbol_de_sintaxis", "arbol_de_sintaxis_revisado"):
-        raise XmlLoadError(f"se esperaba el elemento raíz 'arbol_de_sintaxis',"
-                           f" no '{root.name}'")
-    return tree_from_xml(doc, keep_codes=False)
+
+    def check_root(name):
+        if name not in ("arbol_de_sintaxis", "arbol_de_sintaxis_revisado"):
+            raise XmlLoadError(f"se esperaba el elemento raíz "
+                               f"'arbol_de_sintaxis', no '{name}'")
+
+    return tree_from_xml(text, check_root, keep_codes=False)

@@ -30,9 +30,11 @@ import sys
 from enum import Enum
 from itertools import repeat
 
-from .xmldoc import (DECLARATION, Record, XmlDocument, XmlLoadError,
-                     XmlParseError, cdata_line, check_name, escape_attr,
-                     escape_text, indent, int_attr, parse_document)
+from xml.parsers.expat import ParserCreate
+
+from .xmldoc import (DECLARATION, Record, XmlLoadError, XmlParseError,
+                     cdata_line, check_name, element_text, escape_attr,
+                     escape_text, indent, int_attr, read_document)
 
 
 class Opcode(Enum):
@@ -69,7 +71,14 @@ _ELEMENT_NAMES = {
     "LEE": "leer",
     "ESC": "escribir",
 }
-_OPCODES_BY_ELEMENT = {name: Opcode(op) for op, name in _ELEMENT_NAMES.items()}
+# Per instruction element, read once here since hashing an Enum member
+# runs Python: the opcode, whether it takes a level difference and a
+# parameter, and whether the parameter is a code address.
+_INSTRUCTION_FORMS = {
+    name: (opcode, opcode in LEVEL_OPCODES, opcode not in PARAMLESS_OPCODES,
+           opcode in JUMP_OPCODES)
+    for opcode, name in ((Opcode(op), name)
+                         for op, name in _ELEMENT_NAMES.items())}
 
 
 class Annotation(Record):
@@ -169,56 +178,101 @@ def program_to_xml(program: Program) -> str:
     return "\n".join(lines)
 
 
-def program_from_xml(doc: XmlDocument) -> Program:
+def program_from_xml(text: str) -> Program:
     """Inverse of program_to_xml.  Annotations are carried along but the
     `ensamblador` text is not consulted; the instruction elements alone
-    define the program."""
-    root = doc.root
-    if root.name != ROOT_NAME:
-        raise XmlLoadError(
-            f"se esperaba el elemento '{ROOT_NAME}', no '{root.name}'")
+    define the program.  An `informacion` written as an empty-element tag
+    has no text (None), one with an end tag has its text, maybe ""."""
     instructions: list[Instruction] = []
+    jumps: list[Instruction] = []
     source = None
-    for element in root.elements():
-        if element.name == "ensamblador":
-            continue
-        if element.name == "fuente":
-            source = element.cdata()
-            continue
-        opcode = _OPCODES_BY_ELEMENT.get(element.name)
-        if opcode is None:
-            raise XmlLoadError(f"instrucción desconocida: '{element.name}'")
-        address = int_attr(element, "direccion")
+    depth = 0  # of the open elements; instructions are at 2
+    notes = None  # the annotations of the instruction element being read
+    pieces = None  # of the text of the `informacion` being read, at 3
+    sections = None  # of the `fuente` being read
+    parser = ParserCreate()
+    raw = text.encode()  # what expat's byte positions count
+
+    def start(name, attributes):
+        nonlocal depth, notes, pieces, sections
+        depth += 1
+        if depth == 3:
+            if notes is not None and name == "informacion":
+                pieces = []
+                notes.append(Annotation(attributes))
+            return
+        if depth != 2:
+            if depth == 1 and name != ROOT_NAME:
+                raise XmlLoadError(
+                    f"se esperaba el elemento '{ROOT_NAME}', no '{name}'")
+            elif depth == 4 and pieces is not None:
+                pieces.append(None)
+            return
+        if name == "ensamblador":
+            return
+        if name == "fuente":
+            sections = []
+            return
+        form = _INSTRUCTION_FORMS.get(name)
+        if form is None:
+            raise XmlLoadError(f"instrucción desconocida: '{name}'")
+        opcode, leveled, with_param, jump = form
+        address = int_attr(name, attributes, "direccion")
         if address != len(instructions):
             raise XmlLoadError(
                 f"direcciones no consecutivas: se esperaba "
                 f"{len(instructions)} y aparece {address}")
         level = None
-        if opcode in LEVEL_OPCODES:
-            level = int_attr(element, "diffnivel")
-        elif element.get("diffnivel") is not None:
-            raise XmlLoadError(
-                f"'{element.name}' no admite el atributo 'diffnivel'")
+        if leveled:
+            level = int_attr(name, attributes, "diffnivel")
+        elif "diffnivel" in attributes:
+            raise XmlLoadError(f"'{name}' no admite el atributo 'diffnivel'")
         param = None
-        if opcode not in PARAMLESS_OPCODES:
-            param = int_attr(element, "parametro")
-        elif element.get("parametro") is not None:
-            raise XmlLoadError(
-                f"'{element.name}' no admite el atributo 'parametro'")
+        if with_param:
+            param = int_attr(name, attributes, "parametro")
+        elif "parametro" in attributes:
+            raise XmlLoadError(f"'{name}' no admite el atributo 'parametro'")
         if opcode is Opcode.OPR and param not in OPR_CODES:
             raise XmlLoadError(f"código de operación inválido: {param}")
-        annotations = [Annotation(dict(info.attributes),
-                                  info.text() or None)
-                       for info in element.elements()
-                       if info.name == "informacion"]
-        instructions.append(Instruction(address, opcode, level, param,
-                                        annotations))
-    for instruction in instructions:
-        if instruction.opcode in JUMP_OPCODES:
-            if not 0 <= instruction.param < len(instructions):
-                raise XmlLoadError(
-                    f"salto fuera de rango en la dirección "
-                    f"{instruction.address}: {instruction.param}")
+        notes = []
+        instruction = Instruction(address, opcode, level, param, notes)
+        instructions.append(instruction)
+        if jump:
+            jumps.append(instruction)
+
+    def end(name):
+        nonlocal depth, notes, pieces, sections, source
+        depth -= 1
+        if depth == 2:
+            if pieces is not None:
+                if pieces:
+                    notes[-1].text = element_text(pieces)
+                elif raw.startswith(b"</informacion", parser.CurrentByteIndex):
+                    notes[-1].text = ""
+                pieces = None
+        elif depth == 1:
+            notes = None
+            if sections is not None:
+                source = "".join(sections)
+                sections = None
+
+    def chars(data):
+        if depth == 3 and pieces is not None:
+            pieces.append(data)
+
+    def cdata(data):
+        if depth == 3:
+            if pieces is not None:
+                pieces.append(None)
+        elif depth == 2 and sections is not None:
+            sections.append(data)
+
+    read_document(text, start, end, chars, cdata, parser)
+    for instruction in jumps:
+        if not 0 <= instruction.param < len(instructions):
+            raise XmlLoadError(
+                f"salto fuera de rango en la dirección "
+                f"{instruction.address}: {instruction.param}")
     return Program(instructions, source)
 
 
@@ -318,8 +372,8 @@ class MachineState(Record):
         self.stack_limit = stack_limit
 
 
-def load(doc: XmlDocument) -> MachineState:
-    program = program_from_xml(doc)
+def load(text: str) -> MachineState:
+    program = program_from_xml(text)
     if not program.instructions:
         raise XmlLoadError("el programa no contiene instrucciones")
     return MachineState(code=program.instructions)
@@ -661,7 +715,7 @@ def interpreter_main(argv=None) -> int:
     if text is None:
         return 2
     try:
-        state = load(parse_document(text))
+        state = load(text)
     except (XmlParseError, XmlLoadError) as exc:
         print(f"Error: '{config.input_path}': {exc}", file=sys.stderr)
         return 2

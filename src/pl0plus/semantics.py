@@ -17,7 +17,7 @@ from __future__ import annotations
 from .diagnostics import Diagnostic, error
 from .parser import (Assign, Block, Call, Ident, Program, Read, Write,
                      tree_from_xml, tree_to_xml, walk)
-from .xmldoc import Record, XmlDocument, XmlLoadError
+from .xmldoc import Record, XmlLoadError
 
 CONSTANT = "constant"
 VARIABLE = "variable"
@@ -324,14 +324,15 @@ def _relink_block(block: Block, scope: Scope, table: SymbolTable) -> None:
                                       (VARIABLE, CONSTANT)).code
 
 
-def revised_from_xml(doc: XmlDocument) -> tuple[Program, SymbolTable,
-                                                 str | None]:
+def revised_from_xml(text: str) -> tuple[Program, SymbolTable, str | None]:
     """Inverse of revised_to_xml; also validates every code reference.
     Returns the tree, the symbol table rebuilt from its codes, and the
     source text when the document carries it."""
-    root = doc.root
-    if root.name != ROOT_NAME:
-        raise XmlLoadError(
-            f"se esperaba el elemento '{ROOT_NAME}', no '{root.name}'")
-    revised, source = tree_from_xml(doc, keep_codes=True)
+
+    def check_root(name):
+        if name != ROOT_NAME:
+            raise XmlLoadError(
+                f"se esperaba el elemento '{ROOT_NAME}', no '{name}'")
+
+    revised, source = tree_from_xml(text, check_root, keep_codes=True)
     return revised, rebuild_symbol_table(revised), source

@@ -9,10 +9,14 @@ self-closing empty elements, text and CDATA kept inline with their parent
 tag).  Its `Record` base serves every record of the compiler and the
 machine too.
 
-Trees are the reader's form: the phase writers emit their text with the
-writing helpers that `serialize_document` uses too.  The reader trusts
-expat's names and `str` values; the building API (`XmlNode(...)`,
-`.set()`, `.element()`) checks names and coerces values to `str`.
+The phase documents go to and from text with no tree between: the phase
+writers emit their text with the writing helpers that `serialize_document`
+uses too, and each phase reader hands its own handlers to `read_document`,
+which runs expat and builds the phase's records as the events arrive.
+`XmlNode` trees remain for the `-x` error report and for the tests, which
+read them with `parse_document`.  The readers trust expat's names and
+`str` values; the building API (`XmlNode(...)`, `.set()`, `.element()`)
+checks names and coerces values to `str`.
 """
 
 from __future__ import annotations
@@ -163,33 +167,103 @@ def cdata_element(name: str, text: str) -> XmlNode:
     return XmlNode(name, {}, list(cdata_sections(text)))
 
 
-def str_attr(element: XmlNode, name: str) -> str:
-    """A required attribute; XmlLoadError when it is missing."""
-    raw = element.get(name)
+def str_attr(tag: str, attributes: dict, name: str) -> str:
+    """A required attribute of a `tag` element; XmlLoadError when it is
+    missing."""
+    raw = attributes.get(name)
     if raw is None:
-        raise XmlLoadError(
-            f"elemento '{element.name}': falta el atributo '{name}'")
+        raise XmlLoadError(f"elemento '{tag}': falta el atributo '{name}'")
     return raw
 
 
-def int_attr(element: XmlNode, name: str) -> int:
+def int_attr(tag: str, attributes: dict, name: str) -> int:
     """A required integer attribute: an optional "-" and ASCII digits.
     XmlLoadError when it is missing or anything else, such as "+3", " 7",
     "0_1" or non-ASCII digits, all of which int() would take."""
-    raw = str_attr(element, name)
-    if raw.isascii() and (raw.isdigit()
-                          or raw[:1] == "-" and raw[1:].isdigit()):
+    raw = attributes.get(name)
+    if raw is not None and raw.isascii() and (
+            raw.isdigit() or raw[:1] == "-" and raw[1:].isdigit()):
         try:
             return int(raw)
         except ValueError:  # more digits than int() converts
             pass
+    raw = str_attr(tag, attributes, name)  # when missing, that error
     raise XmlLoadError(
-        f"elemento '{element.name}': el atributo '{name}' no es un "
-        f"entero: {raw!r}")
+        f"elemento '{tag}': el atributo '{name}' no es un entero: {raw!r}")
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Reading
+
+# The expat handlers read_document sets, and clears again.
+_HANDLERS = ("StartElementHandler", "EndElementHandler",
+             "CharacterDataHandler", "StartCdataSectionHandler",
+             "EndCdataSectionHandler", "ProcessingInstructionHandler",
+             "StartDoctypeDeclHandler")
+
+
+def read_document(text: str, start, end, chars=None, cdata=None,
+                  parser=None) -> None:
+    """Run expat over `text`, handing its events to a reader's handlers.
+
+    `start(name, attributes)` and `end(name)` see every element, with the
+    name expat checked and a fresh dict of `str` attribute values in
+    document order.  `chars(data)` gets the character data outside CDATA
+    sections, where one run of text may come in several pieces;
+    `cdata(data)` gets each CDATA section whole, at its end.  Comments are
+    skipped.  A reader whose handlers ask the expat parser for positions
+    creates it and passes it in as `parser`.
+
+    Processing instructions, DTDs and every well-formedness violation raise
+    XmlParseError, with the line and column of the first offense (lines
+    1-based, columns 0-based).  A handler stops the reading by raising
+    XmlLoadError; that error is raised only when the rest of the text is
+    well-formed too, so what is malformed is always reported as such.
+    """
+    if parser is None:
+        parser = xml.parsers.expat.ParserCreate()
+    parser.buffer_text = True
+    sections: list[str] = []
+
+    def fail(message: str):
+        raise XmlParseError(message, parser.CurrentLineNumber,
+                            parser.CurrentColumnNumber)
+
+    def start_cdata():
+        parser.CharacterDataHandler = sections.append
+
+    def end_cdata():
+        parser.CharacterDataHandler = chars
+        section = "".join(sections)
+        sections.clear()
+        if cdata is not None:
+            cdata(section)
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = chars
+    parser.StartCdataSectionHandler = start_cdata
+    parser.EndCdataSectionHandler = end_cdata
+    parser.ProcessingInstructionHandler = \
+        lambda target, data: fail("instrucción de procesamiento no admitida")
+    parser.StartDoctypeDeclHandler = \
+        lambda *args: fail("declaración DOCTYPE no admitida")
+    try:
+        parser.Parse(text, True)
+    except xml.parsers.expat.ExpatError as exc:
+        raise XmlParseError(xml.parsers.expat.errors.messages[exc.code],
+                            exc.lineno, exc.offset) from None
+    except XmlLoadError:
+        # The reader stopped here; the rest of the text must still be
+        # checked, and a malformed document is reported as such.
+        read_document(text, None, None)
+        raise
+    finally:
+        # The parser holds the handlers, and they may hold the parser: with
+        # that cycle broken, what the reader built is freed without the
+        # collector.
+        for handler in _HANDLERS:
+            setattr(parser, handler, None)
 
 
 def parse_document(text: str) -> XmlDocument:
@@ -197,21 +271,14 @@ def parse_document(text: str) -> XmlDocument:
 
     Only elements, attributes, text, and CDATA are accepted; comments are
     discarded.  Processing instructions and DTDs raise XmlParseError, as
-    does any well-formedness violation (with the line and column of the
-    first offense; lines are 1-based, columns 0-based).  Whitespace-only
-    text between sibling elements is dropped.
+    does any well-formedness violation.  Whitespace-only text next to a
+    child element or CDATA section is dropped: an element keeps a blank
+    text only when that text is all it holds.
     """
-    parser = xml.parsers.expat.ParserCreate()
-    parser.buffer_text = True
     # expat admits exactly one root element, so the holder at the bottom
     # of the stack ends up with exactly that one child.
     stack = [XmlNode("documento")]
-    in_cdata = False
     new_node = XmlNode.__new__
-
-    def fail(message: str):
-        raise XmlParseError(message, parser.CurrentLineNumber,
-                            parser.CurrentColumnNumber)
 
     def drop_blank(children: list) -> None:
         # Indentation whitespace next to a child element or CDATA section
@@ -220,7 +287,7 @@ def parse_document(text: str) -> XmlDocument:
                 and not children[-1].data.strip():
             children.pop()
 
-    def start_element(name, attributes):
+    def start(name, attributes):
         siblings = stack[-1].children
         drop_blank(siblings)
         # expat hands over checked names and a fresh dict of `str` values
@@ -232,55 +299,39 @@ def parse_document(text: str) -> XmlDocument:
         siblings.append(node)
         stack.append(node)
 
-    def end_element(name):
+    def end(name):
         children = stack.pop().children
         if len(children) > 1:
             drop_blank(children)
 
-    def char_data(data):
+    def chars(data):
         children = stack[-1].children
-        if in_cdata or (children and type(children[-1]) is Text):
+        if children and type(children[-1]) is Text:
             children[-1].data += data
         else:
             children.append(Text(data))
 
-    def start_cdata():
-        nonlocal in_cdata
+    def cdata(data):
         children = stack[-1].children
         drop_blank(children)
-        children.append(Cdata(""))
-        in_cdata = True
+        children.append(Cdata(data))
 
-    def end_cdata():
-        nonlocal in_cdata
-        in_cdata = False
-
-    def reject_pi(target, data):
-        fail("instrucción de procesamiento no admitida")
-
-    def reject_doctype(*args):
-        fail("declaración DOCTYPE no admitida")
-
-    parser.StartElementHandler = start_element
-    parser.EndElementHandler = end_element
-    parser.CharacterDataHandler = char_data
-    parser.StartCdataSectionHandler = start_cdata
-    parser.EndCdataSectionHandler = end_cdata
-    parser.ProcessingInstructionHandler = reject_pi
-    parser.StartDoctypeDeclHandler = reject_doctype
-    parser.CommentHandler = lambda data: None
-
-    try:
-        parser.Parse(text, True)
-    except xml.parsers.expat.ExpatError as exc:
-        raise XmlParseError(
-            xml.parsers.expat.errors.messages[exc.code],
-            exc.lineno, exc.offset) from None
-    finally:
-        # The parser holds the handlers, and `fail` holds the parser: with
-        # that cycle broken, a dropped tree is freed without the collector.
-        del parser
+    read_document(text, start, end, chars, cdata)
     return XmlDocument(stack[0].children[0])
+
+
+def element_text(pieces: list) -> str:
+    """An element's text as parse_document keeps it, from the pieces of
+    character data the element holds directly, in order, with a None
+    where a child element or CDATA section stands: the pieces joined when
+    there is no None, else the runs between the Nones that are not blank.
+    """
+    if None not in pieces:
+        return "".join(pieces)
+    # XML text never holds U+0000, so it can mark where the runs part.
+    runs = "".join([piece if piece is not None else "\0"
+                    for piece in pieces]).split("\0")
+    return "".join([run for run in runs if not run.isspace()])
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,40 @@ def nesting_opener(shape: str, level: int) -> tuple[int, int]:
 
 NESTING_SHAPES = ("paren", "begin", "if", "procedure")
 
+DEEP_TREE_SHAPES = ("secuencia", "condicional", "ciclo", "procedimiento")
+
+
+def deep_tree(shape: str, depth: int):
+    """A revised tree, symbol codes included, that writes x from `depth`
+    levels of nesting of `shape` elements, counted as the parser counts
+    them.  Built without the parser, so it may go past MAX_NESTING, and
+    without recursion."""
+    from pl0plus import parser as ast
+    statement = ast.Write("x", depth + 1, 0)
+    procedures = []
+    for level in range(depth - 1, 0, -1):
+        if shape == "secuencia":
+            statement = ast.Sequence([statement], level + 1, 0)
+        elif shape == "procedimiento":
+            block = ast.Block([], [], procedures, statement, 0, 0,
+                              code=f"b{level}")
+            block.line, block.column = level + 2, 0
+            procedures = [ast.ProcDecl(f"p{level}", block, level + 1, 0)]
+            statement = ast.Empty(level + 1, 0)
+        else:
+            # odd 0: the loops never run
+            value = 1 if shape == "condicional" else 0
+            condition = ast.Cond("odd", [ast.Num(value, level + 1, 0)],
+                                 level + 1, 0)
+            if shape == "condicional":
+                statement = ast.If(condition, statement, None, level + 1, 0)
+            else:
+                statement = ast.While(condition, statement, level + 1, 0)
+    variables = [ast.VarDecl("x", 1, 4, code="v0_0")]
+    block = ast.Block([], variables, procedures, statement, 1, 4, code="b0")
+    return ast.Program(block, 1, 4)
+
+
 
 @dataclass(frozen=True)
 class Artifacts:
@@ -116,7 +150,7 @@ def corpus(name: str) -> Artifacts:
 
 def run_vm(program, inputs):
     """Execute on the virtual machine; return (exit_code, outputs)."""
-    state = pvm.load(parse_document(program_to_xml(program)))
+    state = pvm.load(program_to_xml(program))
     io = pvm.ListIo(list(inputs))
     return pvm.run(state, io), io.outputs
 
@@ -149,26 +183,26 @@ def check_document_roundtrip(doc):
 
 def check_token_roundtrip(tokens, source):
     again, source_again = tokens_from_xml(
-        parse_document(tokens_to_xml(list(tokens), source)))
+        tokens_to_xml(list(tokens), source))
     assert again == list(tokens)
     assert source_again == source
 
 
 def check_ast_roundtrip(ast):
-    again, source = ast_from_xml(parse_document(ast_to_xml(ast)))
+    again, source = ast_from_xml(ast_to_xml(ast))
     assert again == ast
     assert source is None
 
 
 def check_revised_roundtrip(revised, table):
     again, _, source = revised_from_xml(
-        parse_document(revised_to_xml(revised, table)))
+        revised_to_xml(revised, table))
     assert again == revised
     assert source is None
 
 
 def check_program_roundtrip(program):
-    again = program_from_xml(parse_document(program_to_xml(program)))
+    again = program_from_xml(program_to_xml(program))
     assert again.instructions == program.instructions
     for mine, theirs in zip(program.instructions, again.instructions):
         assert ([(a.attributes, a.text) for a in mine.annotations]

@@ -120,8 +120,9 @@ def test_criterion_4_object_code_structure(capsys):
                 instructions[3].param) == (Opcode.CAR, 1, 3)
         assert instructions[-2].opcode is Opcode.ESC
         assert instructions[-1].opcode is Opcode.RET
-        doc = parse_document(program_to_xml(program))
-        reloaded = program_from_xml(doc)
+        text = program_to_xml(program)
+        doc = parse_document(text)
+        reloaded = program_from_xml(text)
         assert doc.root.find("ensamblador").cdata() == \
             assembly_listing(reloaded)
         ok = True
@@ -188,7 +189,7 @@ def test_criterion_6_end_to_end_execution(capsys):
         import io
         from pl0plus import pvm
         out = io.StringIO()
-        state = pvm.load(parse_document(program_to_xml(artifacts.program)))
+        state = pvm.load(program_to_xml(artifacts.program))
         channel = StreamIo(stdin=io.StringIO("10\n"), stdout=out)
         assert pvm.run(state, channel) == 0
         assert out.getvalue() == "".join(f"{n}\n" for n in FIB_OUTPUTS)

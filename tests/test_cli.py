@@ -8,11 +8,13 @@ import sys
 
 import pytest
 
-from checks import NESTING_SHAPES, flat_sum, nested, nesting_opener
+from checks import (DEEP_TREE_SHAPES, NESTING_SHAPES, deep_tree, flat_sum,
+                    nested, nesting_opener)
 from pl0plus.cli import (PHASES, CompileConfig, compiler_main,
                          interpreter_main, parse_compiler_args,
                          parse_interpreter_args, run_pipeline)
-from pl0plus.parser import MAX_NESTING, TOO_DEEP
+from pl0plus.parser import MAX_NESTING, TOO_DEEP, ast_to_xml
+from pl0plus.semantics import revised_to_xml
 from pl0plus.xmldoc import parse_document
 
 ECHO = "var x;\nbegin\n    read x;\n    write x;\nend.\n"
@@ -399,6 +401,32 @@ class TestNesting:
         assert not (tmp_path / "hondo.p+").exists()
         line, _ = nesting_opener(shape, MAX_NESTING + 1)
         assert f"Línea {line}: {TOO_DEEP}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 1000,
+                                       5000])
+    @pytest.mark.parametrize("shape", DEEP_TREE_SHAPES)
+    @pytest.mark.parametrize("extension, flags", [(".pl0+sin", ["--sem",
+                                                                "--gen"]),
+                                                  (".pl0+sem", ["--gen"])])
+    def test_deep_tree_documents(self, tmp_path, capsys, extension, flags,
+                                 shape, depth):
+        # A hand-written tree document may nest deeper than any source the
+        # parser takes; its reader holds it to the parser's limit.
+        tree = deep_tree(shape, depth)
+        path = tmp_path / f"hondo{extension}"
+        path.write_text(revised_to_xml(tree, None) if extension == ".pl0+sem"
+                        else ast_to_xml(tree), encoding="utf-8")
+        status = compiler_main([*flags, str(path)])
+        err = capsys.readouterr().err
+        if depth <= MAX_NESTING:
+            assert (status, err) == (0, "")
+            assert (tmp_path / "hondo.p+").exists()
+        else:
+            # the element at level MAX_NESTING + 1 is the last one
+            name = "escribir" if depth == MAX_NESTING + 1 else shape
+            assert status == 2
+            assert err == (f"Error: '{path}': elemento '{name}': "
+                           f"anidamiento de más de {MAX_NESTING} niveles\n")
 
 
 @pytest.mark.usefixtures("installed_scripts")

@@ -9,7 +9,8 @@ from pl0plus.parser import parse
 from pl0plus.pvm import (Instruction, Opcode, assembly_listing,
                          format_instruction, program_from_xml, program_to_xml)
 from pl0plus.semantics import analyze
-from pl0plus.xmldoc import XmlLoadError, canonical_equal, parse_document
+from pl0plus.xmldoc import (XmlLoadError, canonical_equal, parse_document,
+                            serialize_document)
 
 
 def compiled(source):
@@ -347,9 +348,9 @@ class TestXml:
     def test_fuente_round_trip(self):
         program = compiled(SMALL)
         program.source = SMALL
-        doc = parse_document(program_to_xml(program))
-        assert doc.root.find("fuente").cdata() == SMALL
-        assert program_from_xml(doc).source == SMALL
+        text = program_to_xml(program)
+        assert parse_document(text).root.find("fuente").cdata() == SMALL
+        assert program_from_xml(text).source == SMALL
 
     def test_round_trip(self):
         for name in checks.CORPUS_NAMES:
@@ -358,12 +359,12 @@ class TestXml:
     def test_listing_text_is_not_consulted(self):
         doc = parse_document(program_to_xml(compiled(SMALL)))
         doc.root.find("ensamblador").children.clear()
-        program = program_from_xml(doc)
+        program = program_from_xml(serialize_document(doc))
         assert shape(program) == SMALL_SHAPE
 
     def load_error(self, text):
         with pytest.raises(XmlLoadError):
-            program_from_xml(parse_document(text))
+            program_from_xml(text)
 
     def test_wrong_root_rejected(self):
         self.load_error("<codigo/>")
@@ -393,8 +394,8 @@ class TestXml:
     ])
     def test_attribute_messages(self, element, message):
         with pytest.raises(XmlLoadError) as caught:
-            program_from_xml(parse_document(
-                f"<codigo_pmas>{element}</codigo_pmas>"))
+            program_from_xml(
+                f"<codigo_pmas>{element}</codigo_pmas>")
         assert str(caught.value) == message
 
     def test_missing_level_rejected(self):

@@ -1,10 +1,12 @@
 """Mutated sources and phase documents never end in a traceback.
 
-Each example takes a corpus program, in its source form or one of its four
-phase documents, applies one edit a user could make by hand, and runs the
+Each example takes a program, in its source form or one of its four phase
+documents, applies one edit a user could make by hand, and runs the
 command that reads that form: `compilador` with the remaining phases, or
 `interprete` with a step limit.  Whatever the edit, the command must end
-with exit code 0, 1 or 2.
+with exit code 0, 1 or 2.  The programs are the corpus, programs nested
+to the parser's limit, a source holding "]]>", and tree documents nested
+far past that limit, which no source gives.
 """
 
 import contextlib
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 import checks
 from pl0plus.cli import compiler_main
 from pl0plus.lexer import tokens_to_xml
-from pl0plus.parser import ast_to_xml
+from pl0plus.parser import MAX_NESTING, ast_to_xml
 from pl0plus.pvm import Program, interpreter_main, program_to_xml
 from pl0plus.semantics import revised_to_xml
 from pl0plus.xmldoc import parse_document, serialize_document
@@ -41,10 +43,34 @@ TEXTS = ("", "x", "1", "(", ")", ";", ":=", "begin", "end", "call p",
          "write x", "{", "(*", "]]>", "<", "&", "é")
 
 
+SOURCES = {
+    "al_limite_begin": checks.nested("begin", MAX_NESTING),
+    "al_limite_procedure": checks.nested("procedure", MAX_NESTING),
+    "terminador_cdata": "var x;\n{ ]]> y ]]]]>> }\n"
+                        "begin x := 1; write x end.\n",
+}
+
+# Tree documents 5,000 levels deep, past what any source gives.  (Hypothesis
+# raises the recursion limit while a test runs, so 1,000 levels would
+# not show a reader that lets recursion through.)
+DEEP_TREES = {f"hondo_{shape}": shape
+              for shape in ("secuencia", "procedimiento")}
+
+NAMES = checks.CORPUS_NAMES + tuple(SOURCES) + tuple(DEEP_TREES)
+
+
 @lru_cache(maxsize=None)
-def forms(name: str) -> tuple[str, ...]:
-    """The program's text in each of FORMS, as the compiler writes it."""
-    art = checks.corpus(name)
+def forms(name: str) -> tuple[str | None, ...]:
+    """The program's text in each of FORMS, as the compiler writes it, or
+    None for a form it has not."""
+    if name in DEEP_TREES:
+        tree = checks.deep_tree(DEEP_TREES[name], 5000)
+        return (None, None, ast_to_xml(tree) + "\n",
+                revised_to_xml(tree, None) + "\n", None)
+    if name in SOURCES:
+        art = checks.compile_clean(SOURCES[name])
+    else:
+        art = checks.corpus(name)
     docs = (parse_document(tokens_to_xml(art.tokens, art.source)),
             parse_document(ast_to_xml(art.ast, art.source)),
             parse_document(revised_to_xml(art.revised, art.table,
@@ -106,8 +132,9 @@ def mutate(data, text: str) -> str:
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
 def test_mutated_input_ends_with_an_exit_code(data):
-    name = data.draw(st.sampled_from(checks.CORPUS_NAMES))
-    index = data.draw(st.integers(0, len(FORMS) - 1))
+    name = data.draw(st.sampled_from(NAMES))
+    index = data.draw(st.sampled_from([i for i, text in enumerate(forms(name))
+                                       if text is not None]))
     extension, flags = FORMS[index]
     text = mutate(data, forms(name)[index])
     main = interpreter_main if extension == ".p+" else compiler_main

@@ -252,34 +252,34 @@ class TestXml:
         tokens, diags = tokenize(source)
         assert not diags
         again, source_again = tokens_from_xml(
-            parse_document(tokens_to_xml(tokens, source)))
+            tokens_to_xml(tokens, source))
         assert again == tokens
         assert source_again == source
 
     def test_round_trip_without_source(self):
         tokens, _ = tokenize("x := 1.")
         again, source_again = tokens_from_xml(
-            parse_document(tokens_to_xml(tokens)))
+            tokens_to_xml(tokens))
         assert again == tokens
         assert source_again is None
 
     def test_wrong_root_rejected(self):
         with pytest.raises(XmlLoadError):
-            tokens_from_xml(parse_document("<fichas/>"))
+            tokens_from_xml("<fichas/>")
 
     def test_unknown_element_rejected(self):
-        doc = parse_document(
+        text = (
             '<lexemas><WHAT linea="1" columna="0" longitud="1"/></lexemas>')
         with pytest.raises(XmlLoadError):
-            tokens_from_xml(doc)
+            tokens_from_xml(text)
 
     def test_missing_attribute_rejected(self):
-        doc = parse_document('<lexemas><VAR linea="1" columna="0"/></lexemas>')
+        text = '<lexemas><VAR linea="1" columna="0"/></lexemas>'
         with pytest.raises(XmlLoadError):
-            tokens_from_xml(doc)
+            tokens_from_xml(text)
 
     def test_non_numeric_attribute_rejected(self):
-        doc = parse_document(
+        text = (
             '<lexemas><VAR linea="x" columna="0" longitud="3"/></lexemas>')
         with pytest.raises(XmlLoadError):
-            tokens_from_xml(doc)
+            tokens_from_xml(text)

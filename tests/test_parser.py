@@ -320,32 +320,32 @@ class TestXml:
                   "    write x;\nend.")
         ast = parsed(source)
         again, source_again = ast_from_xml(
-            parse_document(ast_to_xml(ast, source)))
+            ast_to_xml(ast, source))
         assert again == ast
         assert source_again == source
 
     def test_wrong_root_rejected(self):
         with pytest.raises(XmlLoadError):
-            ast_from_xml(parse_document("<arbol/>"))
+            ast_from_xml("<arbol/>")
 
     def test_unknown_statement_element_rejected(self):
-        doc = parse_document(
+        text = (
             '<arbol_de_sintaxis><programa><bloque>'
             '<brinco linea="1" columna="0"/>'
             "</bloque></programa></arbol_de_sintaxis>")
         with pytest.raises(XmlLoadError):
-            ast_from_xml(doc)
+            ast_from_xml(text)
 
     def test_missing_position_rejected(self):
-        doc = parse_document(
+        text = (
             '<arbol_de_sintaxis><programa><bloque>'
             '<leer variable="x"/>'
             "</bloque></programa></arbol_de_sintaxis>")
         with pytest.raises(XmlLoadError):
-            ast_from_xml(doc)
+            ast_from_xml(text)
 
     def test_odd_with_two_operands_rejected(self):
-        doc = parse_document(
+        text = (
             '<arbol_de_sintaxis><programa><bloque>'
             '<condicional linea="1" columna="0">'
             '<condicion linea="1" columna="3" operacion="odd">'
@@ -355,10 +355,10 @@ class TestXml:
             '<nada linea="1" columna="9"/>'
             "</condicional></bloque></programa></arbol_de_sintaxis>")
         with pytest.raises(XmlLoadError):
-            ast_from_xml(doc)
+            ast_from_xml(text)
 
     def test_relation_with_one_operand_rejected(self):
-        doc = parse_document(
+        text = (
             '<arbol_de_sintaxis><programa><bloque>'
             '<condicional linea="1" columna="0">'
             '<condicion linea="1" columna="3" operacion="menor_que">'
@@ -367,15 +367,15 @@ class TestXml:
             '<nada linea="1" columna="9"/>'
             "</condicional></bloque></programa></arbol_de_sintaxis>")
         with pytest.raises(XmlLoadError):
-            ast_from_xml(doc)
+            ast_from_xml(text)
 
     def test_non_numeric_position_rejected(self):
-        doc = parse_document(
+        text = (
             '<arbol_de_sintaxis><programa><bloque>'
             '<leer linea="uno" columna="0" variable="x"/>'
             "</bloque></programa></arbol_de_sintaxis>")
         with pytest.raises(XmlLoadError):
-            ast_from_xml(doc)
+            ast_from_xml(text)
 
 
 # One malformed tree document per message of the tree reader.  The body
@@ -448,16 +448,49 @@ LOADER_MESSAGES = [
 ]
 
 
+# Bodies with two faults, and the one reported: an element's own checks
+# come before its children's, whatever the order the reader meets them.
+FAULT_ORDER = [
+    # the parent's number of operands before the name of its first
+    (assign(f"<suma {P}><x/>{UNO}{UNO}</suma>"),
+     "elemento 'suma': se esperaban dos operandos"),
+    # stray text before the name
+    (f"<x {P}>y</x>", "elemento 'x': texto inesperado"),
+    # the children before the attributes
+    (f"<asignacion {P}/>",
+     "elemento 'asignacion': se esperaba exactamente una expresión"),
+    # the parent's stray text, found later, before its child's name
+    (f"<secuencia {P}><brinco {P}/>hola</secuencia>",
+     "elemento 'secuencia': texto inesperado"),
+    # the outer shape, found at its end, before an inner attribute
+    (f"<ciclo {P}>"
+     + condition("odd", '<numero linea="x" columna="0" valor="1"/>')
+     + f"{NADA}{NADA}</ciclo>",
+     "elemento 'ciclo': se esperaba una condición y una instrucción"),
+    # the operand count before the operand's name
+    (f"<ciclo {P}>{condition('odd', '<x/>', UNO)}{NADA}</ciclo>",
+     "elemento 'condicion': la operación 'odd' requiere 1 operando(s)"),
+    # of two siblings, the first
+    (f"<secuencia {P}><brinco {P}/><salto {P}/></secuencia>",
+     "instrucción desconocida: 'brinco'"),
+    # a child before the block's one statement and the parent's position
+    (f"<brinco {P}/>{NADA}", "instrucción desconocida: 'brinco'"),
+    (f'<secuencia linea="x" columna="0"><brinco {P}/></secuencia>',
+     "instrucción desconocida: 'brinco'"),
+]
+
+
 @pytest.mark.parametrize("revised", [False, True], ids=["sin", "sem"])
-@pytest.mark.parametrize("body, message", LOADER_MESSAGES,
-                         ids=[message for _, message in LOADER_MESSAGES])
+@pytest.mark.parametrize("body, message", LOADER_MESSAGES + FAULT_ORDER,
+                         ids=[message for _, message
+                              in LOADER_MESSAGES + FAULT_ORDER])
 def test_tree_loader_messages(body, message, revised):
     root = "arbol_de_sintaxis_revisado" if revised else "arbol_de_sintaxis"
-    doc = parse_document(f"<{root}><programa><bloque>{body}</bloque>"
-                         f"</programa></{root}>")
+    text = (f"<{root}><programa><bloque>{body}</bloque>"
+            f"</programa></{root}>")
     loader = revised_from_xml if revised else ast_from_xml
     with pytest.raises(XmlLoadError) as info:
-        loader(doc)
+        loader(text)
     assert str(info.value) == message
 
 
@@ -475,8 +508,12 @@ def test_tree_loader_messages(body, message, revised):
      "elemento inesperado: 'otro'"),
     (ast_from_xml, "<arbol_de_sintaxis><programa/></arbol_de_sintaxis>",
      "elemento 'programa': se esperaba exactamente un 'bloque'"),
+    # The elements below the root count before a fault in `programa`.
+    (ast_from_xml, "<arbol_de_sintaxis><programa><bloque><brinco/>"
+                   "</bloque></programa><otro/></arbol_de_sintaxis>",
+     "elemento inesperado: 'otro'"),
 ])
 def test_tree_envelope_messages(loader, document, message):
     with pytest.raises(XmlLoadError) as info:
-        loader(parse_document(document))
+        loader(document)
     assert str(info.value) == message

@@ -394,14 +394,14 @@ class TestStepAndRun:
         assert "pila: []" in trace
 
     def test_load_rejects_empty_programs(self):
-        from pl0plus.xmldoc import XmlLoadError, parse_document
+        from pl0plus.xmldoc import XmlLoadError
         with pytest.raises(XmlLoadError):
-            load(parse_document("<codigo_pmas/>"))
+            load("<codigo_pmas/>")
 
     def test_runaway_recursion_hits_the_stack_limit(self):
         program = checks.compile_clean(
             "procedure p;\nbegin call p end;\nbegin call p end.").program
-        state = load(parse_document(program_to_xml(program)))
+        state = load(program_to_xml(program))
         state.stack_limit = 1000
         err = io.StringIO()
         assert run(state, ListIo(), err=err) == 1
@@ -462,7 +462,7 @@ def machine(specs, loadable=True, stack_limit=None):
     if loadable:
         text = serialize_document(
             parse_document(program_to_xml(Program(instructions))))
-        state = load(parse_document(text))
+        state = load(text)
     else:
         state = MachineState(code=instructions)
     if stack_limit is not None:
@@ -573,7 +573,7 @@ class TestSourceLines:
                         if instruction.opcode is Opcode.OPR
                         and instruction.param == 5)
         err = io.StringIO()
-        state = load(parse_document(program_to_xml(artifacts.program)))
+        state = load(program_to_xml(artifacts.program))
         assert run(state, ListIo([0]), err=err) == 1
         assert err.getvalue() == (
             f"Error en tiempo de ejecución: {DIVISION_BY_ZERO} "
@@ -592,7 +592,7 @@ class TestSourceLines:
 @pytest.mark.parametrize("seed", range(1000, 1020))
 def test_debug_mode_runs_like_run(seed):
     artifacts = checks.seeded(seed)
-    document = parse_document(program_to_xml(artifacts.program))
+    document = program_to_xml(artifacts.program)
     plain, stepped = load(document), load(document)
     plain_io, stepped_io = ListIo(artifacts.inputs), ListIo(artifacts.inputs)
     plain_err, stepped_err = io.StringIO(), io.StringIO()

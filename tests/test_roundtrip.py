@@ -19,7 +19,7 @@ from pl0plus.pvm import (WORD_MAX, Annotation, Instruction, Opcode, Program,
                          program_from_xml, program_to_xml)
 from pl0plus.semantics import revised_from_xml, revised_to_xml
 from pl0plus.xmldoc import (MAX_INDENT_LEVELS, Cdata, Text, XmlDocument,
-                            XmlNode, parse_document)
+                            XmlNode)
 
 SEEDS = range(200)
 
@@ -176,7 +176,7 @@ class TestHouseStyleEdges:
         tokens = [Token(TokenKind.IDENTIFICADOR, 1, 0, 7, name=MARKUP)]
         text = tokens_to_xml(tokens)
         checks.check_house_style(text)
-        assert tokens_from_xml(parse_document(text))[0] == tokens
+        assert tokens_from_xml(text)[0] == tokens
 
     def test_markup_in_tree_names_and_codes(self):
         revised = deepcopy(checks.corpus("anidado.pl0+").revised)
@@ -189,9 +189,9 @@ class TestHouseStyleEdges:
         checks.check_house_style(tree)
         checks.check_house_style(revised_text)
         # Read back and written again, each gives the same text.
-        again, _ = ast_from_xml(parse_document(tree))
+        again, _ = ast_from_xml(tree)
         assert ast_to_xml(again) == tree
-        again, _, _ = revised_from_xml(parse_document(revised_text))
+        again, _, _ = revised_from_xml(revised_text)
         assert revised_to_xml(again, None) == revised_text
 
     def test_markup_in_annotations(self):
@@ -202,16 +202,30 @@ class TestHouseStyleEdges:
         text = program_to_xml(program)
         checks.check_house_style(text)
         assert "    <informacion/>\n" in text
-        first = program_from_xml(parse_document(text)) \
+        first = program_from_xml(text) \
             .instructions[0].annotations[0]
         assert (first.attributes, first.text) == ({"nota": MARKUP}, MARKUP)
 
-    def test_empty_annotation_text_is_written_out(self):
-        # An empty text node is not a fixed point of the reader: it reads
-        # back as no text, so this document is pinned, not round-tripped.
-        program = Program([Instruction(0, Opcode.RET, annotations=[
-            Annotation(text="")])])
-        assert "\n    <informacion></informacion>\n" in program_to_xml(program)
+    def test_empty_annotation_text_round_trips(self):
+        # An empty text keeps its end tag; no text is an empty-element tag.
+        # The non-ASCII text before them moves expat's byte positions away
+        # from the string's.
+        annotations = [Annotation(text="ñandú"), Annotation(text=""),
+                       Annotation({"a": "1"}), Annotation({"a": "2"}, ""),
+                       Annotation(text=" ")]
+        program = Program([Instruction(0, Opcode.RET,
+                                       annotations=annotations)])
+        text = program_to_xml(program)
+        assert ("\n    <informacion></informacion>\n"
+                '    <informacion a="1"/>\n'
+                '    <informacion a="2"></informacion>\n'
+                "    <informacion> </informacion>\n") in text
+        again = program_from_xml(text)
+        assert [(a.attributes, a.text)
+                for a in again.instructions[0].annotations] == [
+            ({}, "ñandú"), ({}, ""), ({"a": "1"}, None), ({"a": "2"}, ""),
+            ({}, " ")]
+        assert program_to_xml(again) == text
 
     def test_annotation_attribute_names_are_checked(self):
         program = Program([Instruction(0, Opcode.RET, annotations=[
@@ -225,7 +239,7 @@ class TestHouseStyleEdges:
             checks.compile_clean(source))
         for text in (lexemes, tree, revised, code):
             checks.check_house_style(text)
-        assert tokens_from_xml(parse_document(lexemes))[1] == source
-        assert ast_from_xml(parse_document(tree))[1] == source
-        assert revised_from_xml(parse_document(revised))[2] == source
-        assert program_from_xml(parse_document(code)).source == source
+        assert tokens_from_xml(lexemes)[1] == source
+        assert ast_from_xml(tree)[1] == source
+        assert revised_from_xml(revised)[2] == source
+        assert program_from_xml(code).source == source

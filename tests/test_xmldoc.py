@@ -4,9 +4,15 @@ import gc
 
 import pytest
 
-from pl0plus.xmldoc import (Cdata, Text, XmlDocument, XmlNode, XmlParseError,
-                            canonical_equal, cdata_element, cdata_sections,
-                            parse_document, serialize_document)
+import checks
+from pl0plus.lexer import tokens_from_xml
+from pl0plus.parser import ast_from_xml
+from pl0plus.pvm import program_from_xml
+from pl0plus.semantics import revised_from_xml
+from pl0plus.xmldoc import (Cdata, Text, XmlDocument, XmlLoadError, XmlNode,
+                            XmlParseError, canonical_equal, cdata_element,
+                            cdata_sections, element_text, parse_document,
+                            read_document, serialize_document)
 
 
 def doc(root):
@@ -153,15 +159,41 @@ class TestParse:
             parse_document("<!DOCTYPE a><a/>")
 
 
-def _garbage_after(text: str) -> int:
-    """What the cyclic collector finds after `text` is parsed and the
-    document, or the error, is dropped, with the collector off meanwhile."""
+# Per phase reader: a well-formed document with a load fault (an unknown
+# element, a bad integer, an element out of place), the same document
+# with a malformation after the fault, and where expat reports that.
+EARLY_LOAD_FAULTS = [
+    (tokens_from_xml,
+     '<lexemas>\n  <WHAT linea="1" columna="0" longitud="1"/>\n'
+     '  <VAR linea="1" columna="0" longitud="3"/>\n</lexemas>\n',
+     ('"3"/>', '"3">'), "mismatched tag", 4, 2),
+    (ast_from_xml,
+     '<arbol_de_sintaxis>\n  <programa>\n    <bloque>\n'
+     '      <leer linea="x" columna="0" variable="v"/>\n    </bloque>\n'
+     '  </programa>\n  <fuente/>\n</arbol_de_sintaxis>\n',
+     ("<fuente/>", "<fuente>"), "mismatched tag", 8, 2),
+    (revised_from_xml,
+     "<arbol_de_sintaxis_revisado>\n  <otro/>\n  <programa/>\n"
+     "</arbol_de_sintaxis_revisado>\n",
+     ("<programa/>", "<programa>"), "mismatched tag", 4, 2),
+    (program_from_xml,
+     '<codigo_pmas>\n  <retornar direccion="7"/>\n'
+     '  <retornar direccion="1"/>\n</codigo_pmas>\n',
+     ("</codigo_pmas>", "<?pi x?>\n</codigo_pmas>"),
+     "instrucción de procesamiento no admitida", 4, 0),
+]
+
+
+def _garbage_after(text: str, reader=parse_document) -> int:
+    """What the cyclic collector finds after `text` is read and what the
+    reader gave, or the error, is dropped, with the collector off
+    meanwhile."""
     gc.collect()
     gc.disable()
     try:
         try:
-            parse_document(text)
-        except XmlParseError:
+            reader(text)
+        except (XmlParseError, XmlLoadError):
             pass
         return gc.collect()
     finally:
@@ -181,6 +213,65 @@ class TestNoCycles:
 
     def test_malformed_document_error(self):
         assert _garbage_after("<a><b></a>") == 0
+
+    @pytest.mark.parametrize("index", range(4),
+                             ids=[case[0].__name__
+                                  for case in EARLY_LOAD_FAULTS])
+    def test_phase_readers(self, index):
+        reader, text, edit = EARLY_LOAD_FAULTS[index][:3]
+        for document in (text, text.replace(*edit)):
+            assert _garbage_after(document, reader) == 0
+        # A revised tree's symbol table links scopes and symbols both
+        # ways, so its document is read with the tree reader alone.
+        good = checks.phase_documents(checks.corpus("fibonacci.pl0+"))[index]
+        if reader is revised_from_xml:
+            reader = ast_from_xml
+        assert _garbage_after(good, reader) == 0
+
+
+
+class TestReaders:
+    """What the phase readers share through `read_document`."""
+
+    @pytest.mark.parametrize("reader, text, edit, message, line, column",
+                             EARLY_LOAD_FAULTS,
+                             ids=[case[0].__name__
+                                  for case in EARLY_LOAD_FAULTS])
+    def test_load_fault_does_not_hide_a_later_malformation(
+            self, reader, text, edit, message, line, column):
+        with pytest.raises(XmlLoadError):
+            reader(text)
+        with pytest.raises(XmlParseError) as info:
+            reader(text.replace(*edit))
+        assert (info.value.message, info.value.line,
+                info.value.column) == (message, line, column)
+
+    def test_element_text_keeps_what_parse_document_keeps(self):
+        for text in ("<a>  </a>", "<a> x <b/> y </a>", "<a>  <b/>  </a>",
+                     "<a>x<![CDATA[c]]> <!-- n --> y</a>", "<a></a>",
+                     "<a><b>z</b></a>", "<a> <![CDATA[]]> </a>"):
+            pieces = []
+            depth = 0
+
+            def start(name, attributes):
+                nonlocal depth
+                depth += 1
+                if depth == 2:
+                    pieces.append(None)
+
+            def end(name):
+                nonlocal depth
+                depth -= 1
+
+            def chars(data):
+                if depth == 1:
+                    pieces.append(data)
+
+            def cdata(data):
+                pieces.append(None)
+
+            read_document(text, start, end, chars, cdata)
+            assert element_text(pieces) == parse_document(text).root.text()
 
 
 class TestDeepNesting:
