@@ -10,7 +10,8 @@ difference between the using and the declaring block.
 
 Instructions carry optional `informacion` annotations (procedure markers,
 variable references, statement notes).  The p+ format itself, with its XML
-writer and reader, lives in `pvm`, so running a `.p+` needs no compiler.
+writer and reader, lives in `pcode`, which the machine shares: running a
+`.p+` needs no compiler, and compiling never loads the machine.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from __future__ import annotations
 from .diagnostics import Diagnostic, error
 from .parser import (Assign, BinOp, Block, Call, Cond, Empty, Ident, If, Neg,
                      Num, Program as Ast, Read, Sequence, While, Write, walk)
-from .pvm import Annotation, Instruction, Opcode, Program
+from .pcode import Annotation, Instruction, Opcode, Program
 # The compiler's output format, reachable beside the generator.
-from .pvm import program_from_xml, program_to_xml  # noqa: F401
+from .pcode import program_from_xml, program_to_xml  # noqa: F401
 from .semantics import CONSTANT, VARIABLE, SymbolTable
 
 OPR_NEGATE = 1

@@ -62,7 +62,6 @@ class Scope:
         self.path = list(path)
         self.code = code if code is not None else symbol_code(BLOCK, path)
         self.parent = parent
-        self.children: list[Scope] = []
         self.symbols: dict[str, Symbol] = {}
         self._counts = {CONSTANT: 0, VARIABLE: 0, PROCEDURE: 0}
 
@@ -103,7 +102,6 @@ class SymbolTable:
     def new_scope(self, parent: Scope, child_index: int,
                   code: str | None = None) -> Scope:
         scope = Scope(parent.path + [child_index], parent, code)
-        parent.children.append(scope)
         if scope.code in self.scopes_by_code:
             raise XmlLoadError(f"código de bloque duplicado: '{scope.code}'")
         self.scopes_by_code[scope.code] = scope
@@ -277,9 +275,8 @@ def _rebuild_block(block: Block, scope: Scope, table: SymbolTable) -> None:
                 f"símbolo duplicado en el bloque: '{proc.name}'")
         table.register(symbol)
         proc.code = symbol.code
-        child = Scope(scope.path + [position], scope)
-        scope.children.append(child)
-        _rebuild_block(proc.block, child, table)
+        _rebuild_block(proc.block, Scope(scope.path + [position], scope),
+                       table)
 
 
 def _lookup_code(table: SymbolTable, node, kinds: tuple[str, ...]) -> Symbol:
@@ -306,8 +303,9 @@ def _resolve_name(scope: Scope, node, name: str,
 
 
 def _relink_block(block: Block, scope: Scope, table: SymbolTable) -> None:
-    for proc, child in zip(block.procedures, scope.children):
-        _relink_block(proc.block, child, table)
+    for proc in block.procedures:
+        _relink_block(proc.block, table.scopes_by_code[proc.block.code],
+                      table)
     for node in walk(block.body):
         if isinstance(node, Assign):
             _lookup_code(table, node, (VARIABLE,))

@@ -10,14 +10,15 @@ import pytest
 
 import checks
 import progen
-from pl0plus.cli import parse_compiler_args, run_pipeline
+from pl0plus.compiler import parse_compiler_args, run_pipeline
 from pl0plus.diagnostics import sort_diagnostics
 from pl0plus.lexer import tokenize, tokens_to_xml
 from pl0plus.parser import ast_to_xml, parse
-from pl0plus.pvm import (BAD_STACK_ACCESS, DIVISION_BY_ZERO, Instruction,
-                         ListIo, MachineState, Opcode, PvmRuntimeError,
-                         StreamIo, assembly_listing, base, program_from_xml,
-                         program_to_xml, reference_eval, step)
+from pl0plus.pcode import (Instruction, Opcode, assembly_listing,
+                           program_from_xml, program_to_xml)
+from pl0plus.pvm import (BAD_STACK_ACCESS, DIVISION_BY_ZERO, ListIo,
+                         MachineState, PvmRuntimeError, StreamIo, base,
+                         reference_eval, step)
 from pl0plus.semantics import analyze
 from pl0plus.xmldoc import (XmlDocument, XmlNode, canonical_equal,
                             parse_document)

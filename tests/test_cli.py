@@ -5,15 +5,17 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from checks import (DEEP_TREE_SHAPES, NESTING_SHAPES, deep_tree, flat_sum,
                     nested, nesting_opener)
-from pl0plus.cli import (PHASES, CompileConfig, compiler_main,
-                         interpreter_main, parse_compiler_args,
-                         parse_interpreter_args, run_pipeline)
+from pl0plus.cli import compiler_main, interpreter_main
+from pl0plus.compiler import (PHASES, CompileConfig, parse_compiler_args,
+                              run_pipeline)
 from pl0plus.parser import MAX_NESTING, TOO_DEEP, ast_to_xml
+from pl0plus.pvm import parse_interpreter_args
 from pl0plus.semantics import revised_to_xml
 from pl0plus.xmldoc import parse_document
 
@@ -235,6 +237,167 @@ class TestPipeline:
         source.write_text(ECHO, encoding="utf-8")
         assert compiler_main([str(source)]) == 0
         assert (tmp_path / "eco.p+").exists()
+
+
+COMPILER_USAGE = ("uso: compilador [-a] [-m] [-x] [--lex] [--sin] [--sem] "
+                  "[--gen] archivo\n")
+
+INTERPRETER_USAGE = "uso: interprete [-a] [-d] [--max-pasos N] archivo\n"
+
+COMPILER_HELP = COMPILER_USAGE + """
+Compilador de pl0+ a código p+ por fases; cada fase lee y escribe una
+representación XML documentada.
+
+argumentos:
+  archivo            archivo de entrada
+
+opciones:
+  -a, --ayuda        muestra esta ayuda y termina
+  -m, --mostrar      muestra el resultado final por salida estándar
+  -x, --errores-xml  además reporta errores y advertencias como XML por salida
+                     de error
+  --lex              ejecuta la fase de análisis léxico
+  --sin              ejecuta la fase de análisis sintáctico
+  --sem              ejecuta la fase de análisis semántico
+  --gen              ejecuta la fase de generación de código
+"""
+
+INTERPRETER_HELP = INTERPRETER_USAGE + """
+Intérprete de código p+ en su representación XML.
+
+argumentos:
+  archivo        programa objeto (.p+)
+
+opciones:
+  -a, --ayuda    muestra esta ayuda y termina
+  -d, --depurar  ejecuta paso a paso mostrando los registros, la instrucción y
+                 el tope de la pila
+  --max-pasos N  termina con un error en tiempo de ejecución si el programa no
+                 se detiene en N pasos
+"""
+
+# (command, its argument parser, its usage line, its help text)
+COMMANDS = {"compilador": (parse_compiler_args, COMPILER_USAGE, COMPILER_HELP),
+            "interprete": (parse_interpreter_args, INTERPRETER_USAGE,
+                           INTERPRETER_HELP)}
+
+
+def refused(capsys, command, argv):
+    """The stdout and stderr of a command line that ends the command."""
+    with pytest.raises(SystemExit) as info:
+        COMMANDS[command][0](argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+class TestCommandLines:
+    """Both commands' usage errors and help texts, exactly."""
+
+    @pytest.mark.parametrize("command, argv, message", [
+        ("compilador", [], "falta el argumento 'archivo'"),
+        ("interprete", [], "falta el argumento 'archivo'"),
+        ("interprete", ["-d"], "falta el argumento 'archivo'"),
+        ("compilador", ["a.pl0+", "b.pl0+"], "sobra el argumento 'b.pl0+'"),
+        ("interprete", ["x.p+", "-d", "y.p+"], "sobra el argumento 'y.p+'"),
+        ("compilador", ["-z"], "opción no reconocida: '-z'"),
+        ("compilador", ["-z", "a.pl0+"], "opción no reconocida: '-z'"),
+        ("interprete", ["x.p+", "--pasos", "5"],
+         "opción no reconocida: '--pasos'"),
+        # neither prefix abbreviations nor grouped short flags are taken
+        ("compilador", ["--mos", "a.pl0+"], "opción no reconocida: '--mos'"),
+        ("interprete", ["--max", "5", "x.p+"],
+         "opción no reconocida: '--max'"),
+        ("compilador", ["-mx", "a.pl0+"], "opción no reconocida: '-mx'"),
+        ("compilador", ["--mostrar=1", "a.pl0+"],
+         "opción no reconocida: '--mostrar=1'"),
+        ("interprete", ["x.p+", "--max-pasos"],
+         "la opción --max-pasos requiere un valor"),
+        ("interprete", ["--max-pasos", "-1", "x.p+"],
+         "opción --max-pasos: no es un número de pasos: '-1'"),
+        ("interprete", ["--max-pasos", "x", "x.p+"],
+         "opción --max-pasos: no es un número de pasos: 'x'"),
+        ("interprete", ["--max-pasos", "", "x.p+"],
+         "opción --max-pasos: no es un número de pasos: ''"),
+        ("interprete", ["--max-pasos=", "x.p+"],
+         "opción --max-pasos: no es un número de pasos: ''"),
+        # the value is always the next item, even one that looks like an
+        # option or the file
+        ("interprete", ["--max-pasos", "-d", "x.p+"],
+         "opción --max-pasos: no es un número de pasos: '-d'"),
+        ("interprete", ["--max-pasos", "x.p+"],
+         "opción --max-pasos: no es un número de pasos: 'x.p+'"),
+        # the first fault is the one reported
+        ("interprete", ["-z", "--max-pasos", "x", "x.p+", "y.p+"],
+         "opción no reconocida: '-z'"),
+        ("compilador", ["--lex", "--sem", "programa.pl0+"],
+         "las fases solicitadas deben ser consecutivas"),
+        ("compilador", ["programa.txt"],
+         "extensión no reconocida: 'programa.txt'"),
+        ("compilador", ["--sem", "programa.pl0+"],
+         "la fase 'sem' espera un archivo '.pl0+sin', no '.pl0+'"),
+        # after `--` every item is a file
+        ("compilador", ["--", "-a"], "extensión no reconocida: '-a'"),
+        ("compilador", ["--", "a.pl0+", "--"], "sobra el argumento '--'"),
+    ])
+    def test_usage_error(self, capsys, command, argv, message):
+        usage = COMMANDS[command][1]
+        assert refused(capsys, command, argv) == (
+            2, "", f"{usage}{command}: error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["-a"], ["--ayuda"],
+                                      ["programa.pl0+", "-a"],
+                                      ["-z", "-a"], ["a.pl0+", "b.pl0+", "-a"],
+                                      ["--lex", "--sem", "--ayuda"]])
+    def test_compiler_help(self, capsys, argv):
+        assert refused(capsys, "compilador", argv) == (0, COMPILER_HELP, "")
+
+    @pytest.mark.parametrize("argv", [["-a"], ["--ayuda"], ["-d", "-a"],
+                                      ["--max-pasos", "x", "x.p+", "-a"],
+                                      ["x.p+", "y.p+", "--ayuda"]])
+    def test_interpreter_help(self, capsys, argv):
+        assert refused(capsys, "interprete", argv) == (0, INTERPRETER_HELP,
+                                                        "")
+
+    def test_help_is_an_option_only_before_double_dash(self, capsys):
+        assert parse_interpreter_args(["--", "-a"]).input_path == "-a"
+        assert refused(capsys, "interprete", ["--ayuda=1", "x.p+"]) == (
+            2, "", f"{INTERPRETER_USAGE}interprete: error: opción no "
+                   f"reconocida: '--ayuda=1'\n")
+
+    def test_max_steps_with_equals(self):
+        config = parse_interpreter_args(["--max-pasos=40", "objeto.p+"])
+        assert (config.input_path, config.max_steps) == ("objeto.p+", 40)
+
+    def test_file_after_double_dash_may_start_with_a_dash(self, tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-eco.pl0+").write_text(ECHO, encoding="utf-8")
+        assert compiler_main(["-m", "--", "-eco.pl0+"]) == 0
+        assert (tmp_path / "-eco.p+").exists()
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdin", io.StringIO("8\n"))
+        assert interpreter_main(["--", "-eco.p+"]) == 0
+        assert capsys.readouterr() == ("8\n", "")
+
+    def test_options_after_the_file(self):
+        config = parse_compiler_args(["programa.pl0+", "--lex", "-m", "-x"])
+        assert [p.short_name for p in config.phases] == ["lex"]
+        assert (config.input_path, config.show_result, config.xml_errors) == (
+            "programa.pl0+", True, True)
+        config = parse_interpreter_args(["objeto.p+", "-d", "--max-pasos",
+                                         "7"])
+        assert (config.input_path, config.debug, config.max_steps) == (
+            "objeto.p+", True, 7)
+
+    def test_long_forms(self):
+        config = parse_compiler_args(["--mostrar", "--errores-xml",
+                                      "programa.pl0+"])
+        assert config.show_result and config.xml_errors
+        assert parse_interpreter_args(["--depurar", "objeto.p+"]).debug
+
+    def test_dash_alone_is_a_file(self):
+        assert parse_interpreter_args(["-"]).input_path == "-"
 
 
 def compiled_file(tmp_path, source_text, name="programa"):
@@ -479,30 +642,58 @@ class TestInstalledScripts:
         return result, json.loads(report.read_text(encoding="utf-8"))
 
     def test_interprete_loads_only_the_machine(self, tmp_path):
-        # Running a .p+ through the [project.scripts] target loads no
-        # compiler phase and no dataclasses.
+        # Running a .p+ through the [project.scripts] target loads the
+        # command-line plumbing, the p+ format and the machine: no
+        # compiler phase, no dataclasses and no argparse.
         target = compiled_file(tmp_path, ECHO)
         result, modules = self.run_with_module_report(
-            tmp_path, ["interprete", str(target)], stdin="5\n")
+            tmp_path, ["interprete", str(target)], stdin="5\n", flags=["-S"])
         assert result.returncode == 0, result.stderr
         assert result.stdout == "5\n"
         assert [name for name in modules if name.startswith("pl0plus")] == [
-            "pl0plus", "pl0plus.pvm", "pl0plus.xmldoc"]
-        assert "dataclasses" not in modules
+            "pl0plus", "pl0plus.command", "pl0plus.pcode", "pl0plus.pvm",
+            "pl0plus.xmldoc"]
+        for heavy in ("dataclasses", "argparse", "locale"):
+            assert heavy not in modules
 
     def test_compilador_loads_no_heavy_stdlib(self, tmp_path):
-        # A compile loads no dataclasses, inspect, typing or pathlib.
-        # Under -S, site's own imports (which load typing and pathlib on
-        # some installs) cannot hide one that the compiler brings in.
+        # A compile loads no dataclasses, inspect, typing or pathlib, no
+        # argparse with its gettext and locale, and not the machine, nor
+        # `cli`, which loads it.  Under -S, site's own imports (which load
+        # typing and pathlib on some installs) cannot hide one that the
+        # compiler brings in.
         source = tmp_path / "eco.pl0+"
         source.write_text(ECHO, encoding="utf-8")
         result, modules = self.run_with_module_report(
             tmp_path, ["compilador", str(source)], flags=["-S"])
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "eco.p+").exists()
-        assert "pl0plus.codegen" in modules
-        for heavy in ("dataclasses", "inspect", "typing", "pathlib"):
+        assert [name for name in modules if name.startswith("pl0plus")] == [
+            "pl0plus", "pl0plus.codegen", "pl0plus.command",
+            "pl0plus.compiler", "pl0plus.diagnostics", "pl0plus.lexer",
+            "pl0plus.parser", "pl0plus.pcode", "pl0plus.semantics",
+            "pl0plus.xmldoc"]
+        for heavy in ("dataclasses", "inspect", "typing", "pathlib",
+                      "argparse", "gettext", "locale"):
             assert heavy not in modules
+
+    def test_cli_loads_both_commands(self):
+        # `import pl0plus.cli` is the whole package's start-up: every
+        # layer, the machine included, and still no argparse.
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+                 "import pl0plus.cli; print(' '.join(sorted(name for name "
+                 "in sys.modules if name.startswith(('pl0plus', "
+                 "'argparse')))))")
+        result = subprocess.run([sys.executable, "-S", "-c", probe],
+                                capture_output=True, text=True,
+                                timeout=SCRIPT_TIMEOUT)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [
+            "pl0plus", "pl0plus.cli", "pl0plus.codegen", "pl0plus.command",
+            "pl0plus.compiler", "pl0plus.diagnostics", "pl0plus.lexer",
+            "pl0plus.parser", "pl0plus.pcode", "pl0plus.pvm",
+            "pl0plus.semantics", "pl0plus.xmldoc"]
 
     def test_interprete_takes_only_ascii_integers(self, tmp_path):
         # int() would take "0_1" as 1 and "٤" as 4.

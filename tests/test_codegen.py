@@ -6,8 +6,9 @@ import checks
 from pl0plus.codegen import MAIN_LABEL, generate
 from pl0plus.lexer import tokenize
 from pl0plus.parser import parse
-from pl0plus.pvm import (Instruction, Opcode, assembly_listing,
-                         format_instruction, program_from_xml, program_to_xml)
+from pl0plus.pcode import (Instruction, Opcode, assembly_listing,
+                           format_instruction, program_from_xml,
+                           program_to_xml)
 from pl0plus.semantics import analyze
 from pl0plus.xmldoc import (XmlLoadError, canonical_equal, parse_document,
                             serialize_document)

@@ -21,10 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import checks
-from pl0plus.cli import compiler_main
+from pl0plus.compiler import compiler_main
 from pl0plus.lexer import tokens_to_xml
 from pl0plus.parser import MAX_NESTING, ast_to_xml
-from pl0plus.pvm import Program, interpreter_main, program_to_xml
+from pl0plus.pcode import Program, program_to_xml
+from pl0plus.pvm import interpreter_main
 from pl0plus.semantics import revised_to_xml
 from pl0plus.xmldoc import parse_document, serialize_document
 

@@ -5,12 +5,13 @@ import io
 import pytest
 
 import checks
+from pl0plus.pcode import (Annotation, Instruction, Opcode, Program,
+                           program_to_xml)
 from pl0plus.pvm import (BAD_CODE_ADDRESS, BAD_INPUT, BAD_STACK_ACCESS,
                          DIVISION_BY_ZERO, STEP_LIMIT, WORD_MAX, WORD_MIN,
-                         Annotation, InputError, Instruction, ListIo,
-                         MachineState, Opcode, Program, PvmRuntimeError,
+                         InputError, ListIo, MachineState, PvmRuntimeError,
                          StreamIo, base, load, parse_interpreter_args,
-                         program_to_xml, reference_eval, run, step, wrap32)
+                         reference_eval, run, step, wrap32)
 from pl0plus.xmldoc import parse_document, serialize_document
 
 

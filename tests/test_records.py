@@ -8,7 +8,7 @@ fields in order with their defaults, equality over every field, and the
 
 import pytest
 
-from pl0plus.cli import PHASES, CompileConfig
+from pl0plus.compiler import PHASES, CompileConfig
 from pl0plus.diagnostics import Diagnostic
 from pl0plus.lexer import Token, TokenKind
 from pl0plus.parser import Empty, Ident, Num, Sequence

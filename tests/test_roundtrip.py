@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 import checks
 from pl0plus.lexer import Token, TokenKind, tokens_from_xml, tokens_to_xml
 from pl0plus.parser import ast_from_xml, ast_to_xml, walk
-from pl0plus.pvm import (WORD_MAX, Annotation, Instruction, Opcode, Program,
-                         program_from_xml, program_to_xml)
+from pl0plus.pcode import (Annotation, Instruction, Opcode, Program,
+                           program_from_xml, program_to_xml)
+from pl0plus.pvm import WORD_MAX
 from pl0plus.semantics import revised_from_xml, revised_to_xml
 from pl0plus.xmldoc import (MAX_INDENT_LEVELS, Cdata, Text, XmlDocument,
                             XmlNode)

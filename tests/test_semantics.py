@@ -1,5 +1,6 @@
 """Name resolution, symbol codes, and the revised tree's XML form."""
 
+import gc
 from copy import deepcopy
 
 import pytest
@@ -220,6 +221,18 @@ class TestAnalyze:
         assert ast.block.code == "b0"
         assert ast.block.variables[0].code == "v0_0"
         assert ast.block.body.statements[0].code == "v0_0"
+
+    def test_results_hold_no_reference_cycle(self):
+        # A scope links to its parent only, so reference counting alone
+        # frees the tree and table analyze gives.
+        ast = parsed(checks.corpus("anidado.pl0+").source)
+        gc.collect()
+        gc.disable()
+        try:
+            analyze(deepcopy(ast))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_reanalysis_is_stable(self):
         source = ("var x;\nprocedure p;\n    var y;\n"

@@ -7,7 +7,7 @@ import pytest
 import checks
 from pl0plus.lexer import tokens_from_xml
 from pl0plus.parser import ast_from_xml
-from pl0plus.pvm import program_from_xml
+from pl0plus.pcode import program_from_xml
 from pl0plus.semantics import revised_from_xml
 from pl0plus.xmldoc import (Cdata, Text, XmlDocument, XmlLoadError, XmlNode,
                             XmlParseError, canonical_equal, cdata_element,
@@ -221,11 +221,7 @@ class TestNoCycles:
         reader, text, edit = EARLY_LOAD_FAULTS[index][:3]
         for document in (text, text.replace(*edit)):
             assert _garbage_after(document, reader) == 0
-        # A revised tree's symbol table links scopes and symbols both
-        # ways, so its document is read with the tree reader alone.
         good = checks.phase_documents(checks.corpus("fibonacci.pl0+"))[index]
-        if reader is revised_from_xml:
-            reader = ast_from_xml
         assert _garbage_after(good, reader) == 0
 
 
