@@ -149,7 +149,7 @@ def _match_extension(path: str) -> Representation | None:
     return None
 
 
-def parse_compiler_args(argv=None, registry=PHASES) -> CompileConfig:
+def parse_compiler_args(argv=None) -> CompileConfig:
     command = Command(
         "compilador", "Compilador de pl0+ a código p+ por fases; cada fase "
                       "lee y escribe una representación XML documentada.",
@@ -159,15 +159,15 @@ def parse_compiler_args(argv=None, registry=PHASES) -> CompileConfig:
                 "advertencias como XML por salida de error")]
         + [Option((f"--{phase.short_name}",), "ejecuta la "
                   + phase.description[0].lower() + phase.description[1:])
-           for phase in registry],
+           for phase in PHASES],
         "archivo de entrada")
     values, path = command.parse(argv)
 
-    selected = [phase for phase in registry
+    selected = [phase for phase in PHASES
                 if f"--{phase.short_name}" in values]
     if not selected:
-        selected = list(registry)
-    indices = [registry.index(phase) for phase in selected]
+        selected = list(PHASES)
+    indices = [PHASES.index(phase) for phase in selected]
     if indices != list(range(indices[0], indices[-1] + 1)):
         command.error("las fases solicitadas deben ser consecutivas")
 

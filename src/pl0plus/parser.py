@@ -765,118 +765,76 @@ def tree_from_xml(text: str, check_root,
     """The tree and the source text of a tree document; `check_root(name)`
     raises XmlLoadError for a root element the caller does not take.
 
-    The first fault counts, in the order of the checks: the root; the
-    elements below it (a second `programa`, an element other than
-    `programa` and `fuente`, then a missing `programa`); then the elements
-    of `programa` from the top down, each one's checks before its
-    children's.  Those are: stray text or CDATA, its name and nesting, its
-    number of children and the class of the first, its attributes in field
-    order, and a condition's operation and number of operands; after its
-    children come a block's one statement and its position.  Events come
-    in document order, so an element's stray content and children become
-    known only after its children's faults may have been found.  So after
-    a fault, the elements open around it are watched until they close, and
-    a stray-content or shape fault of theirs takes its place."""
+    The first fault counts: the root's; then those of the elements below
+    it (a second `programa`, an element other than `programa` and
+    `fuente`, then a missing `programa`); then that of `programa`.  An
+    element of `programa` settles on its first fault when it closes, in
+    this order: (1) stray text or CDATA in it, (2) its name or nesting,
+    (3) its number of children and the class of the first, (4) its
+    attributes in field order and a condition's operation, (5) its
+    children's faults in document order, (6) a block's one statement,
+    then its position.  It hands that fault to its parent as a child's."""
     tree = source = root = fault = sections = None
     seen = False  # a `programa`
     skipped = 0  # open elements whose content is not read
     # One frame per open element of `programa`: its name, class, allowed
-    # numbers of children, form, leading arguments, the nodes of its
-    # children read so far, its attributes and its nesting.
-    stack: list[tuple] = []
-    # After a fault, one entry per element still open around it: its name,
-    # its shape error, or None if its shape cannot hide the fault, its
-    # allowed numbers of children, the class its first child must have,
-    # its number of children, its first child's class, and its stray
-    # content error, or None.
-    around: list[list] = []
-
-    def found(exc, hides=True, child=(), entry=None) -> None:
-        """Record the fault `exc` and watch the elements open around it.
-        The innermost one's shape may hide the fault if `hides`; `child`
-        holds the class of its child the fault came with, if any, and
-        `entry` is the element opening with the fault."""
-        nonlocal fault
-        fault = exc.with_traceback(None)  # its frames would hold the reader
-        for name, cls, arity, form, args, kids, _, _ in stack:
-            if around:  # this element is the open child of the one before
-                count_child(cls)
-            shape = None
-            if arity is not None:
-                shape = _shape_error(name, cls, arity, args)
-            around.append([name, shape, arity, form.first, len(kids),
-                           type(kids[0]) if kids else None, None])
-        stack.clear()
-        if around:
-            if not hides:
-                around[-1][1] = None
-            for cls in child:
-                count_child(cls)
-        if entry is not None:
-            around.append(entry)
-
-    def opening(name: str, form=None) -> list:
-        """The entry of an element opening with a fault; its shape may
-        hide the fault only if its `form` is given, for a fault in its
-        attributes."""
-        if form is None or form.arity is None:
-            return [name, None, None, None, 0, None, None]
-        return [name, _load_error(name, form.shape), form.arity, form.first,
-                0, None, None]
-
-    def count_child(cls) -> None:
-        top = around[-1]
-        top[4] += 1
-        if top[4] == 1:
-            top[5] = cls
+    # numbers of children (None: not checked), form, leading arguments,
+    # the nodes of its children read so far (None for a child with a
+    # fault, or only counted), its attributes, its nesting, its stray
+    # content fault and its other fault: the one it opened with, a child's,
+    # or its shape's when a child breaks it.  While it holds that fault,
+    # its children are only counted.
+    stack: list[list] = []
 
     def start(name, attributes):
         nonlocal root, seen, sections, skipped
-        if stack:
-            parent, pcls, parity, pform, pargs, kids, _, nesting = stack[-1]
+        if skipped:
+            skipped += 1
+        elif stack:
+            frame = stack[-1]
+            parity, pform, kids = frame[2], frame[3], frame[5]
             cls = _CLASSES.get(name)
-            if parity is not None:
-                count = len(kids)
-                if count == parity[-1] or (
-                        count == 0 and pform.first is not None
-                        and cls is not pform.first):
-                    found(_shape_error(parent, pcls, parity, pargs), False,
-                          (cls,))
-                    skipped = 1
-                    return
+            if parity is not None and (
+                    len(kids) == parity[-1] or not kids
+                    and pform.first is not None and cls is not pform.first):
+                frame[9] = _shape_error(frame[0], frame[1], parity, frame[4])
+                skipped = 1
+                return
+            if frame[9] is not None:
+                kids.append(None)
+                skipped = 1
+                return
+            form = _FORMS.get(cls)
+            nesting = frame[7]
+            args = arity = failure = None
+            if cls in _NESTED:
+                nesting += 1
             if (kids or pform.first is None) and cls not in pform.kinds:
                 what = "expresión" if pform.kinds is _EXPRESSIONS \
                     else "instrucción"
-                return found(XmlLoadError(f"{what} desconocida: '{name}'"),
-                             True, (cls,), opening(name))
-            form = _FORMS[cls]
-            if cls in _NESTED:
-                nesting += 1
-                if nesting > MAX_NESTING:
-                    return found(_load_error(name, f"anidamiento de más de "
-                                                   f"{MAX_NESTING} niveles"),
-                                 True, (cls,), opening(name))
-            args = [] if form.element is not None else [name]
-            try:
-                for key, _, read in form.attributes or ():
-                    args.append(read(name, attributes, key))
-            except XmlLoadError as exc:
-                return found(exc, True, (cls,), opening(name, form))
-            arity = form.arity
-            if cls is Cond:
-                op = args[0]
-                if op not in _COND_OPS:
-                    unknown = f"operación desconocida: '{op}'"
-                    return found(_load_error(name, unknown), True, (cls,),
-                                 opening(name))
-                arity = (1,) if op == "odd" else (2,)
-            stack.append((name, cls, arity, form, args, [], attributes,
-                          nesting))
-        elif skipped:
-            skipped += 1
-        elif around:
-            count_child(_CLASSES.get(name))
-            skipped = 1
+                failure = XmlLoadError(f"{what} desconocida: '{name}'")
+            elif nesting > MAX_NESTING:
+                failure = _load_error(name, f"anidamiento de más de "
+                                          f"{MAX_NESTING} niveles")
+            else:
+                arity = form.arity
+                args = [] if form.element is not None else [name]
+                try:
+                    for key, _, read in form.attributes or ():
+                        args.append(read(name, attributes, key))
+                except XmlLoadError as exc:
+                    # with its traceback, it would hold this frame
+                    failure = exc.with_traceback(None)
+                else:
+                    if cls is Cond:
+                        op = args[0]
+                        if op in _COND_OPS:
+                            arity = (1,) if op == "odd" else (2,)
+                        else:
+                            failure = _load_error(
+                                name, f"operación desconocida: '{op}'")
+            stack.append([name, cls, arity, form, args, [], attributes,
+                          nesting, None, failure])
         elif root is None:
             check_root(name)
             root = name
@@ -885,8 +843,8 @@ def tree_from_xml(text: str, check_root,
                 raise XmlLoadError("más de un elemento 'programa'")
             seen = True
             form = _FORMS[Program]
-            stack.append((name, Program, form.arity, form, [], [],
-                          attributes, 0))
+            stack.append([name, Program, form.arity, form, [], [],
+                          attributes, 0, None, None])
         elif name == "fuente":
             sections = []
             skipped = 1
@@ -895,12 +853,24 @@ def tree_from_xml(text: str, check_root,
 
     def end(name):
         nonlocal tree, fault, sections, skipped, source
-        if stack:
-            frame = stack.pop()
-            _, cls, arity, form, args, kids, attributes, _ = frame
+        if skipped:
+            skipped -= 1
+            if not skipped and sections is not None:
+                source = "".join(sections)
+                sections = None
+            return
+        if not stack:
+            return
+        _, cls, arity, form, args, kids, attributes, _, failure, held = \
+            stack.pop()
+        node = None
+        if failure is None:
+            if arity is not None and len(kids) not in arity:
+                failure = _shape_error(name, cls, arity, args)
+            else:
+                failure = held
+        if failure is None:
             try:
-                if arity is not None and len(kids) not in arity:
-                    raise _shape_error(name, cls, arity, args)
                 if cls is Block:
                     groups = {ConstDecl: [], VarDecl: [], ProcDecl: []}
                     statements: list = []
@@ -912,8 +882,7 @@ def tree_from_xml(text: str, check_root,
                     node = Block(*groups.values(), body, 0, 0)
                     node.line, node.column = _block_anchor(node)
                 elif cls is Program:
-                    tree = Program(kids[0], kids[0].line, kids[0].column)
-                    return
+                    node = Program(kids[0], kids[0].line, kids[0].column)
                 else:
                     if form.arity is None:
                         args.append(kids)
@@ -922,42 +891,32 @@ def tree_from_xml(text: str, check_root,
                                                  - len(kids))
                     node = cls(*args, int_attr(name, attributes, "linea"),
                                int_attr(name, attributes, "columna"))
+                if keep_codes and form.coded:
+                    node.code = attributes.get("codigo")
             except XmlLoadError as exc:
-                return found(exc, True, (cls,))
-            if keep_codes and form.coded:
-                node.code = attributes.get("codigo")
-            stack[-1][5].append(node)
-        elif skipped:
-            skipped -= 1
-            if not skipped and sections is not None:
-                source = "".join(sections)
-                sections = None
-        elif around:
-            _, shape, arity, first, count, first_cls, stray = around.pop()
-            if stray is not None:
-                fault = stray
-            elif shape is not None and (count not in arity or first
-                                        is not None and first_cls
-                                        is not first):
-                fault = shape
+                failure = exc.with_traceback(None)
+        if stack:
+            parent = stack[-1]
+            parent[5].append(node)
+            parent[9] = failure  # None before: else it skips its children
+        else:
+            tree, fault = node, failure
 
     def chars(data):
-        if (stack or around and not skipped) and not data.isspace():
+        if stack and not skipped and not data.isspace():
             stray("texto inesperado")
 
     def cdata(data):
-        if stack or around and not skipped:
+        if stack and not skipped:
             stray("CDATA inesperado")
         elif skipped == 1 and sections is not None:
             sections.append(data)
 
     def stray(detail: str) -> None:
-        """Stray content in the innermost element read or watched: the
-        first of its own checks."""
-        if stack:
-            found(_load_error(stack[-1][0], detail), False)
-        if around[-1][6] is None:
-            around[-1][6] = _load_error(around[-1][0], detail)
+        """Stray content in the innermost element read: its first fault."""
+        frame = stack[-1]
+        if frame[8] is None:
+            frame[8] = _load_error(frame[0], detail)
 
     read_document(text, start, end, chars, cdata)
     if not seen:

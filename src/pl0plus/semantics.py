@@ -57,10 +57,9 @@ class Symbol(Record):
 class Scope:
     """One block's symbols plus a link to the enclosing scope."""
 
-    def __init__(self, path: list[int], parent: "Scope | None" = None,
-                 code: str | None = None):
+    def __init__(self, path: list[int], parent: "Scope | None" = None):
         self.path = list(path)
-        self.code = code if code is not None else symbol_code(BLOCK, path)
+        self.code = symbol_code(BLOCK, path)
         self.parent = parent
         self.symbols: dict[str, Symbol] = {}
         self._counts = {CONSTANT: 0, VARIABLE: 0, PROCEDURE: 0}
@@ -99,9 +98,7 @@ class SymbolTable:
         self.by_code: dict[str, Symbol] = {}
         self.scopes_by_code: dict[str, Scope] = {self.root.code: self.root}
 
-    def new_scope(self, parent: Scope, child_index: int,
-                  code: str | None = None) -> Scope:
-        scope = Scope(parent.path + [child_index], parent, code)
+    def register_scope(self, scope: Scope) -> Scope:
         if scope.code in self.scopes_by_code:
             raise XmlLoadError(f"código de bloque duplicado: '{scope.code}'")
         self.scopes_by_code[scope.code] = scope
@@ -135,7 +132,8 @@ class _Analyzer:
             self.declare(proc, PROCEDURE, scope)
             # The child scope index is the syntactic position, so block
             # codes stay unique even when a duplicate name was rejected.
-            child = self.table.new_scope(scope, position)
+            child = self.table.register_scope(
+                Scope(scope.path + [position], scope))
             self.visit_block(proc.block, child)
         self.visit_body(block.body, scope)
 
@@ -147,38 +145,27 @@ class _Analyzer:
         self.table.register(symbol)
         node.code = symbol.code
 
-    def resolve_value(self, node, name: str, scope: Scope) -> Symbol | None:
-        """An identifier used where a value is needed."""
+    def resolve(self, node, name: str, scope: Scope,
+                target: bool = False) -> str | None:
+        """The code of an identifier used where a value is needed, or that
+        is about to be stored into if `target`; None if it is not one."""
         symbol = scope.lookup(name)
         if symbol is None:
             self.err(node, "Referencia a variable no declarada")
-            return None
-        if symbol.kind == PROCEDURE:
+        elif symbol.kind == PROCEDURE:
             self.err(node, "Uso inválido de procedimiento")
-            return None
-        return symbol
-
-    def resolve_target(self, node, name: str, scope: Scope) -> Symbol | None:
-        """An identifier that is about to be stored into."""
-        symbol = scope.lookup(name)
-        if symbol is None:
-            self.err(node, "Referencia a variable no declarada")
-            return None
-        if symbol.kind == PROCEDURE:
-            self.err(node, "Uso inválido de procedimiento")
-            return None
-        if symbol.kind == CONSTANT:
+        elif target and symbol.kind == CONSTANT:
             self.err(node, "Asignación a constante")
-            return None
-        return symbol
+        else:
+            return symbol.code
+        return None
 
     def visit_body(self, body, scope: Scope) -> None:
         # A statement never contains declarations, so the whole body
         # resolves in the block's own scope.
         for node in walk(body):
             if isinstance(node, Assign):
-                symbol = self.resolve_target(node, node.target, scope)
-                node.code = symbol.code if symbol else None
+                node.code = self.resolve(node, node.target, scope, True)
             elif isinstance(node, Call):
                 symbol = scope.lookup(node.procedure)
                 if symbol is None or symbol.kind != PROCEDURE:
@@ -186,14 +173,11 @@ class _Analyzer:
                 else:
                     node.code = symbol.code
             elif isinstance(node, Read):
-                symbol = self.resolve_target(node, node.variable, scope)
-                node.code = symbol.code if symbol else None
+                node.code = self.resolve(node, node.variable, scope, True)
             elif isinstance(node, Write):
-                symbol = self.resolve_value(node, node.symbol, scope)
-                node.code = symbol.code if symbol else None
+                node.code = self.resolve(node, node.symbol, scope)
             elif isinstance(node, Ident):
-                symbol = self.resolve_value(node, node.name, scope)
-                node.code = symbol.code if symbol else None
+                node.code = self.resolve(node, node.name, scope)
 
 
 def analyze(ast: Program) -> tuple[Program, SymbolTable, list[Diagnostic]]:
@@ -248,9 +232,7 @@ def _rebuild_block(block: Block, scope: Scope, table: SymbolTable) -> None:
         raise XmlLoadError(
             f"bloque sin atributo 'codigo' (línea {block.line})")
     scope.code = block.code
-    if scope.code in table.scopes_by_code:
-        raise XmlLoadError(f"código de bloque duplicado: '{scope.code}'")
-    table.scopes_by_code[scope.code] = scope
+    table.register_scope(scope)
 
     def declare(node, kind: str, value=None) -> None:
         code = _require_code(node, {CONSTANT: "constante",

@@ -477,6 +477,19 @@ FAULT_ORDER = [
     (f"<brinco {P}/>{NADA}", "instrucción desconocida: 'brinco'"),
     (f'<secuencia linea="x" columna="0"><brinco {P}/></secuencia>',
      "instrucción desconocida: 'brinco'"),
+    # stray text before the number of children
+    (f"<condicional {P}>hola{NADA}</condicional>",
+     "elemento 'condicional': texto inesperado"),
+    # the attributes before the children's faults
+    (f"<asignacion {P}><x/></asignacion>",
+     "elemento 'asignacion': falta el atributo 'variable'"),
+    # the operation before the operands
+    (f"<ciclo {P}>{condition('igual', '<x/>')}{NADA}</ciclo>",
+     "elemento 'condicion': operación desconocida: 'igual'"),
+    # the nesting before the number of children
+    (f"<secuencia {P}>" * MAX_NESTING + f"<condicional {P}/>"
+     + "</secuencia>" * MAX_NESTING,
+     "elemento 'condicional': anidamiento de más de 200 niveles"),
 ]
 
 

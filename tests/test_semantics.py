@@ -408,6 +408,17 @@ class TestXml:
         with pytest.raises(XmlLoadError, match="duplicado"):
             revised_from_xml(serialize_document(doc))
 
+    def test_duplicate_block_code_rejected(self):
+        revised, table = analyzed("procedure p;\nbegin end;\n"
+                                  "procedure q;\nbegin end;\nbegin end.")
+        doc = parse_document(revised_to_xml(revised, table))
+        _, first, second = find_elements(doc.root, "bloque")
+        assert first.attributes["codigo"] == "b0_0"
+        second.attributes["codigo"] = "b0_0"
+        with pytest.raises(XmlLoadError) as info:
+            revised_from_xml(serialize_document(doc))
+        assert str(info.value) == "código de bloque duplicado: 'b0_0'"
+
     def test_unresolvable_read_target_rejected(self):
         doc = self.small_doc()
         (read,) = find_elements(doc.root, "leer")
