@@ -1,63 +1,36 @@
 """The `compilador` command.
 
-The compiler is a pipeline over four phases.  Each phase is described by
-a PhaseDescriptor naming the representation it consumes and the one it
-produces; the driver validates that the requested phases are consecutive,
-that the input file's extension matches the first phase, and writes the
-last phase's XML next to the input with the new extension.  Adding a
-phase means adding a descriptor, not editing the driver.
+The compiler is a pipeline over four phases, described by one table,
+PHASES: each phase's option name and description, the extension of the
+document it writes, and how to run it, write that document and read it
+back.  A phase reads what the phase before it writes; the first reads
+the `.pl0+` source.  The driver checks that the requested phases are
+consecutive and that the input file's extension is the one the first of
+them reads, then writes the last one's document next to the input.
+Adding a phase means adding a descriptor, not editing the driver.
 
 The `compilador` script starts here, not in `cli`, so a compile loads
 only the compiler: the p+ format comes from `pcode`, and the machine in
-`pvm` is never loaded.  The layers are called through their modules
-(`diagnostics.render_text`, not a name bound here), so a tool that wraps
-a layer's functions in that layer's module sees every call.
+`pvm` is never loaded.  The layers are called through their modules, by
+names looked up at each call (`diagnostics.render_text`, not a name bound
+here), so a tool that wraps a layer's functions in that layer's module
+sees every call.  The `-x` report comes from `diagnostics` as text, so a
+compile builds no XML tree.
 """
 
 from __future__ import annotations
 
 import sys
 
-from . import codegen, diagnostics, lexer, parser, semantics, xmldoc
+from . import codegen, diagnostics, lexer, parser, semantics
 from .command import Command, Option, read_input
 from .diagnostics import PHASE_DESCRIPTIONS, has_errors
 from .xmldoc import Record, XmlLoadError, XmlParseError
 
 
-class Representation(Record):
-    __slots__ = ("name", "extension", "load", "save")
-
-    def __init__(self, name: str, extension: str, load=None, save=None):
-        self.name = name
-        self.extension = extension
-        self.load = load  # document text -> (payload, source or None)
-        self.save = save  # (payload, source or None) -> document text
-
-
-def _load_lexemes(text):
-    return lexer.tokens_from_xml(text)
-
-
-def _save_lexemes(tokens, source):
-    return lexer.tokens_to_xml(tokens, source)
-
-
-def _load_tree(text):
-    return parser.ast_from_xml(text)
-
-
-def _save_tree(ast, source):
-    return parser.ast_to_xml(ast, source)
-
-
-def _load_revised(text):
-    revised, table, source = semantics.revised_from_xml(text)
-    return (revised, table), source
-
-
-def _save_revised(payload, source):
-    revised, table = payload
-    return semantics.revised_to_xml(revised, table, source)
+def _late(module, name: str):
+    """`module.name`, looked up at each call rather than bound here."""
+    return lambda *args: getattr(module, name)(*args)
 
 
 def _save_pcode(program, source):
@@ -65,68 +38,48 @@ def _save_pcode(program, source):
     return codegen.program_to_xml(program)
 
 
-REPRESENTATIONS = {
-    "source": Representation("source", ".pl0+"),
-    "lexemes": Representation("lexemes", ".pl0+lex",
-                              _load_lexemes, _save_lexemes),
-    "syntax_tree": Representation("syntax_tree", ".pl0+sin",
-                                  _load_tree, _save_tree),
-    "revised_tree": Representation("revised_tree", ".pl0+sem",
-                                   _load_revised, _save_revised),
-    "pcode": Representation("pcode", ".p+", save=_save_pcode),
-}
-
-
 class PhaseDescriptor(Record):
-    __slots__ = ("short_name", "description", "input_representation",
-                 "output_representation", "run", "needs_error_free")
+    """One phase and the document it writes.
 
-    def __init__(self, short_name: str, description: str,
-                 input_representation: str, output_representation: str,
-                 run, needs_error_free: bool = False):
+    What a phase hands on is a tuple: `run(*made)` returns the phase's
+    own tuple followed by its findings, `save(*made, source)` writes that
+    tuple as the phase's document, and `load(text)` reads it back,
+    followed by the document's `fuente` or None.  The last phase's
+    document is read by no phase, so it has no `load`.
+    """
+
+    __slots__ = ("short_name", "description", "extension", "run", "save",
+                 "load", "needs_error_free")
+
+    def __init__(self, short_name: str, extension: str, run, save,
+                 load=None, needs_error_free: bool = False):
         self.short_name = short_name
-        self.description = description
-        self.input_representation = input_representation
-        self.output_representation = output_representation
-        self.run = run  # (payload, diagnostics) -> payload or None
+        self.description = PHASE_DESCRIPTIONS[short_name]
+        self.extension = extension
+        self.run = run
+        self.save = save
+        self.load = load
         self.needs_error_free = needs_error_free
 
 
-def _run_lex(source, diags):
-    tokens, found = lexer.tokenize(source)
-    diags.extend(found)
-    return tokens
-
-
-def _run_sin(tokens, diags):
-    ast, found = parser.parse(tokens)
-    diags.extend(found)
-    return ast
-
-
-def _run_sem(ast, diags):
-    revised, table, found = semantics.analyze(ast)
-    diags.extend(found)
-    return revised, table
-
-
-def _run_gen(payload, diags):
-    revised, table = payload
-    program, found = codegen.generate(revised, table)
-    diags.extend(found)
-    return program
-
-
 PHASES = (
-    PhaseDescriptor("lex", PHASE_DESCRIPTIONS["lex"], "source", "lexemes",
-                    _run_lex),
-    PhaseDescriptor("sin", PHASE_DESCRIPTIONS["sin"], "lexemes",
-                    "syntax_tree", _run_sin),
-    PhaseDescriptor("sem", PHASE_DESCRIPTIONS["sem"], "syntax_tree",
-                    "revised_tree", _run_sem),
-    PhaseDescriptor("gen", PHASE_DESCRIPTIONS["gen"], "revised_tree",
-                    "pcode", _run_gen, needs_error_free=True),
+    PhaseDescriptor("lex", ".pl0+lex", _late(lexer, "tokenize"),
+                    _late(lexer, "tokens_to_xml"),
+                    _late(lexer, "tokens_from_xml")),
+    PhaseDescriptor("sin", ".pl0+sin", _late(parser, "parse"),
+                    _late(parser, "ast_to_xml"),
+                    _late(parser, "ast_from_xml")),
+    PhaseDescriptor("sem", ".pl0+sem", _late(semantics, "analyze"),
+                    _late(semantics, "revised_to_xml"),
+                    _late(semantics, "revised_from_xml")),
+    PhaseDescriptor("gen", ".p+", _late(codegen, "generate"), _save_pcode,
+                    needs_error_free=True),
 )
+
+# EXTENSIONS[i] is the extension of the file that PHASES[i] reads: the
+# first phase reads the source, each other one what the phase before
+# wrote.  None of them is a suffix of another.
+EXTENSIONS = (".pl0+",) + tuple(phase.extension for phase in PHASES)
 
 
 class CompileConfig(Record):
@@ -138,15 +91,6 @@ class CompileConfig(Record):
         self.phases = phases
         self.show_result = show_result
         self.xml_errors = xml_errors
-
-
-def _match_extension(path: str) -> Representation | None:
-    candidates = sorted(REPRESENTATIONS.values(),
-                        key=lambda rep: len(rep.extension), reverse=True)
-    for rep in candidates:
-        if path.endswith(rep.extension):
-            return rep
-    return None
 
 
 def parse_compiler_args(argv=None) -> CompileConfig:
@@ -171,31 +115,29 @@ def parse_compiler_args(argv=None) -> CompileConfig:
     if indices != list(range(indices[0], indices[-1] + 1)):
         command.error("las fases solicitadas deben ser consecutivas")
 
-    rep = _match_extension(path)
-    if rep is None:
+    found = [ext for ext in EXTENSIONS if path.endswith(ext)]
+    if not found:
         command.error(f"extensión no reconocida: '{path}'")
-    first = selected[0]
-    expected = REPRESENTATIONS[first.input_representation]
-    if rep is not expected:
-        command.error(f"la fase '{first.short_name}' espera un archivo "
-                      f"'{expected.extension}', no '{rep.extension}'")
+    expected = EXTENSIONS[indices[0]]
+    if found[0] != expected:
+        command.error(f"la fase '{selected[0].short_name}' espera un archivo "
+                      f"'{expected}', no '{found[0]}'")
     return CompileConfig(path, tuple(selected), "--mostrar" in values,
                          "--errores-xml" in values)
 
 
 def run_pipeline(config: CompileConfig) -> int:
     path = config.input_path
-    first = config.phases[0]
-    input_rep = REPRESENTATIONS[first.input_representation]
+    first = PHASES.index(config.phases[0])
     text = read_input(path)
     if text is None:
         return 2
 
-    if input_rep.name == "source":
-        payload, source = text, text
+    if first == 0:
+        made, source = (text,), text
     else:
         try:
-            payload, source = input_rep.load(text)
+            *made, source = PHASES[first - 1].load(text)
         except (XmlParseError, XmlLoadError) as exc:
             print(f"Error: '{path}': {exc}", file=sys.stderr)
             return 2
@@ -203,11 +145,12 @@ def run_pipeline(config: CompileConfig) -> int:
     diags = []
     last_run = None
     for phase in config.phases:
-        if payload is None:
+        if made[0] is None:
             break
         if phase.needs_error_free and has_errors(diags):
             break
-        payload = phase.run(payload, diags)
+        *made, found = phase.run(*made)
+        diags.extend(found)
         last_run = phase
 
     if source is not None:
@@ -215,11 +158,9 @@ def run_pipeline(config: CompileConfig) -> int:
     ordered = diagnostics.sort_diagnostics(diags)
     failed = has_errors(ordered)
 
-    if not failed and payload is not None and last_run is not None:
-        output_rep = REPRESENTATIONS[last_run.output_representation]
-        rendered = output_rep.save(payload, source)
-        output_path = path[:-len(input_rep.extension)] \
-            + output_rep.extension
+    if not failed and made[0] is not None and last_run is not None:
+        rendered = last_run.save(*made, source)
+        output_path = path[:-len(EXTENSIONS[first])] + last_run.extension
         try:
             with open(output_path, "w", encoding="utf-8") as out:
                 out.write(rendered + "\n")
@@ -233,8 +174,7 @@ def run_pipeline(config: CompileConfig) -> int:
     if ordered:
         sys.stdout.write(diagnostics.render_text(ordered))
         if config.xml_errors:
-            sys.stderr.write(xmldoc.serialize_document(
-                diagnostics.render_xml(ordered)) + "\n")
+            sys.stderr.write(diagnostics.render_xml(ordered) + "\n")
     return 1 if failed else 0
 
 

@@ -2,13 +2,14 @@
 
 Every phase appends Diagnostic records to one flat list; the driver sorts
 them once at the end and renders them either as text blocks on standard
-output or, on request, as an `errores_y_advertencias` XML document.
+output or, on request, as the text of an `errores_y_advertencias` XML
+document, written in the house style with no tree between.
 All user-facing message text is Spanish.
 """
 
 from __future__ import annotations
 
-from .xmldoc import Record, Text, XmlDocument, XmlNode, cdata_element
+from .xmldoc import DECLARATION, Record, cdata_line, escape_text, indent
 
 ERROR = "error"
 WARNING = "warning"
@@ -88,23 +89,31 @@ def render_text(items) -> str:
         lines.append(f"Fase de origen:{item.phase}")
         lines.append(f"Línea {item.line}: {item.message}")
         lines.append(item.context)
-        lines.append("-" * item.column + "^")
+        # The caret points into the line above it, never past its end.
+        lines.append("-" * min(item.column, len(item.context)) + "^")
     return "\n".join(lines) + ("\n" if items else "")
 
 
-def render_xml(items) -> XmlDocument:
-    """The `-x` report.  Both the `errores` and `advertencias` groups are
-    always present; each finding is an `error` element either way."""
-    root = XmlNode("errores_y_advertencias")
-    groups = {
-        ERROR: root.element("errores"),
-        WARNING: root.element("advertencias"),
-    }
-    for item in items:
-        node = groups[item.severity].element(
-            "error", columna=item.column, linea=item.line)
-        node.element("mensaje").add(Text(item.message))
-        node.add(cdata_element("contexto", item.context))
-        node.element("fase", nombre=item.phase).add(
-            Text(PHASE_DESCRIPTIONS[item.phase]))
-    return XmlDocument(root)
+def render_xml(items) -> str:
+    """The `-x` report's text, in the house style of the phase documents.
+    Both the `errores` and `advertencias` groups are always present; each
+    finding is an `error` element either way."""
+    lines = [DECLARATION, "<errores_y_advertencias>"]
+    for severity, group in ((ERROR, "errores"), (WARNING, "advertencias")):
+        found = [item for item in items if item.severity == severity]
+        if not found:
+            lines.append(f"{indent(1)}<{group}/>")
+            continue
+        lines.append(f"{indent(1)}<{group}>")
+        for item in found:
+            lines += [
+                f'{indent(2)}<error columna="{item.column}" '
+                f'linea="{item.line}">',
+                f"{indent(3)}<mensaje>{escape_text(item.message)}</mensaje>",
+                cdata_line(3, "contexto", item.context),
+                f'{indent(3)}<fase nombre="{item.phase}">'
+                f"{PHASE_DESCRIPTIONS[item.phase]}</fase>",
+                f"{indent(2)}</error>"]
+        lines.append(f"{indent(1)}</{group}>")
+    lines.append("</errores_y_advertencias>")
+    return "\n".join(lines)

@@ -361,14 +361,15 @@ def _trace(state: MachineState, err) -> None:
 
 def _source_line(code: list, address: int) -> str:
     """`, línea L` for the instruction at address: the `linea` of its
-    first `informacion` that has one, or of the nearest such instruction
-    before it; empty when there is none."""
+    first `informacion` whose `linea` is ASCII digits, or of the nearest
+    such instruction before it; empty when there is none.  The digits are
+    printed as a number, with no conversion to limit their count."""
     if 0 <= address < len(code):
         for instruction in reversed(code[:address + 1]):
             for annotation in instruction.annotations:
                 line = annotation.attributes.get("linea", "")
-                if line.isdecimal():
-                    return f", línea {int(line)}"
+                if line.isascii() and line.isdigit():
+                    return f", línea {line.lstrip('0') or '0'}"
     return ""
 
 

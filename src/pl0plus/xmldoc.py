@@ -9,14 +9,15 @@ self-closing empty elements, text and CDATA kept inline with their parent
 tag).  Its `Record` base serves every record of the compiler and the
 machine too.
 
-The phase documents go to and from text with no tree between: the phase
-writers emit their text with the writing helpers that `serialize_document`
-uses too, and each phase reader hands its own handlers to `read_document`,
+No command builds a tree.  The phase writers and the `-x` error report
+emit their text with the writing helpers that `serialize_document` uses
+too, and each phase reader hands its own handlers to `read_document`,
 which runs expat and builds the phase's records as the events arrive.
-`XmlNode` trees remain for the `-x` error report and for the tests, which
-read them with `parse_document`.  The readers trust expat's names and
-`str` values; the building API (`XmlNode(...)`, `.set()`, `.element()`)
-checks names and coerces values to `str`.
+`XmlNode` trees, `parse_document` and `serialize_document` remain as the
+tests' oracle for each writer's text, and because perfbench's tracer
+looks both functions up here.  The readers trust expat's names and `str`
+values; the building API (`XmlNode(...)`, `.set()`, `.element()`) checks
+names and coerces values to `str`.
 """
 
 from __future__ import annotations
@@ -160,11 +161,6 @@ class XmlDocument(Record):
 
     def __init__(self, root: XmlNode):
         self.root = root
-
-
-def cdata_element(name: str, text: str) -> XmlNode:
-    """An element wrapping arbitrary text as CDATA (used for `fuente` etc.)."""
-    return XmlNode(name, {}, list(cdata_sections(text)))
 
 
 def str_attr(tag: str, attributes: dict, name: str) -> str:

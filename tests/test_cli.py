@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from checks import (DEEP_TREE_SHAPES, NESTING_SHAPES, deep_tree, flat_sum,
-                    nested, nesting_opener)
+from checks import (DATA, DEEP_TREE_SHAPES, NESTING_SHAPES, deep_tree,
+                    flat_sum, nested, nesting_opener)
 from pl0plus.cli import compiler_main, interpreter_main
 from pl0plus.compiler import (PHASES, CompileConfig, parse_compiler_args,
                               run_pipeline)
@@ -31,6 +31,38 @@ RUNAWAY = ("var x;\nbegin\n    x := 0;\n    while 1 = 1 do\n"
 # Seconds a command may take before its test fails instead of stalling
 # the suite; one run takes well under a second.
 SCRIPT_TIMEOUT = 10
+
+
+# `compilador -x errores_programa.pl0+`'s standard error, byte for byte.
+ERRORES_PROGRAMA_REPORT = """\
+<?xml version="1.0" ?>
+<errores_y_advertencias>
+  <errores>
+    <error columna="10" linea="4">
+      <mensaje>Falta un operador</mensaje>
+      <contexto><![CDATA[    i := 2 % 4;]]></contexto>
+      <fase nombre="sin">Fase de análisis sintáctico</fase>
+    </error>
+    <error columna="11" linea="4">
+      <mensaje>Caracter inválido.</mensaje>
+      <contexto><![CDATA[    i := 2 % 4;]]></contexto>
+      <fase nombre="lex">Fase de análisis léxico</fase>
+    </error>
+    <error columna="8" linea="9">
+      <mensaje>Referencia a variable no declarada</mensaje>
+      <contexto><![CDATA[        f1:=f; i:=i+1;]]></contexto>
+      <fase nombre="sem">Fase de análisis semántico</fase>
+    </error>
+  </errores>
+  <advertencias>
+    <error columna="18" linea="5">
+      <mensaje>Falta un ';'</mensaje>
+      <contexto><![CDATA[    f := 9 - i * 2]]></contexto>
+      <fase nombre="sin">Fase de análisis sintáctico</fase>
+    </error>
+  </advertencias>
+</errores_y_advertencias>
+"""
 
 
 def config_for(path, *flags):
@@ -184,6 +216,12 @@ class TestPipeline:
         assert report.root.name == "errores_y_advertencias"
         (item,) = report.root.find("errores").elements()
         assert item.find("fase").get("nombre") == "sem"
+
+    def test_xml_report_text(self, tmp_path, capsys):
+        source = tmp_path / "errores_programa.pl0+"
+        shutil.copyfile(DATA / "errores_programa.pl0+", source)
+        assert compiler_main(["-x", str(source)]) == 1
+        assert capsys.readouterr().err == ERRORES_PROGRAMA_REPORT
 
     def test_clean_compilation_emits_no_xml_report(self, tmp_path, capsys):
         source = tmp_path / "eco.pl0+"

@@ -85,10 +85,19 @@ class TestRenderText:
     def test_empty_list_renders_nothing(self):
         assert render_text([]) == ""
 
+    @pytest.mark.parametrize("context, caret", [
+        ("x := y", "------^"), ("", "^")], ids=["line", "no-line"])
+    def test_caret_stops_at_the_end_of_its_line(self, context, caret):
+        # A hand-edited document can place a finding anywhere; the caret
+        # still points into the line printed above it.
+        item = error("sem", 1, 10 ** 7, "Referencia a variable no declarada")
+        item.context = context
+        assert render_text([item]).split("\n")[-3:] == [context, caret, ""]
+
 
 class TestRenderXml:
     def test_both_groups_always_present(self):
-        root = render_xml([]).root
+        root = parse_document(render_xml([])).root
         assert root.name == "errores_y_advertencias"
         assert [c.name for c in root.elements()] == ["errores", "advertencias"]
         assert root.find("errores").children == []
@@ -99,7 +108,7 @@ class TestRenderXml:
             warning("sin", 5, 18, "Falta un ';'"),
             error("lex", 4, 11, "Caracter inválido."),
         ])
-        root = render_xml(items).root
+        root = parse_document(render_xml(items)).root
         errores = root.find("errores").elements()
         avisos = root.find("advertencias").elements()
         assert [e.name for e in errores] == ["error"]
@@ -111,7 +120,8 @@ class TestRenderXml:
     def test_item_structure(self):
         item = error("lex", 4, 11, "Caracter inválido.")
         item.context = "    i := 2 % 4;"
-        node = render_xml([item]).root.find("errores").elements()[0]
+        node = parse_document(render_xml([item])).root \
+            .find("errores").elements()[0]
         assert node.find("mensaje").text() == "Caracter inválido."
         assert node.find("contexto").cdata() == "    i := 2 % 4;"
         fase = node.find("fase")
@@ -123,7 +133,7 @@ class TestRenderXml:
                                  ("sin", "Fase de análisis sintáctico"),
                                  ("sem", "Fase de análisis semántico"),
                                  ("gen", "Fase de generación de código")):
-            root = render_xml([error(phase, 1, 0, "m")]).root
+            root = parse_document(render_xml([error(phase, 1, 0, "m")])).root
             fase = root.find("errores").elements()[0].find("fase")
             assert fase.text() == described
 
@@ -150,4 +160,5 @@ class TestRenderXml:
                 </error>
               </advertencias>
             </errores_y_advertencias>""")
-        assert canonical_equal(render_xml(sort_diagnostics(items)), expected)
+        assert canonical_equal(
+            parse_document(render_xml(sort_diagnostics(items))), expected)

@@ -378,8 +378,10 @@ class TestXml:
             ast_from_xml(text)
 
 
-# One malformed tree document per message of the tree reader.  The body
-# goes inside `<programa><bloque>`; `sem` loads it as a revised tree.
+# One malformed tree document per message of the tree reader: a test id,
+# the body and the message.  The id names the case, not the message, which
+# several cases share.  The body goes inside `<programa><bloque>`; `sem`
+# loads it as a revised tree.
 P = 'linea="1" columna="0"'
 NADA = f"<nada {P}/>"
 UNO = f'<numero {P} valor="1"/>'
@@ -396,53 +398,76 @@ def condition(operation, *operands):
 
 
 LOADER_MESSAGES = [
-    (f'<leer {P} variable="x">{UNO}</leer>',
+    ("leer-child",
+     f'<leer {P} variable="x">{UNO}</leer>',
      "elemento 'leer': no admite hijos"),
-    (f'<asignacion {P} variable="x"/>',
+    ("assign-no-expression",
+     f'<asignacion {P} variable="x"/>',
      "elemento 'asignacion': se esperaba exactamente una expresión"),
-    (f"<condicional {P}>{NADA}{NADA}</condicional>",
+    ("if-no-condition",
+     f"<condicional {P}>{NADA}{NADA}</condicional>",
      "elemento 'condicional': se esperaba una condición y una o dos "
      "instrucciones"),
-    (f"<condicional {P}>{ODD}</condicional>",
+    ("if-no-statement",
+     f"<condicional {P}>{ODD}</condicional>",
      "elemento 'condicional': se esperaba una condición y una o dos "
      "instrucciones"),
-    (f"<ciclo {P}>{NADA}{ODD}</ciclo>",
+    ("while-statement-first",
+     f"<ciclo {P}>{NADA}{ODD}</ciclo>",
      "elemento 'ciclo': se esperaba una condición y una instrucción"),
-    (f"<ciclo {P}>{ODD}{NADA}{NADA}</ciclo>",
+    ("while-two-statements",
+     f"<ciclo {P}>{ODD}{NADA}{NADA}</ciclo>",
      "elemento 'ciclo': se esperaba una condición y una instrucción"),
-    (assign(f"<suma {P}>{UNO}</suma>"),
+    ("sum-one-operand",
+     assign(f"<suma {P}>{UNO}</suma>"),
      "elemento 'suma': se esperaban dos operandos"),
-    (assign(f"<negativo {P}/>"),
+    ("neg-no-operand",
+     assign(f"<negativo {P}/>"),
      "elemento 'negativo': se esperaba un operando"),
-    (f"<ciclo {P}>{condition('igual', UNO, UNO)}{NADA}</ciclo>",
+    ("unknown-operation",
+     f"<ciclo {P}>{condition('igual', UNO, UNO)}{NADA}</ciclo>",
      "elemento 'condicion': operación desconocida: 'igual'"),
-    (f"<ciclo {P}>{condition('odd', UNO, UNO)}{NADA}</ciclo>",
+    ("odd-two-operands",
+     f"<ciclo {P}>{condition('odd', UNO, UNO)}{NADA}</ciclo>",
      "elemento 'condicion': la operación 'odd' requiere 1 operando(s)"),
-    (f"<ciclo {P}>{condition('menor_que', UNO)}{NADA}</ciclo>",
+    ("less-one-operand",
+     f"<ciclo {P}>{condition('menor_que', UNO)}{NADA}</ciclo>",
      "elemento 'condicion': la operación 'menor_que' requiere 2 "
      "operando(s)"),
-    (NADA + NADA, "elemento 'bloque': más de una instrucción"),
-    (f"<secuencia {P}>{NADA}hola</secuencia>",
+    ("block-two-statements",
+     NADA + NADA, "elemento 'bloque': más de una instrucción"),
+    ("sequence-text",
+     f"<secuencia {P}>{NADA}hola</secuencia>",
      "elemento 'secuencia': texto inesperado"),
-    (f"<secuencia {P}><![CDATA[hola]]></secuencia>",
+    ("sequence-cdata",
+     f"<secuencia {P}><![CDATA[hola]]></secuencia>",
      "elemento 'secuencia': CDATA inesperado"),
-    (f"<brinco {P}/>", "instrucción desconocida: 'brinco'"),
-    (assign(NADA), "expresión desconocida: 'nada'"),
-    (f"<secuencia {P}>{ODD}</secuencia>",
+    ("unknown-statement",
+     f"<brinco {P}/>", "instrucción desconocida: 'brinco'"),
+    ("unknown-expression",
+     assign(NADA), "expresión desconocida: 'nada'"),
+    ("condition-as-statement",
+     f"<secuencia {P}>{ODD}</secuencia>",
      "instrucción desconocida: 'condicion'"),
-    (f'<procedimiento {P} nombre="p"/>{NADA}',
+    ("procedure-no-block",
+     f'<procedimiento {P} nombre="p"/>{NADA}',
      "elemento 'procedimiento': se esperaba exactamente un 'bloque'"),
-    (f'<leer linea="uno" columna="0" variable="x"/>',
+    ("line-not-integer",
+     f'<leer linea="uno" columna="0" variable="x"/>',
      "elemento 'leer': el atributo 'linea' no es un entero: 'uno'"),
-    (assign(f'<identificador {P}/>'),
+    ("identifier-no-symbol",
+     assign(f'<identificador {P}/>'),
      "elemento 'identificador': falta el atributo 'simbolo'"),
     # Checks the parent reader did not make on declarations: every
     # element is now checked alike.
-    (f'<constante {P} nombre="c" valor="1">uno</constante>{NADA}',
+    ("constant-text",
+     f'<constante {P} nombre="c" valor="1">uno</constante>{NADA}',
      "elemento 'constante': texto inesperado"),
-    (f'<variable {P} nombre="v">{UNO}</variable>{NADA}',
+    ("variable-child",
+     f'<variable {P} nombre="v">{UNO}</variable>{NADA}',
      "elemento 'variable': no admite hijos"),
-    (f'<procedimiento {P} nombre="p">x<bloque>{NADA}</bloque>'
+    ("procedure-text",
+     f'<procedimiento {P} nombre="p">x<bloque>{NADA}</bloque>'
      f"</procedimiento>{NADA}",
      "elemento 'procedimiento': texto inesperado"),
 ]
@@ -452,51 +477,64 @@ LOADER_MESSAGES = [
 # come before its children's, whatever the order the reader meets them.
 FAULT_ORDER = [
     # the parent's number of operands before the name of its first
-    (assign(f"<suma {P}><x/>{UNO}{UNO}</suma>"),
+    ("order-operand-count-before-name",
+     assign(f"<suma {P}><x/>{UNO}{UNO}</suma>"),
      "elemento 'suma': se esperaban dos operandos"),
     # stray text before the name
-    (f"<x {P}>y</x>", "elemento 'x': texto inesperado"),
+    ("order-text-before-name",
+     f"<x {P}>y</x>", "elemento 'x': texto inesperado"),
     # the children before the attributes
-    (f"<asignacion {P}/>",
+    ("order-children-before-attributes",
+     f"<asignacion {P}/>",
      "elemento 'asignacion': se esperaba exactamente una expresión"),
     # the parent's stray text, found later, before its child's name
-    (f"<secuencia {P}><brinco {P}/>hola</secuencia>",
+    ("order-parent-text-before-child-name",
+     f"<secuencia {P}><brinco {P}/>hola</secuencia>",
      "elemento 'secuencia': texto inesperado"),
     # the outer shape, found at its end, before an inner attribute
-    (f"<ciclo {P}>"
+    ("order-shape-before-inner-attribute",
+     f"<ciclo {P}>"
      + condition("odd", '<numero linea="x" columna="0" valor="1"/>')
      + f"{NADA}{NADA}</ciclo>",
      "elemento 'ciclo': se esperaba una condición y una instrucción"),
     # the operand count before the operand's name
-    (f"<ciclo {P}>{condition('odd', '<x/>', UNO)}{NADA}</ciclo>",
+    ("order-operand-count-before-operand-name",
+     f"<ciclo {P}>{condition('odd', '<x/>', UNO)}{NADA}</ciclo>",
      "elemento 'condicion': la operación 'odd' requiere 1 operando(s)"),
     # of two siblings, the first
-    (f"<secuencia {P}><brinco {P}/><salto {P}/></secuencia>",
+    ("order-first-of-two-siblings",
+     f"<secuencia {P}><brinco {P}/><salto {P}/></secuencia>",
      "instrucción desconocida: 'brinco'"),
     # a child before the block's one statement and the parent's position
-    (f"<brinco {P}/>{NADA}", "instrucción desconocida: 'brinco'"),
-    (f'<secuencia linea="x" columna="0"><brinco {P}/></secuencia>',
+    ("order-child-before-block-position",
+     f"<brinco {P}/>{NADA}", "instrucción desconocida: 'brinco'"),
+    ("order-child-before-parent-position",
+     f'<secuencia linea="x" columna="0"><brinco {P}/></secuencia>',
      "instrucción desconocida: 'brinco'"),
     # stray text before the number of children
-    (f"<condicional {P}>hola{NADA}</condicional>",
+    ("order-text-before-child-count",
+     f"<condicional {P}>hola{NADA}</condicional>",
      "elemento 'condicional': texto inesperado"),
     # the attributes before the children's faults
-    (f"<asignacion {P}><x/></asignacion>",
+    ("order-attributes-before-children",
+     f"<asignacion {P}><x/></asignacion>",
      "elemento 'asignacion': falta el atributo 'variable'"),
     # the operation before the operands
-    (f"<ciclo {P}>{condition('igual', '<x/>')}{NADA}</ciclo>",
+    ("order-operation-before-operands",
+     f"<ciclo {P}>{condition('igual', '<x/>')}{NADA}</ciclo>",
      "elemento 'condicion': operación desconocida: 'igual'"),
     # the nesting before the number of children
-    (f"<secuencia {P}>" * MAX_NESTING + f"<condicional {P}/>"
+    ("order-nesting-before-child-count",
+     f"<secuencia {P}>" * MAX_NESTING + f"<condicional {P}/>"
      + "</secuencia>" * MAX_NESTING,
      "elemento 'condicional': anidamiento de más de 200 niveles"),
 ]
 
 
 @pytest.mark.parametrize("revised", [False, True], ids=["sin", "sem"])
-@pytest.mark.parametrize("body, message", LOADER_MESSAGES + FAULT_ORDER,
-                         ids=[message for _, message
-                              in LOADER_MESSAGES + FAULT_ORDER])
+@pytest.mark.parametrize("body, message", [
+    pytest.param(body, message, id=name)
+    for name, body, message in LOADER_MESSAGES + FAULT_ORDER])
 def test_tree_loader_messages(body, message, revised):
     root = "arbol_de_sintaxis_revisado" if revised else "arbol_de_sintaxis"
     text = (f"<{root}><programa><bloque>{body}</bloque>"

@@ -589,6 +589,20 @@ class TestSourceLines:
         assert run(MachineState(code=instructions), ListIo(), err=err) == 1
         assert err.getvalue().endswith("(dirección 3, línea 4)\n")
 
+    @pytest.mark.parametrize("written, shown", [
+        ("٣", "4"), ("007", "7"), ("0", "0"),
+        pytest.param("1" * 5000, "1" * 5000, id="5000-digits")])
+    def test_a_line_is_ascii_digits_of_any_number(self, written, shown):
+        # int() takes "٣" as 3 and refuses more than 4,300 digits; the
+        # line is read as the ASCII digits it is written with.
+        instructions = code(MAIN, (Opcode.LIT, None, 1),
+                            (Opcode.LIT, None, 0), (Opcode.OPR, None, 5), RET)
+        instructions[1].annotations.append(Annotation({"linea": "4"}))
+        instructions[3].annotations.append(Annotation({"linea": written}))
+        err = io.StringIO()
+        assert run(MachineState(code=instructions), ListIo(), err=err) == 1
+        assert err.getvalue().endswith(f"(dirección 3, línea {shown})\n")
+
 
 @pytest.mark.parametrize("seed", range(1000, 1020))
 def test_debug_mode_runs_like_run(seed):

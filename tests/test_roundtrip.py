@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import checks
+from pl0plus.diagnostics import error, render_xml, warning
 from pl0plus.lexer import Token, TokenKind, tokens_from_xml, tokens_to_xml
 from pl0plus.parser import ast_from_xml, ast_to_xml, walk
 from pl0plus.pcode import (Annotation, Instruction, Opcode, Program,
@@ -233,6 +234,21 @@ class TestHouseStyleEdges:
             Annotation({"mal nombre": "1"})])])
         with pytest.raises(ValueError):
             program_to_xml(program)
+
+    @pytest.mark.parametrize("severities", [(), (error,), (warning,),
+                                            (error, warning)],
+                             ids=["empty", "errors", "warnings", "both"])
+    def test_error_reports(self, severities):
+        # No context holds a carriage return: a source read from a file or
+        # from a `fuente` section has its line ends normalized to "\n".
+        items = []
+        for finding in severities:
+            items += [finding("lex", 1, 0, "Caracter inválido."),
+                      finding("sin", 2, 7, "x ]]> y & <z> \"c\" 'd' \r e"),
+                      finding("sem", 3, 4, MARKUP)]
+            items[-2].context = "{ ]]> y ]]]]>> } & <z> \"c\" 'd'"
+            items[-1].context = MARKUP
+        checks.check_house_style(render_xml(items))
 
     def test_source_with_cdata_terminator(self):
         source = "var x;\n{ ]]> y ]]]]>> }\nbegin x := 1; write x end.\n"

@@ -10,9 +10,9 @@ from pl0plus.parser import ast_from_xml
 from pl0plus.pcode import program_from_xml
 from pl0plus.semantics import revised_from_xml
 from pl0plus.xmldoc import (Cdata, Text, XmlDocument, XmlLoadError, XmlNode,
-                            XmlParseError, canonical_equal, cdata_element,
-                            cdata_sections, element_text, parse_document,
-                            read_document, serialize_document)
+                            XmlParseError, canonical_equal, cdata_sections,
+                            element_text, parse_document, read_document,
+                            serialize_document)
 
 
 def doc(root):
@@ -92,8 +92,8 @@ class TestModel:
         assert [p.data for p in parts] == ["a]]", ">b"]
         assert "".join(p.data for p in parts) == "a]]>b"
 
-    def test_cdata_element_preserves_arbitrary_text(self):
-        node = cdata_element("fuente", "x ]]> y ]]> z")
+    def test_cdata_sections_preserve_arbitrary_text(self):
+        node = XmlNode("fuente", {}, cdata_sections("x ]]> y ]]> z"))
         assert node.cdata() == "x ]]> y ]]> z"
 
 
@@ -305,7 +305,7 @@ class TestSerialize:
         root.element("hoja", n="2")
         padre = root.element("padre")
         padre.element("hija")
-        root.add(cdata_element("fuente", "var x;\n"))
+        root.element("fuente").add(Cdata("var x;\n"))
         assert serialize_document(doc(root)) == "\n".join([
             '<?xml version="1.0" ?>',
             '<raiz v="1">',
