@@ -16,8 +16,16 @@ static chain that walks past main must fail, not loop), the return
 address gets 0, which is what lets main's RET halt the machine.
 
 Instructions are executed by one loop, `_execute`, over the program
-decoded once into tuples of small ints.  `run` gives it the whole step
-budget; `step` and the debugger give it one instruction at a time.
+decoded once into tuples of small ints and ended by a sentinel entry.
+`run` gives it the whole step budget; `step` and the debugger give it
+one instruction at a time.  p is checked only where it is set from
+something other than p + 1: on entry to `_execute` and by SAL, a taken
+SAC, LLA and RET.  A p outside the code goes to the sentinel, whose
+execution reports `Dirección de código inválida` at that address; the
+last instruction falls through into it, so running off the end reports
+the address after it.  The state's p is the address itself, so a jump
+out of the code faults on the step after it, as it would if p were
+checked on every step.
 """
 
 from __future__ import annotations
@@ -90,7 +98,7 @@ class StreamIo:
     def __init__(self, stdin=None, stdout=None):
         self._stdin = stdin
         self._stdout = stdout
-        self._pending: list[str] = []
+        self._pending: list[str] = []   # the line's tokens, last first
 
     def read_integer(self) -> int:
         stream = self._stdin if self._stdin is not None else sys.stdin
@@ -99,7 +107,8 @@ class StreamIo:
             if line == "":
                 raise InputError("fin de la entrada")
             self._pending = line.split()
-        token = self._pending.pop(0)
+            self._pending.reverse()
+        token = self._pending.pop()
         digits = token[1:] if token[0] in "+-" else token
         if digits.isascii() and digits.isdigit():  # int() takes "0_1", "٣"
             try:
@@ -135,55 +144,37 @@ def load(text: str) -> MachineState:
     return MachineState(code=program.instructions)
 
 
-def base(state: MachineState, dif: int) -> int:
-    """Follow the static chain dif frames up from the current one."""
-    return _chain(state.stack, state.b, dif)
-
-
-def _chain(stack: list[int], frame: int, dif: int) -> int:
-    for _ in range(dif):
-        if not 0 <= frame < len(stack):
-            raise PvmRuntimeError(BAD_STACK_ACCESS)
-        frame = stack[frame]
-        if frame < 0:
-            # walked past the outermost frame into the bootstrap sentinel
-            raise PvmRuntimeError(BAD_STACK_ACCESS)
-    return frame
-
-
-def _truncated_div(left: int, right: int) -> int:
-    quotient = abs(left) // abs(right)
-    return -quotient if (left < 0) != (right < 0) else quotient
-
-
 # Decoded opcodes are small ints, numbered in the order the loop tests them,
 # which is about how often programs execute them.  OPR is split by its
 # operation code; the ten operations on two operands are numbered together,
 # so one test picks them, and an operation code no OPR has is _BAD_OPR.
+# _END is the sentinel entry after the last instruction.
 (_CAR, _LIT, _ALM, _ADD, _SUB, _MUL, _DIV, _LT, _GT, _LE, _GE, _EQ, _NE,
- _SAC, _SAL, _ODD, _NEG, _LLA, _INS, _RET, _LEE, _ESC, _BAD_OPR) = range(23)
+ _SAC, _SAL, _ODD, _NEG, _LLA, _INS, _RET, _LEE, _ESC, _BAD_OPR,
+ _END) = range(24)
 
-_DECODED = {Opcode.CAR: _CAR, Opcode.LIT: _LIT, Opcode.ALM: _ALM,
-            Opcode.SAC: _SAC, Opcode.SAL: _SAL, Opcode.LLA: _LLA,
-            Opcode.INS: _INS, Opcode.RET: _RET, Opcode.LEE: _LEE,
-            Opcode.ESC: _ESC}
+# Keyed by mnemonic, `opcode._value_`: hashing an Enum member runs Python.
+_DECODED = {"CAR": _CAR, "LIT": _LIT, "ALM": _ALM, "SAC": _SAC, "SAL": _SAL,
+            "LLA": _LLA, "INS": _INS, "RET": _RET, "LEE": _LEE, "ESC": _ESC}
 _OPERATIONS = {1: _NEG, 2: _ADD, 3: _SUB, 4: _MUL, 5: _DIV, 6: _ODD,
                8: _EQ, 9: _NE, 10: _LT, 11: _GE, 12: _GT, 13: _LE}
 
 
 def _decode(code: list) -> list[tuple]:
-    """The program as (opcode, level, param) tuples the loop dispatches on;
-    LIT's param is wrapped to a word here, once."""
+    """The program as (opcode, level, param) tuples the loop dispatches on,
+    followed by the _END sentinel; LIT's param is wrapped to a word here,
+    once."""
     decoded = []
     for instruction in code:
-        op, param = instruction.opcode, instruction.param
-        if op is Opcode.OPR:
+        name, param = instruction.opcode._value_, instruction.param
+        if name == "OPR":
             number = _OPERATIONS.get(param, _BAD_OPR)
         else:
-            number = _DECODED[op]
+            number = _DECODED[name]
             if number == _LIT:
                 param = wrap32(param)
         decoded.append((number, instruction.level, param))
+    decoded.append((_END, None, None))
     return decoded
 
 
@@ -199,24 +190,40 @@ def _execute(state: MachineState, io, code: list[tuple],
     t never passes the list's end, so a push stores into its cell or, at
     the end, appends it.  Every cell t claims is checked against the
     stack limit, so t stays below it and an operation may write its
-    result in place.  A runtime error carries the address of the
+    result in place.  A result is wrapped to a word only when it leaves
+    the word range.  A runtime error carries the address of the
     instruction that raised it.
+
+    A p set outside the code is kept in `target` while p is the _END
+    sentinel's index; on the way out the state gets `target` in its
+    place.  Running off the last instruction reaches the sentinel with
+    `target` still its index.
     """
     if state.halted:
         return
     p, b, t = state.p, state.b, state.t
     stack = state.stack
     highest = state.stack_limit - 1   # the last cell t may claim
-    size = len(code)
+    end = target = len(code) - 1      # the sentinel's index
+    if not 0 <= p < end:
+        target, p = p, end
     halted = False
     try:
         for _ in repeat(None) if budget is None else repeat(None, budget):
-            if not 0 <= p < size:
-                raise PvmRuntimeError(BAD_CODE_ADDRESS, p)
             op, level, param = code[p]
             p += 1
             if op == _CAR:
-                index = (_chain(stack, b, level) if level > 0 else b) + param
+                index = b
+                while level > 0:
+                    if not 0 <= index < len(stack):
+                        raise PvmRuntimeError(BAD_STACK_ACCESS)
+                    index = stack[index]
+                    if index < 0:
+                        # walked past the outermost frame into the
+                        # bootstrap link
+                        raise PvmRuntimeError(BAD_STACK_ACCESS)
+                    level -= 1
+                index += param
                 if index < 0 or index > t or t >= highest:
                     raise PvmRuntimeError(BAD_STACK_ACCESS)
                 t += 1
@@ -236,7 +243,15 @@ def _execute(state: MachineState, io, code: list[tuple],
                 if t < 0:
                     raise PvmRuntimeError(BAD_STACK_ACCESS)
                 t -= 1
-                index = (_chain(stack, b, level) if level > 0 else b) + param
+                index = b
+                while level > 0:
+                    if not 0 <= index < len(stack):
+                        raise PvmRuntimeError(BAD_STACK_ACCESS)
+                    index = stack[index]
+                    if index < 0:
+                        raise PvmRuntimeError(BAD_STACK_ACCESS)
+                    level -= 1
+                index += param
                 if index < 0 or index > t:
                     raise PvmRuntimeError(BAD_STACK_ACCESS)
                 stack[index] = stack[t + 1]
@@ -246,16 +261,21 @@ def _execute(state: MachineState, io, code: list[tuple],
                 right = stack[t]
                 t -= 1
                 left = stack[t]
-                if op == _ADD:
-                    stack[t] = wrap32(left + right)
-                elif op == _SUB:
-                    stack[t] = wrap32(left - right)
-                elif op == _MUL:
-                    stack[t] = wrap32(left * right)
-                elif op == _DIV:
-                    if right == 0:
+                if op <= _DIV:
+                    if op == _ADD:
+                        value = left + right
+                    elif op == _SUB:
+                        value = left - right
+                    elif op == _MUL:
+                        value = left * right
+                    elif right == 0:
                         raise PvmRuntimeError(DIVISION_BY_ZERO)
-                    stack[t] = wrap32(_truncated_div(left, right))
+                    else:   # truncates toward zero
+                        value = abs(left) // abs(right)
+                        if (left < 0) != (right < 0):
+                            value = -value
+                    stack[t] = (value if WORD_MIN <= value <= WORD_MAX
+                                else wrap32(value))
                 elif op == _LT:
                     stack[t] = 1 if left < right else 0
                 elif op == _GT:
@@ -274,8 +294,12 @@ def _execute(state: MachineState, io, code: list[tuple],
                 t -= 1
                 if stack[t + 1] == 0:
                     p = param
+                    if not 0 <= p < end:
+                        target, p = p, end
             elif op == _SAL:
                 p = param
+                if not 0 <= p < end:
+                    target, p = p, end
             elif op == _ODD:
                 if t < 0:
                     raise PvmRuntimeError(BAD_STACK_ACCESS)
@@ -283,9 +307,18 @@ def _execute(state: MachineState, io, code: list[tuple],
             elif op == _NEG:
                 if t < 0:
                     raise PvmRuntimeError(BAD_STACK_ACCESS)
-                stack[t] = wrap32(-stack[t])
+                value = -stack[t]
+                stack[t] = (value if WORD_MIN <= value <= WORD_MAX
+                            else wrap32(value))
             elif op == _LLA:
-                link = _chain(stack, b, level) if level > 0 else b
+                link = b
+                while level > 0:
+                    if not 0 <= link < len(stack):
+                        raise PvmRuntimeError(BAD_STACK_ACCESS)
+                    link = stack[link]
+                    if link < 0:
+                        raise PvmRuntimeError(BAD_STACK_ACCESS)
+                    level -= 1
                 if t + 3 > highest:
                     raise PvmRuntimeError(BAD_STACK_ACCESS)
                 # t < len(stack), so this writes cells t+1..t+3, growing
@@ -293,6 +326,8 @@ def _execute(state: MachineState, io, code: list[tuple],
                 stack[t + 1:t + 4] = link, b, p
                 b = t + 1
                 p = param
+                if not 0 <= p < end:
+                    target, p = p, end
             elif op == _INS:
                 top = t + param
                 if top < -1 or top > highest:
@@ -315,6 +350,8 @@ def _execute(state: MachineState, io, code: list[tuple],
                 if frame == 0 and p == 0:
                     halted = True
                     return
+                if not 0 <= p < end:
+                    target, p = p, end
             elif op == _LEE:
                 try:
                     value = io.read_integer()
@@ -332,6 +369,8 @@ def _execute(state: MachineState, io, code: list[tuple],
                     raise PvmRuntimeError(BAD_STACK_ACCESS)
                 t -= 1
                 io.write_integer(stack[t + 1])
+            elif op == _END:
+                raise PvmRuntimeError(BAD_CODE_ADDRESS, target)
             else:
                 raise PvmRuntimeError(f"Operación inválida: {param}")
     except PvmRuntimeError as error:
@@ -339,7 +378,8 @@ def _execute(state: MachineState, io, code: list[tuple],
             error.address = p - 1
         raise
     finally:
-        state.p, state.b, state.t, state.halted = p, b, t, halted
+        state.p = p if p < end else target
+        state.b, state.t, state.halted = b, t, halted
 
 
 def step(state: MachineState, io) -> MachineState:
@@ -606,3 +646,7 @@ def reference_eval(revised, inputs=()) -> list[int]:
 
     execute(revised.block.body, _Frame(None, 0))
     return outputs
+
+
+if __name__ == "__main__":  # pragma: no cover
+    sys.exit(interpreter_main())

@@ -17,7 +17,7 @@ from pl0plus.parser import ast_to_xml, parse
 from pl0plus.pcode import (Instruction, Opcode, assembly_listing,
                            program_from_xml, program_to_xml)
 from pl0plus.pvm import (BAD_STACK_ACCESS, DIVISION_BY_ZERO, ListIo,
-                         MachineState, PvmRuntimeError, StreamIo, base,
+                         MachineState, PvmRuntimeError, StreamIo,
                          reference_eval, step)
 from pl0plus.semantics import analyze
 from pl0plus.xmldoc import (XmlDocument, XmlNode, canonical_equal,
@@ -343,12 +343,21 @@ def test_criterion_10_machine_semantics(capsys):
             _after([(Opcode.OPR, None, 5)], {"stack": [7, 0]})
 
         # static chain walking over three nested frames
-        state = MachineState(code=[])
-        state.stack = [-1, -1, 0, 0, 0, 2, 3, 0, 0]
-        state.t, state.b = 8, 6
-        assert [base(state, dif) for dif in (0, 1, 2)] == [6, 3, 0]
+        # (a call at each level writes the frame it finds as static link)
+        def three_frames(dif):
+            state = MachineState(code=[Instruction(0, Opcode.LLA, dif, 0)])
+            state.stack = [-1, -1, 0, 0, 0, 2, 3, 0, 0]
+            state.t, state.b = 8, 6
+            return state
+
+        links = []
+        for dif in (0, 1, 2):
+            state = three_frames(dif)
+            step(state, ListIo())
+            links.append(state.stack[9])
+        assert links == [6, 3, 0]
         with pytest.raises(PvmRuntimeError, match=BAD_STACK_ACCESS):
-            base(state, 3)
+            step(three_frames(3), ListIo())
 
         # stack balance across a call and its return
         state = MachineState(code=[

@@ -536,6 +536,21 @@ class TestInterpreter:
             "Error en tiempo de ejecución: División por cero "
             "(dirección 6, línea 2)\n")
 
+    @pytest.mark.parametrize("source, stdin, status, out, err", [
+        pytest.param("var x; begin x := x / 0 end.\n", "", 1, "",
+                     "Error en tiempo de ejecución: División por cero "
+                     "(dirección 4, línea 1)\n", id="runtime-error"),
+        pytest.param(ECHO, "12\n", 0, "12\n", "", id="echo")])
+    def test_python_dash_m_runs_interprete(self, tmp_path, source, stdin,
+                                           status, out, err):
+        target = compiled_file(tmp_path, source)
+        result = subprocess.run(
+            [sys.executable, "-m", "pl0plus.pvm", str(target)], input=stdin,
+            capture_output=True, text=True, timeout=SCRIPT_TIMEOUT,
+            cwd=Path(__file__).resolve().parents[1] / "src")
+        assert (result.returncode, result.stdout, result.stderr) == (
+            status, out, err)
+
     def test_debug_traces_to_stderr(self, tmp_path, capsys, monkeypatch):
         target = compiled_file(tmp_path, "begin end.\n")
         monkeypatch.setattr(sys, "stdin", io.StringIO("\n" * 10))

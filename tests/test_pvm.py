@@ -10,7 +10,7 @@ from pl0plus.pcode import (Annotation, Instruction, Opcode, Program,
 from pl0plus.pvm import (BAD_CODE_ADDRESS, BAD_INPUT, BAD_STACK_ACCESS,
                          DIVISION_BY_ZERO, STEP_LIMIT, WORD_MAX, WORD_MIN,
                          InputError, ListIo, MachineState, PvmRuntimeError,
-                         StreamIo, base, load, parse_interpreter_args,
+                         StreamIo, load, parse_interpreter_args,
                          reference_eval, run, step, wrap32)
 from pl0plus.xmldoc import parse_document, serialize_document
 
@@ -94,6 +94,16 @@ class TestIo:
         channel = StreamIo(stdin=io.StringIO("siete\n"))
         with pytest.raises(InputError):
             channel.read_integer()
+
+    def test_stream_io_reads_a_long_line_like_one_per_line(self):
+        values = [(-1) ** n * n for n in range(5000)]
+        for text in (" ".join(map(str, values)) + "\n",
+                     "".join(f"{value}\n" for value in values)):
+            channel = StreamIo(stdin=io.StringIO(text))
+            assert [channel.read_integer() for _ in values] == values
+            with pytest.raises(InputError) as info:
+                channel.read_integer()
+            assert str(info.value) == "fin de la entrada"
 
     def test_stream_io_takes_a_sign_and_ascii_digits(self):
         channel = StreamIo(stdin=io.StringIO("+5 -0 007 -2147483648\n"))
@@ -233,15 +243,31 @@ class TestOperations:
 
     def test_add(self):
         assert operate(2, [1, 2]) == [3]
+        assert operate(2, [WORD_MAX - 1, 1]) == [WORD_MAX]
+        assert operate(2, [WORD_MIN + 1, -1]) == [WORD_MIN]
         assert operate(2, [WORD_MAX, 1]) == [WORD_MIN]
+        assert operate(2, [WORD_MIN, -1]) == [WORD_MAX]
 
     def test_subtract(self):
         assert operate(3, [3, 5]) == [-2]
+        assert operate(3, [WORD_MAX - 1, -1]) == [WORD_MAX]
+        assert operate(3, [WORD_MIN + 1, 1]) == [WORD_MIN]
+        assert operate(3, [WORD_MAX, -1]) == [WORD_MIN]
         assert operate(3, [WORD_MIN, 1]) == [WORD_MAX]
 
     def test_multiply(self):
         assert operate(4, [6, 7]) == [42]
         assert operate(4, [1 << 16, 1 << 16]) == [0]
+        assert operate(4, [WORD_MAX, 1]) == [WORD_MAX]
+        assert operate(4, [-(1 << 16), 1 << 15]) == [WORD_MIN]
+        assert operate(4, [1 << 16, 1 << 15]) == [WORD_MIN]
+        # -2**31 - 2**16: 2**16 past the lower end
+        assert operate(4, [-(1 << 16), (1 << 15) + 1]) == [WORD_MAX - 0xFFFF]
+        assert operate(4, [WORD_MIN, -1]) == [WORD_MIN]
+
+    def test_divide_the_minimum_by_minus_one_wraps(self):
+        assert operate(5, [WORD_MIN, -1]) == [WORD_MIN]
+        assert operate(5, [WORD_MIN, 1]) == [WORD_MIN]
 
     def test_divide_truncates_toward_zero(self):
         assert operate(5, [7, 2]) == [3]
@@ -284,29 +310,41 @@ class TestOperations:
 
 
 class TestFrames:
-    def three_frames(self):
-        # main at 0, a callee at 3, its nested callee at 6
-        state = MachineState(code=[])
-        state.stack = [-1, -1, 0, 0, 0, 2, 3, 0, 0]
-        state.t = 8
-        state.b = 6
+    CHAIN_OPS = (Opcode.CAR, Opcode.ALM, Opcode.LLA)
+
+    def three_frames(self, op, level):
+        # main at 0, a callee at 4, its nested callee at 8; each frame has
+        # one variable, and a 7 is pushed for ALM to store
+        state = MachineState(code=code((op, level, 3)))
+        state.stack = [-1, -1, 0, 100, 0, 0, 2, 200, 4, 4, 0, 300, 7]
+        state.t = 12
+        state.b = 8
         return state
 
-    def test_base_walks_the_static_chain(self):
-        state = self.three_frames()
-        assert base(state, 0) == 6
-        assert base(state, 1) == 3
-        assert base(state, 2) == 0
+    def test_car_alm_and_lla_walk_the_static_chain(self):
+        for level, frame in ((0, 8), (1, 4), (2, 0)):
+            car = self.three_frames(Opcode.CAR, level)
+            step(car, ListIo())
+            assert car.stack[car.t] == car.stack[frame + 3]
+            alm = self.three_frames(Opcode.ALM, level)
+            step(alm, ListIo())
+            assert (alm.stack[frame + 3], alm.t) == (7, 11)
+            lla = self.three_frames(Opcode.LLA, level)
+            step(lla, ListIo())
+            assert lla.stack[13:16] == [frame, 8, 1]   # the callee's links
+            assert (lla.b, lla.p) == (13, 3)
 
-    def test_base_stops_at_the_sentinel(self):
-        with pytest.raises(PvmRuntimeError, match=BAD_STACK_ACCESS):
-            base(self.three_frames(), 3)
+    def test_the_chain_stops_at_the_bootstrap_link(self):
+        for op in self.CHAIN_OPS:
+            with pytest.raises(PvmRuntimeError, match=BAD_STACK_ACCESS):
+                step(self.three_frames(op, 3), ListIo())
 
-    def test_base_rejects_links_outside_the_stack(self):
-        state = self.three_frames()
-        state.stack[6] = 999
-        with pytest.raises(PvmRuntimeError, match=BAD_STACK_ACCESS):
-            base(state, 2)
+    def test_the_chain_rejects_links_outside_the_stack(self):
+        for op in self.CHAIN_OPS:
+            state = self.three_frames(op, 2)
+            state.stack[8] = 999
+            with pytest.raises(PvmRuntimeError, match=BAD_STACK_ACCESS):
+                step(state, ListIo())
 
     def test_call_and_return_keep_the_stack_balanced(self):
         state = booted(code(
@@ -360,6 +398,37 @@ class TestStepAndRun:
             step(state, ListIo())
         assert info.value.message == BAD_CODE_ADDRESS
         assert info.value.address == 99
+
+    JUMPS_OUT = [
+        pytest.param([(Opcode.SAL, None, 9)], 9, id="sal-past-the-code"),
+        pytest.param([(Opcode.LIT, None, 0), (Opcode.SAC, None, -2)], -2,
+                     id="sac-to-a-negative-address"),
+        pytest.param([(Opcode.LLA, 0, 1)], 1, id="lla-to-the-end"),
+    ]
+
+    @pytest.mark.parametrize("specs, target", JUMPS_OUT)
+    def test_step_keeps_a_jump_out_of_the_code(self, specs, target):
+        state = machine(specs, loadable=False)
+        state.stack[:3] = [-1, -1, 0]
+        for _ in specs:
+            step(state, ListIo())
+        assert (state.p, state.halted) == (target, False)
+        with pytest.raises(PvmRuntimeError) as info:
+            step(state, ListIo())
+        assert (info.value.message, info.value.address) == (BAD_CODE_ADDRESS,
+                                                            target)
+        assert state.p == target
+
+    @pytest.mark.parametrize("specs, target", JUMPS_OUT)
+    def test_run_keeps_a_jump_out_of_the_code(self, specs, target):
+        for steps, message in ((len(specs), STEP_LIMIT),
+                               (len(specs) + 1, BAD_CODE_ADDRESS)):
+            state = machine(specs, loadable=False)
+            err = io.StringIO()
+            assert run(state, ListIo(), err=err, max_steps=steps) == 1
+            assert err.getvalue() == ("Error en tiempo de ejecución: "
+                                      f"{message} (dirección {target})\n")
+            assert (state.p, state.halted) == (target, False)
 
     def test_errors_carry_the_faulting_address(self):
         state = MachineState(code=code((Opcode.SAL, None, 1),
@@ -505,6 +574,24 @@ FAULTS = [
                  id="alm-overwrites-a-return-address"),
     pytest.param([MAIN], {}, (), BAD_CODE_ADDRESS, 1,
                  id="runs-off-the-end"),
+    pytest.param([MAIN, (Opcode.SAL, None, 9), RET], {"loadable": False},
+                 (), BAD_CODE_ADDRESS, 9, id="sal-past-the-code"),
+    pytest.param([MAIN, (Opcode.SAL, None, -4), RET], {"loadable": False},
+                 (), BAD_CODE_ADDRESS, -4, id="sal-to-a-negative-address"),
+    pytest.param([MAIN, (Opcode.SAL, None, 3), RET], {"loadable": False},
+                 (), BAD_CODE_ADDRESS, 3, id="sal-to-the-end"),
+    pytest.param([MAIN, (Opcode.LIT, None, 0), (Opcode.SAC, None, 9), RET],
+                 {"loadable": False}, (), BAD_CODE_ADDRESS, 9,
+                 id="sac-past-the-code"),
+    pytest.param([MAIN, (Opcode.LIT, None, 0), (Opcode.SAC, None, -4), RET],
+                 {"loadable": False}, (), BAD_CODE_ADDRESS, -4,
+                 id="sac-to-a-negative-address"),
+    pytest.param([MAIN, (Opcode.LLA, 0, 9), RET], {"loadable": False}, (),
+                 BAD_CODE_ADDRESS, 9, id="lla-past-the-code"),
+    pytest.param([MAIN, (Opcode.LLA, 0, -4), RET], {"loadable": False}, (),
+                 BAD_CODE_ADDRESS, -4, id="lla-to-a-negative-address"),
+    pytest.param([MAIN, (Opcode.LIT, None, 1), (Opcode.ALM, 1, 3), RET], {},
+                 (), BAD_STACK_ACCESS, 2, id="alm-chain-past-the-sentinel"),
     pytest.param([MAIN, (Opcode.LIT, None, 1), (Opcode.LIT, None, 2),
                   (Opcode.OPR, None, 7), RET], {"loadable": False}, (),
                  "Operación inválida: 7", 3, id="invalid-operation"),
@@ -535,6 +622,32 @@ class TestFaults:
             for _ in range(2 * len(specs)):
                 step(state, channel)
         assert (info.value.message, info.value.address) == (message, address)
+
+
+# x := 5 and a call at negative levels, then x written by main (CAR -3)
+# and by the callee one static link up: each level below 0 acts as 0.
+NEGATIVE_LEVELS = [
+    (Opcode.INS, None, 4), (Opcode.LIT, None, 5), (Opcode.ALM, -1, 3),
+    (Opcode.LLA, -2, 7), (Opcode.CAR, -3, 3), (Opcode.ESC, None, None), RET,
+    MAIN, (Opcode.CAR, 1, 3), (Opcode.ESC, None, None), RET]
+
+
+class TestNegativeLevels:
+    def test_run(self):
+        channel = ListIo()
+        state = machine(NEGATIVE_LEVELS)
+        assert run(state, channel, err=io.StringIO(), max_steps=100) == 0
+        assert channel.outputs == [5, 5]
+
+    def test_step(self):
+        channel = ListIo()
+        state = machine(NEGATIVE_LEVELS)
+        state.stack[:3] = [-1, -1, 0]
+        for _ in range(100):
+            if state.halted:
+                break
+            step(state, channel)
+        assert (state.halted, channel.outputs) == (True, [5, 5])
 
 
 class TestStepLimit:
