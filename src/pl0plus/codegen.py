@@ -19,16 +19,13 @@ from __future__ import annotations
 from .diagnostics import Diagnostic, error
 from .parser import (Assign, BinOp, Block, Call, Cond, Empty, Ident, If, Neg,
                      Num, Program as Ast, Read, Sequence, While, Write, walk)
-from .pcode import Annotation, Instruction, Opcode, Program
+from .pcode import OPERATIONS, Annotation, Instruction, Opcode, Program
 # The compiler's output format, reachable beside the generator.
 from .pcode import program_from_xml, program_to_xml  # noqa: F401
 from .semantics import CONSTANT, VARIABLE, SymbolTable
 
-OPR_NEGATE = 1
-
-_BINOP_OPR = {"suma": 2, "resta": 3, "multiplicacion": 4, "division": 5}
-_COND_OPR = {"odd": 6, "comparacion": 8, "diferente": 9, "menor_que": 10,
-             "mayor_igual": 11, "mayor_que": 12, "menor_igual": 13}
+# OPR's parameter by the name of its operation.
+_OPR_PARAMS = {name: number for number, name in OPERATIONS.items()}
 
 MAIN_LABEL = "--PRINCIPAL--"
 
@@ -45,6 +42,11 @@ class _Generator:
         instruction = Instruction(len(self.code), opcode, level, param)
         self.code.append(instruction)
         return instruction
+
+    def operation(self, name: str) -> None:
+        """OPR for the operation the tree names `name`, noted by it."""
+        operation = self.emit(Opcode.OPR, param=_OPR_PARAMS[name])
+        operation.annotations.append(Annotation(text=name))
 
     def block(self, blk: Block, proc, depth: int) -> None:
         scope = self.table.scopes_by_code[blk.code]
@@ -120,8 +122,7 @@ class _Generator:
     def condition(self, cond: Cond, depth: int) -> None:
         for operand in cond.operands:
             self.expression(operand, depth)
-        operation = self.emit(Opcode.OPR, param=_COND_OPR[cond.op])
-        operation.annotations.append(Annotation(text=cond.op))
+        self.operation(cond.op)
 
     def expression(self, node, depth: int) -> None:
         # Operands before their operator: the reverse of a pre-order walk
@@ -142,11 +143,9 @@ class _Generator:
             elif isinstance(node, Ident):
                 self.load_symbol(node, node.code, depth)
             elif isinstance(node, BinOp):
-                operation = self.emit(Opcode.OPR, param=_BINOP_OPR[node.op])
-                operation.annotations.append(Annotation(text=node.op))
+                self.operation(node.op)
             elif isinstance(node, Neg):
-                operation = self.emit(Opcode.OPR, param=OPR_NEGATE)
-                operation.annotations.append(Annotation(text="negativo"))
+                self.operation("negativo")
             else:
                 raise TypeError(f"not an expression node: {node!r}")
 

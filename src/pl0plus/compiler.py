@@ -33,11 +33,6 @@ def _late(module, name: str):
     return lambda *args: getattr(module, name)(*args)
 
 
-def _save_pcode(program, source):
-    program.source = source
-    return codegen.program_to_xml(program)
-
-
 class PhaseDescriptor(Record):
     """One phase and the document it writes.
 
@@ -72,8 +67,8 @@ PHASES = (
     PhaseDescriptor("sem", ".pl0+sem", _late(semantics, "analyze"),
                     _late(semantics, "revised_to_xml"),
                     _late(semantics, "revised_from_xml")),
-    PhaseDescriptor("gen", ".p+", _late(codegen, "generate"), _save_pcode,
-                    needs_error_free=True),
+    PhaseDescriptor("gen", ".p+", _late(codegen, "generate"),
+                    _late(codegen, "program_to_xml"), needs_error_free=True),
 )
 
 # EXTENSIONS[i] is the extension of the file that PHASES[i] reads: the

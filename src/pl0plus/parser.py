@@ -378,16 +378,11 @@ class _Parser:
             return self.advance()
         return None
 
-    def eof_pos(self) -> tuple[int, int]:
-        if self.tokens:
-            last = self.tokens[-1]
-            return last.line, last.column + last.length
-        return 1, 0
-
     def cur_pos(self) -> tuple[int, int]:
         tok = self.peek()
-        if tok is None:
-            return self.eof_pos()
+        if tok is None:  # just past the last token; program() saw one
+            tok = self.tokens[-1]
+            return tok.line, tok.column + tok.length
         return tok.line, tok.column
 
     # -- reporting and recovery

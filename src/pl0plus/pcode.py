@@ -6,6 +6,9 @@ each with optional `informacion` annotations (procedure markers, variable
 references, statement notes).  Annotations make the XML readable but are
 never load-bearing: equality and execution ignore them.  `codegen` writes
 programs in this format and `pvm` runs them; neither needs the other.
+The instruction set is declared once, here: `INSTRUCTIONS` gives each
+instruction's element and attributes, and `OPERATIONS` numbers OPR's
+operations, which `codegen` and `pvm` look up by name.
 """
 
 from __future__ import annotations
@@ -18,48 +21,37 @@ from .xmldoc import (DECLARATION, Record, XmlLoadError, cdata_line,
                      check_name, element_text, escape_attr, escape_text,
                      indent, int_attr, read_document)
 
-class Opcode(Enum):
-    LIT = "LIT"
-    CAR = "CAR"
-    ALM = "ALM"
-    LLA = "LLA"
-    INS = "INS"
-    SAL = "SAL"
-    SAC = "SAC"
-    OPR = "OPR"
-    RET = "RET"
-    LEE = "LEE"
-    ESC = "ESC"
-
-
-LEVEL_OPCODES = frozenset({Opcode.CAR, Opcode.ALM, Opcode.LLA})
-PARAMLESS_OPCODES = frozenset({Opcode.RET, Opcode.LEE, Opcode.ESC})
-JUMP_OPCODES = frozenset({Opcode.SAL, Opcode.SAC, Opcode.LLA})
-
-OPR_CODES = frozenset({1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13})
-
-# Keyed by mnemonic, `opcode._value_`: hashing an Enum member runs Python.
-_ELEMENT_NAMES = {
-    "LIT": "cargar_literal",
-    "CAR": "cargar_variable",
-    "ALM": "almacenar_variable",
-    "LLA": "llamar_procedimiento",
-    "INS": "instanciar_procedimiento",
-    "SAL": "salto_incondicional",
-    "SAC": "salto_condicional",
-    "OPR": "operacion",
-    "RET": "retornar",
-    "LEE": "leer",
-    "ESC": "escribir",
+# The instruction set, keyed by mnemonic: each instruction's element in
+# the `codigo_pmas` document, whether it takes `diffnivel` and
+# `parametro`, and whether its `parametro` is a code address.
+INSTRUCTIONS = {
+    "LIT": ("cargar_literal", False, True, False),
+    "CAR": ("cargar_variable", True, True, False),
+    "ALM": ("almacenar_variable", True, True, False),
+    "LLA": ("llamar_procedimiento", True, True, True),
+    "INS": ("instanciar_procedimiento", False, True, False),
+    "SAL": ("salto_incondicional", False, True, True),
+    "SAC": ("salto_condicional", False, True, True),
+    "OPR": ("operacion", False, True, False),
+    "RET": ("retornar", False, False, False),
+    "LEE": ("leer", False, False, False),
+    "ESC": ("escribir", False, False, False),
 }
-# Per instruction element, read once here since hashing an Enum member
-# runs Python: the opcode, whether it takes a level difference and a
-# parameter, and whether the parameter is a code address.
-_INSTRUCTION_FORMS = {
-    name: (opcode, opcode in LEVEL_OPCODES, opcode not in PARAMLESS_OPCODES,
-           opcode in JUMP_OPCODES)
-    for opcode, name in ((Opcode(op), name)
-                         for op, name in _ELEMENT_NAMES.items())}
+
+# OPR's parameter, mapped to the operation it performs, named as the syntax
+# tree names it (`negativo` is the unary minus).  The generator writes that
+# name as the instruction's `informacion` text.
+OPERATIONS = {1: "negativo", 2: "suma", 3: "resta", 4: "multiplicacion",
+              5: "division", 6: "odd", 8: "comparacion", 9: "diferente",
+              10: "menor_que", 11: "mayor_igual", 12: "mayor_que",
+              13: "menor_igual"}
+
+Opcode = Enum("Opcode", [(mnemonic, mnemonic) for mnemonic in INSTRUCTIONS])
+
+# INSTRUCTIONS by element, with the opcode in place of the element, for the
+# reader: hashing an Enum member runs Python, a string's does not.
+_BY_ELEMENT = {element: (Opcode(mnemonic), *form)
+               for mnemonic, (element, *form) in INSTRUCTIONS.items()}
 
 
 class Annotation(Record):
@@ -86,13 +78,10 @@ class Instruction(Record):
 
 
 class Program(Record):
-    __slots__ = ("instructions", "source")
-    _uncompared = ("source",)
+    __slots__ = ("instructions",)
 
-    def __init__(self, instructions: list[Instruction],
-                 source: str | None = None):
+    def __init__(self, instructions: list[Instruction]):
         self.instructions = instructions
-        self.source = source
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +111,14 @@ def assembly_listing(program: Program) -> str:
 ROOT_NAME = "codigo_pmas"
 
 
-def program_to_xml(program: Program) -> str:
+def program_to_xml(program: Program, source: str | None = None) -> str:
     """The `codigo_pmas` document's text: the instructions with their
-    annotations, the listing, then `fuente` if the program has a source."""
+    annotations, the listing, then `fuente` when a source is given."""
     lines = [DECLARATION, f"<{ROOT_NAME}>"]
     pad, inner = indent(1), indent(2)
     keys = set()  # of the annotations' attributes, checked once at the end
     for instruction in program.instructions:
-        name = _ELEMENT_NAMES[instruction.opcode._value_]
+        name = INSTRUCTIONS[instruction.opcode._value_][0]
         head = f'{pad}<{name} direccion="{instruction.address}"'
         if instruction.level is not None:
             head += f' diffnivel="{instruction.level}"'
@@ -151,16 +140,17 @@ def program_to_xml(program: Program) -> str:
                              f"</informacion>")
         lines.append(f"{pad}</{name}>")
     lines.append(cdata_line(1, "ensamblador", assembly_listing(program)))
-    if program.source is not None:
-        lines.append(cdata_line(1, "fuente", program.source))
+    if source is not None:
+        lines.append(cdata_line(1, "fuente", source))
     lines.append(f"</{ROOT_NAME}>")
     for key in keys:
         check_name(key)
     return "\n".join(lines)
 
 
-def program_from_xml(text: str) -> Program:
-    """Inverse of program_to_xml.  Annotations are carried along but the
+def program_from_xml(text: str) -> tuple[Program, str | None]:
+    """Inverse of program_to_xml: the program, and the `fuente` text when
+    the document carries it.  Annotations are carried along but the
     `ensamblador` text is not consulted; the instruction elements alone
     define the program.  An `informacion` written as an empty-element tag
     has no text (None), one with an end tag has its text, maybe ""."""
@@ -194,7 +184,7 @@ def program_from_xml(text: str) -> Program:
         if name == "fuente":
             sections = []
             return
-        form = _INSTRUCTION_FORMS.get(name)
+        form = _BY_ELEMENT.get(name)
         if form is None:
             raise XmlLoadError(f"instrucción desconocida: '{name}'")
         opcode, leveled, with_param, jump = form
@@ -213,7 +203,7 @@ def program_from_xml(text: str) -> Program:
             param = int_attr(name, attributes, "parametro")
         elif "parametro" in attributes:
             raise XmlLoadError(f"'{name}' no admite el atributo 'parametro'")
-        if opcode is Opcode.OPR and param not in OPR_CODES:
+        if opcode is Opcode.OPR and param not in OPERATIONS:
             raise XmlLoadError(f"código de operación inválido: {param}")
         notes = []
         instruction = Instruction(address, opcode, level, param, notes)
@@ -254,4 +244,4 @@ def program_from_xml(text: str) -> Program:
             raise XmlLoadError(
                 f"salto fuera de rango en la dirección "
                 f"{instruction.address}: {instruction.param}")
-    return Program(instructions, source)
+    return Program(instructions), source

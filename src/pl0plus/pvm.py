@@ -16,16 +16,17 @@ static chain that walks past main must fail, not loop), the return
 address gets 0, which is what lets main's RET halt the machine.
 
 Instructions are executed by one loop, `_execute`, over the program
-decoded once into tuples of small ints and ended by a sentinel entry.
-`run` gives it the whole step budget; `step` and the debugger give it
-one instruction at a time.  p is checked only where it is set from
-something other than p + 1: on entry to `_execute` and by SAL, a taken
-SAC, LLA and RET.  A p outside the code goes to the sentinel, whose
-execution reports `Dirección de código inválida` at that address; the
-last instruction falls through into it, so running off the end reports
-the address after it.  The state's p is the address itself, so a jump
-out of the code faults on the step after it, as it would if p were
-checked on every step.
+decoded into tuples of small ints and ended by a sentinel entry.  A
+machine state decodes its code once, when it is built, and `run`, `step`
+and the debugger share that decode: `run` gives the loop the whole step
+budget, `step` and the debugger one instruction at a time.  p is checked
+only where it is set from something other than p + 1: on entry to
+`_execute` and by SAL, a taken SAC, LLA and RET.  A p outside the code
+goes to the sentinel, whose execution reports `Dirección de código
+inválida` at that address; the last instruction falls through into it,
+so running off the end reports the address after it.  The state's p is
+the address itself, so a jump out of the code faults on the step after
+it, as it would if p were checked on every step.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from itertools import repeat
 from .command import Command, Option, read_input
 # Bound here by name: perfbench's tracer wraps program_from_xml wherever a
 # traced module holds it, and pcode is not one of them.
-from .pcode import Opcode, format_instruction, program_from_xml
+from .pcode import OPERATIONS, format_instruction, program_from_xml
 from .xmldoc import Record, XmlLoadError, XmlParseError
 
 
@@ -123,12 +124,18 @@ class StreamIo:
 
 
 class MachineState(Record):
-    __slots__ = ("code", "p", "b", "t", "stack", "halted", "stack_limit")
+    """The registers and stack of a machine running `code`, and that code
+    as the loop dispatches on it, `decoded` once here."""
+
+    __slots__ = ("code", "decoded", "p", "b", "t", "stack", "halted",
+                 "stack_limit")
+    _uncompared = ("decoded",)
 
     def __init__(self, code: list, p: int = 0, b: int = 0, t: int = -1,
                  stack: list[int] | None = None, halted: bool = False,
                  stack_limit: int = DEFAULT_STACK_LIMIT):
         self.code = code
+        self.decoded = _decode(code)
         self.p = p
         self.b = b
         self.t = t
@@ -138,7 +145,7 @@ class MachineState(Record):
 
 
 def load(text: str) -> MachineState:
-    program = program_from_xml(text)
+    program, _ = program_from_xml(text)
     if not program.instructions:
         raise XmlLoadError("el programa no contiene instrucciones")
     return MachineState(code=program.instructions)
@@ -156,8 +163,12 @@ def load(text: str) -> MachineState:
 # Keyed by mnemonic, `opcode._value_`: hashing an Enum member runs Python.
 _DECODED = {"CAR": _CAR, "LIT": _LIT, "ALM": _ALM, "SAC": _SAC, "SAL": _SAL,
             "LLA": _LLA, "INS": _INS, "RET": _RET, "LEE": _LEE, "ESC": _ESC}
-_OPERATIONS = {1: _NEG, 2: _ADD, 3: _SUB, 4: _MUL, 5: _DIV, 6: _ODD,
-               8: _EQ, 9: _NE, 10: _LT, 11: _GE, 12: _GT, 13: _LE}
+# OPR's parameter to its decoded opcode, by its name in `pcode.OPERATIONS`.
+_OPERATIONS = {number: {
+    "negativo": _NEG, "suma": _ADD, "resta": _SUB, "multiplicacion": _MUL,
+    "division": _DIV, "odd": _ODD, "comparacion": _EQ, "diferente": _NE,
+    "menor_que": _LT, "mayor_igual": _GE, "mayor_que": _GT,
+    "menor_igual": _LE}[name] for number, name in OPERATIONS.items()}
 
 
 def _decode(code: list) -> list[tuple]:
@@ -178,10 +189,9 @@ def _decode(code: list) -> list[tuple]:
     return decoded
 
 
-def _execute(state: MachineState, io, code: list[tuple],
-             budget: int | None) -> None:
-    """Execute the decoded code in place until the machine halts or budget
-    instructions have run (None: no limit).
+def _execute(state: MachineState, io, budget: int | None) -> None:
+    """Execute the state's decoded code in place until the machine halts
+    or budget instructions have run (None: no limit).
 
     The registers live in locals while the loop runs and go back to the
     state however it stops.  The stack is a list that only grows: t is
@@ -202,7 +212,7 @@ def _execute(state: MachineState, io, code: list[tuple],
     if state.halted:
         return
     p, b, t = state.p, state.b, state.t
-    stack = state.stack
+    code, stack = state.decoded, state.stack
     highest = state.stack_limit - 1   # the last cell t may claim
     end = target = len(code) - 1      # the sentinel's index
     if not 0 <= p < end:
@@ -384,7 +394,7 @@ def _execute(state: MachineState, io, code: list[tuple],
 
 def step(state: MachineState, io) -> MachineState:
     """Execute one instruction in place; also returns the state."""
-    _execute(state, io, _decode(state.code), 1)
+    _execute(state, io, 1)
     return state
 
 
@@ -426,10 +436,9 @@ def run(state: MachineState, io, debug: bool = False, control=None,
     if err is None:
         err = sys.stderr
     state.stack[:3] = [-1, -1, 0]
-    code = _decode(state.code)
     try:
         if not debug:
-            _execute(state, io, code, max_steps)
+            _execute(state, io, max_steps)
         else:
             steps = repeat(None) if max_steps is None else range(max_steps)
             for _ in steps:
@@ -437,7 +446,7 @@ def run(state: MachineState, io, debug: bool = False, control=None,
                     break
                 _trace(state, err)
                 (control if control is not None else sys.stdin).readline()
-                _execute(state, io, code, 1)
+                _execute(state, io, 1)
         if not state.halted:
             raise PvmRuntimeError(STEP_LIMIT, state.p)
     except PvmRuntimeError as error:

@@ -210,8 +210,9 @@ def rebuild_symbol_table(revised: Program) -> SymbolTable:
     working as link keys); indices, depths and reference targets are
     recomputed from the tree shape.  Read, write and call statements carry
     no code in the XML form, so their links are re-resolved here by name.
-    Raises XmlLoadError for duplicate codes, dangling references, and
-    references to a symbol of the wrong kind.
+    Raises XmlLoadError for duplicate codes, dangling references,
+    references to a symbol of the wrong kind, and references to a symbol
+    that no scope around the use declares.
     """
     table = SymbolTable()
     table.scopes_by_code = {}
@@ -261,7 +262,10 @@ def _rebuild_block(block: Block, scope: Scope, table: SymbolTable) -> None:
                        table)
 
 
-def _lookup_code(table: SymbolTable, node, kinds: tuple[str, ...]) -> Symbol:
+def _lookup_code(table: SymbolTable, scope: Scope, node,
+                 kinds: tuple[str, ...]) -> Symbol:
+    """The symbol `node.code` names, which must be of one of `kinds` and
+    declared in `scope` or a scope around it, maybe shadowed there."""
     code = node.code
     if code is None:
         raise XmlLoadError(
@@ -272,6 +276,11 @@ def _lookup_code(table: SymbolTable, node, kinds: tuple[str, ...]) -> Symbol:
     if symbol.kind not in kinds:
         raise XmlLoadError(
             f"el código '{code}' no es de la clase de símbolo esperada")
+    while scope is not None and scope.symbols.get(symbol.name) is not symbol:
+        scope = scope.parent
+    if scope is None:
+        raise XmlLoadError(f"referencia a un código que no es visible: "
+                           f"'{code}' (línea {node.line})")
     return symbol
 
 
@@ -290,9 +299,9 @@ def _relink_block(block: Block, scope: Scope, table: SymbolTable) -> None:
                       table)
     for node in walk(block.body):
         if isinstance(node, Assign):
-            _lookup_code(table, node, (VARIABLE,))
+            _lookup_code(table, scope, node, (VARIABLE,))
         elif isinstance(node, Ident):
-            _lookup_code(table, node, (VARIABLE, CONSTANT))
+            _lookup_code(table, scope, node, (VARIABLE, CONSTANT))
         elif isinstance(node, Call):
             node.code = _resolve_name(scope, node, node.procedure,
                                       (PROCEDURE,)).code

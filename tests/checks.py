@@ -17,7 +17,7 @@ from pl0plus import pvm
 from pl0plus.codegen import generate
 from pl0plus.lexer import tokenize, tokens_from_xml, tokens_to_xml
 from pl0plus.parser import ast_from_xml, ast_to_xml, parse
-from pl0plus.pcode import Program, program_from_xml, program_to_xml
+from pl0plus.pcode import program_from_xml, program_to_xml
 from pl0plus.semantics import analyze, revised_from_xml, revised_to_xml
 from pl0plus.xmldoc import parse_document, serialize_document
 
@@ -162,7 +162,7 @@ def phase_documents(artifacts: Artifacts) -> tuple:
     return (tokens_to_xml(list(artifacts.tokens), source),
             ast_to_xml(artifacts.ast, source),
             revised_to_xml(artifacts.revised, artifacts.table, source),
-            program_to_xml(Program(artifacts.program.instructions, source)))
+            program_to_xml(artifacts.program, source))
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +200,10 @@ def check_revised_roundtrip(revised, table):
     assert source is None
 
 
-def check_program_roundtrip(program):
-    again = program_from_xml(program_to_xml(program))
+def check_program_roundtrip(program, source=None):
+    again, source_again = program_from_xml(program_to_xml(program, source))
     assert again.instructions == program.instructions
     for mine, theirs in zip(program.instructions, again.instructions):
         assert ([(a.attributes, a.text) for a in mine.annotations]
                 == [(a.attributes, a.text) for a in theirs.annotations])
-    assert again.source == program.source
+    assert source_again == source

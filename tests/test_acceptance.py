@@ -123,7 +123,7 @@ def test_criterion_4_object_code_structure(capsys):
         assert instructions[-1].opcode is Opcode.RET
         text = program_to_xml(program)
         doc = parse_document(text)
-        reloaded = program_from_xml(text)
+        reloaded, _ = program_from_xml(text)
         assert doc.root.find("ensamblador").cdata() == \
             assembly_listing(reloaded)
         ok = True

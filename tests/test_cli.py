@@ -1,7 +1,9 @@
 """The compiler driver and the interpreter front end."""
 
+import errno
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -140,6 +142,17 @@ class TestPipeline:
         doc = parse_document(produced.read_text(encoding="utf-8"))
         assert doc.root.name == "codigo_pmas"
         assert doc.root.find("fuente").cdata() == ECHO
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        source = tmp_path / "eco.pl0+"
+        source.write_text(ECHO, encoding="utf-8")
+        output = tmp_path / "eco.p+"
+        output.mkdir()
+        assert run_pipeline(config_for(source, "-m")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"Error: no se pudo escribir '{output}': "
+                                f"{os.strerror(errno.EISDIR)}\n")
 
     def test_show_result_prints_the_document(self, tmp_path, capsys):
         source = tmp_path / "eco.pl0+"
@@ -485,7 +498,9 @@ class TestInterpreter:
         assert interpreter_main([str(bad)]) == 2
         assert "Error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("written", ["0_1", "+1", "1 ", "١", ""])
+    @pytest.mark.parametrize("written", [
+        "0_1", "+1", "1 ", "١", "",
+        pytest.param("1" * 5000, id="more-digits-than-int-converts")])
     def test_integer_attributes_are_ascii_decimal(self, tmp_path, capsys,
                                                   written):
         target = compiled_file(tmp_path, ECHO)

@@ -6,9 +6,9 @@ import checks
 from pl0plus.codegen import MAIN_LABEL, generate
 from pl0plus.lexer import tokenize
 from pl0plus.parser import parse
-from pl0plus.pcode import (Instruction, Opcode, assembly_listing,
-                           format_instruction, program_from_xml,
-                           program_to_xml)
+from pl0plus.pcode import (Annotation, Instruction, Opcode, Program,
+                           assembly_listing, format_instruction,
+                           program_from_xml, program_to_xml)
 from pl0plus.semantics import analyze
 from pl0plus.xmldoc import (XmlLoadError, canonical_equal, parse_document,
                             serialize_document)
@@ -348,20 +348,36 @@ class TestXml:
 
     def test_fuente_round_trip(self):
         program = compiled(SMALL)
-        program.source = SMALL
-        text = program_to_xml(program)
+        text = program_to_xml(program, SMALL)
         assert parse_document(text).root.find("fuente").cdata() == SMALL
-        assert program_from_xml(text).source == SMALL
+        assert program_from_xml(text) == (program, SMALL)
+        assert program_from_xml(program_to_xml(program)) == (program, None)
 
     def test_round_trip(self):
         for name in checks.CORPUS_NAMES:
-            checks.check_program_roundtrip(checks.corpus(name).program)
+            artifacts = checks.corpus(name)
+            checks.check_program_roundtrip(artifacts.program,
+                                           artifacts.source)
 
     def test_listing_text_is_not_consulted(self):
         doc = parse_document(program_to_xml(compiled(SMALL)))
         doc.root.find("ensamblador").children.clear()
-        program = program_from_xml(serialize_document(doc))
+        program, _ = program_from_xml(serialize_document(doc))
         assert shape(program) == SMALL_SHAPE
+
+    @pytest.mark.parametrize("content, kept", [
+        ("a <b>z</b> c", "a  c"), ("x<![CDATA[y]]> z", "x z"),
+        (" <b/> ", "")])
+    def test_annotation_text_around_markup(self, content, kept):
+        # What parse_document keeps as the element's text: the runs of
+        # text between the child elements and CDATA that are not blank.
+        text = program_to_xml(Program([Instruction(
+            0, Opcode.RET, annotations=[Annotation(text="@")])]))
+        text = text.replace(">@<", f">{content}<")
+        program, _ = program_from_xml(text)
+        (annotation,) = program.instructions[0].annotations
+        assert annotation.text == kept == parse_document(text).root.find(
+            "retornar").find("informacion").text()
 
     def load_error(self, text):
         with pytest.raises(XmlLoadError):

@@ -24,7 +24,7 @@ import checks
 from pl0plus.compiler import compiler_main
 from pl0plus.lexer import tokens_to_xml
 from pl0plus.parser import MAX_NESTING, ast_to_xml
-from pl0plus.pcode import Program, program_to_xml
+from pl0plus.pcode import program_to_xml
 from pl0plus.pvm import interpreter_main
 from pl0plus.semantics import revised_to_xml
 from pl0plus.xmldoc import parse_document, serialize_document
@@ -76,8 +76,7 @@ def forms(name: str) -> tuple[str | None, ...]:
             parse_document(ast_to_xml(art.ast, art.source)),
             parse_document(revised_to_xml(art.revised, art.table,
                                           art.source)),
-            parse_document(program_to_xml(
-                Program(art.program.instructions, art.source))))
+            parse_document(program_to_xml(art.program, art.source)))
     return (art.source,) + tuple(serialize_document(doc) + "\n"
                                  for doc in docs)
 

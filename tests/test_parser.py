@@ -108,6 +108,13 @@ class TestStructure:
         seq = body("begin x := 1; end.")
         assert [type(s) for s in seq.statements] == [Assign]
 
+    def test_optional_semicolon_after_a_block_statement(self):
+        # before the program's `.`, and before the `;` that ends a
+        # procedure declaration
+        assert body("begin x := 1 end;.") == body("begin x := 1 end.")
+        ast = parsed("procedure p; begin end;; begin call p end.")
+        assert [proc.name for proc in ast.block.procedures] == ["p"]
+
     def test_nothing_to_parse(self):
         ast, diags = parse([])
         assert ast is None

@@ -5,6 +5,7 @@ import io
 import pytest
 
 import checks
+from pl0plus import pvm
 from pl0plus.pcode import (Annotation, Instruction, Opcode, Program,
                            program_to_xml)
 from pl0plus.pvm import (BAD_CODE_ADDRESS, BAD_INPUT, BAD_STACK_ACCESS,
@@ -43,8 +44,8 @@ class TestRecords:
         assert plain != Instruction(0, Opcode.CAR, 0, 3)
         assert plain.annotations == []
 
-    def test_program_equality_ignores_source(self):
-        assert Program(code((Opcode.RET, None, None)), "begin end.") == \
+    def test_program_equality(self):
+        assert Program(code((Opcode.RET, None, None))) == \
             Program(code((Opcode.RET, None, None)))
         assert Program([]) != Program(code((Opcode.RET, None, None)))
 
@@ -463,6 +464,33 @@ class TestStepAndRun:
         assert "0 RET" in trace
         assert "pila: []" in trace
 
+    def test_debug_mode_traces_an_address_outside_the_code(self):
+        state = machine([(Opcode.SAL, None, 9)], loadable=False)
+        err = io.StringIO()
+        assert run(state, ListIo(), debug=True, control=io.StringIO(),
+                   err=err) == 1
+        assert err.getvalue().splitlines()[1:] == [
+            "p=9 b=0 t=-1  9 ???  pila: []",
+            f"Error en tiempo de ejecución: {BAD_CODE_ADDRESS} "
+            "(dirección 9)"]
+
+    def test_the_code_is_decoded_once_per_machine(self, monkeypatch):
+        calls = []
+
+        def counted(code):
+            calls.append(len(code))
+            return decode(code)
+
+        decode = pvm._decode
+        monkeypatch.setattr(pvm, "_decode", counted)
+        state = load(program_to_xml(checks.seeded(1000).program))
+        assert len(calls) == 1
+        state.stack[:3] = [-1, -1, 0]
+        channel = ListIo([3] * 100)
+        for _ in range(100):
+            step(state, channel)
+        assert (state.halted, calls) == (False, [len(state.code)])
+
     def test_load_rejects_empty_programs(self):
         from pl0plus.xmldoc import XmlLoadError
         with pytest.raises(XmlLoadError):
@@ -597,6 +625,14 @@ FAULTS = [
                  "Operación inválida: 7", 3, id="invalid-operation"),
     pytest.param([MAIN, (Opcode.LEE, None, None), RET], {}, (),
                  BAD_INPUT, 1, id="exhausted-input"),
+    pytest.param([(Opcode.ALM, 0, 0), RET], {}, (), BAD_STACK_ACCESS, 0,
+                 id="alm-on-an-empty-stack"),
+    pytest.param([(Opcode.SAC, None, 1), RET], {}, (), BAD_STACK_ACCESS, 0,
+                 id="sac-on-an-empty-stack"),
+    pytest.param([(Opcode.OPR, None, 6), RET], {}, (), BAD_STACK_ACCESS, 0,
+                 id="odd-on-an-empty-stack"),
+    pytest.param([MAIN, (Opcode.LEE, None, None), RET], {"stack_limit": 3},
+                 (4,), BAD_STACK_ACCESS, 1, id="lee-hits-the-stack-limit"),
 ]
 
 

@@ -287,6 +287,22 @@ SMALL_XML = """
 </arbol_de_sintaxis_revisado>"""
 
 
+# `x := w` in `a`, with `a`'s nested procedure `b` and `a`'s later sibling
+# `c` each declaring a variable `a`'s body cannot see.
+NESTED = """var x;
+procedure a;
+  var w;
+  procedure b;
+    var y;
+  begin y := 5; write y end;
+begin w := 2; x := w; call b end;
+procedure c;
+  var z;
+begin z := 7 end;
+begin call a; write x end.
+"""
+
+
 class TestXml:
     def small_doc(self, source=None):
         revised, table = analyzed(SMALL)
@@ -441,3 +457,47 @@ class TestXml:
         block.add(var)
         with pytest.raises(XmlLoadError, match="duplicado"):
             revised_from_xml(serialize_document(doc))
+
+    def test_duplicate_procedure_names_in_block_rejected(self):
+        revised, table = analyzed("procedure p;\nbegin end;\n"
+                                  "procedure q;\nbegin end;\nbegin end.")
+        doc = parse_document(revised_to_xml(revised, table))
+        _, second = find_elements(doc.root, "procedimiento")
+        second.attributes["nombre"] = "p"
+        with pytest.raises(XmlLoadError) as info:
+            revised_from_xml(serialize_document(doc))
+        assert str(info.value) == "símbolo duplicado en el bloque: 'p'"
+
+    def nested_doc(self, element, code, new_code):
+        """NESTED's document with the `element` whose code is `code`
+        retargeted to `new_code`."""
+        revised, table = analyzed(NESTED)
+        doc = parse_document(revised_to_xml(revised, table))
+        (use,) = [found for found in find_elements(doc.root, element)
+                  if found.attributes["codigo"] == code]
+        use.attributes["codigo"] = new_code
+        return serialize_document(doc)
+
+    @pytest.mark.parametrize("element, code, new_code", [
+        pytest.param("identificador", "v0/0_0", "v0/0/0_0",
+                     id="a-nested-procedure-variable"),
+        pytest.param("asignacion", "v0_0", "v0/1_0",
+                     id="a-sibling-procedure-variable"),
+    ])
+    def test_reference_to_a_code_not_visible_rejected(self, element, code,
+                                                      new_code):
+        with pytest.raises(XmlLoadError) as info:
+            revised_from_xml(self.nested_doc(element, code, new_code))
+        assert str(info.value) == (f"referencia a un código que no es "
+                                   f"visible: '{new_code}' (línea 7)")
+
+    def test_reference_to_a_shadowed_outer_code_accepted(self):
+        revised, table = analyzed("var x;\nprocedure p;\n  var x;\n"
+                                  "begin x := 1 end;\nbegin call p end.")
+        doc = parse_document(revised_to_xml(revised, table))
+        (inner,) = find_elements(doc.root, "asignacion")
+        assert inner.attributes["codigo"] == "v0/0_0"
+        inner.attributes["codigo"] = "v0_0"
+        again, _, _ = revised_from_xml(serialize_document(doc))
+        (assign,) = again.block.procedures[0].block.body.statements
+        assert assign.code == "v0_0"
