@@ -22,7 +22,6 @@ from .parser import (Assign, BinOp, Block, Call, Cond, Empty, Ident, If, Neg,
 from .pcode import OPERATIONS, Annotation, Instruction, Opcode, Program
 # The compiler's output format, reachable beside the generator.
 from .pcode import program_from_xml, program_to_xml  # noqa: F401
-from .semantics import CONSTANT, VARIABLE, SymbolTable
 
 # OPR's parameter by the name of its operation.
 _OPR_PARAMS = {name: number for number, name in OPERATIONS.items()}
@@ -31,8 +30,12 @@ MAIN_LABEL = "--PRINCIPAL--"
 
 
 class _Generator:
-    def __init__(self, table: SymbolTable):
-        self.table = table
+    def __init__(self):
+        # What the revised tree's declarations say, by their codes: each
+        # constant's value, and each variable's or procedure's declaring
+        # depth, frame offset (read for variables only) and name.
+        self.values: dict[str, int] = {}
+        self.places: dict[str, tuple[int, int, str]] = {}
         self.code: list[Instruction] = []
         self.entries: dict[str, int] = {}   # procedure code -> INS address
         self.fixups: list[tuple[Instruction, str]] = []
@@ -49,7 +52,10 @@ class _Generator:
         operation.annotations.append(Annotation(text=name))
 
     def block(self, blk: Block, proc, depth: int) -> None:
-        scope = self.table.scopes_by_code[blk.code]
+        for const in blk.constants:
+            self.values[const.code] = const.value
+        for position, node in enumerate(blk.variables + blk.procedures):
+            self.places[node.code] = (depth, 3 + position, node.name)
         if proc is None:
             name = MAIN_LABEL
             info = {"inicio_de_procedimiento": name, "codigo": blk.code}
@@ -62,7 +68,7 @@ class _Generator:
         for child in blk.procedures:
             self.block(child.block, child, depth + 1)
         jump.param = len(self.code)
-        entry = self.emit(Opcode.INS, param=3 + scope.count(VARIABLE))
+        entry = self.emit(Opcode.INS, param=3 + len(blk.variables))
         entry.annotations.append(Annotation(dict(info)))
         if proc is not None:
             self.entries[proc.code] = entry.address
@@ -73,10 +79,10 @@ class _Generator:
     def statement(self, node, depth: int) -> None:
         if isinstance(node, Assign):
             self.expression(node.expr, depth)
-            self.store(node, node.code, depth)
+            self.access(Opcode.ALM, node, depth)
         elif isinstance(node, Call):
-            symbol = self.table.by_code[node.code]
-            call = self.emit(Opcode.LLA, level=depth - symbol.depth)
+            call = self.emit(Opcode.LLA,
+                             level=depth - self.places[node.code][0])
             target = self.entries.get(node.code)
             if target is None:
                 self.fixups.append((call, node.code))
@@ -110,9 +116,9 @@ class _Generator:
             self.note_at(start, node, "Inicio de ciclo (while-do)")
         elif isinstance(node, Read):
             self.emit(Opcode.LEE)
-            self.store(node, node.code, depth)
+            self.access(Opcode.ALM, node, depth)
         elif isinstance(node, Write):
-            self.load_symbol(node, node.code, depth)
+            self.load(node, depth)
             self.emit(Opcode.ESC)
         elif isinstance(node, Empty):
             pass
@@ -141,7 +147,7 @@ class _Generator:
             if isinstance(node, Num):
                 self.emit(Opcode.LIT, param=node.value)
             elif isinstance(node, Ident):
-                self.load_symbol(node, node.code, depth)
+                self.load(node, depth)
             elif isinstance(node, BinOp):
                 self.operation(node.op)
             elif isinstance(node, Neg):
@@ -149,27 +155,21 @@ class _Generator:
             else:
                 raise TypeError(f"not an expression node: {node!r}")
 
-    def load_symbol(self, node, code: str, depth: int) -> None:
-        """Push a named value: LIT for constants, CAR for variables."""
-        symbol = self.table.by_code[code]
-        if symbol.kind == CONSTANT:
-            self.emit(Opcode.LIT, param=symbol.value)
-            return
-        load = self.emit(Opcode.CAR, level=depth - symbol.depth,
-                         param=3 + symbol.index)
-        load.annotations.append(self.variable_note(node, symbol))
+    def load(self, node, depth: int) -> None:
+        """Push the value `node.code` names: LIT for a constant, CAR for a
+        variable."""
+        if node.code in self.values:
+            self.emit(Opcode.LIT, param=self.values[node.code])
+        else:
+            self.access(Opcode.CAR, node, depth)
 
-    def store(self, node, code: str, depth: int) -> None:
-        symbol = self.table.by_code[code]
-        put = self.emit(Opcode.ALM, level=depth - symbol.depth,
-                        param=3 + symbol.index)
-        put.annotations.append(self.variable_note(node, symbol))
-
-    @staticmethod
-    def variable_note(node, symbol) -> Annotation:
-        return Annotation({"codigo": symbol.code, "linea": str(node.line),
-                           "columna": str(node.column),
-                           "variable": symbol.name})
+    def access(self, opcode: Opcode, node, depth: int) -> None:
+        """CAR or ALM of the variable `node.code` names, noted by it."""
+        declared, offset, name = self.places[node.code]
+        instruction = self.emit(opcode, depth - declared, offset)
+        instruction.annotations.append(Annotation(
+            {"codigo": node.code, "linea": str(node.line),
+             "columna": str(node.column), "variable": name}))
 
     def note_at(self, address: int, node, text: str) -> None:
         # Statement notes go before any variable note already on the
@@ -179,8 +179,7 @@ class _Generator:
                            "columna": str(node.column)}, text))
 
 
-def generate(revised: Ast, table: SymbolTable) -> tuple[Program | None,
-                                                        list[Diagnostic]]:
+def generate(revised: Ast) -> tuple[Program | None, list[Diagnostic]]:
     """Translate an error-free revised tree; refuses trees that still
     contain unresolved references."""
     # The first node, in source order, whose `code` field is still empty.
@@ -189,7 +188,7 @@ def generate(revised: Ast, table: SymbolTable) -> tuple[Program | None,
     if dangling is not None:
         return None, [error("gen", dangling.line, dangling.column,
                             "Referencia sin resolver")]
-    generator = _Generator(table)
+    generator = _Generator()
     generator.block(revised.block, None, 0)
     for call, code in generator.fixups:
         call.param = generator.entries[code]

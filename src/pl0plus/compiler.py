@@ -36,10 +36,9 @@ def _late(module, name: str):
 class PhaseDescriptor(Record):
     """One phase and the document it writes.
 
-    What a phase hands on is a tuple: `run(*made)` returns the phase's
-    own tuple followed by its findings, `save(*made, source)` writes that
-    tuple as the phase's document, and `load(text)` reads it back,
-    followed by the document's `fuente` or None.  The last phase's
+    `run(made)` returns what the phase makes and its findings, `save(made,
+    source)` writes what it made as its document, and `load(text)` reads
+    that back with the document's `fuente` or None.  The last phase's
     document is read by no phase, so it has no `load`.
     """
 
@@ -129,10 +128,10 @@ def run_pipeline(config: CompileConfig) -> int:
         return 2
 
     if first == 0:
-        made, source = (text,), text
+        made, source = text, text
     else:
         try:
-            *made, source = PHASES[first - 1].load(text)
+            made, source = PHASES[first - 1].load(text)
         except (XmlParseError, XmlLoadError) as exc:
             print(f"Error: '{path}': {exc}", file=sys.stderr)
             return 2
@@ -140,11 +139,11 @@ def run_pipeline(config: CompileConfig) -> int:
     diags = []
     last_run = None
     for phase in config.phases:
-        if made[0] is None:
+        if made is None:
             break
         if phase.needs_error_free and has_errors(diags):
             break
-        *made, found = phase.run(*made)
+        made, found = phase.run(made)
         diags.extend(found)
         last_run = phase
 
@@ -153,8 +152,8 @@ def run_pipeline(config: CompileConfig) -> int:
     ordered = diagnostics.sort_diagnostics(diags)
     failed = has_errors(ordered)
 
-    if not failed and made[0] is not None and last_run is not None:
-        rendered = last_run.save(*made, source)
+    if not failed and made is not None and last_run is not None:
+        rendered = last_run.save(made, source)
         output_path = path[:-len(EXTENSIONS[first])] + last_run.extension
         try:
             with open(output_path, "w", encoding="utf-8") as out:

@@ -13,7 +13,11 @@ calls.
 Before the first step, `run` materializes the main frame's linkage cells:
 static and dynamic link get -1 (there is no frame before main, and a
 static chain that walks past main must fail, not loop), the return
-address gets 0, which is what lets main's RET halt the machine.
+address gets 0, which is what lets main's RET halt the machine.  Every
+static link a walk reads must point below the frame it is read from, as
+the links LLA writes do; any other, such as one a hand-edited `.p+`
+stores, is an invalid stack access, so a walk of any level reads at
+most b + 1 links.
 
 Instructions are executed by one loop, `_execute`, over the program
 decoded into tuples of small ints and ended by a sentinel entry.  A
@@ -227,11 +231,10 @@ def _execute(state: MachineState, io, budget: int | None) -> None:
                 while level > 0:
                     if not 0 <= index < len(stack):
                         raise PvmRuntimeError(BAD_STACK_ACCESS)
-                    index = stack[index]
-                    if index < 0:
-                        # walked past the outermost frame into the
-                        # bootstrap link
+                    link = stack[index]
+                    if not 0 <= link < index:
                         raise PvmRuntimeError(BAD_STACK_ACCESS)
+                    index = link
                     level -= 1
                 index += param
                 if index < 0 or index > t or t >= highest:
@@ -257,9 +260,10 @@ def _execute(state: MachineState, io, budget: int | None) -> None:
                 while level > 0:
                     if not 0 <= index < len(stack):
                         raise PvmRuntimeError(BAD_STACK_ACCESS)
-                    index = stack[index]
-                    if index < 0:
+                    link = stack[index]
+                    if not 0 <= link < index:
                         raise PvmRuntimeError(BAD_STACK_ACCESS)
+                    index = link
                     level -= 1
                 index += param
                 if index < 0 or index > t:
@@ -325,8 +329,8 @@ def _execute(state: MachineState, io, budget: int | None) -> None:
                 while level > 0:
                     if not 0 <= link < len(stack):
                         raise PvmRuntimeError(BAD_STACK_ACCESS)
-                    link = stack[link]
-                    if link < 0:
+                    frame, link = link, stack[link]
+                    if not 0 <= link < frame:
                         raise PvmRuntimeError(BAD_STACK_ACCESS)
                     level -= 1
                 if t + 3 > highest:

@@ -5,8 +5,8 @@ lives: blocks are `b` plus the scope path joined with underscores (`b0`,
 `b0_0`), other symbols are a kind prefix (`c`, `v`, `p`) plus the scope
 path joined with slashes, an underscore, and the 0-based declaration index
 among symbols of the same kind (`v0_1`, `v0/0_2`).  The revised tree links
-every use back to its declaration through these codes, which is all the
-code generator needs.
+every use back to its declaration through these codes; that tree is all
+the code generator reads.
 
 Visibility follows declaration order: a procedure sees itself (recursion
 works) and everything declared before it, but not siblings declared later.
@@ -39,17 +39,13 @@ def symbol_code(kind: str, scope_path, index: int | None = None) -> str:
 
 
 class Symbol(Record):
-    __slots__ = ("name", "kind", "code", "index", "line", "column", "depth",
-                 "value")
+    __slots__ = ("name", "kind", "code", "depth", "value")
 
-    def __init__(self, name: str, kind: str, code: str, index: int,
-                 line: int, column: int, depth: int, value: int | None = None):
+    def __init__(self, name: str, kind: str, code: str, depth: int,
+                 value: int | None = None):
         self.name = name
         self.kind = kind
         self.code = code
-        self.index = index
-        self.line = line
-        self.column = column
         self.depth = depth
         self.value = value  # constants only
 
@@ -68,10 +64,7 @@ class Scope:
     def depth(self) -> int:
         return len(self.path) - 1
 
-    def count(self, kind: str) -> int:
-        return self._counts[kind]
-
-    def declare(self, name: str, kind: str, line: int, column: int,
+    def declare(self, name: str, kind: str,
                 value: int | None = None) -> Symbol | None:
         """Add a symbol; None signals a duplicate name in this scope."""
         if name in self.symbols:
@@ -79,7 +72,7 @@ class Scope:
         index = self._counts[kind]
         self._counts[kind] += 1
         symbol = Symbol(name, kind, symbol_code(kind, self.path, index),
-                        index, line, column, self.depth, value)
+                        self.depth, value)
         self.symbols[name] = symbol
         return symbol
 
@@ -93,16 +86,17 @@ class Scope:
 
 
 class SymbolTable:
-    def __init__(self):
-        self.root = Scope([0])
-        self.by_code: dict[str, Symbol] = {}
-        self.scopes_by_code: dict[str, Scope] = {self.root.code: self.root}
+    """The `.pl0+sem` validator's state: every symbol and every block
+    scope of a revised tree, by code."""
 
-    def register_scope(self, scope: Scope) -> Scope:
+    def __init__(self):
+        self.by_code: dict[str, Symbol] = {}
+        self.scopes_by_code: dict[str, Scope] = {}
+
+    def register_scope(self, scope: Scope) -> None:
         if scope.code in self.scopes_by_code:
             raise XmlLoadError(f"código de bloque duplicado: '{scope.code}'")
         self.scopes_by_code[scope.code] = scope
-        return scope
 
     def register(self, symbol: Symbol) -> None:
         if symbol.code in self.by_code:
@@ -116,7 +110,6 @@ class SymbolTable:
 
 class _Analyzer:
     def __init__(self):
-        self.table = SymbolTable()
         self.diags: list[Diagnostic] = []
 
     def err(self, node, message: str) -> None:
@@ -132,18 +125,16 @@ class _Analyzer:
             self.declare(proc, PROCEDURE, scope)
             # The child scope index is the syntactic position, so block
             # codes stay unique even when a duplicate name was rejected.
-            child = self.table.register_scope(
-                Scope(scope.path + [position], scope))
-            self.visit_block(proc.block, child)
+            self.visit_block(proc.block,
+                             Scope(scope.path + [position], scope))
         self.visit_body(block.body, scope)
 
     def declare(self, node, kind: str, scope: Scope, value=None) -> None:
-        symbol = scope.declare(node.name, kind, node.line, node.column, value)
+        symbol = scope.declare(node.name, kind, value)
         if symbol is None:
             self.err(node, "Símbolo duplicado")
-            return
-        self.table.register(symbol)
-        node.code = symbol.code
+        else:
+            node.code = symbol.code
 
     def resolve(self, node, name: str, scope: Scope,
                 target: bool = False) -> str | None:
@@ -180,13 +171,13 @@ class _Analyzer:
                 node.code = self.resolve(node, node.name, scope)
 
 
-def analyze(ast: Program) -> tuple[Program, SymbolTable, list[Diagnostic]]:
+def analyze(ast: Program) -> tuple[Program, list[Diagnostic]]:
     """Fill in the symbol codes of `ast` in place and return that same
-    tree, the symbol table behind its codes, and any findings.  Running
-    analyze again on the annotated tree assigns identical codes."""
+    tree and any findings.  Running analyze again on the annotated tree
+    assigns identical codes."""
     analyzer = _Analyzer()
-    analyzer.visit_block(ast.block, analyzer.table.root)
-    return ast, analyzer.table, analyzer.diags
+    analyzer.visit_block(ast.block, Scope([0]))
+    return ast, analyzer.diags
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +186,8 @@ def analyze(ast: Program) -> tuple[Program, SymbolTable, list[Diagnostic]]:
 ROOT_NAME = "arbol_de_sintaxis_revisado"
 
 
-def revised_to_xml(revised: Program, table: SymbolTable,
-                   source: str | None = None) -> str:
-    """Requires a tree where analyze found no errors; the codes carried by
-    the nodes are the serialized form of `table`."""
-    del table  # the codes on the tree already say everything
+def revised_to_xml(revised: Program, source: str | None = None) -> str:
+    """Requires a tree where analyze found no errors."""
     return tree_to_xml(ROOT_NAME, revised, source, with_codes=True)
 
 
@@ -207,17 +195,16 @@ def rebuild_symbol_table(revised: Program) -> SymbolTable:
     """Reconstruct the table implied by a code-annotated tree.
 
     Declarations keep the codes they carry (so hand-renamed codes keep
-    working as link keys); indices, depths and reference targets are
-    recomputed from the tree shape.  Read, write and call statements carry
-    no code in the XML form, so their links are re-resolved here by name.
+    working as link keys); procedure codes and depths are recomputed from
+    the tree shape.  Read, write and call statements carry no code in the
+    XML form, so their links are re-resolved here by name.
     Raises XmlLoadError for duplicate codes, dangling references,
     references to a symbol of the wrong kind, and references to a symbol
     that no scope around the use declares.
     """
-    table = SymbolTable()
-    table.scopes_by_code = {}
-    _rebuild_block(revised.block, table.root, table)
-    _relink_block(revised.block, table.root, table)
+    table, root = SymbolTable(), Scope([0])
+    _rebuild_block(revised.block, root, table)
+    _relink_block(revised.block, root, table)
     return table
 
 
@@ -239,7 +226,7 @@ def _rebuild_block(block: Block, scope: Scope, table: SymbolTable) -> None:
         code = _require_code(node, {CONSTANT: "constante",
                                     VARIABLE: "variable",
                                     PROCEDURE: "procedimiento"}[kind])
-        symbol = scope.declare(node.name, kind, node.line, node.column, value)
+        symbol = scope.declare(node.name, kind, value)
         if symbol is None:
             raise XmlLoadError(
                 f"símbolo duplicado en el bloque: '{node.name}'")
@@ -252,7 +239,7 @@ def _rebuild_block(block: Block, scope: Scope, table: SymbolTable) -> None:
         declare(var, VARIABLE)
     for position, proc in enumerate(block.procedures):
         proc.code = None  # assigned canonically below
-        symbol = scope.declare(proc.name, PROCEDURE, proc.line, proc.column)
+        symbol = scope.declare(proc.name, PROCEDURE)
         if symbol is None:
             raise XmlLoadError(
                 f"símbolo duplicado en el bloque: '{proc.name}'")
@@ -313,10 +300,9 @@ def _relink_block(block: Block, scope: Scope, table: SymbolTable) -> None:
                                       (VARIABLE, CONSTANT)).code
 
 
-def revised_from_xml(text: str) -> tuple[Program, SymbolTable, str | None]:
+def revised_from_xml(text: str) -> tuple[Program, str | None]:
     """Inverse of revised_to_xml; also validates every code reference.
-    Returns the tree, the symbol table rebuilt from its codes, and the
-    source text when the document carries it."""
+    Returns the tree and the source text when the document carries it."""
 
     def check_root(name):
         if name != ROOT_NAME:
@@ -324,4 +310,5 @@ def revised_from_xml(text: str) -> tuple[Program, SymbolTable, str | None]:
                 f"se esperaba el elemento '{ROOT_NAME}', no '{name}'")
 
     revised, source = tree_from_xml(text, check_root, keep_codes=True)
-    return revised, rebuild_symbol_table(revised), source
+    rebuild_symbol_table(revised)
+    return revised, source

@@ -117,7 +117,6 @@ class Artifacts:
     tokens: tuple
     ast: object
     revised: object
-    table: object
     program: object
 
 
@@ -129,12 +128,12 @@ def compile_clean(source: str, inputs=(), features=frozenset()) -> Artifacts:
     assert not sin_diags, sin_diags
     # analyze annotates the tree it is given; analyzing a second parse
     # keeps `ast` a pure syntax tree.
-    revised, table, sem_diags = analyze(parse(tokens)[0])
+    revised, sem_diags = analyze(parse(tokens)[0])
     assert not sem_diags, sem_diags
-    program, gen_diags = generate(revised, table)
+    program, gen_diags = generate(revised)
     assert not gen_diags, gen_diags
     return Artifacts(source, tuple(inputs), features, tuple(tokens), ast,
-                     revised, table, program)
+                     revised, program)
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +160,7 @@ def phase_documents(artifacts: Artifacts) -> tuple:
     source = artifacts.source
     return (tokens_to_xml(list(artifacts.tokens), source),
             ast_to_xml(artifacts.ast, source),
-            revised_to_xml(artifacts.revised, artifacts.table, source),
+            revised_to_xml(artifacts.revised, source),
             program_to_xml(artifacts.program, source))
 
 
@@ -193,9 +192,8 @@ def check_ast_roundtrip(ast):
     assert source is None
 
 
-def check_revised_roundtrip(revised, table):
-    again, _, source = revised_from_xml(
-        revised_to_xml(revised, table))
+def check_revised_roundtrip(revised):
+    again, source = revised_from_xml(revised_to_xml(revised))
     assert again == revised
     assert source is None
 

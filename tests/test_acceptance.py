@@ -140,7 +140,7 @@ def test_criterion_5_diagnostics_report(capsys, tmp_path):
 
         tokens, found = tokenize(source)
         ast, sin_found = parse(tokens)
-        _, _, sem_found = analyze(ast)
+        _, sem_found = analyze(ast)
         ordered = sort_diagnostics(found + sin_found + sem_found)
         assert [(d.severity, d.phase, d.line, d.column, d.message)
                 for d in ordered[:2]] == [
@@ -251,8 +251,7 @@ def test_criterion_8_round_trips(capsys):
                 parse_document(program_to_xml(artifacts.program)))
             checks.check_token_roundtrip(artifacts.tokens, artifacts.source)
             checks.check_ast_roundtrip(artifacts.ast)
-            checks.check_revised_roundtrip(artifacts.revised,
-                                           artifacts.table)
+            checks.check_revised_roundtrip(artifacts.revised)
             checks.check_program_roundtrip(artifacts.program)
         ok = True
     finally:

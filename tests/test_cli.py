@@ -645,7 +645,7 @@ class TestNesting:
         # parser takes; its reader holds it to the parser's limit.
         tree = deep_tree(shape, depth)
         path = tmp_path / f"hondo{extension}"
-        path.write_text(revised_to_xml(tree, None) if extension == ".pl0+sem"
+        path.write_text(revised_to_xml(tree) if extension == ".pl0+sem"
                         else ast_to_xml(tree), encoding="utf-8")
         status = compiler_main([*flags, str(path)])
         err = capsys.readouterr().err
@@ -762,6 +762,20 @@ class TestInstalledScripts:
             "pl0plus.compiler", "pl0plus.diagnostics", "pl0plus.lexer",
             "pl0plus.parser", "pl0plus.pcode", "pl0plus.pvm",
             "pl0plus.semantics", "pl0plus.xmldoc"]
+
+    def test_codegen_loads_no_semantic_phase(self):
+        # The revised tree is all the generator reads: it needs no symbol
+        # table, so `import pl0plus.codegen` leaves `semantics` unloaded.
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+                 "import pl0plus.codegen; print(' '.join(sorted(name for "
+                 "name in sys.modules if name.startswith('pl0plus'))))")
+        result = subprocess.run([sys.executable, "-S", "-c", probe],
+                                capture_output=True, text=True,
+                                timeout=SCRIPT_TIMEOUT)
+        assert result.returncode == 0, result.stderr
+        assert "pl0plus.codegen" in result.stdout.split()
+        assert "pl0plus.semantics" not in result.stdout.split()
 
     def test_interprete_takes_only_ascii_integers(self, tmp_path):
         # int() would take "0_1" as 1 and "٤" as 4.

@@ -9,7 +9,6 @@ from pl0plus.parser import parse
 from pl0plus.pcode import (Annotation, Instruction, Opcode, Program,
                            assembly_listing, format_instruction,
                            program_from_xml, program_to_xml)
-from pl0plus.semantics import analyze
 from pl0plus.xmldoc import (XmlLoadError, canonical_equal, parse_document,
                             serialize_document)
 
@@ -198,9 +197,8 @@ class TestTranslation:
 
     def test_unresolved_tree_is_refused(self):
         tokens, _ = tokenize("var x;\nbegin x := 1 end.")
-        _, table, _ = analyze(parse(tokens)[0])
         never_analyzed, _ = parse(tokens)
-        program, diags = generate(never_analyzed, table)
+        program, diags = generate(never_analyzed)
         assert program is None
         assert [(d.phase, d.severity, d.line, d.column, d.message)
                 for d in diags] == [
@@ -209,7 +207,7 @@ class TestTranslation:
     def test_single_dangling_use_is_located(self):
         artifacts = checks.compile_clean("var x, y;\nbegin x := y + 1 end.")
         artifacts.revised.block.body.statements[0].expr.left.code = None
-        program, diags = generate(artifacts.revised, artifacts.table)
+        program, diags = generate(artifacts.revised)
         assert program is None
         assert [(d.line, d.column) for d in diags] == [(2, 11)]
 

@@ -38,6 +38,9 @@ FORMS = ((".pl0+", []),
 
 ATTRIBUTE = re.compile(r' ([\w-]+)="([^"]*)"')
 ELEMENT = re.compile(r"<(/?)([\w-]+)")
+# the code a `.pl0+sem` reference or declaration carries
+USE = re.compile(r'<(?:asignacion|identificador) [^>]* codigo="([^"]*)"')
+DECLARATION = re.compile(r'<(?:constante|variable) [^>]* codigo="([^"]*)"')
 VALUES = ("", "0", "-1", "1", "3", "-3", "2147483648", "99999999", "x",
           "b0", "b1", "v0", "suma", "odd")
 TEXTS = ("", "x", "1", "(", ")", ";", ":=", "begin", "end", "call p",
@@ -67,15 +70,14 @@ def forms(name: str) -> tuple[str | None, ...]:
     if name in DEEP_TREES:
         tree = checks.deep_tree(DEEP_TREES[name], 5000)
         return (None, None, ast_to_xml(tree) + "\n",
-                revised_to_xml(tree, None) + "\n", None)
+                revised_to_xml(tree) + "\n", None)
     if name in SOURCES:
         art = checks.compile_clean(SOURCES[name])
     else:
         art = checks.corpus(name)
     docs = (parse_document(tokens_to_xml(art.tokens, art.source)),
             parse_document(ast_to_xml(art.ast, art.source)),
-            parse_document(revised_to_xml(art.revised, art.table,
-                                          art.source)),
+            parse_document(revised_to_xml(art.revised, art.source)),
             parse_document(program_to_xml(art.program, art.source)))
     return (art.source,) + tuple(serialize_document(doc) + "\n"
                                  for doc in docs)
@@ -92,8 +94,9 @@ def element_names() -> tuple[str, ...]:
 
 def mutate(data, text: str) -> str:
     """One edit of `text`: a line duplicated, deleted or swapped, an
-    attribute value changed or deleted, an element renamed, or a piece of
-    text replaced."""
+    attribute value changed (a `codigo` maybe to another of the
+    document's) or deleted, an element renamed, or a piece of text
+    replaced."""
     lines = text.split("\n")
     kind = data.draw(st.sampled_from(
         ("duplicate", "delete", "swap", "value", "unset", "rename",
@@ -122,11 +125,42 @@ def mutate(data, text: str) -> str:
         replacement = data.draw(st.sampled_from(element_names()))
     elif kind == "value":
         start, end = match.span(2)
-        replacement = data.draw(st.sampled_from(VALUES))
+        values = VALUES
+        if match.group(1) == "codigo":
+            values += tuple(sorted({other.group(2) for other in matches
+                                    if other.group(1) == "codigo"}))
+        replacement = data.draw(st.sampled_from(values))
     else:
         start, end = match.span()
         replacement = ""
     return text[:start] + replacement + text[end:]
+
+
+def retarget(data, text: str) -> str:
+    """A `.pl0+sem` reference set to the code of any declaration in the
+    document: one its block cannot see, one of the wrong kind, or one it
+    may use, whose code then decides the instruction."""
+    use = data.draw(st.sampled_from(list(USE.finditer(text))))
+    declared = sorted({match.group(1) for match in DECLARATION.finditer(text)})
+    start, end = use.span(1)
+    return text[:start] + data.draw(st.sampled_from(declared)) + text[end:]
+
+
+def run_form(extension: str, flags: list, text: str) -> int:
+    """The exit code of the command that reads `text` as a file of
+    `extension`, given `flags`."""
+    main = interpreter_main if extension == ".p+" else compiler_main
+    saved_stdin = sys.stdin
+    with tempfile.TemporaryDirectory() as work, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        path = Path(work) / f"mutado{extension}"
+        path.write_text(text, encoding="utf-8")
+        sys.stdin = io.StringIO("3\n" * 20)
+        try:
+            return main([*flags, str(path)])
+        finally:
+            sys.stdin = saved_stdin
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -137,16 +171,14 @@ def test_mutated_input_ends_with_an_exit_code(data):
                                        if text is not None]))
     extension, flags = FORMS[index]
     text = mutate(data, forms(name)[index])
-    main = interpreter_main if extension == ".p+" else compiler_main
-    saved_stdin = sys.stdin
-    with tempfile.TemporaryDirectory() as work, \
-            contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        path = Path(work) / f"mutado{extension}"
-        path.write_text(text, encoding="utf-8")
-        sys.stdin = io.StringIO("3\n" * 20)
-        try:
-            status = main([*flags, str(path)])
-        finally:
-            sys.stdin = saved_stdin
-    assert status in (0, 1, 2)
+    assert run_form(extension, flags, text) in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_retargeted_reference_is_compiled_or_refused(data):
+    # The reader refuses a reference it may not have (exit 2); one it
+    # may have compiles.
+    name = data.draw(st.sampled_from(checks.CORPUS_NAMES))
+    text = retarget(data, forms(name)[3])
+    assert run_form(".pl0+sem", ["--gen"], text) in (0, 2)

@@ -570,6 +570,9 @@ def machine(specs, loadable=True, stack_limit=None):
 
 MAIN = (Opcode.INS, None, 3)
 RET = (Opcode.RET, None, None)
+# main's static link overwritten to point at main's own frame
+SELF_LINKED = [(Opcode.INS, None, 4), (Opcode.LIT, None, 0),
+               (Opcode.ALM, 0, 0)]
 
 FAULTS = [
     pytest.param([MAIN, (Opcode.LIT, None, 7), (Opcode.LIT, None, 0),
@@ -620,6 +623,13 @@ FAULTS = [
                  BAD_CODE_ADDRESS, -4, id="lla-to-a-negative-address"),
     pytest.param([MAIN, (Opcode.LIT, None, 1), (Opcode.ALM, 1, 3), RET], {},
                  (), BAD_STACK_ACCESS, 2, id="alm-chain-past-the-sentinel"),
+    # a walk of any level stops at the first link that does not point down
+    pytest.param([*SELF_LINKED, (Opcode.CAR, 10**11, 3), RET], {}, (),
+                 BAD_STACK_ACCESS, 3, id="car-chain-links-to-itself"),
+    pytest.param([*SELF_LINKED, (Opcode.ALM, 10**11, 3), RET], {}, (),
+                 BAD_STACK_ACCESS, 3, id="alm-chain-links-to-itself"),
+    pytest.param([*SELF_LINKED, (Opcode.LLA, 10**11, 5), RET, MAIN, RET], {},
+                 (), BAD_STACK_ACCESS, 3, id="lla-chain-links-to-itself"),
     pytest.param([MAIN, (Opcode.LIT, None, 1), (Opcode.LIT, None, 2),
                   (Opcode.OPR, None, 7), RET], {"loadable": False}, (),
                  "Operación inválida: 7", 3, id="invalid-operation"),

@@ -19,8 +19,8 @@ from pl0plus.semantics import Symbol
 CASES = {
     "token": (Token, (TokenKind.IDENTIFICADOR, 1, 4, 3, "abc", None),
               (TokenKind.NUMERO, 2, 5, 4, "abd", 7)),
-    "symbol": (Symbol, ("x", "variable", "v0_0", 0, 1, 4, 0, None),
-               ("y", "constante", "c0_1", 1, 2, 5, 1, 3)),
+    "symbol": (Symbol, ("x", "variable", "v0_0", 0, None),
+               ("y", "constante", "c0_1", 1, 3)),
     "diagnostic": (Diagnostic, ("error", "sem", 3, 7, "m", ""),
                    ("warning", "sin", 4, 8, "n", "begin")),
     "num": (Num, (1, 2, 3), (4, 5, 6)),
@@ -51,7 +51,7 @@ def test_defaults():
     assert Token(TokenKind.PUNTO, 1, 0, 1) == \
         Token(TokenKind.PUNTO, 1, 0, 1, None, None)
     assert Ident("x", 2, 3) == Ident("x", 2, 3, None)
-    assert Symbol("x", "variable", "v0_0", 0, 1, 4, 0).value is None
+    assert Symbol("x", "variable", "v0_0", 0).value is None
     assert Diagnostic("error", "sem", 3, 7, "m").context == ""
     assert CompileConfig("a.pl0+", PHASES) == \
         CompileConfig("a.pl0+", PHASES, False, False)
@@ -70,9 +70,9 @@ REPRS = [
     (Token(TokenKind.IDENTIFICADOR, 1, 4, 3, "abc"),
      "Token(kind=<TokenKind.IDENTIFICADOR: 'IDENTIFICADOR'>, line=1, "
      "column=4, length=3, name='abc', value=None)"),
-    (Symbol("x", "variable", "v0_0", 0, 1, 4, 0),
-     "Symbol(name='x', kind='variable', code='v0_0', index=0, line=1, "
-     "column=4, depth=0, value=None)"),
+    (Symbol("x", "variable", "v0_0", 0),
+     "Symbol(name='x', kind='variable', code='v0_0', depth=0, "
+     "value=None)"),
     (Diagnostic("error", "sem", 3, 7, "m"),
      "Diagnostic(severity='error', phase='sem', line=3, column=7, "
      "message='m', context='')"),

@@ -126,7 +126,7 @@ def test_revised_trees_survive_serialization():
     for seed in SEEDS:
         artifacts = checks.seeded(seed)
         try:
-            checks.check_revised_roundtrip(artifacts.revised, artifacts.table)
+            checks.check_revised_roundtrip(artifacts.revised)
         except AssertionError as exc:
             raise AssertionError(f"semilla {seed}: {exc}") from None
 
@@ -187,14 +187,14 @@ class TestHouseStyleEdges:
                           "symbol", "code"):
                 if isinstance(getattr(node, field, None), str):
                     setattr(node, field, getattr(node, field) + MARKUP)
-        tree, revised_text = ast_to_xml(revised), revised_to_xml(revised, None)
+        tree, revised_text = ast_to_xml(revised), revised_to_xml(revised)
         checks.check_house_style(tree)
         checks.check_house_style(revised_text)
         # Read back and written again, each gives the same text.
         again, _ = ast_from_xml(tree)
         assert ast_to_xml(again) == tree
-        again, _, _ = revised_from_xml(revised_text)
-        assert revised_to_xml(again, None) == revised_text
+        again, _ = revised_from_xml(revised_text)
+        assert revised_to_xml(again) == revised_text
 
     def test_markup_in_annotations(self):
         program = Program([
@@ -257,5 +257,5 @@ class TestHouseStyleEdges:
             checks.check_house_style(text)
         assert tokens_from_xml(lexemes)[1] == source
         assert ast_from_xml(tree)[1] == source
-        assert revised_from_xml(revised)[2] == source
+        assert revised_from_xml(revised)[1] == source
         assert program_from_xml(code)[1] == source

@@ -6,6 +6,7 @@ from copy import deepcopy
 import pytest
 
 import checks
+from pl0plus.compiler import compiler_main
 from pl0plus.lexer import tokenize
 from pl0plus.parser import ast_from_xml, ast_to_xml, parse, walk
 from pl0plus.semantics import (ROOT_NAME, analyze, rebuild_symbol_table,
@@ -23,14 +24,23 @@ def parsed(source):
 
 
 def analyzed(source):
-    revised, table, diags = analyze(parsed(source))
+    revised, diags = analyze(parsed(source))
     assert not diags, diags
-    return revised, table
+    return revised
 
 
 def findings(source):
-    _, _, diags = analyze(parsed(source))
+    _, diags = analyze(parsed(source))
     return [(d.phase, d.severity, d.line, d.column, d.message) for d in diags]
+
+
+def generated(tmp_path, doc):
+    """The `.p+` text `compilador --gen` writes for the revised tree
+    document `doc`."""
+    path = tmp_path / "editado.pl0+sem"
+    path.write_text(serialize_document(doc), encoding="utf-8")
+    assert compiler_main(["--gen", str(path)]) == 0
+    return (tmp_path / "editado.p+").read_text(encoding="utf-8")
 
 
 def find_elements(node, name):
@@ -59,7 +69,7 @@ class TestSymbolCode:
 
 class TestCodes:
     def test_fibonacci_codes(self):
-        revised, table = analyzed(checks.FIB.read_text(encoding="utf-8"))
+        revised = analyzed(checks.FIB.read_text(encoding="utf-8"))
         block = revised.block
         assert block.code == "b0"
         assert [v.code for v in block.variables] == ["v0_0", "v0_1"]
@@ -68,11 +78,12 @@ class TestCodes:
         assert proc.block.code == "b0_0"
         assert [v.code for v in proc.block.variables] == [
             "v0/0_0", "v0/0_1", "v0/0_2"]
+        table = rebuild_symbol_table(revised)
         assert table.by_code["v0/0_1"].name == "f_1"
         assert table.by_code["p0_0"].kind == "procedure"
 
     def test_deeply_nested_codes(self):
-        revised, table = analyzed(
+        revised = analyzed(
             "procedure p;\n"
             "    procedure q;\n"
             "    begin end;\n"
@@ -87,23 +98,24 @@ class TestCodes:
         assert (p.block.code, q.block.code, r.block.code) == (
             "b0_0", "b0_0_0", "b0_0_1")
         assert r.block.variables[0].code == "v0/0/1_0"
+        table = rebuild_symbol_table(revised)
         assert set(table.scopes_by_code) == {"b0", "b0_0", "b0_0_0", "b0_0_1"}
         assert table.by_code["v0/0/1_0"].depth == 2
 
     def test_kind_indices_are_independent(self):
-        revised, _ = analyzed("const a=1, b=2;\nvar x;\nbegin x := a end.")
+        revised = analyzed("const a=1, b=2;\nvar x;\nbegin x := a end.")
         block = revised.block
         assert [c.code for c in block.constants] == ["c0_0", "c0_1"]
         assert block.variables[0].code == "v0_0"
 
     def test_table_records_constant_values(self):
-        _, table = analyzed("const a=1, b=-7;\nbegin end.")
+        table = rebuild_symbol_table(analyzed("const a=1, b=-7;\nbegin end."))
         assert table.by_code["c0_0"].value == 1
         assert table.by_code["c0_1"].value == -7
         assert table.by_code["c0_1"].depth == 0
 
     def test_uses_link_to_declarations(self):
-        revised, _ = analyzed(
+        revised = analyzed(
             "var x;\nbegin\n    read x;\n    x := x + 1;\n"
             "    write x;\nend.")
         read, assign, write = revised.block.body.statements
@@ -113,13 +125,13 @@ class TestCodes:
         assert write.code == "v0_0"
 
     def test_call_links_to_procedure(self):
-        revised, _ = analyzed("procedure p;\nbegin end;\nbegin call p end.")
+        revised = analyzed("procedure p;\nbegin end;\nbegin call p end.")
         assert revised.block.body.statements[0].code == "p0_0"
 
 
 class TestVisibility:
     def test_inner_declaration_shadows_outer(self):
-        revised, _ = analyzed(
+        revised = analyzed(
             "var x;\nprocedure p;\n    var x;\nbegin x := 1 end;\n"
             "begin x := 2 end.")
         inner = revised.block.procedures[0].block.body.statements[0]
@@ -128,7 +140,7 @@ class TestVisibility:
         assert outer.code == "v0_0"
 
     def test_nested_block_sees_enclosing_names(self):
-        revised, _ = analyzed(
+        revised = analyzed(
             "var x;\nprocedure p;\nbegin x := 1 end;\nbegin call p end.")
         assert revised.block.procedures[0].block.body.statements[0] \
             .code == "v0_0"
@@ -175,7 +187,7 @@ class TestFindings:
             ("sem", "error", 2, 11, "Asignación a constante")]
 
     def test_write_accepts_constant(self):
-        revised, _ = analyzed("const c=1;\nbegin write c end.")
+        revised = analyzed("const c=1;\nbegin write c end.")
         assert revised.block.body.statements[0].code == "c0_0"
 
     def test_write_rejects_procedure(self):
@@ -207,7 +219,7 @@ class TestFindings:
             "Referencia a variable no declarada"] * 2
 
     def test_first_declaration_wins_after_duplicate(self):
-        revised, _, diags = analyze(parsed("var x, x;\nbegin x := 1 end."))
+        revised, diags = analyze(parsed("var x, x;\nbegin x := 1 end."))
         assert len(diags) == 1
         assert revised.block.body.statements[0].code == "v0_0"
 
@@ -216,7 +228,7 @@ class TestAnalyze:
     def test_input_tree_is_annotated_in_place(self):
         ast = parsed("var x;\nbegin x := 1 end.")
         assert ast.block.code is None
-        revised, _, _ = analyze(ast)
+        revised, _ = analyze(ast)
         assert revised is ast
         assert ast.block.code == "b0"
         assert ast.block.variables[0].code == "v0_0"
@@ -224,7 +236,7 @@ class TestAnalyze:
 
     def test_results_hold_no_reference_cycle(self):
         # A scope links to its parent only, so reference counting alone
-        # frees the tree and table analyze gives.
+        # frees the tree analyze gives.
         ast = parsed(checks.corpus("anidado.pl0+").source)
         gc.collect()
         gc.disable()
@@ -237,9 +249,9 @@ class TestAnalyze:
     def test_reanalysis_is_stable(self):
         source = ("var x;\nprocedure p;\n    var y;\n"
                   "begin y := x end;\nbegin call p end.")
-        revised, _ = analyzed(source)
-        independent, _ = analyzed(source)
-        again, _, diags = analyze(revised)
+        revised = analyzed(source)
+        independent = analyzed(source)
+        again, diags = analyze(revised)
         assert not diags
         assert again == independent
 
@@ -252,10 +264,14 @@ class TestAnalyze:
         assert checks.run_vm(program, ()) == (0, [300])
 
     def test_rebuild_recovers_the_same_codes(self):
-        revised, table = analyzed(checks.FIB.read_text(encoding="utf-8"))
+        revised = analyzed(checks.FIB.read_text(encoding="utf-8"))
         rebuilt = rebuild_symbol_table(deepcopy(revised))
-        assert set(rebuilt.by_code) == set(table.by_code)
-        assert set(rebuilt.scopes_by_code) == set(table.scopes_by_code)
+        blocks = [revised.block] + [proc.block
+                                    for proc in revised.block.procedures]
+        assert set(rebuilt.by_code) == {
+            node.code for block in blocks
+            for node in block.constants + block.variables + block.procedures}
+        assert set(rebuilt.scopes_by_code) == {block.code for block in blocks}
 
 
 SMALL = ("const c=4;\n"
@@ -305,8 +321,7 @@ begin call a; write x end.
 
 class TestXml:
     def small_doc(self, source=None):
-        revised, table = analyzed(SMALL)
-        return parse_document(revised_to_xml(revised, table, source))
+        return parse_document(revised_to_xml(analyzed(SMALL), source))
 
     def test_known_tree(self):
         assert canonical_equal(self.small_doc(), parse_document(SMALL_XML))
@@ -325,18 +340,17 @@ class TestXml:
             assert "codigo" not in element.attributes
 
     def test_procedure_element_carries_no_code(self):
-        revised, table = analyzed(
+        revised = analyzed(
             "procedure p;\nbegin end;\nbegin call p end.")
-        root = parse_document(revised_to_xml(revised, table)).root
+        root = parse_document(revised_to_xml(revised)).root
         (proc,) = find_elements(root, "procedimiento")
         assert "codigo" not in proc.attributes
         (call,) = find_elements(root, "llamada")
         assert "codigo" not in call.attributes
 
     def test_round_trip(self):
-        revised, table = analyzed(SMALL)
-        again, _, source = revised_from_xml(
-            revised_to_xml(revised, table, SMALL))
+        revised = analyzed(SMALL)
+        again, source = revised_from_xml(revised_to_xml(revised, SMALL))
         assert again == revised
         assert source == SMALL
 
@@ -346,7 +360,7 @@ class TestXml:
             for element in find_elements(doc.root, name):
                 if element.attributes.get("codigo") == "v0_0":
                     element.attributes["codigo"] = "mi_clave"
-        revised, _, _ = revised_from_xml(serialize_document(doc))
+        revised, _ = revised_from_xml(serialize_document(doc))
         assert revised.block.variables[0].code == "mi_clave"
         assert revised.block.body.statements[1].code == "mi_clave"
 
@@ -359,9 +373,8 @@ class TestXml:
         ast = parsed(source)
         assert (outline(ast_from_xml(ast_to_xml(ast))[0])
                 == outline(ast))
-        revised, table = analyzed(source)
-        again, _, _ = revised_from_xml(
-            revised_to_xml(revised, table))
+        revised = analyzed(source)
+        again, _ = revised_from_xml(revised_to_xml(revised))
         assert outline(again) == outline(revised)
 
     def test_wrong_root_rejected(self):
@@ -425,9 +438,9 @@ class TestXml:
             revised_from_xml(serialize_document(doc))
 
     def test_duplicate_block_code_rejected(self):
-        revised, table = analyzed("procedure p;\nbegin end;\n"
+        revised = analyzed("procedure p;\nbegin end;\n"
                                   "procedure q;\nbegin end;\nbegin end.")
-        doc = parse_document(revised_to_xml(revised, table))
+        doc = parse_document(revised_to_xml(revised))
         _, first, second = find_elements(doc.root, "bloque")
         assert first.attributes["codigo"] == "b0_0"
         second.attributes["codigo"] = "b0_0"
@@ -459,9 +472,9 @@ class TestXml:
             revised_from_xml(serialize_document(doc))
 
     def test_duplicate_procedure_names_in_block_rejected(self):
-        revised, table = analyzed("procedure p;\nbegin end;\n"
+        revised = analyzed("procedure p;\nbegin end;\n"
                                   "procedure q;\nbegin end;\nbegin end.")
-        doc = parse_document(revised_to_xml(revised, table))
+        doc = parse_document(revised_to_xml(revised))
         _, second = find_elements(doc.root, "procedimiento")
         second.attributes["nombre"] = "p"
         with pytest.raises(XmlLoadError) as info:
@@ -471,8 +484,8 @@ class TestXml:
     def nested_doc(self, element, code, new_code):
         """NESTED's document with the `element` whose code is `code`
         retargeted to `new_code`."""
-        revised, table = analyzed(NESTED)
-        doc = parse_document(revised_to_xml(revised, table))
+        revised = analyzed(NESTED)
+        doc = parse_document(revised_to_xml(revised))
         (use,) = [found for found in find_elements(doc.root, element)
                   if found.attributes["codigo"] == code]
         use.attributes["codigo"] = new_code
@@ -491,13 +504,32 @@ class TestXml:
         assert str(info.value) == (f"referencia a un código que no es "
                                    f"visible: '{new_code}' (línea 7)")
 
-    def test_reference_to_a_shadowed_outer_code_accepted(self):
-        revised, table = analyzed("var x;\nprocedure p;\n  var x;\n"
-                                  "begin x := 1 end;\nbegin call p end.")
-        doc = parse_document(revised_to_xml(revised, table))
+    def test_reference_to_a_shadowed_outer_code_accepted(self, tmp_path):
+        revised = analyzed("var x;\nprocedure p;\n  var x;\n"
+                           "begin x := 1 end;\nbegin call p end.")
+        doc = parse_document(revised_to_xml(revised))
         (inner,) = find_elements(doc.root, "asignacion")
         assert inner.attributes["codigo"] == "v0/0_0"
         inner.attributes["codigo"] = "v0_0"
-        again, _, _ = revised_from_xml(serialize_document(doc))
+        again, _ = revised_from_xml(serialize_document(doc))
         (assign,) = again.block.procedures[0].block.body.statements
         assert assign.code == "v0_0"
+        # The code, not the name, picks the variable: p's store goes one
+        # static link up, to main's x.
+        (store,) = find_elements(parse_document(generated(tmp_path, doc)).root,
+                                 "almacenar_variable")
+        assert (store.attributes["diffnivel"],
+                store.attributes["parametro"]) == ("1", "3")
+        assert store.find("informacion").attributes["codigo"] == "v0_0"
+        assert store.find("informacion").attributes["variable"] == "x"
+
+    def test_renamed_codes_give_the_same_instructions(self, tmp_path):
+        doc = parse_document(revised_to_xml(analyzed(NESTED)))
+        before = generated(tmp_path, doc)
+        assert before.count('codigo="v0_0"') == 2
+        for name in ("variable", "asignacion", "identificador"):
+            for element in find_elements(doc.root, name):
+                if element.attributes["codigo"] == "v0_0":
+                    element.attributes["codigo"] = "mi clave"
+        assert generated(tmp_path, doc) == before.replace(
+            'codigo="v0_0"', 'codigo="mi clave"')
