@@ -9,7 +9,8 @@ All user-facing message text is Spanish.
 
 from __future__ import annotations
 
-from .xmldoc import DECLARATION, Record, cdata_line, escape_text, indent
+from .xmldoc import (DECLARATION, NOT_XML, Record, cdata_line, escape_text,
+                     indent)
 
 ERROR = "error"
 WARNING = "warning"
@@ -110,7 +111,8 @@ def render_xml(items) -> str:
                 f'{indent(2)}<error columna="{item.column}" '
                 f'linea="{item.line}">',
                 f"{indent(3)}<mensaje>{escape_text(item.message)}</mensaje>",
-                cdata_line(3, "contexto", item.context),
+                # A source line may hold a character XML cannot carry.
+                cdata_line(3, "contexto", NOT_XML.sub("\ufffd", item.context)),
                 f'{indent(3)}<fase nombre="{item.phase}">'
                 f"{PHASE_DESCRIPTIONS[item.phase]}</fase>",
                 f"{indent(2)}</error>"]

@@ -11,7 +11,7 @@ import re
 from enum import Enum, unique
 
 from .diagnostics import Diagnostic, error
-from .xmldoc import (DECLARATION, Record, XmlLoadError, cdata_line,
+from .xmldoc import (DECLARATION, NOT_XML, Record, XmlLoadError, cdata_line,
                      escape_attr, indent, int_attr, read_document, str_attr)
 
 MAX_NUMBER = 2**31 - 1
@@ -168,6 +168,15 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
             if group == "unclosed":
                 diags.append(error("lex", line, column,
                                    "Comentario sin cerrar"))
+            if group != "space":
+                # The `fuente` of every phase document carries comments,
+                # so a character XML cannot carry is invalid there too.
+                for bad in NOT_XML.finditer(text):
+                    at = match.start() + bad.start()
+                    diags.append(error(
+                        "lex", line + text.count("\n", 0, bad.start()),
+                        at - source.rfind("\n", 0, at) - 1,
+                        "Caracter inválido."))
             newlines = text.count("\n")
             if newlines:
                 line += newlines

@@ -550,19 +550,20 @@ def reference_eval(revised, inputs=()) -> list[int]:
     PvmRuntimeError for the same error conditions the machine reports.
     """
     # The compiler's modules load here, so running a .p+ never needs them.
-    from .parser import (Assign, BinOp, Call, Cond, Empty, Ident, If, Neg,
-                         Num, Read, Sequence, While, Write)
-    from .semantics import CONSTANT, rebuild_symbol_table
+    from .parser import (Assign, BinOp, Call, Cond, ConstDecl, Empty, Ident,
+                         If, Neg, Num, Read, Sequence, While, Write)
+    from .semantics import rebuild_symbol_table
 
-    table = rebuild_symbol_table(revised)
-    procedures = {}
+    declarations = rebuild_symbol_table(revised)
+    depths: dict[str, int] = {}  # the declaring block's, by code
 
-    def collect(block):
+    def collect(block, depth):
+        for node in block.constants + block.variables + block.procedures:
+            depths[node.code] = depth
         for proc in block.procedures:
-            procedures[proc.code] = proc
-            collect(proc.block)
+            collect(proc.block, depth + 1)
 
-    collect(revised.block)
+    collect(revised.block, 0)
     pending = list(inputs)
     pending.reverse()
     outputs: list[int] = []
@@ -577,10 +578,10 @@ def reference_eval(revised, inputs=()) -> list[int]:
         return frame
 
     def fetch(code: str, frame: _Frame) -> int:
-        symbol = table.by_code[code]
-        if symbol.kind == CONSTANT:
-            return clip(symbol.value)
-        return frame_at(frame, symbol.depth).values.get(code, 0)
+        decl = declarations[code]
+        if isinstance(decl, ConstDecl):
+            return clip(decl.value)
+        return frame_at(frame, depths[code]).values.get(code, 0)
 
     def evaluate(node, frame: _Frame) -> int:
         if isinstance(node, Num):
@@ -625,14 +626,13 @@ def reference_eval(revised, inputs=()) -> list[int]:
 
     def execute(node, frame: _Frame) -> None:
         if isinstance(node, Assign):
-            symbol = table.by_code[node.code]
             value = evaluate(node.expr, frame)
-            frame_at(frame, symbol.depth).values[node.code] = value
+            frame_at(frame, depths[node.code]).values[node.code] = value
         elif isinstance(node, Call):
-            symbol = table.by_code[node.code]
-            static = frame_at(frame, symbol.depth)
-            callee = procedures[node.code]
-            execute(callee.block.body, _Frame(static, symbol.depth + 1))
+            depth = depths[node.code]
+            callee = declarations[node.code]
+            execute(callee.block.body,
+                    _Frame(frame_at(frame, depth), depth + 1))
         elif isinstance(node, Sequence):
             for child in node.statements:
                 execute(child, frame)
@@ -647,8 +647,7 @@ def reference_eval(revised, inputs=()) -> list[int]:
         elif isinstance(node, Read):
             if not pending:
                 raise PvmRuntimeError(BAD_INPUT)
-            symbol = table.by_code[node.code]
-            frame_at(frame, symbol.depth).values[node.code] = \
+            frame_at(frame, depths[node.code]).values[node.code] = \
                 clip(pending.pop())
         elif isinstance(node, Write):
             outputs.append(fetch(node.code, frame))

@@ -2,11 +2,15 @@
 
 Every declaration receives a short textual code that encodes where it
 lives: blocks are `b` plus the scope path joined with underscores (`b0`,
-`b0_0`), other symbols are a kind prefix (`c`, `v`, `p`) plus the scope
-path joined with slashes, an underscore, and the 0-based declaration index
-among symbols of the same kind (`v0_1`, `v0/0_2`).  The revised tree links
-every use back to its declaration through these codes; that tree is all
-the code generator reads.
+`b0_0`), other declarations are a kind prefix (`c`, `v`, `p`) plus the
+scope path joined with slashes, an underscore, and the 0-based declaration
+index among declarations of the same kind (`v0_1`, `v0/0_2`).  The
+revised tree links every use back to its declaration through these codes;
+that tree is all the code generator reads.
+
+The declaration nodes are the symbol table: a scope maps each name to the
+`ConstDecl`, `VarDecl` or `ProcDecl` that declares it, and the `.pl0+sem`
+validator returns the declarations by code.
 
 Visibility follows declaration order: a procedure sees itself (recursion
 works) and everything declared before it, but not siblings declared later.
@@ -15,93 +19,46 @@ works) and everything declared before it, but not siblings declared later.
 from __future__ import annotations
 
 from .diagnostics import Diagnostic, error
-from .parser import (Assign, Block, Call, Ident, Program, Read, Write,
-                     tree_from_xml, tree_to_xml, walk)
-from .xmldoc import Record, XmlLoadError
+from .parser import (Assign, Block, Call, ConstDecl, Ident, ProcDecl, Program,
+                     Read, VarDecl, Write, tree_from_xml, tree_to_xml, walk)
+from .xmldoc import XmlLoadError
 
-CONSTANT = "constant"
-VARIABLE = "variable"
-PROCEDURE = "procedure"
-BLOCK = "block"
-
-_PREFIXES = {BLOCK: "b", CONSTANT: "c", VARIABLE: "v", PROCEDURE: "p"}
-
-
-def symbol_code(kind: str, scope_path, index: int | None = None) -> str:
-    """The textual id for a declaration (or a block, which has no index)."""
-    prefix = _PREFIXES[kind]
-    if kind == BLOCK:
-        return prefix + "_".join(str(step) for step in scope_path)
-    if index is None:
-        raise ValueError(f"{kind} symbols need a declaration index")
-    path = "/".join(str(step) for step in scope_path)
-    return f"{prefix}{path}_{index}"
-
-
-class Symbol(Record):
-    __slots__ = ("name", "kind", "code", "depth", "value")
-
-    def __init__(self, name: str, kind: str, code: str, depth: int,
-                 value: int | None = None):
-        self.name = name
-        self.kind = kind
-        self.code = code
-        self.depth = depth
-        self.value = value  # constants only
+# Each kind of declaration's code prefix, and the noun that names it in
+# the validator's messages.
+_KINDS = {ConstDecl: ("c", "constante"), VarDecl: ("v", "variable"),
+          ProcDecl: ("p", "procedimiento")}
 
 
 class Scope:
-    """One block's symbols plus a link to the enclosing scope."""
+    """One block's declarations by name, plus a link to the enclosing
+    scope."""
 
     def __init__(self, path: list[int], parent: "Scope | None" = None):
-        self.path = list(path)
-        self.code = symbol_code(BLOCK, path)
+        self.path = path
+        self.code = "b" + "_".join(map(str, path))
         self.parent = parent
-        self.symbols: dict[str, Symbol] = {}
-        self._counts = {CONSTANT: 0, VARIABLE: 0, PROCEDURE: 0}
+        self.names: dict = {}
+        self._counts = dict.fromkeys(_KINDS, 0)
 
-    @property
-    def depth(self) -> int:
-        return len(self.path) - 1
-
-    def declare(self, name: str, kind: str,
-                value: int | None = None) -> Symbol | None:
-        """Add a symbol; None signals a duplicate name in this scope."""
-        if name in self.symbols:
+    def declare(self, node) -> str | None:
+        """Add a declaration node and return its canonical code; None
+        signals a duplicate name in this scope."""
+        if node.name in self.names:
             return None
+        self.names[node.name] = node
+        kind = type(node)
         index = self._counts[kind]
-        self._counts[kind] += 1
-        symbol = Symbol(name, kind, symbol_code(kind, self.path, index),
-                        self.depth, value)
-        self.symbols[name] = symbol
-        return symbol
+        self._counts[kind] = index + 1
+        return f"{_KINDS[kind][0]}{'/'.join(map(str, self.path))}_{index}"
 
-    def lookup(self, name: str) -> Symbol | None:
+    def lookup(self, name: str):
+        """The declaration of `name` in this scope or one around it."""
         scope: Scope | None = self
         while scope is not None:
-            if name in scope.symbols:
-                return scope.symbols[name]
+            if name in scope.names:
+                return scope.names[name]
             scope = scope.parent
         return None
-
-
-class SymbolTable:
-    """The `.pl0+sem` validator's state: every symbol and every block
-    scope of a revised tree, by code."""
-
-    def __init__(self):
-        self.by_code: dict[str, Symbol] = {}
-        self.scopes_by_code: dict[str, Scope] = {}
-
-    def register_scope(self, scope: Scope) -> None:
-        if scope.code in self.scopes_by_code:
-            raise XmlLoadError(f"código de bloque duplicado: '{scope.code}'")
-        self.scopes_by_code[scope.code] = scope
-
-    def register(self, symbol: Symbol) -> None:
-        if symbol.code in self.by_code:
-            raise XmlLoadError(f"código duplicado: '{symbol.code}'")
-        self.by_code[symbol.code] = symbol
 
 
 # ---------------------------------------------------------------------------
@@ -117,38 +74,36 @@ class _Analyzer:
 
     def visit_block(self, block: Block, scope: Scope) -> None:
         block.code = scope.code
-        for const in block.constants:
-            self.declare(const, CONSTANT, scope, value=const.value)
-        for var in block.variables:
-            self.declare(var, VARIABLE, scope)
+        for node in block.constants + block.variables:
+            self.declare(node, scope)
         for position, proc in enumerate(block.procedures):
-            self.declare(proc, PROCEDURE, scope)
+            self.declare(proc, scope)
             # The child scope index is the syntactic position, so block
             # codes stay unique even when a duplicate name was rejected.
             self.visit_block(proc.block,
                              Scope(scope.path + [position], scope))
         self.visit_body(block.body, scope)
 
-    def declare(self, node, kind: str, scope: Scope, value=None) -> None:
-        symbol = scope.declare(node.name, kind, value)
-        if symbol is None:
+    def declare(self, node, scope: Scope) -> None:
+        code = scope.declare(node)
+        if code is None:
             self.err(node, "Símbolo duplicado")
         else:
-            node.code = symbol.code
+            node.code = code
 
     def resolve(self, node, name: str, scope: Scope,
                 target: bool = False) -> str | None:
         """The code of an identifier used where a value is needed, or that
         is about to be stored into if `target`; None if it is not one."""
-        symbol = scope.lookup(name)
-        if symbol is None:
+        decl = scope.lookup(name)
+        if decl is None:
             self.err(node, "Referencia a variable no declarada")
-        elif symbol.kind == PROCEDURE:
+        elif isinstance(decl, ProcDecl):
             self.err(node, "Uso inválido de procedimiento")
-        elif target and symbol.kind == CONSTANT:
+        elif target and isinstance(decl, ConstDecl):
             self.err(node, "Asignación a constante")
         else:
-            return symbol.code
+            return decl.code
         return None
 
     def visit_body(self, body, scope: Scope) -> None:
@@ -158,19 +113,17 @@ class _Analyzer:
             if isinstance(node, Assign):
                 node.code = self.resolve(node, node.target, scope, True)
             elif isinstance(node, Call):
-                symbol = scope.lookup(node.procedure)
-                if symbol is None or symbol.kind != PROCEDURE:
+                decl = scope.lookup(node.procedure)
+                if not isinstance(decl, ProcDecl):
                     self.err(node, "Referencia a procedimiento no declarado")
                 else:
-                    node.code = symbol.code
+                    node.code = decl.code
             elif isinstance(node, Read):
                 node.code = self.resolve(node, node.variable, scope, True)
             elif isinstance(node, Write):
                 node.code = self.resolve(node, node.symbol, scope)
             elif isinstance(node, Ident):
                 node.code = self.resolve(node, node.name, scope)
-
-
 def analyze(ast: Program) -> tuple[Program, list[Diagnostic]]:
     """Fill in the symbol codes of `ast` in place and return that same
     tree and any findings.  Running analyze again on the annotated tree
@@ -191,113 +144,104 @@ def revised_to_xml(revised: Program, source: str | None = None) -> str:
     return tree_to_xml(ROOT_NAME, revised, source, with_codes=True)
 
 
-def rebuild_symbol_table(revised: Program) -> SymbolTable:
-    """Reconstruct the table implied by a code-annotated tree.
+def rebuild_symbol_table(revised: Program) -> dict:
+    """Check the codes of a code-annotated tree and return its
+    declarations by code.
 
     Declarations keep the codes they carry (so hand-renamed codes keep
-    working as link keys); procedure codes and depths are recomputed from
-    the tree shape.  Read, write and call statements carry no code in the
-    XML form, so their links are re-resolved here by name.
+    working as link keys); procedure codes are recomputed from the tree
+    shape.  Read, write and call statements carry no code in the XML form,
+    so their links are re-resolved here by name.
     Raises XmlLoadError for duplicate codes, dangling references,
-    references to a symbol of the wrong kind, and references to a symbol
-    that no scope around the use declares.
+    references to a declaration of the wrong kind, and references to a
+    declaration that no scope around the use makes.
     """
-    table, root = SymbolTable(), Scope([0])
-    _rebuild_block(revised.block, root, table)
-    _relink_block(revised.block, root, table)
-    return table
+    declarations: dict = {}
+    scopes: dict[str, Scope] = {}
+    root = Scope([0])
+    _declare_block(revised.block, root, declarations, scopes)
+    _relink_block(revised.block, root, declarations, scopes)
+    return declarations
 
 
-def _require_code(node, what: str) -> str:
-    if node.code is None:
-        raise XmlLoadError(
-            f"{what} '{node.name}' sin atributo 'codigo' (línea {node.line})")
-    return node.code
+def _declare(scope: Scope, node, declarations: dict) -> None:
+    """Declare `node` in `scope` and file it under its code, which is
+    the canonical one for a procedure and the one it carries otherwise."""
+    proc = isinstance(node, ProcDecl)
+    if not proc and node.code is None:
+        raise XmlLoadError(f"{_KINDS[type(node)][1]} '{node.name}' sin "
+                           f"atributo 'codigo' (línea {node.line})")
+    code = scope.declare(node)
+    if code is None:
+        raise XmlLoadError(f"símbolo duplicado en el bloque: '{node.name}'")
+    if proc:
+        node.code = code
+    if node.code in declarations:
+        raise XmlLoadError(f"código duplicado: '{node.code}'")
+    declarations[node.code] = node
 
 
-def _rebuild_block(block: Block, scope: Scope, table: SymbolTable) -> None:
+def _declare_block(block: Block, scope: Scope, declarations: dict,
+                   scopes: dict[str, Scope]) -> None:
     if block.code is None:
         raise XmlLoadError(
             f"bloque sin atributo 'codigo' (línea {block.line})")
-    scope.code = block.code
-    table.register_scope(scope)
-
-    def declare(node, kind: str, value=None) -> None:
-        code = _require_code(node, {CONSTANT: "constante",
-                                    VARIABLE: "variable",
-                                    PROCEDURE: "procedimiento"}[kind])
-        symbol = scope.declare(node.name, kind, value)
-        if symbol is None:
-            raise XmlLoadError(
-                f"símbolo duplicado en el bloque: '{node.name}'")
-        symbol.code = code
-        table.register(symbol)
-
-    for const in block.constants:
-        declare(const, CONSTANT, const.value)
-    for var in block.variables:
-        declare(var, VARIABLE)
+    if block.code in scopes:
+        raise XmlLoadError(f"código de bloque duplicado: '{block.code}'")
+    scopes[block.code] = scope
+    for node in block.constants + block.variables:
+        _declare(scope, node, declarations)
     for position, proc in enumerate(block.procedures):
-        proc.code = None  # assigned canonically below
-        symbol = scope.declare(proc.name, PROCEDURE)
-        if symbol is None:
-            raise XmlLoadError(
-                f"símbolo duplicado en el bloque: '{proc.name}'")
-        table.register(symbol)
-        proc.code = symbol.code
-        _rebuild_block(proc.block, Scope(scope.path + [position], scope),
-                       table)
+        _declare(scope, proc, declarations)
+        _declare_block(proc.block, Scope(scope.path + [position], scope),
+                       declarations, scopes)
 
 
-def _lookup_code(table: SymbolTable, scope: Scope, node,
-                 kinds: tuple[str, ...]) -> Symbol:
-    """The symbol `node.code` names, which must be of one of `kinds` and
-    declared in `scope` or a scope around it, maybe shadowed there."""
+def _check_code(declarations: dict, scope: Scope, node, kinds) -> None:
+    """`node.code` must name a declaration of one of `kinds`, made in
+    `scope` or a scope around it, maybe shadowed there."""
     code = node.code
     if code is None:
         raise XmlLoadError(
             f"referencia sin atributo 'codigo' (línea {node.line})")
-    symbol = table.by_code.get(code)
-    if symbol is None:
+    decl = declarations.get(code)
+    if decl is None:
         raise XmlLoadError(f"referencia a un código inexistente: '{code}'")
-    if symbol.kind not in kinds:
+    if not isinstance(decl, kinds):
         raise XmlLoadError(
             f"el código '{code}' no es de la clase de símbolo esperada")
-    while scope is not None and scope.symbols.get(symbol.name) is not symbol:
+    while scope is not None and scope.names.get(decl.name) is not decl:
         scope = scope.parent
     if scope is None:
         raise XmlLoadError(f"referencia a un código que no es visible: "
                            f"'{code}' (línea {node.line})")
-    return symbol
 
 
-def _resolve_name(scope: Scope, node, name: str,
-                  kinds: tuple[str, ...]) -> Symbol:
-    symbol = scope.lookup(name)
-    if symbol is None or symbol.kind not in kinds:
+def _resolve_name(scope: Scope, node, name: str, kinds) -> str:
+    decl = scope.lookup(name)
+    if not isinstance(decl, kinds):
         raise XmlLoadError(
             f"referencia irresoluble a '{name}' (línea {node.line})")
-    return symbol
+    return decl.code
 
 
-def _relink_block(block: Block, scope: Scope, table: SymbolTable) -> None:
+def _relink_block(block: Block, scope: Scope, declarations: dict,
+                  scopes: dict[str, Scope]) -> None:
     for proc in block.procedures:
-        _relink_block(proc.block, table.scopes_by_code[proc.block.code],
-                      table)
+        _relink_block(proc.block, scopes[proc.block.code], declarations,
+                      scopes)
     for node in walk(block.body):
         if isinstance(node, Assign):
-            _lookup_code(table, scope, node, (VARIABLE,))
+            _check_code(declarations, scope, node, VarDecl)
         elif isinstance(node, Ident):
-            _lookup_code(table, scope, node, (VARIABLE, CONSTANT))
+            _check_code(declarations, scope, node, (VarDecl, ConstDecl))
         elif isinstance(node, Call):
-            node.code = _resolve_name(scope, node, node.procedure,
-                                      (PROCEDURE,)).code
+            node.code = _resolve_name(scope, node, node.procedure, ProcDecl)
         elif isinstance(node, Read):
-            node.code = _resolve_name(scope, node, node.variable,
-                                      (VARIABLE,)).code
+            node.code = _resolve_name(scope, node, node.variable, VarDecl)
         elif isinstance(node, Write):
             node.code = _resolve_name(scope, node, node.symbol,
-                                      (VARIABLE, CONSTANT)).code
+                                      (VarDecl, ConstDecl))
 
 
 def revised_from_xml(text: str) -> tuple[Program, str | None]:

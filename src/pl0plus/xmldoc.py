@@ -15,7 +15,8 @@ too, and each phase reader hands its own handlers to `read_document`,
 which runs expat and builds the phase's records as the events arrive.
 `XmlNode` trees, `parse_document` and `serialize_document` remain as the
 tests' oracle for each writer's text, and because perfbench's tracer
-looks both functions up here.  The readers trust expat's names and `str`
+looks both functions up here; the tests compare two trees with their own
+`xmltree.canonical_equal`.  The readers trust expat's names and `str`
 values; the building API (`XmlNode(...)`, `.set()`, `.element()`) checks
 names and coerces values to `str`.
 """
@@ -348,6 +349,9 @@ def indent(depth: int) -> str:
     return _INDENTS[min(depth, MAX_INDENT_LEVELS)]
 
 
+# The characters XML 1.0 cannot carry at all, not even as a reference.
+NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
 # The characters each escape function rewrites; most values have none.
 _TEXT_SPECIAL = re.compile("[&<>\r]")
 _ATTR_SPECIAL = re.compile('[&<>\r"\n\t]')
@@ -416,62 +420,3 @@ def serialize_document(doc: XmlDocument) -> str:
             if closing is not None:
                 lines.append(closing)
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Canonical comparison
-
-
-def _canonical_children(children) -> list:
-    """Children as (kind, payload) pairs: adjacent text runs merged and
-    trimmed, adjacent CDATA sections concatenated verbatim (undoing the
-    "]]>" split escape, so no Cdata value is re-validated here)."""
-    merged: list = []
-    for child in children:
-        if isinstance(child, (Text, Cdata)):
-            kind = type(child)
-            if merged and merged[-1][0] is kind:
-                merged[-1] = (kind, merged[-1][1] + child.data)
-            else:
-                merged.append((kind, child.data))
-        else:
-            merged.append((XmlNode, child))
-    out = []
-    for kind, payload in merged:
-        if kind is Text:
-            stripped = payload.strip()
-            if stripped:
-                out.append((Text, stripped))
-        else:
-            out.append((kind, payload))
-    return out
-
-
-def _canonical_node_equal(a: XmlNode, b: XmlNode) -> bool:
-    pairs = [(a, b)]
-    while pairs:
-        a, b = pairs.pop()
-        if a.name != b.name or a.attributes != b.attributes:
-            return False
-        ca = _canonical_children(a.children)
-        cb = _canonical_children(b.children)
-        if len(ca) != len(cb):
-            return False
-        for (ka, pa), (kb, pb) in zip(ca, cb):
-            if ka is not kb:
-                return False
-            if ka is XmlNode:
-                pairs.append((pa, pb))
-            elif pa != pb:
-                return False
-    return True
-
-
-def canonical_equal(a, b) -> bool:
-    """Structural equality: attribute order is irrelevant, text nodes are
-    compared with surrounding whitespace trimmed (adjacent runs merged),
-    CDATA is compared verbatim (adjacent sections merged first, so the
-    "]]>" split escape does not affect equality)."""
-    ra = a.root if isinstance(a, XmlDocument) else a
-    rb = b.root if isinstance(b, XmlDocument) else b
-    return _canonical_node_equal(ra, rb)

@@ -221,6 +221,30 @@ class TestPipeline:
                 in captured.out)
         assert captured.err == ""
 
+    @pytest.mark.parametrize("flags", [[], ["--lex"]])
+    def test_form_feed_in_a_comment_is_an_invalid_character(
+            self, tmp_path, capsys, flags):
+        source = tmp_path / "comentario.pl0+"
+        source.write_text("var x;\n{ form\x0cfeed }\n"
+                          "begin x := 1; write x end.\n", encoding="utf-8")
+        assert compiler_main(flags + [str(source)]) == 1
+        assert list(tmp_path.iterdir()) == [source]
+        assert ("Línea 2: Caracter inválido.\n{ form\x0cfeed }\n"
+                "------^\n" in capsys.readouterr().out)
+
+    def test_xml_report_replaces_characters_xml_cannot_carry(self, tmp_path,
+                                                             capsys):
+        source = tmp_path / "control.pl0+"
+        source.write_text("var x;\nbegin x := 1\x01; write x end.\n",
+                          encoding="utf-8")
+        assert compiler_main(["-x", str(source)]) == 1
+        captured = capsys.readouterr()
+        (item,) = parse_document(captured.err).root.find("errores").elements()
+        assert item.find("contexto").cdata() == \
+            "begin x := 1\ufffd; write x end."
+        # The text report shows the line as it is.
+        assert "begin x := 1\x01; write x end.\n" in captured.out
+
     def test_xml_report_goes_to_stderr(self, tmp_path, capsys):
         source = tmp_path / "malo.pl0+"
         source.write_text(UNDECLARED, encoding="utf-8")

@@ -9,8 +9,8 @@ from pl0plus.parser import parse
 from pl0plus.pcode import (Annotation, Instruction, Opcode, Program,
                            assembly_listing, format_instruction,
                            program_from_xml, program_to_xml)
-from pl0plus.xmldoc import (XmlLoadError, canonical_equal, parse_document,
-                            serialize_document)
+from pl0plus.xmldoc import XmlLoadError, parse_document, serialize_document
+from xmltree import canonical_equal
 
 
 def compiled(source):

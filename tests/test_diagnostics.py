@@ -5,7 +5,8 @@ import pytest
 from pl0plus.diagnostics import (Diagnostic, attach_context, error,
                                  has_errors, render_text, render_xml,
                                  sort_diagnostics, warning)
-from pl0plus.xmldoc import canonical_equal, parse_document
+from pl0plus.xmldoc import parse_document
+from xmltree import canonical_equal
 
 
 class TestRecords:
@@ -127,6 +128,16 @@ class TestRenderXml:
         fase = node.find("fase")
         assert fase.get("nombre") == "lex"
         assert fase.text() == "Fase de análisis léxico"
+
+    def test_context_characters_xml_cannot_carry_are_replaced(self):
+        item = error("lex", 1, 2, "Caracter inválido.")
+        item.context = "a\x00\x08\t\x0b\x0c\x0e\x1f\x7f\ufffe\uffffb"
+        node = parse_document(render_xml([item])).root \
+            .find("errores").elements()[0]
+        assert node.find("contexto").cdata() == \
+            "a\ufffd\ufffd\t\ufffd\ufffd\ufffd\ufffd\x7f\ufffd\ufffdb"
+        assert item.context.startswith("a\x00")
+        assert "\x00" in render_text([item])
 
     def test_phase_descriptions(self):
         for phase, described in (("lex", "Fase de análisis léxico"),

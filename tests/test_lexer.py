@@ -168,6 +168,28 @@ class TestTokenize:
         assert [t.kind for t in tokens] == [K.IDENTIFICADOR]
         assert [d.message for d in diags] == ["Caracter inválido."] * 2
 
+    def test_characters_xml_cannot_carry_are_invalid_in_comments(self):
+        # Every phase document carries the source, comments included.
+        tokens, diags = tokenize(
+            "x { a\x0cb }\n(*\n  \x00\ufffe *) y {\n\x1f\uffff")
+        assert [t.name for t in tokens] == ["x", "y"]
+        assert [(d.line, d.column, d.message) for d in diags] == [
+            (1, 5, "Caracter inválido."), (3, 2, "Caracter inválido."),
+            (3, 3, "Caracter inválido."), (3, 10, "Comentario sin cerrar"),
+            (4, 0, "Caracter inválido."), (4, 1, "Caracter inválido.")]
+
+    @pytest.mark.parametrize("char", [
+        "\x00", "\x08", "\x0b", "\x0c", "\x0e", "\x1f", "\ufffe",
+        "\uffff"])
+    def test_each_character_xml_cannot_carry(self, char):
+        _, diags = tokenize(f"{{{char}}}")
+        assert [(d.column, d.message) for d in diags] == [
+            (1, "Caracter inválido.")]
+
+    def test_comments_keep_every_character_xml_carries(self):
+        _, diags = tokenize("{ \t\r\n\x7f\x85\ufffd\ud7ff\U0001f600 }")
+        assert not diags
+
     def test_digits_are_what_int_reads(self):
         # `²` passes str.isdigit() but int() cannot read it.
         tokens, diags = tokenize("a² ² \u0663")

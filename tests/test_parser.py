@@ -9,7 +9,8 @@ from pl0plus.parser import (MAX_NESTING, TOO_DEEP, Assign, BinOp, Block,
                             Program, Read, Sequence, VarDecl, While, Write,
                             ast_from_xml, ast_to_xml, parse)
 from pl0plus.semantics import revised_from_xml
-from pl0plus.xmldoc import XmlLoadError, canonical_equal, parse_document
+from pl0plus.xmldoc import XmlLoadError, parse_document
+from xmltree import canonical_equal
 
 
 def parsed(source):

@@ -1,6 +1,6 @@
 """The compiler's records: constructors, equality and repr.
 
-Tokens, tree nodes, symbols, diagnostics and the driver's settings are
+Tokens, tree nodes, diagnostics and the compiler's settings are
 `xmldoc.Record` classes.  These tests pin what their callers rely on: the
 fields in order with their defaults, equality over every field, and the
 `Name(field=value, ...)` repr.
@@ -12,15 +12,12 @@ from pl0plus.compiler import PHASES, CompileConfig
 from pl0plus.diagnostics import Diagnostic
 from pl0plus.lexer import Token, TokenKind
 from pl0plus.parser import Empty, Ident, Num, Sequence
-from pl0plus.semantics import Symbol
 
 # Two argument lists per class that differ in every field.  Num is a
 # leaf node, Ident carries a symbol code and Sequence a list of nodes.
 CASES = {
     "token": (Token, (TokenKind.IDENTIFICADOR, 1, 4, 3, "abc", None),
               (TokenKind.NUMERO, 2, 5, 4, "abd", 7)),
-    "symbol": (Symbol, ("x", "variable", "v0_0", 0, None),
-               ("y", "constante", "c0_1", 1, 3)),
     "diagnostic": (Diagnostic, ("error", "sem", 3, 7, "m", ""),
                    ("warning", "sin", 4, 8, "n", "begin")),
     "num": (Num, (1, 2, 3), (4, 5, 6)),
@@ -51,7 +48,6 @@ def test_defaults():
     assert Token(TokenKind.PUNTO, 1, 0, 1) == \
         Token(TokenKind.PUNTO, 1, 0, 1, None, None)
     assert Ident("x", 2, 3) == Ident("x", 2, 3, None)
-    assert Symbol("x", "variable", "v0_0", 0).value is None
     assert Diagnostic("error", "sem", 3, 7, "m").context == ""
     assert CompileConfig("a.pl0+", PHASES) == \
         CompileConfig("a.pl0+", PHASES, False, False)
@@ -70,9 +66,6 @@ REPRS = [
     (Token(TokenKind.IDENTIFICADOR, 1, 4, 3, "abc"),
      "Token(kind=<TokenKind.IDENTIFICADOR: 'IDENTIFICADOR'>, line=1, "
      "column=4, length=3, name='abc', value=None)"),
-    (Symbol("x", "variable", "v0_0", 0),
-     "Symbol(name='x', kind='variable', code='v0_0', depth=0, "
-     "value=None)"),
     (Diagnostic("error", "sem", 3, 7, "m"),
      "Diagnostic(severity='error', phase='sem', line=3, column=7, "
      "message='m', context='')"),

@@ -8,11 +8,13 @@ import pytest
 import checks
 from pl0plus.compiler import compiler_main
 from pl0plus.lexer import tokenize
-from pl0plus.parser import ast_from_xml, ast_to_xml, parse, walk
+from pl0plus.parser import (ConstDecl, ProcDecl, VarDecl, ast_from_xml,
+                            ast_to_xml, parse, walk)
+from pl0plus.pcode import Opcode
 from pl0plus.semantics import (ROOT_NAME, analyze, rebuild_symbol_table,
-                               revised_from_xml, revised_to_xml, symbol_code)
-from pl0plus.xmldoc import (XmlLoadError, canonical_equal, parse_document,
-                             serialize_document)
+                               revised_from_xml, revised_to_xml)
+from pl0plus.xmldoc import XmlLoadError, parse_document, serialize_document
+from xmltree import canonical_equal
 
 
 def parsed(source):
@@ -50,21 +52,34 @@ def find_elements(node, name):
     return found
 
 
+# Main declares a constant and two variables; `p` declares three
+# variables and two procedures, and `r` a procedure of its own.
+CODE_PATHS = ("const c=1;\nvar x, y;\n"
+              "procedure p;\n"
+              "    var a, b, z;\n"
+              "    procedure q;\n    begin end;\n"
+              "    procedure r;\n"
+              "        procedure s;\n        begin end;\n"
+              "    begin call s end;\n"
+              "begin call r end;\n"
+              "begin call p end.")
+
+
 class TestSymbolCode:
     def test_blocks_join_with_underscores(self):
-        assert symbol_code("block", [0]) == "b0"
-        assert symbol_code("block", [0, 0]) == "b0_0"
-        assert symbol_code("block", [0, 0, 1]) == "b0_0_1"
+        block = analyzed(CODE_PATHS).block
+        p = block.procedures[0].block
+        r = p.procedures[1].block
+        assert [block.code, p.code, r.code] == ["b0", "b0_0", "b0_0_1"]
 
     def test_symbols_join_path_with_slashes(self):
-        assert symbol_code("constant", [0], 0) == "c0_0"
-        assert symbol_code("variable", [0], 1) == "v0_1"
-        assert symbol_code("variable", [0, 0], 2) == "v0/0_2"
-        assert symbol_code("procedure", [0, 0, 1], 0) == "p0/0/1_0"
-
-    def test_index_required_for_symbols(self):
-        with pytest.raises(ValueError):
-            symbol_code("variable", [0])
+        block = analyzed(CODE_PATHS).block
+        p = block.procedures[0].block
+        r = p.procedures[1].block
+        assert block.constants[0].code == "c0_0"
+        assert block.variables[1].code == "v0_1"
+        assert p.variables[2].code == "v0/0_2"
+        assert r.procedures[0].code == "p0/0/1_0"
 
 
 class TestCodes:
@@ -78,29 +93,38 @@ class TestCodes:
         assert proc.block.code == "b0_0"
         assert [v.code for v in proc.block.variables] == [
             "v0/0_0", "v0/0_1", "v0/0_2"]
-        table = rebuild_symbol_table(revised)
-        assert table.by_code["v0/0_1"].name == "f_1"
-        assert table.by_code["p0_0"].kind == "procedure"
+        declarations = rebuild_symbol_table(revised)
+        assert declarations["v0/0_1"] is proc.block.variables[1]
+        assert declarations["v0/0_1"].name == "f_1"
+        assert declarations["p0_0"] is proc
 
     def test_deeply_nested_codes(self):
-        revised = analyzed(
+        source = (
             "procedure p;\n"
+            "    var y;\n"
             "    procedure q;\n"
             "    begin end;\n"
             "    procedure r;\n"
             "        var x;\n"
-            "    begin x := 1 end;\n"
+            "    begin x := 1; y := x end;\n"
             "begin call r end;\n"
             "begin call p end.")
+        revised = analyzed(source)
         p = revised.block.procedures[0]
         q, r = p.block.procedures
         assert (p.code, q.code, r.code) == ("p0_0", "p0/0_0", "p0/0_1")
         assert (p.block.code, q.block.code, r.block.code) == (
             "b0_0", "b0_0_0", "b0_0_1")
         assert r.block.variables[0].code == "v0/0/1_0"
-        table = rebuild_symbol_table(revised)
-        assert set(table.scopes_by_code) == {"b0", "b0_0", "b0_0_0", "b0_0_1"}
-        assert table.by_code["v0/0/1_0"].depth == 2
+        declarations = rebuild_symbol_table(revised)
+        assert declarations == {"p0_0": p, "v0/0_0": p.block.variables[0],
+                                "p0/0_0": q, "p0/0_1": r,
+                                "v0/0/1_0": r.block.variables[0]}
+        # r's body stores into its own x, then into p's y one level out.
+        stores = [(ins.level, ins.param)
+                  for ins in checks.compile_clean(source).program.instructions
+                  if ins.opcode is Opcode.ALM]
+        assert stores == [(0, 3), (1, 3)]
 
     def test_kind_indices_are_independent(self):
         revised = analyzed("const a=1, b=2;\nvar x;\nbegin x := a end.")
@@ -109,10 +133,13 @@ class TestCodes:
         assert block.variables[0].code == "v0_0"
 
     def test_table_records_constant_values(self):
-        table = rebuild_symbol_table(analyzed("const a=1, b=-7;\nbegin end."))
-        assert table.by_code["c0_0"].value == 1
-        assert table.by_code["c0_1"].value == -7
-        assert table.by_code["c0_1"].depth == 0
+        revised = analyzed("const a=1, b=-7;\nvar x;\n"
+                           "procedure p;\nbegin end;\nbegin end.")
+        declarations = rebuild_symbol_table(revised)
+        assert [type(declarations[code]) for code in declarations] == [
+            ConstDecl, ConstDecl, VarDecl, ProcDecl]
+        assert declarations["c0_0"].value == 1
+        assert declarations["c0_1"].value == -7
 
     def test_uses_link_to_declarations(self):
         revised = analyzed(
@@ -268,10 +295,9 @@ class TestAnalyze:
         rebuilt = rebuild_symbol_table(deepcopy(revised))
         blocks = [revised.block] + [proc.block
                                     for proc in revised.block.procedures]
-        assert set(rebuilt.by_code) == {
+        assert set(rebuilt) == {
             node.code for block in blocks
             for node in block.constants + block.variables + block.procedures}
-        assert set(rebuilt.scopes_by_code) == {block.code for block in blocks}
 
 
 SMALL = ("const c=4;\n"
@@ -533,3 +559,93 @@ class TestXml:
                     element.attributes["codigo"] = "mi clave"
         assert generated(tmp_path, doc) == before.replace(
             'codigo="v0_0"', 'codigo="mi clave"')
+
+
+def edited(name, *edits):
+    """The `.pl0+sem` text of the corpus program `name`, edited.  Each edit
+    is (element, match, attribute, value): in the one `element` whose
+    attributes include `match`, `attribute` is set to `value`, or removed
+    when `value` is None."""
+    doc = parse_document(revised_to_xml(checks.corpus(name).revised))
+    for element, match, attribute, value in edits:
+        (found,) = [node for node in find_elements(doc.root, element)
+                    if match.items() <= node.attributes.items()]
+        if value is None:
+            del found.attributes[attribute]
+        else:
+            found.attributes[attribute] = value
+    return serialize_document(doc)
+
+
+# One edited corpus document per fault the validator finds, with the
+# fault's full text.
+VALIDATOR_FAULTS = {
+    "block-without-code": (
+        "anidado.pl0+",
+        [("bloque", {"codigo": "b0_0_0"}, "codigo", None)],
+        "bloque sin atributo 'codigo' (línea 6)"),
+    "duplicate-block-code": (
+        "anidado.pl0+",
+        [("bloque", {"codigo": "b0_0_0_0"}, "codigo", "b0_0")],
+        "código de bloque duplicado: 'b0_0'"),
+    "variable-without-code": (
+        "anidado.pl0+",
+        [("variable", {"nombre": "y"}, "codigo", None)],
+        "variable 'y' sin atributo 'codigo' (línea 6)"),
+    "constant-without-code": (
+        "aritmetica.pl0+",
+        [("constante", {"nombre": "uno"}, "codigo", None)],
+        "constante 'uno' sin atributo 'codigo' (línea 2)"),
+    "duplicate-name": (
+        "anidado.pl0+",
+        [("variable", {"nombre": "total"}, "nombre", "x")],
+        "símbolo duplicado en el bloque: 'x'"),
+    "variable-code-of-a-procedure": (
+        "anidado.pl0+",
+        [("variable", {"nombre": "total"}, "codigo", "p0_0")],
+        "código duplicado: 'p0_0'"),
+    "reference-without-code": (
+        "anidado.pl0+",
+        [("identificador", {"linea": "9", "simbolo": "x"}, "codigo", None)],
+        "referencia sin atributo 'codigo' (línea 9)"),
+    "dangling-code": (
+        "anidado.pl0+",
+        [("asignacion", {"linea": "22"}, "codigo", "v0_9")],
+        "referencia a un código inexistente: 'v0_9'"),
+    "code-of-wrong-kind": (
+        "anidado.pl0+",
+        [("identificador", {"linea": "9", "simbolo": "x"}, "codigo",
+          "p0_0")],
+        "el código 'p0_0' no es de la clase de símbolo esperada"),
+    "code-not-visible": (
+        "anidado.pl0+",
+        [("asignacion", {"linea": "18"}, "codigo", "v0/0/0_0")],
+        "referencia a un código que no es visible: 'v0/0/0_0' (línea 18)"),
+    "unresolvable-name": (
+        "anidado.pl0+",
+        [("llamada", {"linea": "19"}, "procedimiento", "interno")],
+        "referencia irresoluble a 'interno' (línea 19)"),
+    # Declarations are checked, block by block, before any use: a fault
+    # in an earlier procedure's block comes before a later sibling's
+    # duplicate name.
+    "earlier-block-before-later-sibling": (
+        "recursivo.pl0+",
+        [("bloque", {"codigo": "b0_0"}, "codigo", None),
+         ("procedimiento", {"nombre": "bajar"}, "nombre", "factorial")],
+        "bloque sin atributo 'codigo' (línea 5)"),
+    # Uses are checked in the inner procedures' bodies before the body
+    # around them.
+    "inner-body-before-outer-body": (
+        "anidado.pl0+",
+        [("asignacion", {"linea": "22"}, "codigo", "v0_8"),
+         ("asignacion", {"linea": "9"}, "codigo", "v0_9")],
+        "referencia a un código inexistente: 'v0_9'"),
+}
+
+
+@pytest.mark.parametrize("name, edits, message", VALIDATOR_FAULTS.values(),
+                         ids=VALIDATOR_FAULTS.keys())
+def test_validator_fault_text(name, edits, message):
+    with pytest.raises(XmlLoadError) as info:
+        revised_from_xml(edited(name, *edits))
+    assert str(info.value) == message

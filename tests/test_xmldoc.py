@@ -10,9 +10,9 @@ from pl0plus.parser import ast_from_xml
 from pl0plus.pcode import program_from_xml
 from pl0plus.semantics import revised_from_xml
 from pl0plus.xmldoc import (Cdata, Text, XmlDocument, XmlLoadError, XmlNode,
-                            XmlParseError, canonical_equal, cdata_sections,
-                            element_text, parse_document, read_document,
-                            serialize_document)
+                            XmlParseError, cdata_sections, element_text,
+                            parse_document, read_document, serialize_document)
+from xmltree import canonical_equal
 
 
 def doc(root):
