@@ -9,7 +9,9 @@ that one typo yields one message and a usable tree:
 * two adjacent operands with no operator in between is an error at the end
   of the left operand; the right operand is consumed and discarded;
 * at most one syntax error is reported per source line, and on anything
-  unrecoverable the parser skips ahead to `;`, `end`, or `.`.
+  unrecoverable the parser skips ahead to `;`, `end`, or `.`;
+* a fault inside a `const` or `var` section keeps the declarations read
+  before it.
 
 The one problem it does give up on is nesting deeper than MAX_NESTING:
 statements inside statements, procedures inside procedures and
@@ -325,7 +327,8 @@ _STATEMENT_INITIAL = {
     TokenKind.WHILE, TokenKind.READ, TokenKind.WRITE,
 }
 
-_SYNC = {TokenKind.PUNTO_Y_COMA, TokenKind.END, TokenKind.PUNTO}
+# None is the kind of the end-of-input token.
+_SYNC = {TokenKind.PUNTO_Y_COMA, TokenKind.END, TokenKind.PUNTO, None}
 
 MAX_NESTING = 200
 TOO_DEEP = "Anidamiento demasiado profundo."
@@ -350,7 +353,11 @@ class _TooDeep(Exception):
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        # One end-of-input token of no kind, just past the last token, so
+        # there is always a current token; a missing one is reported there.
+        last = tokens[-1] if tokens else Token(None, 1, 0, 0)
+        self.tokens = tokens + [Token(None, last.line,
+                                      last.column + last.length, 0)]
         self.pos = 0
         self.diags: list[Diagnostic] = []
         self._error_lines: set[int] = set()
@@ -358,15 +365,14 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def prev(self) -> Token:
         return self.tokens[self.pos - 1]
 
     def at(self, *kinds) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind in kinds
+        return self.tokens[self.pos].kind in kinds
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -380,9 +386,6 @@ class _Parser:
 
     def cur_pos(self) -> tuple[int, int]:
         tok = self.peek()
-        if tok is None:  # just past the last token; program() saw one
-            tok = self.tokens[-1]
-            return tok.line, tok.column + tok.length
         return tok.line, tok.column
 
     # -- reporting and recovery
@@ -398,8 +401,7 @@ class _Parser:
     def expect(self, kind, what: str) -> Token:
         tok = self.accept(kind)
         if tok is None:
-            line, column = self.cur_pos()
-            self.error_at(line, column, f"Se esperaba {what}")
+            self.error_at(*self.cur_pos(), f"Se esperaba {what}")
             raise _Resync
         return tok
 
@@ -408,12 +410,11 @@ class _Parser:
         caller leaves it with `self.depth -= 1` in a `finally`."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            line, column = self.cur_pos()
-            self.diags.append(error("sin", line, column, TOO_DEEP))
+            self.diags.append(error("sin", *self.cur_pos(), TOO_DEEP))
             raise _TooDeep
 
     def skip_to_sync(self) -> None:
-        while self.peek() is not None and self.peek().kind not in _SYNC:
+        while self.peek().kind not in _SYNC:
             self.advance()
 
     def sync(self) -> None:
@@ -423,55 +424,47 @@ class _Parser:
     # -- grammar
 
     def program(self) -> Program | None:
-        if not self.tokens:
+        if self.at(None):
             self.diags.append(error("sin", 1, 0, "Se esperaba '.'"))
             return None
         block = self.block()
         if not self.accept(TokenKind.PUNTO):
-            line, column = self.cur_pos()
-            self.error_at(line, column, "Se esperaba '.'")
-            while self.peek() is not None and not self.at(TokenKind.PUNTO):
+            self.error_at(*self.cur_pos(), "Se esperaba '.'")
+            while not self.at(TokenKind.PUNTO, None):
                 self.advance()
             self.accept(TokenKind.PUNTO)
-        tok = self.peek()
-        if tok is not None:
-            self.error_at(tok.line, tok.column,
-                          "Se esperaba el fin del programa")
+        if not self.at(None):
+            self.error_at(*self.cur_pos(), "Se esperaba el fin del programa")
         return Program(block, *_block_anchor(block))
 
     def block(self) -> Block:
-        constants: list[ConstDecl] = []
-        variables: list[VarDecl] = []
-        procedures: list[ProcDecl] = []
+        block = Block([], [], [], None, 0, 0)
         if self.at(TokenKind.CONST):
             try:
-                constants = self.const_section()
+                self.const_section(block.constants)
             except _Resync:
                 self.sync()
         if self.at(TokenKind.VAR):
             try:
-                variables = self.var_section()
+                self.var_section(block.variables)
             except _Resync:
                 self.sync()
         while self.at(TokenKind.PROCEDURE):
             try:
-                procedures.append(self.proc_decl())
+                self.proc_decl(block.procedures)
             except _Resync:
                 self.sync()
-        body = self.statement()
+        block.body = self.statement()
         # Optional trailing `;` after the block's statement; take it only
         # when the terminator the parent itself needs still follows.
-        if (self.at(TokenKind.PUNTO_Y_COMA) and self.pos + 1 < len(self.tokens)
-                and self.tokens[self.pos + 1].kind
-                in (TokenKind.PUNTO_Y_COMA, TokenKind.PUNTO)):
+        if self.at(TokenKind.PUNTO_Y_COMA) and self.tokens[self.pos + 1].kind \
+                in (TokenKind.PUNTO_Y_COMA, TokenKind.PUNTO):
             self.advance()
-        block = Block(constants, variables, procedures, body, 0, 0)
         block.line, block.column = _block_anchor(block)
         return block
 
-    def const_section(self) -> list[ConstDecl]:
+    def const_section(self, decls: list[ConstDecl]) -> None:
         self.advance()  # const
-        decls = []
         while True:
             name = self.expect(TokenKind.IDENTIFICADOR, "un identificador")
             self.expect(TokenKind.IGUAL, "'='")
@@ -484,20 +477,17 @@ class _Parser:
             if not self.accept(TokenKind.COMA):
                 break
         self.expect(TokenKind.PUNTO_Y_COMA, "';'")
-        return decls
 
-    def var_section(self) -> list[VarDecl]:
+    def var_section(self, decls: list[VarDecl]) -> None:
         self.advance()  # var
-        decls = []
         while True:
             name = self.expect(TokenKind.IDENTIFICADOR, "un identificador")
             decls.append(VarDecl(name.name, name.line, name.column))
             if not self.accept(TokenKind.COMA):
                 break
         self.expect(TokenKind.PUNTO_Y_COMA, "';'")
-        return decls
 
-    def proc_decl(self) -> ProcDecl:
+    def proc_decl(self, decls: list[ProcDecl]) -> None:
         self.nest()
         try:
             self.advance()  # procedure
@@ -505,7 +495,7 @@ class _Parser:
             self.expect(TokenKind.PUNTO_Y_COMA, "';'")
             block = self.block()
             self.expect(TokenKind.PUNTO_Y_COMA, "';'")
-            return ProcDecl(name.name, block, name.line, name.column)
+            decls.append(ProcDecl(name.name, block, name.line, name.column))
         finally:
             self.depth -= 1
 
@@ -522,7 +512,7 @@ class _Parser:
 
     def _statement(self) -> Stmt:
         tok = self.peek()
-        if tok is None or tok.kind not in _STATEMENT_INITIAL:
+        if tok.kind not in _STATEMENT_INITIAL:
             return Empty(*self.cur_pos())
         if tok.kind is TokenKind.IDENTIFICADOR:
             target = self.advance()
@@ -564,12 +554,11 @@ class _Parser:
         statements = [self.statement()]
         while True:
             if self.accept(TokenKind.PUNTO_Y_COMA):
-                if self.at(TokenKind.END) or self.peek() is None:
+                if self.at(TokenKind.END, None):
                     break
                 statements.append(self.statement())
                 continue
-            if self.at(TokenKind.END) or self.at(TokenKind.PUNTO) \
-                    or self.peek() is None:
+            if self.at(TokenKind.END, TokenKind.PUNTO, None):
                 break
             tok = self.peek()
             if tok.kind in _STATEMENT_INITIAL:
@@ -581,8 +570,7 @@ class _Parser:
             self.error_at(tok.line, tok.column, "Se esperaba ';' o 'end'")
             self.skip_to_sync()
         if not self.accept(TokenKind.END):
-            line, column = self.cur_pos()
-            self.error_at(line, column, "Se esperaba 'end'")
+            self.error_at(*self.cur_pos(), "Se esperaba 'end'")
         return Sequence(statements, kw.line, kw.column)
 
     def condition(self) -> Cond:
@@ -591,9 +579,9 @@ class _Parser:
             return Cond("odd", [operand], operand.line, operand.column)
         left = self.expression()
         tok = self.peek()
-        if tok is None or tok.kind not in _RELATIONAL:
-            line, column = self.cur_pos()
-            self.error_at(line, column, "Se esperaba un operador relacional")
+        if tok.kind not in _RELATIONAL:
+            self.error_at(*self.cur_pos(),
+                          "Se esperaba un operador relacional")
             raise _Resync
         self.advance()
         right = self.expression()
@@ -638,13 +626,13 @@ class _Parser:
         while self.at(TokenKind.MENOS):
             minus.append(self.advance())
         tok = self.peek()
-        if tok is not None and tok.kind is TokenKind.IDENTIFICADOR:
+        if tok.kind is TokenKind.IDENTIFICADOR:
             self.advance()
             node: Expr = Ident(tok.name, tok.line, tok.column)
-        elif tok is not None and tok.kind is TokenKind.NUMERO:
+        elif tok.kind is TokenKind.NUMERO:
             self.advance()
             node = Num(tok.value, tok.line, tok.column)
-        elif tok is not None and tok.kind is TokenKind.PARENTESIS_APERTURA:
+        elif tok.kind is TokenKind.PARENTESIS_APERTURA:
             self.nest()
             try:
                 self.advance()
@@ -653,8 +641,7 @@ class _Parser:
             finally:
                 self.depth -= 1
         else:
-            line, column = self.cur_pos()
-            self.error_at(line, column, "Se esperaba una expresión")
+            self.error_at(*self.cur_pos(), "Se esperaba una expresión")
             raise _Resync
         for sign in reversed(minus):
             node = Neg(node, sign.line, sign.column)

@@ -30,14 +30,17 @@ _KINDS = {ConstDecl: ("c", "constante"), VarDecl: ("v", "variable"),
 
 
 class Scope:
-    """One block's declarations by name, plus a link to the enclosing
-    scope."""
+    """One block's declarations by name, each with its ordinal, plus a
+    link to the enclosing scope.  A procedure's scope opens once the
+    procedure is declared, and sees only the names its parent held then."""
 
     def __init__(self, path: list[int], parent: "Scope | None" = None):
         self.path = path
         self.code = "b" + "_".join(map(str, path))
         self.parent = parent
+        self.seen = len(parent.names) if parent is not None else 0
         self.names: dict = {}
+        self.ordinals: dict[str, int] = {}
         self._counts = dict.fromkeys(_KINDS, 0)
 
     def declare(self, node) -> str | None:
@@ -45,6 +48,7 @@ class Scope:
         signals a duplicate name in this scope."""
         if node.name in self.names:
             return None
+        self.ordinals[node.name] = len(self.names)
         self.names[node.name] = node
         kind = type(node)
         index = self._counts[kind]
@@ -52,12 +56,14 @@ class Scope:
         return f"{_KINDS[kind][0]}{'/'.join(map(str, self.path))}_{index}"
 
     def lookup(self, name: str):
-        """The declaration of `name` in this scope or one around it."""
+        """The declaration of `name` in this scope or one around it, among
+        the names each scope around it sees."""
         scope: Scope | None = self
+        seen = len(self.names)
         while scope is not None:
-            if name in scope.names:
+            if scope.ordinals.get(name, seen) < seen:
                 return scope.names[name]
-            scope = scope.parent
+            scope, seen = scope.parent, scope.seen
         return None
 
 

@@ -210,6 +210,17 @@ class TestPipeline:
         assert "Referencia a variable no declarada" in captured.out
         assert captured.err == ""
 
+    def test_fault_in_a_var_section_is_one_finding(self, tmp_path, capsys):
+        # The names read before the fault stay declared.
+        source = tmp_path / "seccion.pl0+"
+        source.write_text("var x, y z;\nbegin x := 1; write x end.\n",
+                          encoding="utf-8")
+        assert compiler_main([str(source)]) == 1
+        assert list(tmp_path.iterdir()) == [source]
+        assert capsys.readouterr().out == (
+            "ERROR*****\nFase de origen:sin\nLínea 1: Se esperaba ';'\n"
+            "var x, y z;\n" + "-" * 9 + "^\n")
+
     def test_superscript_digit_is_an_invalid_character(self, tmp_path,
                                                        capsys):
         source = tmp_path / "cuadrado.pl0+"
@@ -733,6 +744,14 @@ class TestInstalledScripts:
                                 timeout=SCRIPT_TIMEOUT)
         return result, json.loads(report.read_text(encoding="utf-8"))
 
+    @staticmethod
+    def outside_the_standard_library(modules):
+        """The names in `modules` that are neither pl0plus's nor in the
+        standard library; `__main__` is the command's own script."""
+        return [name for name in modules
+                if name.partition(".")[0] not in sys.stdlib_module_names
+                and name.partition(".")[0] not in ("pl0plus", "__main__")]
+
     def test_interprete_loads_only_the_machine(self, tmp_path):
         # Running a .p+ through the [project.scripts] target loads the
         # command-line plumbing, the p+ format and the machine: no
@@ -747,6 +766,7 @@ class TestInstalledScripts:
             "pl0plus.xmldoc"]
         for heavy in ("dataclasses", "argparse", "locale"):
             assert heavy not in modules
+        assert self.outside_the_standard_library(modules) == []
 
     def test_compilador_loads_no_heavy_stdlib(self, tmp_path):
         # A compile loads no dataclasses, inspect, typing or pathlib, no
@@ -768,6 +788,7 @@ class TestInstalledScripts:
         for heavy in ("dataclasses", "inspect", "typing", "pathlib",
                       "argparse", "gettext", "locale"):
             assert heavy not in modules
+        assert self.outside_the_standard_library(modules) == []
 
     def test_cli_loads_both_commands(self):
         # `import pl0plus.cli` is the whole package's start-up: every

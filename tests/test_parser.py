@@ -8,7 +8,7 @@ from pl0plus.parser import (MAX_NESTING, TOO_DEEP, Assign, BinOp, Block,
                             Call, Cond, ConstDecl, Empty, Ident, If, Neg, Num,
                             Program, Read, Sequence, VarDecl, While, Write,
                             ast_from_xml, ast_to_xml, parse)
-from pl0plus.semantics import revised_from_xml
+from pl0plus.semantics import analyze, revised_from_xml
 from pl0plus.xmldoc import XmlLoadError, parse_document
 from xmltree import canonical_equal
 
@@ -255,6 +255,23 @@ class TestRecovery:
         assert diags
         statements = ast.block.body.statements
         assert statements[-1] == Assign("x", Num(3, 4, 9), 4, 4)
+
+    # A fault inside a `const` or `var` section keeps the declarations
+    # read before it, so the names they declare raise no `sem` finding.
+    @pytest.mark.parametrize("source, finding, names", [
+        ("const a = 1, b = ;\nvar x;\nbegin x := a; write x end.",
+         (1, 17, "Se esperaba un número"), (["a"], ["x"])),
+        ("var x, y z;\nbegin x := 1; write x end.",
+         (1, 9, "Se esperaba ';'"), ([], ["x", "y"])),
+    ], ids=["const", "var"])
+    def test_section_fault_keeps_earlier_declarations(self, source, finding,
+                                                      names):
+        ast, diags = parse_with_diags(source)
+        diags += analyze(ast)[1]
+        assert [(d.phase, d.severity, d.line, d.column, d.message)
+                for d in diags] == [("sin", "error", *finding)]
+        assert ([c.name for c in ast.block.constants],
+                [v.name for v in ast.block.variables]) == names
 
 
 class TestNestingLimit:

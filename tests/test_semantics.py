@@ -625,6 +625,12 @@ VALIDATOR_FAULTS = {
         "anidado.pl0+",
         [("llamada", {"linea": "19"}, "procedimiento", "interno")],
         "referencia irresoluble a 'interno' (línea 19)"),
+    # A call sees only the procedures declared up to the one it lies in,
+    # as in the source: `factorial` cannot call its later sibling.
+    "call-to-a-later-sibling": (
+        "recursivo.pl0+",
+        [("llamada", {"linea": "9"}, "procedimiento", "bajar")],
+        "referencia irresoluble a 'bajar' (línea 9)"),
     # Declarations are checked, block by block, before any use: a fault
     # in an earlier procedure's block comes before a later sibling's
     # duplicate name.
@@ -649,3 +655,17 @@ def test_validator_fault_text(name, edits, message):
     with pytest.raises(XmlLoadError) as info:
         revised_from_xml(edited(name, *edits))
     assert str(info.value) == message
+
+
+def test_inner_call_sees_no_later_sibling_around_it():
+    # b lies in a, and c is a's later sibling: in the source b cannot call
+    # c, and in a `.pl0+sem` it cannot either.
+    source = NESTED.replace("begin y := 5; write y end;",
+                            "begin y := 5; call a end;")
+    doc = parse_document(revised_to_xml(analyzed(source)))
+    (call,) = [node for node in find_elements(doc.root, "llamada")
+               if node.attributes["linea"] == "6"]
+    call.attributes["procedimiento"] = "c"
+    with pytest.raises(XmlLoadError) as info:
+        revised_from_xml(serialize_document(doc))
+    assert str(info.value) == "referencia irresoluble a 'c' (línea 6)"
