@@ -439,6 +439,8 @@ def run(state: MachineState, io, debug: bool = False, control=None,
     """
     if err is None:
         err = sys.stderr
+    if max_steps is not None:  # no run takes more steps than sys.maxsize
+        max_steps = min(max_steps, sys.maxsize)
     state.stack[:3] = [-1, -1, 0]
     try:
         if not debug:

@@ -10,7 +10,10 @@ that tree is all the code generator reads.
 
 The declaration nodes are the symbol table: a scope maps each name to the
 `ConstDecl`, `VarDecl` or `ProcDecl` that declares it, and the `.pl0+sem`
-validator returns the declarations by code.
+validator returns the declarations by code.  One walk over the blocks
+declares their names and lists each block with its scope, and one table
+says which node classes use a name; the analysis and the validator share
+both and differ only in what they do with a declaration and with a use.
 
 Visibility follows declaration order: a procedure sees itself (recursion
 works) and everything declared before it, but not siblings declared later.
@@ -19,14 +22,21 @@ works) and everything declared before it, but not siblings declared later.
 from __future__ import annotations
 
 from .diagnostics import Diagnostic, error
-from .parser import (Assign, Block, Call, ConstDecl, Ident, ProcDecl, Program,
-                     Read, VarDecl, Write, tree_from_xml, tree_to_xml, walk)
+from .parser import (_FORMS, Assign, Block, Call, ConstDecl, Ident, ProcDecl,
+                     Program, Read, VarDecl, Write, tree_from_xml,
+                     tree_to_xml, walk)
 from .xmldoc import XmlLoadError
 
 # Each kind of declaration's code prefix, and the noun that names it in
 # the validator's messages.
 _KINDS = {ConstDecl: ("c", "constante"), VarDecl: ("v", "variable"),
           ProcDecl: ("p", "procedimiento")}
+# Each node class that uses a name: the field that holds the name, and
+# the kinds of declaration the name may denote there.
+_USES = {Assign: ("target", VarDecl), Read: ("variable", VarDecl),
+         Call: ("procedure", ProcDecl),
+         Write: ("symbol", (VarDecl, ConstDecl)),
+         Ident: ("name", (VarDecl, ConstDecl))}
 
 
 class Scope:
@@ -67,76 +77,61 @@ class Scope:
         return None
 
 
-# ---------------------------------------------------------------------------
-# Analysis proper
+def _declare_blocks(block: Block, scope: Scope, declare) -> list:
+    """Declare the names of `block` in `scope` through `declare(node,
+    scope)`: its constants and variables, then each procedure followed by
+    the names of the procedure's block, in a child scope.  Returns each
+    block with its scope, a procedure's block before the block that
+    declares it."""
+    for node in block.constants + block.variables:
+        declare(node, scope)
+    blocks = []
+    for position, proc in enumerate(block.procedures):
+        declare(proc, scope)
+        # The child scope index is the syntactic position, so block
+        # codes stay unique even when a duplicate name was rejected.
+        blocks += _declare_blocks(
+            proc.block, Scope(scope.path + [position], scope), declare)
+    return blocks + [(block, scope)]
 
 
-class _Analyzer:
-    def __init__(self):
-        self.diags: list[Diagnostic] = []
-
-    def err(self, node, message: str) -> None:
-        self.diags.append(error("sem", node.line, node.column, message))
-
-    def visit_block(self, block: Block, scope: Scope) -> None:
-        block.code = scope.code
-        for node in block.constants + block.variables:
-            self.declare(node, scope)
-        for position, proc in enumerate(block.procedures):
-            self.declare(proc, scope)
-            # The child scope index is the syntactic position, so block
-            # codes stay unique even when a duplicate name was rejected.
-            self.visit_block(proc.block,
-                             Scope(scope.path + [position], scope))
-        self.visit_body(block.body, scope)
-
-    def declare(self, node, scope: Scope) -> None:
-        code = scope.declare(node)
-        if code is None:
-            self.err(node, "Símbolo duplicado")
-        else:
-            node.code = code
-
-    def resolve(self, node, name: str, scope: Scope,
-                target: bool = False) -> str | None:
-        """The code of an identifier used where a value is needed, or that
-        is about to be stored into if `target`; None if it is not one."""
-        decl = scope.lookup(name)
-        if decl is None:
-            self.err(node, "Referencia a variable no declarada")
-        elif isinstance(decl, ProcDecl):
-            self.err(node, "Uso inválido de procedimiento")
-        elif target and isinstance(decl, ConstDecl):
-            self.err(node, "Asignación a constante")
-        else:
-            return decl.code
-        return None
-
-    def visit_body(self, body, scope: Scope) -> None:
-        # A statement never contains declarations, so the whole body
-        # resolves in the block's own scope.
-        for node in walk(body):
-            if isinstance(node, Assign):
-                node.code = self.resolve(node, node.target, scope, True)
-            elif isinstance(node, Call):
-                decl = scope.lookup(node.procedure)
-                if not isinstance(decl, ProcDecl):
-                    self.err(node, "Referencia a procedimiento no declarado")
-                else:
-                    node.code = decl.code
-            elif isinstance(node, Read):
-                node.code = self.resolve(node, node.variable, scope, True)
-            elif isinstance(node, Write):
-                node.code = self.resolve(node, node.symbol, scope)
-            elif isinstance(node, Ident):
-                node.code = self.resolve(node, node.name, scope)
 def analyze(ast: Program) -> tuple[Program, list[Diagnostic]]:
     """Fill in the symbol codes of `ast` in place and return that same
     tree and any findings.  Running analyze again on the annotated tree
     assigns identical codes."""
-    analyzer = _Analyzer()
-    analyzer.visit_block(ast.block, Scope([0]))
-    return ast, analyzer.diags
+    diags: list[Diagnostic] = []
+
+    def declare(node, scope: Scope) -> None:
+        code = scope.declare(node)
+        if code is None:
+            diags.append(error("sem", node.line, node.column,
+                               "Símbolo duplicado"))
+        else:
+            node.code = code
+
+    for block, scope in _declare_blocks(ast.block, Scope([0]), declare):
+        block.code = scope.code
+        # A statement never contains declarations, so the whole body
+        # resolves in the block's own scope.
+        for node in walk(block.body):
+            use = _USES.get(type(node))
+            if use is None:
+                continue
+            field, kinds = use
+            decl = scope.lookup(getattr(node, field))
+            if isinstance(decl, kinds):
+                node.code = decl.code
+                continue
+            if kinds is ProcDecl:
+                message = "Referencia a procedimiento no declarado"
+            elif decl is None:
+                message = "Referencia a variable no declarada"
+            elif isinstance(decl, ProcDecl):
+                message = "Uso inválido de procedimiento"
+            else:
+                message = "Asignación a constante"
+            diags.append(error("sem", node.line, node.column, message))
+    return ast, diags
 
 
 # ---------------------------------------------------------------------------
@@ -163,44 +158,50 @@ def rebuild_symbol_table(revised: Program) -> dict:
     declaration that no scope around the use makes.
     """
     declarations: dict = {}
-    scopes: dict[str, Scope] = {}
-    root = Scope([0])
-    _declare_block(revised.block, root, declarations, scopes)
-    _relink_block(revised.block, root, declarations, scopes)
+    block_codes: set[str] = set()
+
+    def enter(block: Block) -> None:
+        if block.code is None:
+            raise XmlLoadError(
+                f"bloque sin atributo 'codigo' (línea {block.line})")
+        if block.code in block_codes:
+            raise XmlLoadError(f"código de bloque duplicado: '{block.code}'")
+        block_codes.add(block.code)
+
+    def declare(node, scope: Scope) -> None:
+        proc = isinstance(node, ProcDecl)
+        if not proc and node.code is None:
+            raise XmlLoadError(f"{_KINDS[type(node)][1]} '{node.name}' sin "
+                               f"atributo 'codigo' (línea {node.line})")
+        code = scope.declare(node)
+        if code is None:
+            raise XmlLoadError(
+                f"símbolo duplicado en el bloque: '{node.name}'")
+        if proc:
+            node.code = code
+        if node.code in declarations:
+            raise XmlLoadError(f"código duplicado: '{node.code}'")
+        declarations[node.code] = node
+        if proc:  # before the names its block declares
+            enter(node.block)
+
+    enter(revised.block)
+    for block, scope in _declare_blocks(revised.block, Scope([0]), declare):
+        for node in walk(block.body):
+            use = _USES.get(type(node))
+            if use is None:
+                continue
+            field, kinds = use
+            if _FORMS[type(node)].coded:
+                _check_code(declarations, scope, node, kinds)
+                continue
+            name = getattr(node, field)
+            decl = scope.lookup(name)
+            if not isinstance(decl, kinds):
+                raise XmlLoadError(
+                    f"referencia irresoluble a '{name}' (línea {node.line})")
+            node.code = decl.code
     return declarations
-
-
-def _declare(scope: Scope, node, declarations: dict) -> None:
-    """Declare `node` in `scope` and file it under its code, which is
-    the canonical one for a procedure and the one it carries otherwise."""
-    proc = isinstance(node, ProcDecl)
-    if not proc and node.code is None:
-        raise XmlLoadError(f"{_KINDS[type(node)][1]} '{node.name}' sin "
-                           f"atributo 'codigo' (línea {node.line})")
-    code = scope.declare(node)
-    if code is None:
-        raise XmlLoadError(f"símbolo duplicado en el bloque: '{node.name}'")
-    if proc:
-        node.code = code
-    if node.code in declarations:
-        raise XmlLoadError(f"código duplicado: '{node.code}'")
-    declarations[node.code] = node
-
-
-def _declare_block(block: Block, scope: Scope, declarations: dict,
-                   scopes: dict[str, Scope]) -> None:
-    if block.code is None:
-        raise XmlLoadError(
-            f"bloque sin atributo 'codigo' (línea {block.line})")
-    if block.code in scopes:
-        raise XmlLoadError(f"código de bloque duplicado: '{block.code}'")
-    scopes[block.code] = scope
-    for node in block.constants + block.variables:
-        _declare(scope, node, declarations)
-    for position, proc in enumerate(block.procedures):
-        _declare(scope, proc, declarations)
-        _declare_block(proc.block, Scope(scope.path + [position], scope),
-                       declarations, scopes)
 
 
 def _check_code(declarations: dict, scope: Scope, node, kinds) -> None:
@@ -221,33 +222,6 @@ def _check_code(declarations: dict, scope: Scope, node, kinds) -> None:
     if scope is None:
         raise XmlLoadError(f"referencia a un código que no es visible: "
                            f"'{code}' (línea {node.line})")
-
-
-def _resolve_name(scope: Scope, node, name: str, kinds) -> str:
-    decl = scope.lookup(name)
-    if not isinstance(decl, kinds):
-        raise XmlLoadError(
-            f"referencia irresoluble a '{name}' (línea {node.line})")
-    return decl.code
-
-
-def _relink_block(block: Block, scope: Scope, declarations: dict,
-                  scopes: dict[str, Scope]) -> None:
-    for proc in block.procedures:
-        _relink_block(proc.block, scopes[proc.block.code], declarations,
-                      scopes)
-    for node in walk(block.body):
-        if isinstance(node, Assign):
-            _check_code(declarations, scope, node, VarDecl)
-        elif isinstance(node, Ident):
-            _check_code(declarations, scope, node, (VarDecl, ConstDecl))
-        elif isinstance(node, Call):
-            node.code = _resolve_name(scope, node, node.procedure, ProcDecl)
-        elif isinstance(node, Read):
-            node.code = _resolve_name(scope, node, node.variable, VarDecl)
-        elif isinstance(node, Write):
-            node.code = _resolve_name(scope, node, node.symbol,
-                                      (VarDecl, ConstDecl))
 
 
 def revised_from_xml(text: str) -> tuple[Program, str | None]:

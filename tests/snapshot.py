@@ -5,11 +5,12 @@
 For each input, under each tree, in a fresh directory: `compilador`
 plain, with `-x -m`, and phase by phase (`--lex`, `--sin`, `--sem`,
 `--gen`), then `interprete --max-pasos 100000` on the `.p+`.  The inputs
-are the corpus programs, `data/errores_programa.pl0+` and the progen
-programs of seeds 1000-1019, each fed its own inputs (the others get
-"7\\n3\\n").  It prints a Markdown table, one row per input, naming each
-output that differs: stdout, stderr, exit code or the files written.  It
-is a report and always exits 0.  pytest does not collect it.
+are the corpus programs, `data/errores_programa.pl0+`,
+`data/errores_semanticos.pl0+` and the progen programs of seeds
+1000-1019, each fed its own inputs (the others get "7\\n3\\n").  It
+prints a Markdown table, one row per input, naming each output that
+differs: stdout, stderr, exit code or the files written.  It is a report
+and always exits 0.  pytest does not collect it.
 """
 
 import os
@@ -35,7 +36,8 @@ RUNS = (("compilador", (), "{}.pl0+"), ("compilador", ("-x", "-m"), "{}.pl0+"),
 def inputs():
     """(name, source, stdin) of every input."""
     for path in sorted((TESTS / "corpus").glob("*.pl0+")) + [
-            TESTS / "data" / "errores_programa.pl0+"]:
+            TESTS / "data" / "errores_programa.pl0+",
+            TESTS / "data" / "errores_semanticos.pl0+"]:
         yield path.stem, path.read_text(encoding="utf-8"), "7\n3\n"
     for seed in range(1000, 1020):
         source, values, _ = progen.generate(seed)

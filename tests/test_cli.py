@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from checks import (DATA, DEEP_TREE_SHAPES, NESTING_SHAPES, deep_tree,
+from checks import (DATA, DEEP_TREE_SHAPES, FIB, NESTING_SHAPES, deep_tree,
                     flat_sum, nested, nesting_opener)
 from pl0plus.cli import compiler_main, interpreter_main
 from pl0plus.compiler import (PHASES, CompileConfig, parse_compiler_args,
@@ -600,6 +600,17 @@ class TestInterpreter:
             cwd=Path(__file__).resolve().parents[1] / "src")
         assert (result.returncode, result.stdout, result.stderr) == (
             status, out, err)
+
+    def test_python_dash_m_takes_a_step_limit_of_any_length(self,
+                                                            tmp_path):
+        target = compiled_file(tmp_path, FIB.read_text(encoding="utf-8"))
+        result = subprocess.run(
+            [sys.executable, "-m", "pl0plus.pvm", "--max-pasos",
+             "99999999999999999999", str(target)], input="10\n",
+            capture_output=True, text=True, timeout=SCRIPT_TIMEOUT,
+            cwd=Path(__file__).resolve().parents[1] / "src")
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, "1\n1\n2\n3\n5\n8\n13\n21\n34\n55\n89\n", "")
 
     def test_debug_traces_to_stderr(self, tmp_path, capsys, monkeypatch):
         target = compiled_file(tmp_path, "begin end.\n")

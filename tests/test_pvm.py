@@ -722,6 +722,13 @@ class TestStepLimit:
         assert run(machine(program), ListIo(), max_steps=2, **options) == 0
         assert run(machine(program), ListIo(), max_steps=1, **options) == 1
 
+    @pytest.mark.parametrize("debug", [False, True])
+    def test_a_limit_past_the_word_size_is_no_limit(self, debug):
+        options = {"debug": debug, "control": io.StringIO(),
+                   "err": io.StringIO()}
+        assert run(machine([MAIN, RET]), ListIo(), max_steps=1 << 64,
+                   **options) == 0
+
 
 class TestSourceLines:
     def test_runtime_error_names_the_source_line(self):

@@ -1,13 +1,16 @@
 """Name resolution, symbol codes, and the revised tree's XML form."""
 
 import gc
+import random
+import shutil
 from copy import deepcopy
 
 import pytest
 
 import checks
+import progen
 from pl0plus.compiler import compiler_main
-from pl0plus.lexer import tokenize
+from pl0plus.lexer import TokenKind, tokenize
 from pl0plus.parser import (ConstDecl, ProcDecl, VarDecl, ast_from_xml,
                             ast_to_xml, parse, walk)
 from pl0plus.pcode import Opcode
@@ -669,3 +672,91 @@ def test_inner_call_sees_no_later_sibling_around_it():
     with pytest.raises(XmlLoadError) as info:
         revised_from_xml(serialize_document(doc))
     assert str(info.value) == "referencia irresoluble a 'c' (línea 6)"
+
+
+def renamed(source, seed):
+    """`source` with one occurrence of a name changed into another name
+    the program uses, both picked by `seed`."""
+    tokens, _ = tokenize(source)
+    names = [token for token in tokens
+             if token.kind is TokenKind.IDENTIFICADOR]
+    rng = random.Random(seed)
+    token = rng.choice(names)
+    name = rng.choice(sorted({other.name for other in names} - {token.name}))
+    lines = source.split("\n")
+    line = lines[token.line - 1]
+    lines[token.line - 1] = (line[:token.column] + name
+                             + line[token.column + token.length:])
+    return "\n".join(lines)
+
+
+def test_what_analysis_accepts_the_validator_accepts():
+    # Ten renames of each of twenty generated programs; 87 of the 200
+    # variants have no finding, and each one's `.pl0+sem` reads back to
+    # a tree that writes the same text.
+    accepted = 0
+    for seed in range(1000, 1020):
+        source, _, _ = progen.generate(seed)
+        for k in range(10):
+            variant = renamed(source, f"{seed}-{k}")
+            revised, diags = analyze(parsed(variant))
+            if diags:
+                continue
+            text = revised_to_xml(revised, variant)
+            assert revised_to_xml(*revised_from_xml(text)) == text, variant
+            accepted += 1
+    assert accepted == 87
+
+
+# `compilador errores_semanticos.pl0+`'s standard output: each finding
+# the semantic phase makes.
+ERRORES_SEMANTICOS_OUTPUT = """\
+ERROR*****
+Fase de origen:sem
+Línea 2: Símbolo duplicado
+var x, x;
+-------^
+ERROR*****
+Fase de origen:sem
+Línea 5: Referencia a variable no declarada
+    x := y
+---------^
+ERROR*****
+Fase de origen:sem
+Línea 8: Asignación a constante
+    k := 1;
+----^
+ERROR*****
+Fase de origen:sem
+Línea 9: Asignación a constante
+    read k;
+---------^
+ERROR*****
+Fase de origen:sem
+Línea 10: Uso inválido de procedimiento
+    x := p + 1;
+---------^
+ERROR*****
+Fase de origen:sem
+Línea 11: Uso inválido de procedimiento
+    write p;
+----------^
+ERROR*****
+Fase de origen:sem
+Línea 12: Referencia a procedimiento no declarado
+    call q;
+---------^
+ERROR*****
+Fase de origen:sem
+Línea 13: Referencia a procedimiento no declarado
+    call x
+---------^
+"""
+
+
+def test_every_finding_of_the_semantic_phase(tmp_path, capsys):
+    source = tmp_path / "errores_semanticos.pl0+"
+    shutil.copyfile(checks.DATA / "errores_semanticos.pl0+", source)
+    assert compiler_main([str(source)]) == 1
+    assert capsys.readouterr().out == ERRORES_SEMANTICOS_OUTPUT
+    assert not (tmp_path / "errores_semanticos.p+").exists()
