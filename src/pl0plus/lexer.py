@@ -11,8 +11,9 @@ import re
 from enum import Enum, unique
 
 from .diagnostics import Diagnostic, error
-from .xmldoc import (DECLARATION, NOT_XML, Record, XmlLoadError, cdata_line,
-                     escape_attr, indent, int_attr, read_document, str_attr)
+from .xmldoc import (DECLARATION, NOT_XML, Integers, Record, XmlLoadError,
+                     cdata_line, escape_attr, indent, int_attr, read_document,
+                     str_attr)
 
 MAX_NUMBER = 2**31 - 1
 
@@ -220,6 +221,7 @@ def tokens_from_xml(text: str) -> tuple[list[Token], str | None]:
     source: str | None = None
     sections: list[str] | None = None  # of the `fuente` being read
     depth = 0  # of the open elements; tokens are at 2, below the root
+    ints = Integers()
 
     def start(name, attributes):
         nonlocal depth, sections
@@ -235,13 +237,17 @@ def tokens_from_xml(text: str) -> tuple[list[Token], str | None]:
         kind = _KIND_BY_ELEMENT.get(name)
         if kind is None:
             raise XmlLoadError(f"lexema desconocido: '{name}'")
-        line = int_attr(name, attributes, "linea")
-        column = int_attr(name, attributes, "columna")
-        length = int_attr(name, attributes, "longitud")
-        if kind is TokenKind.IDENTIFICADOR:
+        line = (ints[attributes.get("linea")]
+                or int_attr(name, attributes, "linea"))
+        column = (ints[attributes.get("columna")]
+                  or int_attr(name, attributes, "columna"))
+        length = (ints[attributes.get("longitud")]
+                  or int_attr(name, attributes, "longitud"))
+        # by name: looking a member up on an Enum class runs Python
+        if name == "IDENTIFICADOR":
             tokens.append(Token(kind, line, column, length,
                                 name=str_attr(name, attributes, "nombre")))
-        elif kind is TokenKind.NUMERO:
+        elif name == "NUMERO":
             tokens.append(Token(kind, line, column, length,
                                 value=int_attr(name, attributes, "valor")))
         else:

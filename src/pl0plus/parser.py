@@ -32,8 +32,9 @@ from collections import namedtuple
 
 from .diagnostics import Diagnostic, error, warning
 from .lexer import Token, TokenKind
-from .xmldoc import (DECLARATION, Record, XmlLoadError, cdata_line,
-                     escape_attr, indent, int_attr, read_document, str_attr)
+from .xmldoc import (DECLARATION, Integers, Record, XmlLoadError,
+                     cdata_line, escape_attr, indent, int_attr, read_document,
+                     str_attr)
 
 # ---------------------------------------------------------------------------
 # Tree nodes.  `code` fields stay None until semantic analysis fills them.
@@ -767,6 +768,7 @@ def tree_from_xml(text: str, check_root,
     # or its shape's when a child breaks it.  While it holds that fault,
     # its children are only counted.
     stack: list[list] = []
+    ints = Integers()
 
     def start(name, attributes):
         nonlocal root, seen, sections, skipped
@@ -871,8 +873,10 @@ def tree_from_xml(text: str, check_root,
                     else:
                         args += kids + [None] * (len(form.children)
                                                  - len(kids))
-                    node = cls(*args, int_attr(name, attributes, "linea"),
-                               int_attr(name, attributes, "columna"))
+                    node = cls(*args, ints[attributes.get("linea")]
+                               or int_attr(name, attributes, "linea"),
+                               ints[attributes.get("columna")]
+                               or int_attr(name, attributes, "columna"))
                 if keep_codes and form.coded:
                     node.code = attributes.get("codigo")
             except XmlLoadError as exc:

@@ -17,7 +17,7 @@ from enum import Enum
 
 from xml.parsers.expat import ParserCreate
 
-from .xmldoc import (DECLARATION, Record, XmlLoadError, cdata_line,
+from .xmldoc import (DECLARATION, Integers, Record, XmlLoadError, cdata_line,
                      check_name, element_text, escape_attr, escape_text,
                      indent, int_attr, read_document)
 
@@ -159,8 +159,9 @@ def program_from_xml(text: str) -> tuple[Program, str | None]:
     source = None
     depth = 0  # of the open elements; instructions are at 2
     notes = None  # the annotations of the instruction element being read
-    pieces = None  # of the text of the `informacion` being read, at 3
+    pieces = None  # the text of the `informacion` open at 3; expat adds it
     sections = None  # of the `fuente` being read
+    ints = Integers()
     parser = ParserCreate()
     raw = text.encode()  # what expat's byte positions count
 
@@ -170,6 +171,7 @@ def program_from_xml(text: str) -> tuple[Program, str | None]:
         if depth == 3:
             if notes is not None and name == "informacion":
                 pieces = []
+                parser.CharacterDataHandler = pieces.append
                 notes.append(Annotation(attributes))
             return
         if depth != 2:
@@ -178,32 +180,36 @@ def program_from_xml(text: str) -> tuple[Program, str | None]:
                     f"se esperaba el elemento '{ROOT_NAME}', no '{name}'")
             elif depth == 4 and pieces is not None:
                 pieces.append(None)
-            return
-        if name == "ensamblador":
-            return
-        if name == "fuente":
-            sections = []
+                parser.CharacterDataHandler = None
             return
         form = _BY_ELEMENT.get(name)
         if form is None:
-            raise XmlLoadError(f"instrucción desconocida: '{name}'")
+            notes = None
+            if name == "fuente":
+                sections = []
+            elif name != "ensamblador":
+                raise XmlLoadError(f"instrucción desconocida: '{name}'")
+            return
         opcode, leveled, with_param, jump = form
-        address = int_attr(name, attributes, "direccion")
-        if address != len(instructions):
-            raise XmlLoadError(
-                f"direcciones no consecutivas: se esperaba "
-                f"{len(instructions)} y aparece {address}")
+        address = len(instructions)
+        if attributes.get("direccion") != str(address):
+            found = int_attr(name, attributes, "direccion")
+            if found != address:
+                raise XmlLoadError(f"direcciones no consecutivas: se "
+                                   f"esperaba {address} y aparece {found}")
         level = None
         if leveled:
-            level = int_attr(name, attributes, "diffnivel")
+            level = (ints[attributes.get("diffnivel")]
+                     or int_attr(name, attributes, "diffnivel"))
         elif "diffnivel" in attributes:
             raise XmlLoadError(f"'{name}' no admite el atributo 'diffnivel'")
         param = None
         if with_param:
-            param = int_attr(name, attributes, "parametro")
+            param = (ints[attributes.get("parametro")]
+                     or int_attr(name, attributes, "parametro"))
         elif "parametro" in attributes:
             raise XmlLoadError(f"'{name}' no admite el atributo 'parametro'")
-        if opcode is Opcode.OPR and param not in OPERATIONS:
+        if name == "operacion" and param not in OPERATIONS:  # OPR
             raise XmlLoadError(f"código de operación inválido: {param}")
         notes = []
         instruction = Instruction(address, opcode, level, param, notes)
@@ -212,24 +218,22 @@ def program_from_xml(text: str) -> tuple[Program, str | None]:
             jumps.append(instruction)
 
     def end(name):
-        nonlocal depth, notes, pieces, sections, source
+        nonlocal depth, pieces, sections, source
         depth -= 1
-        if depth == 2:
+        if depth == 1:
+            if sections is not None:
+                source = "".join(sections)
+                sections = None
+        elif depth == 2:
             if pieces is not None:
+                parser.CharacterDataHandler = None
                 if pieces:
                     notes[-1].text = element_text(pieces)
                 elif raw.startswith(b"</informacion", parser.CurrentByteIndex):
                     notes[-1].text = ""
                 pieces = None
-        elif depth == 1:
-            notes = None
-            if sections is not None:
-                source = "".join(sections)
-                sections = None
-
-    def chars(data):
-        if depth == 3 and pieces is not None:
-            pieces.append(data)
+        elif depth == 3 and pieces is not None:
+            parser.CharacterDataHandler = pieces.append
 
     def cdata(data):
         if depth == 3:
@@ -238,7 +242,7 @@ def program_from_xml(text: str) -> tuple[Program, str | None]:
         elif depth == 2 and sections is not None:
             sections.append(data)
 
-    read_document(text, start, end, chars, cdata, parser)
+    read_document(text, start, end, cdata=cdata, parser=parser)
     for instruction in jumps:
         if not 0 <= instruction.param < len(instructions):
             raise XmlLoadError(

@@ -13,6 +13,9 @@ No command builds a tree.  The phase writers and the `-x` error report
 emit their text with the writing helpers that `serialize_document` uses
 too, and each phase reader hands its own handlers to `read_document`,
 which runs expat and builds the phase's records as the events arrive.
+Python runs only where a reader keeps something: one that keeps no text
+outside CDATA sets no character-data handler, and one that keeps the text
+of some elements sets the parser's only while such an element is open.
 `XmlNode` trees, `parse_document` and `serialize_document` remain as the
 tests' oracle for each writer's text, and because perfbench's tracer
 looks both functions up here; the tests compare two trees with their own
@@ -173,20 +176,37 @@ def str_attr(tag: str, attributes: dict, name: str) -> str:
     return raw
 
 
-def int_attr(tag: str, attributes: dict, name: str) -> int:
-    """A required integer attribute: an optional "-" and ASCII digits.
-    XmlLoadError when it is missing or anything else, such as "+3", " 7",
-    "0_1" or non-ASCII digits, all of which int() would take."""
-    raw = attributes.get(name)
+def integer(raw: str | None) -> int | None:
+    """`raw` as an integer if it is an optional "-" and ASCII digits, else
+    None; int() alone would also take "+3", " 7", "0_1" or "٣"."""
     if raw is not None and raw.isascii() and (
             raw.isdigit() or raw[:1] == "-" and raw[1:].isdigit()):
         try:
             return int(raw)
         except ValueError:  # more digits than int() converts
             pass
-    raw = str_attr(tag, attributes, name)  # when missing, that error
-    raise XmlLoadError(
-        f"elemento '{tag}': el atributo '{name}' no es un entero: {raw!r}")
+    return None
+
+
+class Integers(dict):
+    """`integer` of each value looked up, by the value.  Readers write
+    `ints[value] or int_attr(...)`: a value seen before costs one lookup,
+    and a 0 or a None takes int_attr's way, to the same 0 or the error."""
+
+    def __missing__(self, raw):
+        value = self[raw] = integer(raw)
+        return value
+
+
+def int_attr(tag: str, attributes: dict, name: str) -> int:
+    """A required integer attribute, read by `integer`; XmlLoadError when
+    it is missing or not an integer."""
+    value = integer(attributes.get(name))
+    if value is None:
+        raw = str_attr(tag, attributes, name)  # when missing, that error
+        raise XmlLoadError(
+            f"elemento '{tag}': el atributo '{name}' no es un entero: {raw!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +228,10 @@ def read_document(text: str, start, end, chars=None, cdata=None,
     document order.  `chars(data)` gets the character data outside CDATA
     sections, where one run of text may come in several pieces;
     `cdata(data)` gets each CDATA section whole, at its end.  Comments are
-    skipped.  A reader whose handlers ask the expat parser for positions
-    creates it and passes it in as `parser`.
+    skipped.  A reader whose handlers ask the expat parser for positions,
+    or set its `CharacterDataHandler` in place of `chars` as they go,
+    creates it and passes it in as `parser`; after a CDATA section the
+    handler set before it is back.
 
     Processing instructions, DTDs and every well-formedness violation raise
     XmlParseError, with the line and column of the first offense (lines
@@ -221,16 +243,18 @@ def read_document(text: str, start, end, chars=None, cdata=None,
         parser = xml.parsers.expat.ParserCreate()
     parser.buffer_text = True
     sections: list[str] = []
+    outer = []  # the character-data handler outside the CDATA section
 
     def fail(message: str):
         raise XmlParseError(message, parser.CurrentLineNumber,
                             parser.CurrentColumnNumber)
 
     def start_cdata():
+        outer.append(parser.CharacterDataHandler)
         parser.CharacterDataHandler = sections.append
 
     def end_cdata():
-        parser.CharacterDataHandler = chars
+        parser.CharacterDataHandler = outer.pop()
         section = "".join(sections)
         sections.clear()
         if cdata is not None:

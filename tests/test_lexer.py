@@ -278,6 +278,14 @@ class TestXml:
         assert again == tokens
         assert source_again == source
 
+    def test_source_is_the_fuente_text_alone(self):
+        # A CDATA section in a token element after `fuente` is not source.
+        text = ('<lexemas>\n  <fuente><![CDATA[begin end.]]></fuente>\n'
+                '  <BEGIN linea="1" columna="0" longitud="5">'
+                '<![CDATA[x]]></BEGIN>\n</lexemas>\n')
+        assert tokens_from_xml(text) == ([Token(K.BEGIN, 1, 0, 5)],
+                                         "begin end.")
+
     def test_round_trip_without_source(self):
         tokens, _ = tokenize("x := 1.")
         again, source_again = tokens_from_xml(

@@ -573,6 +573,10 @@ RET = (Opcode.RET, None, None)
 # main's static link overwritten to point at main's own frame
 SELF_LINKED = [(Opcode.INS, None, 4), (Opcode.LIT, None, 0),
                (Opcode.ALM, 0, 0)]
+# a procedure stores 1000 in its own dynamic link and returns, so b is
+# 1000, past the end of the stack, when the instruction at 7 runs
+B_PAST_THE_STACK = [(Opcode.SAL, None, 5), MAIN, (Opcode.LIT, None, 1000),
+                    (Opcode.ALM, 0, 1), RET, MAIN, (Opcode.LLA, 0, 1)]
 
 FAULTS = [
     pytest.param([MAIN, (Opcode.LIT, None, 7), (Opcode.LIT, None, 0),
@@ -630,6 +634,14 @@ FAULTS = [
                  BAD_STACK_ACCESS, 3, id="alm-chain-links-to-itself"),
     pytest.param([*SELF_LINKED, (Opcode.LLA, 10**11, 5), RET, MAIN, RET], {},
                  (), BAD_STACK_ACCESS, 3, id="lla-chain-links-to-itself"),
+    # the first link of a walk is checked too: b may be past the stack
+    pytest.param([*B_PAST_THE_STACK, (Opcode.CAR, 1, 3), RET], {}, (),
+                 BAD_STACK_ACCESS, 7, id="car-chain-from-past-the-stack"),
+    pytest.param([*B_PAST_THE_STACK, (Opcode.LIT, None, 1),
+                  (Opcode.ALM, 1, 3), RET], {}, (),
+                 BAD_STACK_ACCESS, 8, id="alm-chain-from-past-the-stack"),
+    pytest.param([*B_PAST_THE_STACK, (Opcode.LLA, 1, 5), RET], {}, (),
+                 BAD_STACK_ACCESS, 7, id="lla-chain-from-past-the-stack"),
     pytest.param([MAIN, (Opcode.LIT, None, 1), (Opcode.LIT, None, 2),
                   (Opcode.OPR, None, 7), RET], {"loadable": False}, (),
                  "Operación inválida: 7", 3, id="invalid-operation"),

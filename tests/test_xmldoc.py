@@ -1,13 +1,15 @@
 """Document model, parsing, serialization, and canonical comparison."""
 
 import gc
+import re
+from xml.parsers.expat import ParserCreate
 
 import pytest
 
 import checks
 from pl0plus.lexer import tokens_from_xml
 from pl0plus.parser import ast_from_xml
-from pl0plus.pcode import program_from_xml
+from pl0plus.pcode import Opcode, program_from_xml
 from pl0plus.semantics import revised_from_xml
 from pl0plus.xmldoc import (Cdata, Text, XmlDocument, XmlLoadError, XmlNode,
                             XmlParseError, cdata_sections, element_text,
@@ -268,6 +270,86 @@ class TestReaders:
 
             read_document(text, start, end, chars, cdata)
             assert element_text(pieces) == parse_document(text).root.text()
+
+    def test_a_swapped_character_data_handler_is_back_after_cdata(self):
+        # `b` swaps in its own handler and puts the first back at its end;
+        # each CDATA section gives back the handler current before it.
+        outer, inner, sections = [], [], []
+        parser = ParserCreate()
+
+        def start(name, attributes):
+            if name == "b":
+                parser.CharacterDataHandler = inner.append
+
+        def end(name):
+            if name == "b":
+                parser.CharacterDataHandler = outer.append
+
+        read_document("<a>t<b>u<![CDATA[v]]>w</b>x<![CDATA[y]]>z</a>",
+                      start, end, outer.append, sections.append, parser)
+        assert (outer, inner, sections) == (["t", "x", "z"], ["u", "w"],
+                                            ["v", "y"])
+
+    def test_p_plus_reader_keeps_only_annotation_text(self):
+        # Text and CDATA in an instruction element or between instructions
+        # are ignored; an annotation keeps what parse_document keeps.
+        text = ('<codigo_pmas>\n  suelto<![CDATA[cd]]>\n'
+                '  <instanciar_procedimiento direccion="0" parametro="3">'
+                'dentro<![CDATA[cd]]>\n'
+                '    <informacion n="1">a<![CDATA[b]]>c<x>no</x>d'
+                '</informacion>\n'
+                '    <informacion> <x/> </informacion>otro\n'
+                '  </instanciar_procedimiento>\n  entre<![CDATA[]]>\n'
+                '  <retornar direccion="1"/>\n</codigo_pmas>\n')
+        program, source = program_from_xml(text)
+        assert source is None
+        assert [(i.address, i.opcode, i.param)
+                for i in program.instructions] == [(0, Opcode.INS, 3),
+                                                    (1, Opcode.RET, None)]
+        notes = parse_document(text).root.elements()[0].elements()
+        assert [(a.attributes, a.text)
+                for a in program.instructions[0].annotations] == [
+            (note.attributes, note.text()) for note in notes] == [
+            ({"n": "1"}, "acd"), ({}, "")]
+        assert program.instructions[1].annotations == []
+
+    # One document per reader whose elements carry each integer attribute
+    # named, as "1", and most of them twice, so a value is read again; the
+    # element whose fault is found first: the first one, or in a tree the
+    # last, which closes first.
+    INTEGERS = [
+        (tokens_from_xml, '<lexemas><VAR linea="1" columna="1" longitud="1"/>'
+         '<NUMERO valor="1" linea="1" columna="1" longitud="1"/></lexemas>',
+         ("linea", "columna", "longitud", "valor"), 0),
+        (ast_from_xml, '<arbol_de_sintaxis><programa><bloque>'
+         '<asignacion linea="1" columna="1" variable="x">'
+         '<numero linea="1" columna="1" valor="1"/></asignacion>'
+         '</bloque></programa></arbol_de_sintaxis>',
+         ("linea", "columna", "valor"), -1),
+        (program_from_xml, '<codigo_pmas>'
+         '<cargar_variable direccion="0" diffnivel="1" parametro="1"/>'
+         '<cargar_literal direccion="1" parametro="1"/></codigo_pmas>',
+         ("diffnivel", "parametro"), 0),
+    ]
+
+    @pytest.mark.parametrize("reader, text, names, first", INTEGERS,
+                             ids=[case[0].__name__ for case in INTEGERS])
+    def test_integer_attributes_are_ascii_decimal(self, reader, text, names,
+                                                  first):
+        for name in names:
+            def written(value):
+                return text.replace(f'{name}="1"', f'{name}="{value}"')
+
+            for value, same in (("007", "7"), ("-0", "0"), ("0", "0"),
+                                ("-12", "-12")):
+                assert reader(written(value)) == reader(written(same))
+            tag = re.findall(rf'<(\w+) [^>]*{name}="1"', text)[first]
+            for value in ("+3", " 7", "0_1", "٣", "", "9" * 5000):
+                with pytest.raises(XmlLoadError) as info:
+                    reader(written(value))
+                assert str(info.value) == (
+                    f"elemento '{tag}': el atributo '{name}' no es un "
+                    f"entero: {value!r}")
 
 
 class TestDeepNesting:
