@@ -40,7 +40,7 @@ class _Generator:
         self.entries: dict[str, int] = {}   # procedure code -> INS address
         self.fixups: list[tuple[Instruction, str]] = []
 
-    def emit(self, opcode: Opcode, level: int | None = None,
+    def emit(self, opcode: str, level: int | None = None,
              param: int | None = None) -> Instruction:
         instruction = Instruction(len(self.code), opcode, level, param)
         self.code.append(instruction)
@@ -163,7 +163,7 @@ class _Generator:
         else:
             self.access(Opcode.CAR, node, depth)
 
-    def access(self, opcode: Opcode, node, depth: int) -> None:
+    def access(self, opcode: str, node, depth: int) -> None:
         """CAR or ALM of the variable `node.code` names, noted by it."""
         declared, offset, name = self.places[node.code]
         instruction = self.emit(opcode, depth - declared, offset)

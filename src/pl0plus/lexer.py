@@ -8,7 +8,7 @@ looking at the source again.
 from __future__ import annotations
 
 import re
-from enum import Enum, unique
+from types import SimpleNamespace
 
 from .diagnostics import Diagnostic, error
 from .xmldoc import (DECLARATION, NOT_XML, Integers, Record, XmlLoadError,
@@ -18,78 +18,38 @@ from .xmldoc import (DECLARATION, NOT_XML, Integers, Record, XmlLoadError,
 MAX_NUMBER = 2**31 - 1
 
 
-@unique
-class TokenKind(Enum):
-    """Token kinds; the member value doubles as the XML element name."""
-
-    # reserved words
-    BEGIN = "BEGIN"
-    CALL = "CALL"
-    CONST = "CONST"
-    DO = "DO"
-    END = "END"
-    IF = "IF"
-    ODD = "ODD"
-    PROCEDURE = "PROCEDURE"
-    THEN = "THEN"
-    VAR = "VAR"
-    WHILE = "WHILE"
-    ELSE = "ELSE"
-    WRITE = "WRITE"
-    READ = "READ"
-    # symbols
-    IGUAL = "igual"
-    ASIGNACION = "asignacion"
-    COMA = "coma"
-    PUNTO_Y_COMA = "punto_y_coma"
-    PARENTESIS_APERTURA = "parentesis_apertura"
-    PARENTESIS_CIERRE = "parentesis_cierre"
-    DIFERENTE = "diferente"
-    MENOR_QUE = "menor_que"
-    MAYOR_QUE = "mayor_que"
-    MENOR_IGUAL = "menor_igual"
-    MAYOR_IGUAL = "mayor_igual"
-    MAS = "mas"
-    MENOS = "menos"
-    POR = "por"
-    ENTRE = "entre"
-    PUNTO = "punto"
-    # open classes
-    IDENTIFICADOR = "IDENTIFICADOR"
-    NUMERO = "NUMERO"
-
-
-_KEYWORD_KINDS = (
-    TokenKind.BEGIN, TokenKind.CALL, TokenKind.CONST, TokenKind.DO,
-    TokenKind.END, TokenKind.IF, TokenKind.ODD, TokenKind.PROCEDURE,
-    TokenKind.THEN, TokenKind.VAR, TokenKind.WHILE, TokenKind.ELSE,
-    TokenKind.WRITE, TokenKind.READ,
-)
-
 # Reserved words are recognized in lowercase only; identifiers are
 # case-sensitive, so e.g. `Begin` is an ordinary identifier.
-KEYWORDS = {kind.value.lower(): kind for kind in _KEYWORD_KINDS}
+KEYWORDS = {word: word.upper() for word in (
+    "begin", "call", "const", "do", "end", "if", "odd", "procedure", "then",
+    "var", "while", "else", "write", "read")}
 
 SYMBOL_TEXT = {
-    TokenKind.IGUAL: "=",
-    TokenKind.ASIGNACION: ":=",
-    TokenKind.COMA: ",",
-    TokenKind.PUNTO_Y_COMA: ";",
-    TokenKind.PARENTESIS_APERTURA: "(",
-    TokenKind.PARENTESIS_CIERRE: ")",
-    TokenKind.DIFERENTE: "<>",
-    TokenKind.MENOR_QUE: "<",
-    TokenKind.MAYOR_QUE: ">",
-    TokenKind.MENOR_IGUAL: "<=",
-    TokenKind.MAYOR_IGUAL: ">=",
-    TokenKind.MAS: "+",
-    TokenKind.MENOS: "-",
-    TokenKind.POR: "*",
-    TokenKind.ENTRE: "/",
-    TokenKind.PUNTO: ".",
+    "igual": "=",
+    "asignacion": ":=",
+    "coma": ",",
+    "punto_y_coma": ";",
+    "parentesis_apertura": "(",
+    "parentesis_cierre": ")",
+    "diferente": "<>",
+    "menor_que": "<",
+    "mayor_que": ">",
+    "menor_igual": "<=",
+    "mayor_igual": ">=",
+    "mas": "+",
+    "menos": "-",
+    "por": "*",
+    "entre": "/",
+    "punto": ".",
 }
 
 _SYMBOL_KINDS = {text: kind for kind, text in SYMBOL_TEXT.items()}
+
+# A token's kind is the name of its element in the `lexemas` document.
+KINDS = {*KEYWORDS.values(), *SYMBOL_TEXT, "IDENTIFICADOR", "NUMERO"}
+
+# `TokenKind.X` names the kind "X" or "x", and raises when misspelt.
+TokenKind = SimpleNamespace(**{kind.upper(): kind for kind in KINDS})
 
 # One alternative per lexical class, tried in order at each position, so
 # a comment opener wins over `(`, and two-character symbols (listed
@@ -112,13 +72,11 @@ _TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})"
                                 for name, pattern in _TOKEN_PATTERNS),
                        re.DOTALL)
 
-_KIND_BY_ELEMENT = {kind.value: kind for kind in TokenKind}
-
 
 class Token(Record):
     __slots__ = ("kind", "line", "column", "length", "name", "value")
 
-    def __init__(self, kind: TokenKind, line: int, column: int, length: int,
+    def __init__(self, kind: str, line: int, column: int, length: int,
                  name: str | None = None, value: int | None = None):
         self.kind = kind
         self.line = line
@@ -147,8 +105,8 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
             if kind is not None:
                 tokens.append(Token(kind, line, column, len(text)))
             else:
-                tokens.append(Token(TokenKind.IDENTIFICADOR, line, column,
-                                    len(text), name=text))
+                tokens.append(Token("IDENTIFICADOR", line, column, len(text),
+                                    name=text))
         elif group == "number":
             # A nonzero digit before the last ten makes the value too
             # large, so int() never reads more than ten digits.
@@ -158,7 +116,7 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
                 diags.append(error("lex", line, column,
                                    "Número demasiado grande"))
                 value = MAX_NUMBER
-            tokens.append(Token(TokenKind.NUMERO, line, column, len(text),
+            tokens.append(Token("NUMERO", line, column, len(text),
                                 value=value))
         elif group == "symbol":
             tokens.append(Token(_SYMBOL_KINDS[text], line, column,
@@ -195,13 +153,13 @@ def tokens_to_xml(tokens, source: str | None = None) -> str:
     pad = indent(1)
     for tok in tokens:
         kind = tok.kind
-        if kind is TokenKind.IDENTIFICADOR:
+        if kind == "IDENTIFICADOR":
             attrs = f' nombre="{escape_attr(tok.name)}"'
-        elif kind is TokenKind.NUMERO:
+        elif kind == "NUMERO":
             attrs = f' valor="{tok.value}"'
         else:
             attrs = ""
-        lines.append(f'{pad}<{kind._value_}{attrs} linea="{tok.line}" '
+        lines.append(f'{pad}<{kind}{attrs} linea="{tok.line}" '
                      f'columna="{tok.column}" longitud="{tok.length}"/>')
     if source is not None:
         lines.append(cdata_line(1, "fuente", source))
@@ -234,8 +192,7 @@ def tokens_from_xml(text: str) -> tuple[list[Token], str | None]:
         if name == "fuente":
             sections = []
             return
-        kind = _KIND_BY_ELEMENT.get(name)
-        if kind is None:
+        if name not in KINDS:
             raise XmlLoadError(f"lexema desconocido: '{name}'")
         line = (ints[attributes.get("linea")]
                 or int_attr(name, attributes, "linea"))
@@ -243,15 +200,14 @@ def tokens_from_xml(text: str) -> tuple[list[Token], str | None]:
                   or int_attr(name, attributes, "columna"))
         length = (ints[attributes.get("longitud")]
                   or int_attr(name, attributes, "longitud"))
-        # by name: looking a member up on an Enum class runs Python
         if name == "IDENTIFICADOR":
-            tokens.append(Token(kind, line, column, length,
+            tokens.append(Token(name, line, column, length,
                                 name=str_attr(name, attributes, "nombre")))
         elif name == "NUMERO":
-            tokens.append(Token(kind, line, column, length,
+            tokens.append(Token(name, line, column, length,
                                 value=int_attr(name, attributes, "valor")))
         else:
-            tokens.append(Token(kind, line, column, length))
+            tokens.append(Token(name, line, column, length))
 
     def end(name):
         nonlocal depth, sections, source

@@ -515,18 +515,18 @@ class _Parser:
         tok = self.peek()
         if tok.kind not in _STATEMENT_INITIAL:
             return Empty(*self.cur_pos())
-        if tok.kind is TokenKind.IDENTIFICADOR:
+        if tok.kind == TokenKind.IDENTIFICADOR:
             target = self.advance()
             self.expect(TokenKind.ASIGNACION, "':='")
             expr = self.expression()
             return Assign(target.name, expr, target.line, target.column)
-        if tok.kind is TokenKind.CALL:
+        if tok.kind == TokenKind.CALL:
             self.advance()
             name = self.expect(TokenKind.IDENTIFICADOR, "un identificador")
             return Call(name.name, name.line, name.column)
-        if tok.kind is TokenKind.BEGIN:
+        if tok.kind == TokenKind.BEGIN:
             return self.sequence()
-        if tok.kind is TokenKind.IF:
+        if tok.kind == TokenKind.IF:
             kw = self.advance()
             condition = self.condition()
             self.expect(TokenKind.THEN, "'then'")
@@ -535,13 +535,13 @@ class _Parser:
             if self.accept(TokenKind.ELSE):
                 else_branch = self.statement()
             return If(condition, then_branch, else_branch, kw.line, kw.column)
-        if tok.kind is TokenKind.WHILE:
+        if tok.kind == TokenKind.WHILE:
             kw = self.advance()
             condition = self.condition()
             self.expect(TokenKind.DO, "'do'")
             body = self.statement()
             return While(condition, body, kw.line, kw.column)
-        if tok.kind is TokenKind.READ:
+        if tok.kind == TokenKind.READ:
             self.advance()
             name = self.expect(TokenKind.IDENTIFICADOR, "un identificador")
             return Read(name.name, name.line, name.column)
@@ -600,7 +600,7 @@ class _Parser:
             if self.at(TokenKind.MAS, TokenKind.MENOS):
                 op = self.advance()
                 right = self.term()
-                name = "suma" if op.kind is TokenKind.MAS else "resta"
+                name = "suma" if op.kind == TokenKind.MAS else "resta"
                 node = BinOp(name, node, right, op.line, op.column)
             elif self.at(TokenKind.IDENTIFICADOR, TokenKind.NUMERO,
                          TokenKind.PARENTESIS_APERTURA):
@@ -618,7 +618,7 @@ class _Parser:
         while self.at(TokenKind.POR, TokenKind.ENTRE):
             op = self.advance()
             right = self.factor()
-            name = "multiplicacion" if op.kind is TokenKind.POR else "division"
+            name = "multiplicacion" if op.kind == TokenKind.POR else "division"
             node = BinOp(name, node, right, op.line, op.column)
         return node
 
@@ -627,13 +627,13 @@ class _Parser:
         while self.at(TokenKind.MENOS):
             minus.append(self.advance())
         tok = self.peek()
-        if tok.kind is TokenKind.IDENTIFICADOR:
+        if tok.kind == TokenKind.IDENTIFICADOR:
             self.advance()
             node: Expr = Ident(tok.name, tok.line, tok.column)
-        elif tok.kind is TokenKind.NUMERO:
+        elif tok.kind == TokenKind.NUMERO:
             self.advance()
             node = Num(tok.value, tok.line, tok.column)
-        elif tok.kind is TokenKind.PARENTESIS_APERTURA:
+        elif tok.kind == TokenKind.PARENTESIS_APERTURA:
             self.nest()
             try:
                 self.advance()

@@ -13,8 +13,7 @@ operations, which `codegen` and `pvm` look up by name.
 
 from __future__ import annotations
 
-from enum import Enum
-
+from types import SimpleNamespace
 from xml.parsers.expat import ParserCreate
 
 from .xmldoc import (DECLARATION, Integers, Record, XmlLoadError, cdata_line,
@@ -46,11 +45,13 @@ OPERATIONS = {1: "negativo", 2: "suma", 3: "resta", 4: "multiplicacion",
               10: "menor_que", 11: "mayor_igual", 12: "mayor_que",
               13: "menor_igual"}
 
-Opcode = Enum("Opcode", [(mnemonic, mnemonic) for mnemonic in INSTRUCTIONS])
+# An instruction's opcode is its mnemonic.  `Opcode.X` names one, and
+# raises when misspelt.
+Opcode = SimpleNamespace(**{mnemonic: mnemonic for mnemonic in INSTRUCTIONS})
 
-# INSTRUCTIONS by element, with the opcode in place of the element, for the
-# reader: hashing an Enum member runs Python, a string's does not.
-_BY_ELEMENT = {element: (Opcode(mnemonic), *form)
+# INSTRUCTIONS by element, with the mnemonic in place of the element, for
+# the reader.
+_BY_ELEMENT = {element: (mnemonic, *form)
                for mnemonic, (element, *form) in INSTRUCTIONS.items()}
 
 
@@ -67,7 +68,7 @@ class Instruction(Record):
     __slots__ = ("address", "opcode", "level", "param", "annotations")
     _uncompared = ("annotations",)
 
-    def __init__(self, address: int, opcode: Opcode, level: int | None = None,
+    def __init__(self, address: int, opcode: str, level: int | None = None,
                  param: int | None = None,
                  annotations: list[Annotation] | None = None):
         self.address = address
@@ -95,7 +96,7 @@ def format_instruction(instruction: Instruction) -> str:
     """One listing line: address, mnemonic, level or -, parameter or -."""
     level = "-" if instruction.level is None else str(instruction.level)
     param = "-" if instruction.param is None else str(instruction.param)
-    head = f"{instruction.address} {instruction.opcode._value_} "
+    head = f"{instruction.address} {instruction.opcode} "
     line = head.ljust(_LEVEL_END - len(level)) + level
     return line.ljust(_PARAM_START - 1) + " " + param
 
@@ -118,7 +119,7 @@ def program_to_xml(program: Program, source: str | None = None) -> str:
     pad, inner = indent(1), indent(2)
     keys = set()  # of the annotations' attributes, checked once at the end
     for instruction in program.instructions:
-        name = INSTRUCTIONS[instruction.opcode._value_][0]
+        name = INSTRUCTIONS[instruction.opcode][0]
         head = f'{pad}<{name} direccion="{instruction.address}"'
         if instruction.level is not None:
             head += f' diffnivel="{instruction.level}"'
@@ -209,7 +210,7 @@ def program_from_xml(text: str) -> tuple[Program, str | None]:
                      or int_attr(name, attributes, "parametro"))
         elif "parametro" in attributes:
             raise XmlLoadError(f"'{name}' no admite el atributo 'parametro'")
-        if name == "operacion" and param not in OPERATIONS:  # OPR
+        if opcode == "OPR" and param not in OPERATIONS:
             raise XmlLoadError(f"código de operación inválido: {param}")
         notes = []
         instruction = Instruction(address, opcode, level, param, notes)

@@ -164,7 +164,7 @@ def load(text: str) -> MachineState:
  _SAC, _SAL, _ODD, _NEG, _LLA, _INS, _RET, _LEE, _ESC, _BAD_OPR,
  _END) = range(24)
 
-# Keyed by mnemonic, `opcode._value_`: hashing an Enum member runs Python.
+# Keyed by mnemonic, the instruction's opcode.
 _DECODED = {"CAR": _CAR, "LIT": _LIT, "ALM": _ALM, "SAC": _SAC, "SAL": _SAL,
             "LLA": _LLA, "INS": _INS, "RET": _RET, "LEE": _LEE, "ESC": _ESC}
 # OPR's parameter to its decoded opcode, by its name in `pcode.OPERATIONS`.
@@ -181,7 +181,7 @@ def _decode(code: list) -> list[tuple]:
     once."""
     decoded = []
     for instruction in code:
-        name, param = instruction.opcode._value_, instruction.param
+        name, param = instruction.opcode, instruction.param
         if name == "OPR":
             number = _OPERATIONS.get(param, _BAD_OPR)
         else:

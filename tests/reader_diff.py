@@ -11,13 +11,17 @@ and each document as written, to one reader process per tree: the
 lexeme, tree and revised-tree readers, and `pcode.program_from_xml` with
 `pvm.load` for a `.p+`.  Each process gives back a digest of what it read
 (the records' `repr`, annotations and the `fuente` included, so None and
-"" stay apart) or the exception's class and text.  It prints the counts
+"" stay apart) or the exception's class and text.  An Enum member's
+repr, `<TokenKind.X: 'v'>` or `<Opcode.X: 'v'>`, counts as its value
+`'v'`, so a tree whose kinds and opcodes are Enums compares with one
+whose are plain strings by what was read.  It prints the counts
 per kind and every document on which the two differ, and always exits 0.
 pytest does not collect it.
 """
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -25,6 +29,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 KINDS = (".pl0+lex", ".pl0+sin", ".pl0+sem", ".p+")
+ENUM_REPR = re.compile(r"<(?:TokenKind|Opcode)\.\w+: ('\w+')>")
 
 
 def read(kind: str, text: str):
@@ -47,7 +52,7 @@ def worker(src: str) -> int:
     for line in sys.stdin:
         kind, text, full = json.loads(line)
         try:
-            shown = repr(read(kind, text))
+            shown = ENUM_REPR.sub(r"\1", repr(read(kind, text)))
         except Exception as exc:  # noqa: BLE001 - a traceback is a result
             outcome = ["error", f"{type(exc).__name__}: {exc}"]
         else:

@@ -1,9 +1,12 @@
 """Recursive-descent parsing, error recovery, and the tree's XML form."""
 
+import random
+
 import pytest
 
 import checks
-from pl0plus.lexer import tokenize
+import progen
+from pl0plus.lexer import tokenize, tokens_from_xml, tokens_to_xml
 from pl0plus.parser import (MAX_NESTING, TOO_DEEP, Assign, BinOp, Block,
                             Call, Cond, ConstDecl, Empty, Ident, If, Neg, Num,
                             Program, Read, Sequence, VarDecl, While, Write,
@@ -272,6 +275,36 @@ class TestRecovery:
                 for d in diags] == [("sin", "error", *finding)]
         assert ([c.name for c in ast.block.constants],
                 [v.name for v in ast.block.variables]) == names
+
+
+# Token kinds read from a `.pl0+lex` are expat's strings: equal to the
+# lexer's, but not the same objects.  The corpus, both error programs and
+# progen programs, each also with five seeded single-token deletions so
+# that the recovery paths compare kinds too.
+READ_BACK_SOURCES = ([checks.CORPUS / name for name in checks.CORPUS_NAMES]
+                     + [checks.DATA / "errores_programa.pl0+",
+                        checks.DATA / "errores_semanticos.pl0+"]
+                     + list(range(1000, 1020)))
+
+
+@pytest.mark.parametrize("source", READ_BACK_SOURCES,
+                         ids=[getattr(source, "name", str(source))
+                              for source in READ_BACK_SOURCES])
+def test_tokens_read_back_parse_alike(source):
+    if isinstance(source, int):
+        rng = random.Random(source)
+        source = progen.generate(source)[0]
+    else:
+        rng = random.Random(source.name)
+        source = source.read_text(encoding="utf-8")
+    tokens, _ = tokenize(source)
+    edits = [tokens]
+    for _ in range(5):
+        drop = rng.randrange(len(tokens))
+        edits.append(tokens[:drop] + tokens[drop + 1:])
+    for edit in edits:
+        read, _ = tokens_from_xml(tokens_to_xml(edit))
+        assert parse(read) == parse(edit)
 
 
 class TestNestingLimit:

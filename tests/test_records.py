@@ -64,8 +64,8 @@ REPRS = [
     (Sequence([Empty(1, 2)], 1, 0),
      "Sequence(statements=[Empty(line=1, column=2)], line=1, column=0)"),
     (Token(TokenKind.IDENTIFICADOR, 1, 4, 3, "abc"),
-     "Token(kind=<TokenKind.IDENTIFICADOR: 'IDENTIFICADOR'>, line=1, "
-     "column=4, length=3, name='abc', value=None)"),
+     "Token(kind='IDENTIFICADOR', line=1, column=4, length=3, name='abc', "
+     "value=None)"),
     (Diagnostic("error", "sem", 3, 7, "m"),
      "Diagnostic(severity='error', phase='sem', line=3, column=7, "
      "message='m', context='')"),

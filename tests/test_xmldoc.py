@@ -123,6 +123,13 @@ class TestParse:
         root = parse_document("<a>&lt;&amp;&gt;&quot;</a>").root
         assert root.text() == '<&>"'
 
+    def test_text_in_pieces_is_one_text(self):
+        # expat's text buffer hands this over in two pieces, 5,001 and
+        # 5,000 characters long.
+        text = "x" * 5000 + "&" + "y" * 5000
+        root = parse_document(f"<a>{text.replace('&', '&amp;')}</a>").root
+        assert root.children == [Text(text)]
+
     def test_cdata_verbatim(self):
         root = parse_document("<a><![CDATA[<no &es; marca]]></a>").root
         assert root.children == [Cdata("<no &es; marca")]
