@@ -19,7 +19,7 @@ from __future__ import annotations
 from .diagnostics import Diagnostic, error
 from .parser import (Assign, BinOp, Block, Call, Cond, Empty, Ident, If, Neg,
                      Num, Program as Ast, Read, Sequence, While, Write, walk)
-from .pcode import OPERATIONS, Annotation, Instruction, Opcode, Program
+from .pcode import OPERATIONS, Annotation, Instruction, Program
 # The compiler's output format, reachable beside the generator.
 from .pcode import program_from_xml, program_to_xml  # noqa: F401
 
@@ -48,7 +48,7 @@ class _Generator:
 
     def operation(self, name: str) -> None:
         """OPR for the operation the tree names `name`, noted by it."""
-        operation = self.emit(Opcode.OPR, param=_OPR_PARAMS[name])
+        operation = self.emit("OPR", param=_OPR_PARAMS[name])
         operation.annotations.append(Annotation(text=name))
 
     def block(self, blk: Block, proc, depth: int) -> None:
@@ -63,26 +63,25 @@ class _Generator:
             name = proc.name
             info = {"columna": str(proc.column), "linea": str(proc.line),
                     "inicio_de_procedimiento": name, "codigo": blk.code}
-        jump = self.emit(Opcode.SAL)
+        jump = self.emit("SAL")
         jump.annotations.append(Annotation(dict(info)))
         for child in blk.procedures:
             self.block(child.block, child, depth + 1)
         jump.param = len(self.code)
-        entry = self.emit(Opcode.INS, param=3 + len(blk.variables))
+        entry = self.emit("INS", param=3 + len(blk.variables))
         entry.annotations.append(Annotation(dict(info)))
         if proc is not None:
             self.entries[proc.code] = entry.address
         self.statement(blk.body, depth)
-        done = self.emit(Opcode.RET)
+        done = self.emit("RET")
         done.annotations.append(Annotation({"fin_de_procedimiento": name}))
 
     def statement(self, node, depth: int) -> None:
         if isinstance(node, Assign):
             self.expression(node.expr, depth)
-            self.access(Opcode.ALM, node, depth)
+            self.access("ALM", node, depth)
         elif isinstance(node, Call):
-            call = self.emit(Opcode.LLA,
-                             level=depth - self.places[node.code][0])
+            call = self.emit("LLA", level=depth - self.places[node.code][0])
             target = self.entries.get(node.code)
             if target is None:
                 self.fixups.append((call, node.code))
@@ -94,13 +93,13 @@ class _Generator:
         elif isinstance(node, If):
             start = len(self.code)
             self.condition(node.condition, depth)
-            branch = self.emit(Opcode.SAC)
+            branch = self.emit("SAC")
             self.statement(node.then_branch, depth)
             if node.else_branch is None:
                 branch.param = len(self.code)
                 note = "Inicio de condicional (if-then)"
             else:
-                skip = self.emit(Opcode.SAL)
+                skip = self.emit("SAL")
                 branch.param = len(self.code)
                 self.statement(node.else_branch, depth)
                 skip.param = len(self.code)
@@ -109,17 +108,17 @@ class _Generator:
         elif isinstance(node, While):
             start = len(self.code)
             self.condition(node.condition, depth)
-            branch = self.emit(Opcode.SAC)
+            branch = self.emit("SAC")
             self.statement(node.body, depth)
-            self.emit(Opcode.SAL, param=start)
+            self.emit("SAL", param=start)
             branch.param = len(self.code)
             self.note_at(start, node, "Inicio de ciclo (while-do)")
         elif isinstance(node, Read):
-            self.emit(Opcode.LEE)
-            self.access(Opcode.ALM, node, depth)
+            self.emit("LEE")
+            self.access("ALM", node, depth)
         elif isinstance(node, Write):
             self.load(node, depth)
-            self.emit(Opcode.ESC)
+            self.emit("ESC")
         elif isinstance(node, Empty):
             pass
         else:
@@ -145,7 +144,7 @@ class _Generator:
                 stack.append(node.operand)
         for node in reversed(order):
             if isinstance(node, Num):
-                self.emit(Opcode.LIT, param=node.value)
+                self.emit("LIT", param=node.value)
             elif isinstance(node, Ident):
                 self.load(node, depth)
             elif isinstance(node, BinOp):
@@ -159,9 +158,9 @@ class _Generator:
         """Push the value `node.code` names: LIT for a constant, CAR for a
         variable."""
         if node.code in self.values:
-            self.emit(Opcode.LIT, param=self.values[node.code])
+            self.emit("LIT", param=self.values[node.code])
         else:
-            self.access(Opcode.CAR, node, depth)
+            self.access("CAR", node, depth)
 
     def access(self, opcode: str, node, depth: int) -> None:
         """CAR or ALM of the variable `node.code` names, noted by it."""

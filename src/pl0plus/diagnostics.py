@@ -15,8 +15,6 @@ from .xmldoc import (DECLARATION, NOT_XML, Record, cdata_line, escape_text,
 ERROR = "error"
 WARNING = "warning"
 
-PHASES = ("lex", "sin", "sem", "gen")
-
 PHASE_DESCRIPTIONS = {
     "lex": "Fase de análisis léxico",
     "sin": "Fase de análisis sintáctico",
@@ -40,7 +38,7 @@ class Diagnostic(Record):
                  message: str, context: str = ""):
         if severity not in (ERROR, WARNING):
             raise ValueError(f"unknown severity: {severity!r}")
-        if phase not in PHASES:
+        if phase not in PHASE_DESCRIPTIONS:
             raise ValueError(f"unknown phase: {phase!r}")
         self.severity = severity
         self.phase = phase

@@ -8,7 +8,6 @@ looking at the source again.
 from __future__ import annotations
 
 import re
-from types import SimpleNamespace
 
 from .diagnostics import Diagnostic, error
 from .xmldoc import (DECLARATION, NOT_XML, Integers, Record, XmlLoadError,
@@ -47,9 +46,6 @@ _SYMBOL_KINDS = {text: kind for kind, text in SYMBOL_TEXT.items()}
 
 # A token's kind is the name of its element in the `lexemas` document.
 KINDS = {*KEYWORDS.values(), *SYMBOL_TEXT, "IDENTIFICADOR", "NUMERO"}
-
-# `TokenKind.X` names the kind "X" or "x", and raises when misspelt.
-TokenKind = SimpleNamespace(**{kind.upper(): kind for kind in KINDS})
 
 # One alternative per lexical class, tried in order at each position, so
 # a comment opener wins over `(`, and two-character symbols (listed

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .diagnostics import Diagnostic, error, warning
-from .lexer import Token, TokenKind
+from .lexer import Token
 from .xmldoc import (DECLARATION, Integers, Record, XmlLoadError,
                      cdata_line, escape_attr, indent, int_attr, read_document,
                      str_attr)
@@ -323,25 +323,21 @@ def _block_anchor(block: Block) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_STATEMENT_INITIAL = {
-    TokenKind.IDENTIFICADOR, TokenKind.CALL, TokenKind.BEGIN, TokenKind.IF,
-    TokenKind.WHILE, TokenKind.READ, TokenKind.WRITE,
-}
+_STATEMENT_INITIAL = {"IDENTIFICADOR", "CALL", "BEGIN", "IF", "WHILE", "READ",
+                      "WRITE"}
 
 # None is the kind of the end-of-input token.
-_SYNC = {TokenKind.PUNTO_Y_COMA, TokenKind.END, TokenKind.PUNTO, None}
+_SYNC = {"punto_y_coma", "END", "punto", None}
 
 MAX_NESTING = 200
 TOO_DEEP = "Anidamiento demasiado profundo."
 
-_RELATIONAL = {
-    TokenKind.IGUAL: "comparacion",
-    TokenKind.DIFERENTE: "diferente",
-    TokenKind.MENOR_QUE: "menor_que",
-    TokenKind.MAYOR_QUE: "mayor_que",
-    TokenKind.MENOR_IGUAL: "menor_igual",
-    TokenKind.MAYOR_IGUAL: "mayor_igual",
-}
+# Each operator token's kind, mapped to the tree's name for its operation.
+_RELATIONAL = {"igual": "comparacion", "diferente": "diferente",
+               "menor_que": "menor_que", "mayor_que": "mayor_que",
+               "menor_igual": "menor_igual", "mayor_igual": "mayor_igual"}
+_ADDING = {"mas": "suma", "menos": "resta"}
+_MULTIPLYING = {"por": "multiplicacion", "entre": "division"}
 
 
 class _Resync(Exception):
@@ -420,7 +416,7 @@ class _Parser:
 
     def sync(self) -> None:
         self.skip_to_sync()
-        self.accept(TokenKind.PUNTO_Y_COMA)
+        self.accept("punto_y_coma")
 
     # -- grammar
 
@@ -429,28 +425,28 @@ class _Parser:
             self.diags.append(error("sin", 1, 0, "Se esperaba '.'"))
             return None
         block = self.block()
-        if not self.accept(TokenKind.PUNTO):
+        if not self.accept("punto"):
             self.error_at(*self.cur_pos(), "Se esperaba '.'")
-            while not self.at(TokenKind.PUNTO, None):
+            while not self.at("punto", None):
                 self.advance()
-            self.accept(TokenKind.PUNTO)
+            self.accept("punto")
         if not self.at(None):
             self.error_at(*self.cur_pos(), "Se esperaba el fin del programa")
         return Program(block, *_block_anchor(block))
 
     def block(self) -> Block:
         block = Block([], [], [], None, 0, 0)
-        if self.at(TokenKind.CONST):
+        if self.at("CONST"):
             try:
                 self.const_section(block.constants)
             except _Resync:
                 self.sync()
-        if self.at(TokenKind.VAR):
+        if self.at("VAR"):
             try:
                 self.var_section(block.variables)
             except _Resync:
                 self.sync()
-        while self.at(TokenKind.PROCEDURE):
+        while self.at("PROCEDURE"):
             try:
                 self.proc_decl(block.procedures)
             except _Resync:
@@ -458,8 +454,8 @@ class _Parser:
         block.body = self.statement()
         # Optional trailing `;` after the block's statement; take it only
         # when the terminator the parent itself needs still follows.
-        if self.at(TokenKind.PUNTO_Y_COMA) and self.tokens[self.pos + 1].kind \
-                in (TokenKind.PUNTO_Y_COMA, TokenKind.PUNTO):
+        if self.at("punto_y_coma") and self.tokens[self.pos + 1].kind \
+                in ("punto_y_coma", "punto"):
             self.advance()
         block.line, block.column = _block_anchor(block)
         return block
@@ -467,35 +463,35 @@ class _Parser:
     def const_section(self, decls: list[ConstDecl]) -> None:
         self.advance()  # const
         while True:
-            name = self.expect(TokenKind.IDENTIFICADOR, "un identificador")
-            self.expect(TokenKind.IGUAL, "'='")
+            name = self.expect("IDENTIFICADOR", "un identificador")
+            self.expect("igual", "'='")
             sign = 1
-            if not self.accept(TokenKind.MAS) and self.accept(TokenKind.MENOS):
+            if not self.accept("mas") and self.accept("menos"):
                 sign = -1
-            num = self.expect(TokenKind.NUMERO, "un número")
+            num = self.expect("NUMERO", "un número")
             decls.append(ConstDecl(name.name, sign * num.value,
                                    name.line, name.column))
-            if not self.accept(TokenKind.COMA):
+            if not self.accept("coma"):
                 break
-        self.expect(TokenKind.PUNTO_Y_COMA, "';'")
+        self.expect("punto_y_coma", "';'")
 
     def var_section(self, decls: list[VarDecl]) -> None:
         self.advance()  # var
         while True:
-            name = self.expect(TokenKind.IDENTIFICADOR, "un identificador")
+            name = self.expect("IDENTIFICADOR", "un identificador")
             decls.append(VarDecl(name.name, name.line, name.column))
-            if not self.accept(TokenKind.COMA):
+            if not self.accept("coma"):
                 break
-        self.expect(TokenKind.PUNTO_Y_COMA, "';'")
+        self.expect("punto_y_coma", "';'")
 
     def proc_decl(self, decls: list[ProcDecl]) -> None:
         self.nest()
         try:
             self.advance()  # procedure
-            name = self.expect(TokenKind.IDENTIFICADOR, "un identificador")
-            self.expect(TokenKind.PUNTO_Y_COMA, "';'")
+            name = self.expect("IDENTIFICADOR", "un identificador")
+            self.expect("punto_y_coma", "';'")
             block = self.block()
-            self.expect(TokenKind.PUNTO_Y_COMA, "';'")
+            self.expect("punto_y_coma", "';'")
             decls.append(ProcDecl(name.name, block, name.line, name.column))
         finally:
             self.depth -= 1
@@ -515,51 +511,51 @@ class _Parser:
         tok = self.peek()
         if tok.kind not in _STATEMENT_INITIAL:
             return Empty(*self.cur_pos())
-        if tok.kind == TokenKind.IDENTIFICADOR:
+        if tok.kind == "IDENTIFICADOR":
             target = self.advance()
-            self.expect(TokenKind.ASIGNACION, "':='")
+            self.expect("asignacion", "':='")
             expr = self.expression()
             return Assign(target.name, expr, target.line, target.column)
-        if tok.kind == TokenKind.CALL:
+        if tok.kind == "CALL":
             self.advance()
-            name = self.expect(TokenKind.IDENTIFICADOR, "un identificador")
+            name = self.expect("IDENTIFICADOR", "un identificador")
             return Call(name.name, name.line, name.column)
-        if tok.kind == TokenKind.BEGIN:
+        if tok.kind == "BEGIN":
             return self.sequence()
-        if tok.kind == TokenKind.IF:
+        if tok.kind == "IF":
             kw = self.advance()
             condition = self.condition()
-            self.expect(TokenKind.THEN, "'then'")
+            self.expect("THEN", "'then'")
             then_branch = self.statement()
             else_branch = None
-            if self.accept(TokenKind.ELSE):
+            if self.accept("ELSE"):
                 else_branch = self.statement()
             return If(condition, then_branch, else_branch, kw.line, kw.column)
-        if tok.kind == TokenKind.WHILE:
+        if tok.kind == "WHILE":
             kw = self.advance()
             condition = self.condition()
-            self.expect(TokenKind.DO, "'do'")
+            self.expect("DO", "'do'")
             body = self.statement()
             return While(condition, body, kw.line, kw.column)
-        if tok.kind == TokenKind.READ:
+        if tok.kind == "READ":
             self.advance()
-            name = self.expect(TokenKind.IDENTIFICADOR, "un identificador")
+            name = self.expect("IDENTIFICADOR", "un identificador")
             return Read(name.name, name.line, name.column)
         # write
         self.advance()
-        name = self.expect(TokenKind.IDENTIFICADOR, "un identificador")
+        name = self.expect("IDENTIFICADOR", "un identificador")
         return Write(name.name, name.line, name.column)
 
     def sequence(self) -> Sequence:
         kw = self.advance()  # begin
         statements = [self.statement()]
         while True:
-            if self.accept(TokenKind.PUNTO_Y_COMA):
-                if self.at(TokenKind.END, None):
+            if self.accept("punto_y_coma"):
+                if self.at("END", None):
                     break
                 statements.append(self.statement())
                 continue
-            if self.at(TokenKind.END, TokenKind.PUNTO, None):
+            if self.at("END", "punto", None):
                 break
             tok = self.peek()
             if tok.kind in _STATEMENT_INITIAL:
@@ -570,12 +566,12 @@ class _Parser:
                 continue
             self.error_at(tok.line, tok.column, "Se esperaba ';' o 'end'")
             self.skip_to_sync()
-        if not self.accept(TokenKind.END):
+        if not self.accept("END"):
             self.error_at(*self.cur_pos(), "Se esperaba 'end'")
         return Sequence(statements, kw.line, kw.column)
 
     def condition(self) -> Cond:
-        if self.accept(TokenKind.ODD):
+        if self.accept("ODD"):
             operand = self.expression()
             return Cond("odd", [operand], operand.line, operand.column)
         left = self.expression()
@@ -591,19 +587,18 @@ class _Parser:
 
     def expression(self) -> Expr:
         neg = None
-        if not self.accept(TokenKind.MAS) and self.at(TokenKind.MENOS):
+        if not self.accept("mas") and self.at("menos"):
             neg = self.advance()
         node = self.term()
         if neg is not None:
             node = Neg(node, neg.line, neg.column)
         while True:
-            if self.at(TokenKind.MAS, TokenKind.MENOS):
-                op = self.advance()
+            op = self.peek()
+            if op.kind in _ADDING:
+                self.advance()
                 right = self.term()
-                name = "suma" if op.kind == TokenKind.MAS else "resta"
-                node = BinOp(name, node, right, op.line, op.column)
-            elif self.at(TokenKind.IDENTIFICADOR, TokenKind.NUMERO,
-                         TokenKind.PARENTESIS_APERTURA):
+                node = BinOp(_ADDING[op.kind], node, right, op.line, op.column)
+            elif self.at("IDENTIFICADOR", "NUMERO", "parentesis_apertura"):
                 # Two operands with nothing in between: the lexer probably
                 # dropped an invalid character here.
                 prev = self.prev()
@@ -615,30 +610,30 @@ class _Parser:
 
     def term(self) -> Expr:
         node = self.factor()
-        while self.at(TokenKind.POR, TokenKind.ENTRE):
+        while self.peek().kind in _MULTIPLYING:
             op = self.advance()
             right = self.factor()
-            name = "multiplicacion" if op.kind == TokenKind.POR else "division"
-            node = BinOp(name, node, right, op.line, op.column)
+            node = BinOp(_MULTIPLYING[op.kind], node, right, op.line,
+                         op.column)
         return node
 
     def factor(self) -> Expr:
         minus: list[Token] = []
-        while self.at(TokenKind.MENOS):
+        while self.at("menos"):
             minus.append(self.advance())
         tok = self.peek()
-        if tok.kind == TokenKind.IDENTIFICADOR:
+        if tok.kind == "IDENTIFICADOR":
             self.advance()
             node: Expr = Ident(tok.name, tok.line, tok.column)
-        elif tok.kind == TokenKind.NUMERO:
+        elif tok.kind == "NUMERO":
             self.advance()
             node = Num(tok.value, tok.line, tok.column)
-        elif tok.kind == TokenKind.PARENTESIS_APERTURA:
+        elif tok.kind == "parentesis_apertura":
             self.nest()
             try:
                 self.advance()
                 node = self.expression()
-                self.expect(TokenKind.PARENTESIS_CIERRE, "')'")
+                self.expect("parentesis_cierre", "')'")
             finally:
                 self.depth -= 1
         else:
@@ -719,10 +714,8 @@ def ast_to_xml(ast: Program, source: str | None = None) -> str:
 
 _CLASSES = {form.element: cls for cls, form in _FORMS.items()
             if form.element is not None}
-_CLASSES.update(dict.fromkeys(
-    ("suma", "resta", "multiplicacion", "division"), BinOp))
-_COND_OPS = {"comparacion", "diferente", "menor_que", "mayor_que",
-             "menor_igual", "mayor_igual", "odd"}
+_CLASSES |= dict.fromkeys((*_ADDING.values(), *_MULTIPLYING.values()), BinOp)
+_COND_OPS = {*_RELATIONAL.values(), "odd"}
 
 
 # Statements and procedures count toward MAX_NESTING here as they do in

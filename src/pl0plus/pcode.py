@@ -13,7 +13,6 @@ operations, which `codegen` and `pvm` look up by name.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from xml.parsers.expat import ParserCreate
 
 from .xmldoc import (DECLARATION, Integers, Record, XmlLoadError, cdata_line,
@@ -44,10 +43,6 @@ OPERATIONS = {1: "negativo", 2: "suma", 3: "resta", 4: "multiplicacion",
               5: "division", 6: "odd", 8: "comparacion", 9: "diferente",
               10: "menor_que", 11: "mayor_igual", 12: "mayor_que",
               13: "menor_igual"}
-
-# An instruction's opcode is its mnemonic.  `Opcode.X` names one, and
-# raises when misspelt.
-Opcode = SimpleNamespace(**{mnemonic: mnemonic for mnemonic in INSTRUCTIONS})
 
 # INSTRUCTIONS by element, with the mnemonic in place of the element, for
 # the reader.

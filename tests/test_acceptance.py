@@ -14,8 +14,8 @@ from pl0plus.compiler import parse_compiler_args, run_pipeline
 from pl0plus.diagnostics import sort_diagnostics
 from pl0plus.lexer import tokenize, tokens_to_xml
 from pl0plus.parser import ast_to_xml, parse
-from pl0plus.pcode import (Instruction, Opcode, assembly_listing,
-                           program_from_xml, program_to_xml)
+from pl0plus.pcode import (Instruction, assembly_listing, program_from_xml,
+                           program_to_xml)
 from pl0plus.pvm import (BAD_STACK_ACCESS, DIVISION_BY_ZERO, ListIo,
                          MachineState, PvmRuntimeError, StreamIo,
                          reference_eval, step)
@@ -109,18 +109,18 @@ def test_criterion_4_object_code_structure(capsys):
     try:
         program = checks.corpus("fibonacci.pl0+").program
         instructions = program.instructions
-        assert instructions[0].opcode is Opcode.SAL
+        assert instructions[0].opcode == "SAL"
         main_entry = instructions[instructions[0].param]
-        assert main_entry.opcode is Opcode.INS
+        assert main_entry.opcode == "INS"
         assert main_entry.param == 5
         assert (instructions[1].opcode, instructions[1].param) == (
-            Opcode.SAL, 2)
+            "SAL", 2)
         assert (instructions[2].opcode, instructions[2].param) == (
-            Opcode.INS, 6)
+            "INS", 6)
         assert (instructions[3].opcode, instructions[3].level,
-                instructions[3].param) == (Opcode.CAR, 1, 3)
-        assert instructions[-2].opcode is Opcode.ESC
-        assert instructions[-1].opcode is Opcode.RET
+                instructions[3].param) == ("CAR", 1, 3)
+        assert instructions[-2].opcode == "ESC"
+        assert instructions[-1].opcode == "RET"
         text = program_to_xml(program)
         doc = parse_document(text)
         reloaded, _ = program_from_xml(text)
@@ -295,29 +295,29 @@ def test_criterion_10_machine_semantics(capsys):
     ok = False
     try:
         # one exact post-state per opcode
-        state = _after([(Opcode.LIT, None, 7)])
+        state = _after([("LIT", None, 7)])
         assert (state.stack, state.t, state.p) == ([7], 0, 1)
-        state = _after([(Opcode.CAR, 0, 3)],
+        state = _after([("CAR", 0, 3)],
                        {"stack": [-1, -1, 0, 5], "t": 3})
         assert (state.stack[:5], state.t) == ([-1, -1, 0, 5, 5], 4)
-        state = _after([(Opcode.ALM, 0, 3)],
+        state = _after([("ALM", 0, 3)],
                        {"stack": [-1, -1, 0, 0, 9], "t": 4})
         assert (state.stack[:4], state.t) == ([-1, -1, 0, 9], 3)
-        state = _after([(Opcode.LLA, 0, 3)], {"stack": [-1, -1, 0], "t": 2})
+        state = _after([("LLA", 0, 3)], {"stack": [-1, -1, 0], "t": 2})
         assert (state.stack[:6], state.t, state.b, state.p) == (
             [-1, -1, 0, 0, 0, 1], 2, 3, 3)
-        state = _after([(Opcode.INS, None, 5)],
+        state = _after([("INS", None, 5)],
                        {"stack": [-1, -1, 0], "t": -1})
         assert (state.stack, state.t) == ([-1, -1, 0, 0, 0], 4)
-        state = _after([(Opcode.SAL, None, 9)])
+        state = _after([("SAL", None, 9)])
         assert state.p == 9
-        taken = _after([(Opcode.SAC, None, 9)], {"stack": [0], "t": 0})
+        taken = _after([("SAC", None, 9)], {"stack": [0], "t": 0})
         assert (taken.p, taken.t) == (9, -1)
-        skipped = _after([(Opcode.SAC, None, 9)], {"stack": [1], "t": 0})
+        skipped = _after([("SAC", None, 9)], {"stack": [1], "t": 0})
         assert (skipped.p, skipped.t) == (1, -1)
-        state = _after([(Opcode.LEE, None, None)], {"inputs": [3]})
+        state = _after([("LEE", None, None)], {"inputs": [3]})
         assert (state.stack, state.t) == ([3], 0)
-        state = MachineState(code=[Instruction(0, Opcode.ESC, None, None)])
+        state = MachineState(code=[Instruction(0, "ESC", None, None)])
         state.stack, state.t = [42], 0
         channel = ListIo()
         step(state, channel)
@@ -336,15 +336,15 @@ def test_criterion_10_machine_semantics(capsys):
             (13, [3, 3], [1]), (13, [4, 3], [0]),
         ]
         for opr_code, before, after in operation_cases:
-            state = _after([(Opcode.OPR, None, opr_code)], {"stack": before})
+            state = _after([("OPR", None, opr_code)], {"stack": before})
             assert state.stack[:state.t + 1] == after, opr_code
         with pytest.raises(PvmRuntimeError, match=DIVISION_BY_ZERO):
-            _after([(Opcode.OPR, None, 5)], {"stack": [7, 0]})
+            _after([("OPR", None, 5)], {"stack": [7, 0]})
 
         # static chain walking over three nested frames
         # (a call at each level writes the frame it finds as static link)
         def three_frames(dif):
-            state = MachineState(code=[Instruction(0, Opcode.LLA, dif, 0)])
+            state = MachineState(code=[Instruction(0, "LLA", dif, 0)])
             state.stack = [-1, -1, 0, 0, 0, 2, 3, 0, 0]
             state.t, state.b = 8, 6
             return state
@@ -360,12 +360,12 @@ def test_criterion_10_machine_semantics(capsys):
 
         # stack balance across a call and its return
         state = MachineState(code=[
-            Instruction(0, Opcode.INS, None, 3),
-            Instruction(1, Opcode.LLA, 0, 3),
-            Instruction(2, Opcode.SAL, None, 5),
-            Instruction(3, Opcode.INS, None, 3),
-            Instruction(4, Opcode.RET, None, None),
-            Instruction(5, Opcode.RET, None, None),
+            Instruction(0, "INS", None, 3),
+            Instruction(1, "LLA", 0, 3),
+            Instruction(2, "SAL", None, 5),
+            Instruction(3, "INS", None, 3),
+            Instruction(4, "RET", None, None),
+            Instruction(5, "RET", None, None),
         ])
         state.stack = [-1, -1, 0]
         channel = ListIo()

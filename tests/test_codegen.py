@@ -6,9 +6,9 @@ import checks
 from pl0plus.codegen import MAIN_LABEL, generate
 from pl0plus.lexer import tokenize
 from pl0plus.parser import parse
-from pl0plus.pcode import (Annotation, Instruction, Opcode, Program,
-                           assembly_listing, format_instruction,
-                           program_from_xml, program_to_xml)
+from pl0plus.pcode import (Annotation, Instruction, Program, assembly_listing,
+                           format_instruction, program_from_xml,
+                           program_to_xml)
 from pl0plus.xmldoc import XmlLoadError, parse_document, serialize_document
 from xmltree import canonical_equal
 
@@ -25,13 +25,13 @@ def shape(program):
 SMALL = "var x; begin x := 3; write x end."
 
 SMALL_SHAPE = [
-    (0, Opcode.SAL, None, 1),
-    (1, Opcode.INS, None, 4),
-    (2, Opcode.LIT, None, 3),
-    (3, Opcode.ALM, 0, 3),
-    (4, Opcode.CAR, 0, 3),
-    (5, Opcode.ESC, None, None),
-    (6, Opcode.RET, None, None),
+    (0, "SAL", None, 1),
+    (1, "INS", None, 4),
+    (2, "LIT", None, 3),
+    (3, "ALM", 0, 3),
+    (4, "CAR", 0, 3),
+    (5, "ESC", None, None),
+    (6, "RET", None, None),
 ]
 
 SMALL_LISTING = ("0 SAL      -          1\n"
@@ -46,9 +46,9 @@ SMALL_LISTING = ("0 SAL      -          1\n"
 class TestTranslation:
     def test_minimal_program(self):
         assert shape(compiled("begin end.")) == [
-            (0, Opcode.SAL, None, 1),
-            (1, Opcode.INS, None, 3),
-            (2, Opcode.RET, None, None),
+            (0, "SAL", None, 1),
+            (1, "INS", None, 3),
+            (2, "RET", None, None),
         ]
 
     def test_small_program(self):
@@ -57,40 +57,40 @@ class TestTranslation:
     def test_read_becomes_input_then_store(self):
         program = compiled("var x;\nbegin read x end.")
         assert shape(program)[2:4] == [
-            (2, Opcode.LEE, None, None), (3, Opcode.ALM, 0, 3)]
+            (2, "LEE", None, None), (3, "ALM", 0, 3)]
 
     def test_constants_load_as_literals(self):
         assert shape(compiled("const c=7;\nvar x;\nbegin x := c end.")) == [
-            (0, Opcode.SAL, None, 1),
-            (1, Opcode.INS, None, 4),
-            (2, Opcode.LIT, None, 7),
-            (3, Opcode.ALM, 0, 3),
-            (4, Opcode.RET, None, None),
+            (0, "SAL", None, 1),
+            (1, "INS", None, 4),
+            (2, "LIT", None, 7),
+            (3, "ALM", 0, 3),
+            (4, "RET", None, None),
         ]
 
     def test_frame_reserves_three_cells_plus_variables(self):
         assert shape(compiled("var a, b, c;\nbegin a := 1 end."))[1] == (
-            1, Opcode.INS, None, 6)
+            1, "INS", None, 6)
 
     def test_variables_start_at_offset_three(self):
         program = compiled("var a, b;\nbegin b := a end.")
         assert shape(program)[2:4] == [
-            (2, Opcode.CAR, 0, 3), (3, Opcode.ALM, 0, 4)]
+            (2, "CAR", 0, 3), (3, "ALM", 0, 4)]
 
     def test_procedure_layout(self):
         assert shape(compiled("var x;\n"
                               "procedure p;\n"
                               "begin x := 1 end;\n"
                               "begin call p end.")) == [
-            (0, Opcode.SAL, None, 6),
-            (1, Opcode.SAL, None, 2),
-            (2, Opcode.INS, None, 3),
-            (3, Opcode.LIT, None, 1),
-            (4, Opcode.ALM, 1, 3),
-            (5, Opcode.RET, None, None),
-            (6, Opcode.INS, None, 4),
-            (7, Opcode.LLA, 0, 2),
-            (8, Opcode.RET, None, None),
+            (0, "SAL", None, 6),
+            (1, "SAL", None, 2),
+            (2, "INS", None, 3),
+            (3, "LIT", None, 1),
+            (4, "ALM", 1, 3),
+            (5, "RET", None, None),
+            (6, "INS", None, 4),
+            (7, "LLA", 0, 2),
+            (8, "RET", None, None),
         ]
 
     def test_call_to_enclosing_procedure(self):
@@ -101,65 +101,65 @@ class TestTranslation:
                               "    begin call o end;\n"
                               "begin call i end;\n"
                               "begin call o end.")) == [
-            (0, Opcode.SAL, None, 9),
-            (1, Opcode.SAL, None, 6),
-            (2, Opcode.SAL, None, 3),
-            (3, Opcode.INS, None, 3),
-            (4, Opcode.LLA, 2, 6),
-            (5, Opcode.RET, None, None),
-            (6, Opcode.INS, None, 3),
-            (7, Opcode.LLA, 0, 3),
-            (8, Opcode.RET, None, None),
-            (9, Opcode.INS, None, 3),
-            (10, Opcode.LLA, 0, 6),
-            (11, Opcode.RET, None, None),
+            (0, "SAL", None, 9),
+            (1, "SAL", None, 6),
+            (2, "SAL", None, 3),
+            (3, "INS", None, 3),
+            (4, "LLA", 2, 6),
+            (5, "RET", None, None),
+            (6, "INS", None, 3),
+            (7, "LLA", 0, 3),
+            (8, "RET", None, None),
+            (9, "INS", None, 3),
+            (10, "LLA", 0, 6),
+            (11, "RET", None, None),
         ]
 
     def test_if_without_else(self):
         assert shape(compiled("var x;\n"
                               "begin if x > 0 then x := 1 end.")) == [
-            (0, Opcode.SAL, None, 1),
-            (1, Opcode.INS, None, 4),
-            (2, Opcode.CAR, 0, 3),
-            (3, Opcode.LIT, None, 0),
-            (4, Opcode.OPR, None, 12),
-            (5, Opcode.SAC, None, 8),
-            (6, Opcode.LIT, None, 1),
-            (7, Opcode.ALM, 0, 3),
-            (8, Opcode.RET, None, None),
+            (0, "SAL", None, 1),
+            (1, "INS", None, 4),
+            (2, "CAR", 0, 3),
+            (3, "LIT", None, 0),
+            (4, "OPR", None, 12),
+            (5, "SAC", None, 8),
+            (6, "LIT", None, 1),
+            (7, "ALM", 0, 3),
+            (8, "RET", None, None),
         ]
 
     def test_if_with_else(self):
         assert shape(compiled(
             "var x;\nbegin if odd x then x := 1 else x := 2 end.")) == [
-            (0, Opcode.SAL, None, 1),
-            (1, Opcode.INS, None, 4),
-            (2, Opcode.CAR, 0, 3),
-            (3, Opcode.OPR, None, 6),
-            (4, Opcode.SAC, None, 8),
-            (5, Opcode.LIT, None, 1),
-            (6, Opcode.ALM, 0, 3),
-            (7, Opcode.SAL, None, 10),
-            (8, Opcode.LIT, None, 2),
-            (9, Opcode.ALM, 0, 3),
-            (10, Opcode.RET, None, None),
+            (0, "SAL", None, 1),
+            (1, "INS", None, 4),
+            (2, "CAR", 0, 3),
+            (3, "OPR", None, 6),
+            (4, "SAC", None, 8),
+            (5, "LIT", None, 1),
+            (6, "ALM", 0, 3),
+            (7, "SAL", None, 10),
+            (8, "LIT", None, 2),
+            (9, "ALM", 0, 3),
+            (10, "RET", None, None),
         ]
 
     def test_while_loop(self):
         assert shape(compiled(
             "var x;\nbegin while x < 9 do x := x + 1 end.")) == [
-            (0, Opcode.SAL, None, 1),
-            (1, Opcode.INS, None, 4),
-            (2, Opcode.CAR, 0, 3),
-            (3, Opcode.LIT, None, 9),
-            (4, Opcode.OPR, None, 10),
-            (5, Opcode.SAC, None, 11),
-            (6, Opcode.CAR, 0, 3),
-            (7, Opcode.LIT, None, 1),
-            (8, Opcode.OPR, None, 2),
-            (9, Opcode.ALM, 0, 3),
-            (10, Opcode.SAL, None, 2),
-            (11, Opcode.RET, None, None),
+            (0, "SAL", None, 1),
+            (1, "INS", None, 4),
+            (2, "CAR", 0, 3),
+            (3, "LIT", None, 9),
+            (4, "OPR", None, 10),
+            (5, "SAC", None, 11),
+            (6, "CAR", 0, 3),
+            (7, "LIT", None, 1),
+            (8, "OPR", None, 2),
+            (9, "ALM", 0, 3),
+            (10, "SAL", None, 2),
+            (11, "RET", None, None),
         ]
 
     def test_operation_codes(self):
@@ -179,7 +179,7 @@ class TestTranslation:
                            "    if odd a then x := 1;\n"
                            "end.")
         operations = [i for i in program.instructions
-                      if i.opcode is Opcode.OPR]
+                      if i.opcode == "OPR"]
         assert [i.param for i in operations] == [
             1, 2, 3, 4, 5, 8, 9, 10, 12, 13, 11, 6]
         assert [i.annotations[0].text for i in operations] == [
@@ -191,9 +191,9 @@ class TestTranslation:
         for name in checks.CORPUS_NAMES:
             program = checks.corpus(name).program
             for instruction in program.instructions:
-                if instruction.opcode is Opcode.LLA:
+                if instruction.opcode == "LLA":
                     target = program.instructions[instruction.param]
-                    assert target.opcode is Opcode.INS
+                    assert target.opcode == "INS"
 
     def test_unresolved_tree_is_refused(self):
         tokens, _ = tokenize("var x;\nbegin x := 1 end.")
@@ -226,7 +226,7 @@ class TestAnnotations:
         program = compiled(
             "procedure p;\nbegin end;\nbegin call p end.")
         entry = program.instructions[2]
-        assert entry.opcode is Opcode.INS
+        assert entry.opcode == "INS"
         assert entry.annotations[0].attributes == {
             "columna": "10", "linea": "1",
             "inicio_de_procedimiento": "p", "codigo": "b0_0"}
@@ -246,7 +246,7 @@ class TestAnnotations:
         program = compiled(
             "var x;\nbegin while x < 9 do x := x + 1 end.")
         first = program.instructions[2]
-        assert first.opcode is Opcode.CAR
+        assert first.opcode == "CAR"
         note, variable = first.annotations
         assert note.text == "Inicio de ciclo (while-do)"
         assert note.attributes == {"linea": "2", "columna": "6"}
@@ -268,20 +268,20 @@ class TestListing:
 
     def test_field_alignment(self):
         cases = [
-            (Instruction(0, Opcode.SAL, None, 55),
+            (Instruction(0, "SAL", None, 55),
              "0 SAL      -          55"),
-            (Instruction(10, Opcode.CAR, 1, 3),
+            (Instruction(10, "CAR", 1, 3),
              "10 CAR     1          3"),
-            (Instruction(123, Opcode.LIT, None, -5),
+            (Instruction(123, "LIT", None, -5),
              "123 LIT    -          -5"),
-            (Instruction(7, Opcode.RET, None, None),
+            (Instruction(7, "RET", None, None),
              "7 RET      -          -"),
         ]
         for instruction, expected in cases:
             assert format_instruction(instruction) == expected
 
     def test_wide_address_still_separated(self):
-        line = format_instruction(Instruction(1234567, Opcode.OPR, None, 2))
+        line = format_instruction(Instruction(1234567, "OPR", None, 2))
         assert line == "1234567 OPR -         2"
 
 
@@ -370,7 +370,7 @@ class TestXml:
         # What parse_document keeps as the element's text: the runs of
         # text between the child elements and CDATA that are not blank.
         text = program_to_xml(Program([Instruction(
-            0, Opcode.RET, annotations=[Annotation(text="@")])]))
+            0, "RET", annotations=[Annotation(text="@")])]))
         text = text.replace(">@<", f">{content}<")
         program, _ = program_from_xml(text)
         (annotation,) = program.instructions[0].annotations

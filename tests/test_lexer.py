@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pl0plus.lexer import (KEYWORDS, MAX_NUMBER, SYMBOL_TEXT, Token,
-                           TokenKind, tokenize, tokens_from_xml, tokens_to_xml)
+from pl0plus.lexer import (KEYWORDS, MAX_NUMBER, SYMBOL_TEXT, Token, tokenize,
+                           tokens_from_xml, tokens_to_xml)
 from pl0plus.xmldoc import XmlLoadError, parse_document
-
-K = TokenKind
 
 
 def kinds(source):
@@ -22,11 +20,11 @@ class TestTokenize:
         tokens, diags = tokenize("\n" * 5 + "var n, f;")
         assert not diags
         assert [(t.kind, t.line, t.column, t.length) for t in tokens] == [
-            (K.VAR, 6, 0, 3),
-            (K.IDENTIFICADOR, 6, 4, 1),
-            (K.COMA, 6, 5, 1),
-            (K.IDENTIFICADOR, 6, 7, 1),
-            (K.PUNTO_Y_COMA, 6, 8, 1),
+            ("VAR", 6, 0, 3),
+            ("IDENTIFICADOR", 6, 4, 1),
+            ("coma", 6, 5, 1),
+            ("IDENTIFICADOR", 6, 7, 1),
+            ("punto_y_coma", 6, 8, 1),
         ]
         assert tokens[1].name == "n"
         assert tokens[3].name == "f"
@@ -41,7 +39,7 @@ class TestTokenize:
     def test_keywords_are_lowercase_only(self):
         tokens, diags = tokenize("BEGIN Begin")
         assert not diags
-        assert [t.kind for t in tokens] == [K.IDENTIFICADOR, K.IDENTIFICADOR]
+        assert [t.kind for t in tokens] == ["IDENTIFICADOR", "IDENTIFICADOR"]
         assert [t.name for t in tokens] == ["BEGIN", "Begin"]
 
     def test_every_symbol(self):
@@ -53,10 +51,10 @@ class TestTokenize:
 
     def test_maximal_munch(self):
         assert kinds(":= <> <= >= < > =") == [
-            K.ASIGNACION, K.DIFERENTE, K.MENOR_IGUAL, K.MAYOR_IGUAL,
-            K.MENOR_QUE, K.MAYOR_QUE, K.IGUAL]
+            "asignacion", "diferente", "menor_igual", "mayor_igual",
+            "menor_que", "mayor_que", "igual"]
         # no space: <= then >
-        assert kinds("<=>") == [K.MENOR_IGUAL, K.MAYOR_QUE]
+        assert kinds("<=>") == ["menor_igual", "mayor_que"]
 
     def test_identifier_with_underscores_and_digits(self):
         tokens, diags = tokenize("f_1 x2_y")
@@ -65,7 +63,7 @@ class TestTokenize:
 
     def test_leading_underscore_is_not_an_identifier(self):
         tokens, diags = tokenize("_x")
-        assert [t.kind for t in tokens] == [K.IDENTIFICADOR]
+        assert [t.kind for t in tokens] == ["IDENTIFICADOR"]
         assert tokens[0].name == "x"
         assert [(d.line, d.column, d.message) for d in diags] == [
             (1, 0, "Caracter inválido.")]
@@ -105,11 +103,11 @@ class TestTokenize:
         tokens, diags = tokenize("12abc")
         assert not diags
         assert [(t.kind, t.column) for t in tokens] == [
-            (K.NUMERO, 0), (K.IDENTIFICADOR, 2)]
+            ("NUMERO", 0), ("IDENTIFICADOR", 2)]
 
     def test_comment_skipped(self):
         assert kinds("x (* cualquier cosa *) y") == [
-            K.IDENTIFICADOR, K.IDENTIFICADOR]
+            "IDENTIFICADOR", "IDENTIFICADOR"]
 
     def test_comment_spanning_lines_keeps_positions(self):
         tokens, diags = tokenize("(* a\nb\nc *) fin")
@@ -119,19 +117,19 @@ class TestTokenize:
     def test_comments_do_not_nest(self):
         tokens, diags = tokenize("(* a (* b *) c")
         assert not diags
-        assert [t.name for t in tokens if t.kind is K.IDENTIFICADOR] == ["c"]
+        assert [t.name for t in tokens if t.kind == "IDENTIFICADOR"] == ["c"]
 
     def test_unterminated_comment_reported_at_opening(self):
         tokens, diags = tokenize("x (* sin fin")
-        assert [t.kind for t in tokens] == [K.IDENTIFICADOR]
+        assert [t.kind for t in tokens] == ["IDENTIFICADOR"]
         assert [(d.line, d.column, d.message) for d in diags] == [
             (1, 2, "Comentario sin cerrar")]
 
     def test_lone_paren_star_inside_line(self):
         # `(` immediately before `*` always opens a comment.
-        assert kinds("a*(b)") == [K.IDENTIFICADOR, K.POR,
-                                  K.PARENTESIS_APERTURA, K.IDENTIFICADOR,
-                                  K.PARENTESIS_CIERRE]
+        assert kinds("a*(b)") == ["IDENTIFICADOR", "por",
+                                  "parentesis_apertura", "IDENTIFICADOR",
+                                  "parentesis_cierre"]
 
     @pytest.mark.parametrize("comment", [
         "{ comentario }", "(* comentario *)", "{ (* }", "(* { *)",
@@ -140,7 +138,7 @@ class TestTokenize:
         tokens, diags = tokenize(f"var x; {comment} begin x := 1 end.")
         assert not diags
         assert [t.kind for t in tokens][:4] == [
-            K.VAR, K.IDENTIFICADOR, K.PUNTO_Y_COMA, K.BEGIN]
+            "VAR", "IDENTIFICADOR", "punto_y_coma", "BEGIN"]
 
     def test_brace_comments_do_not_nest(self):
         tokens, diags = tokenize("{ a { b } c }")
@@ -150,7 +148,7 @@ class TestTokenize:
 
     def test_unterminated_brace_comment_reported_at_opening(self):
         tokens, diags = tokenize("x\n  { sin (* fin *)\ny")
-        assert [t.kind for t in tokens] == [K.IDENTIFICADOR]
+        assert [t.kind for t in tokens] == ["IDENTIFICADOR"]
         assert [(d.line, d.column, d.message) for d in diags] == [
             (2, 2, "Comentario sin cerrar")]
 
@@ -158,14 +156,14 @@ class TestTokenize:
         source = "\n" * 3 + "    i := 2 % 4;"
         tokens, diags = tokenize(source)
         assert [(t.kind,) for t in tokens] == [
-            (K.IDENTIFICADOR,), (K.ASIGNACION,), (K.NUMERO,), (K.NUMERO,),
-            (K.PUNTO_Y_COMA,)]
+            ("IDENTIFICADOR",), ("asignacion",), ("NUMERO",), ("NUMERO",),
+            ("punto_y_coma",)]
         assert [(d.line, d.column, d.message) for d in diags] == [
             (4, 11, "Caracter inválido.")]
 
     def test_several_invalid_characters(self):
         tokens, diags = tokenize("¿x?")
-        assert [t.kind for t in tokens] == [K.IDENTIFICADOR]
+        assert [t.kind for t in tokens] == ["IDENTIFICADOR"]
         assert [d.message for d in diags] == ["Caracter inválido."] * 2
 
     def test_characters_xml_cannot_carry_are_invalid_in_comments(self):
@@ -194,7 +192,7 @@ class TestTokenize:
         # `²` passes str.isdigit() but int() cannot read it.
         tokens, diags = tokenize("a² ² \u0663")
         assert [(t.kind, t.name, t.value) for t in tokens] == [
-            (K.IDENTIFICADOR, "a", None), (K.NUMERO, None, 3)]
+            ("IDENTIFICADOR", "a", None), ("NUMERO", None, 3)]
         assert [(d.line, d.column, d.message) for d in diags] == [
             (1, 1, "Caracter inválido."), (1, 3, "Caracter inválido.")]
 
@@ -224,9 +222,9 @@ def test_every_token_is_its_source_slice(source):
     for tok in tokens:
         text = lines[tok.line - 1][tok.column:tok.column + tok.length]
         assert len(text) == tok.length
-        if tok.kind is K.IDENTIFICADOR:
+        if tok.kind == "IDENTIFICADOR":
             assert text == tok.name
-        elif tok.kind is K.NUMERO:
+        elif tok.kind == "NUMERO":
             assert text.isdecimal()
             assert tok.value == min(int(text), MAX_NUMBER)
         elif tok.kind in SYMBOL_TEXT:
@@ -237,7 +235,7 @@ def test_every_token_is_its_source_slice(source):
 
 class TestXml:
     def test_identifier_element(self):
-        doc = parse_document(tokens_to_xml([Token(K.IDENTIFICADOR, 7, 10, 9,
+        doc = parse_document(tokens_to_xml([Token("IDENTIFICADOR", 7, 10, 9,
                                                   name="fibonacci")]))
         node = doc.root.elements()[0]
         assert node.name == "IDENTIFICADOR"
@@ -247,15 +245,15 @@ class TestXml:
 
     def test_number_element(self):
         doc = parse_document(
-            tokens_to_xml([Token(K.NUMERO, 12, 13, 1, value=0)]))
+            tokens_to_xml([Token("NUMERO", 12, 13, 1, value=0)]))
         node = doc.root.elements()[0]
         assert node.name == "NUMERO"
         assert dict(node.attributes) == {
             "valor": "0", "linea": "12", "columna": "13", "longitud": "1"}
 
     def test_keyword_and_symbol_element_names(self):
-        doc = parse_document(tokens_to_xml([Token(K.VAR, 6, 0, 3),
-                                            Token(K.PUNTO_Y_COMA, 6, 8, 1)]))
+        doc = parse_document(tokens_to_xml([Token("VAR", 6, 0, 3),
+                                            Token("punto_y_coma", 6, 8, 1)]))
         assert [e.name for e in doc.root.elements()] == [
             "VAR", "punto_y_coma"]
 
@@ -283,7 +281,7 @@ class TestXml:
         text = ('<lexemas>\n  <fuente><![CDATA[begin end.]]></fuente>\n'
                 '  <BEGIN linea="1" columna="0" longitud="5">'
                 '<![CDATA[x]]></BEGIN>\n</lexemas>\n')
-        assert tokens_from_xml(text) == ([Token(K.BEGIN, 1, 0, 5)],
+        assert tokens_from_xml(text) == ([Token("BEGIN", 1, 0, 5)],
                                          "begin end.")
 
     def test_round_trip_without_source(self):

@@ -1,12 +1,17 @@
 """Recursive-descent parsing, error recovery, and the tree's XML form."""
 
+import ast
 import random
+from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
 import checks
 import progen
-from pl0plus.lexer import tokenize, tokens_from_xml, tokens_to_xml
+from pl0plus import codegen, parser
+from pl0plus.lexer import KINDS, tokenize, tokens_from_xml, tokens_to_xml
+from pl0plus.pcode import INSTRUCTIONS
 from pl0plus.parser import (MAX_NESTING, TOO_DEEP, Assign, BinOp, Block,
                             Call, Cond, ConstDecl, Empty, Ident, If, Neg, Num,
                             Program, Read, Sequence, VarDecl, While, Write,
@@ -626,3 +631,53 @@ def test_tree_envelope_messages(loader, document, message):
     with pytest.raises(XmlLoadError) as info:
         loader(document)
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The parser names token kinds, and the generator mnemonics, as plain
+# strings.  A misspelt one raises nothing where it runs, so these read the
+# source and check every such string, run or not.
+
+
+def string_uses(module) -> dict:
+    """The string literals in `module`'s source, by use: `(method,
+    position)` for an argument of a method call, and `(".kind", None)` for
+    a string compared with a `.kind`."""
+    uses = defaultdict(set)
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            for position, argument in enumerate(node.args):
+                if isinstance(argument, ast.Constant) \
+                        and isinstance(argument.value, str):
+                    uses[node.func.attr, position].add(argument.value)
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(operand, ast.Attribute) and operand.attr == "kind"
+                   for operand in operands):
+                uses[".kind", None].update(
+                    leaf.value for operand in operands
+                    for leaf in ast.walk(operand)
+                    if isinstance(leaf, ast.Constant)
+                    and isinstance(leaf.value, str))
+    return uses
+
+
+def test_every_kind_the_parser_names_is_a_token_kind():
+    uses = string_uses(parser)
+    at = set().union(*(names for (method, _), names in uses.items()
+                       if method == "at"))
+    sites = [at, uses["accept", 0], uses["expect", 0], uses[".kind", None]]
+    assert all(sites)
+    assert set().union(*sites) - KINDS == set()
+    tables = [parser._STATEMENT_INITIAL, parser._SYNC - {None},
+              parser._RELATIONAL.keys(), parser._ADDING.keys(),
+              parser._MULTIPLYING.keys()]
+    assert set().union(*tables) - KINDS == set()
+
+
+def test_every_mnemonic_the_generator_emits_is_an_instruction():
+    uses = string_uses(codegen)
+    sites = [uses["emit", 0], uses["access", 0]]
+    assert all(sites)
+    assert set().union(*sites) - INSTRUCTIONS.keys() == set()

@@ -6,8 +6,7 @@ import pytest
 
 import checks
 from pl0plus import pvm
-from pl0plus.pcode import (Annotation, Instruction, Opcode, Program,
-                           program_to_xml)
+from pl0plus.pcode import Annotation, Instruction, Program, program_to_xml
 from pl0plus.pvm import (BAD_CODE_ADDRESS, BAD_INPUT, BAD_STACK_ACCESS,
                          DIVISION_BY_ZERO, STEP_LIMIT, WORD_MAX, WORD_MIN,
                          InputError, ListIo, MachineState, PvmRuntimeError,
@@ -28,7 +27,7 @@ def booted(instructions, **kwargs):
 
 
 def operate(opr_code, stack):
-    state = MachineState(code=code((Opcode.OPR, None, opr_code)))
+    state = MachineState(code=code(("OPR", None, opr_code)))
     state.stack = list(stack)
     state.t = len(stack) - 1
     step(state, ListIo())
@@ -37,17 +36,17 @@ def operate(opr_code, stack):
 
 class TestRecords:
     def test_instruction_equality_ignores_annotations(self):
-        plain = Instruction(0, Opcode.CAR, 1, 3)
-        noted = Instruction(0, Opcode.CAR, 1, 3,
+        plain = Instruction(0, "CAR", 1, 3)
+        noted = Instruction(0, "CAR", 1, 3,
                             [Annotation({"linea": "2"}, "nota")])
         assert plain == noted
-        assert plain != Instruction(0, Opcode.CAR, 0, 3)
+        assert plain != Instruction(0, "CAR", 0, 3)
         assert plain.annotations == []
 
     def test_program_equality(self):
-        assert Program(code((Opcode.RET, None, None))) == \
-            Program(code((Opcode.RET, None, None)))
-        assert Program([]) != Program(code((Opcode.RET, None, None)))
+        assert Program(code(("RET", None, None))) == \
+            Program(code(("RET", None, None)))
+        assert Program([]) != Program(code(("RET", None, None)))
 
     def test_machine_state_defaults(self):
         first, second = MachineState([]), MachineState([])
@@ -143,85 +142,85 @@ class TestIo:
 
 class TestOpcodes:
     def test_lit_pushes_wrapped_value(self):
-        state = MachineState(code=code((Opcode.LIT, None, 1 << 31)))
+        state = MachineState(code=code(("LIT", None, 1 << 31)))
         step(state, ListIo())
         assert (state.t, state.stack[0], state.p) == (0, WORD_MIN, 1)
 
     def test_car_copies_a_cell_to_the_top(self):
-        state = MachineState(code=code((Opcode.CAR, 0, 0)))
+        state = MachineState(code=code(("CAR", 0, 0)))
         state.stack, state.t = [7], 0
         step(state, ListIo())
         assert state.stack[:2] == [7, 7]
         assert state.t == 1
 
     def test_car_outside_the_frame_fails(self):
-        state = MachineState(code=code((Opcode.CAR, 0, 5)))
+        state = MachineState(code=code(("CAR", 0, 5)))
         state.stack, state.t = [7], 0
         with pytest.raises(PvmRuntimeError, match=BAD_STACK_ACCESS):
             step(state, ListIo())
 
     def test_alm_pops_into_a_cell(self):
-        state = MachineState(code=code((Opcode.ALM, 0, 0)))
+        state = MachineState(code=code(("ALM", 0, 0)))
         state.stack, state.t = [0, 9], 1
         step(state, ListIo())
         assert (state.stack[0], state.t) == (9, 0)
 
     def test_alm_into_unclaimed_cell_fails(self):
-        state = MachineState(code=code((Opcode.ALM, 0, 0)))
+        state = MachineState(code=code(("ALM", 0, 0)))
         state.stack, state.t = [9], 0
         with pytest.raises(PvmRuntimeError, match=BAD_STACK_ACCESS):
             step(state, ListIo())
 
     def test_sal_jumps_unconditionally(self):
-        state = MachineState(code=code((Opcode.SAL, None, 9)))
+        state = MachineState(code=code(("SAL", None, 9)))
         step(state, ListIo())
         assert (state.p, state.t) == (9, -1)
 
     def test_sac_jumps_on_zero_and_pops_either_way(self):
-        taken = MachineState(code=code((Opcode.SAC, None, 9)))
+        taken = MachineState(code=code(("SAC", None, 9)))
         taken.stack, taken.t = [0], 0
         step(taken, ListIo())
         assert (taken.p, taken.t) == (9, -1)
-        skipped = MachineState(code=code((Opcode.SAC, None, 9)))
+        skipped = MachineState(code=code(("SAC", None, 9)))
         skipped.stack, skipped.t = [1], 0
         step(skipped, ListIo())
         assert (skipped.p, skipped.t) == (1, -1)
 
     def test_ins_claims_and_zeroes_variable_cells(self):
-        state = booted(code((Opcode.INS, None, 5)))
+        state = booted(code(("INS", None, 5)))
         state.stack = [-1, -1, 0, 77, 88]
         step(state, ListIo())
         assert state.t == 4
         assert state.stack == [-1, -1, 0, 0, 0]
 
     def test_ins_grows_the_stack(self):
-        state = booted(code((Opcode.INS, None, 6)))
+        state = booted(code(("INS", None, 6)))
         step(state, ListIo())
         assert state.t == 5
         assert state.stack == [-1, -1, 0, 0, 0, 0]
 
     def test_ins_cannot_shrink_below_empty(self):
-        state = MachineState(code=code((Opcode.INS, None, -1)))
+        state = MachineState(code=code(("INS", None, -1)))
         with pytest.raises(PvmRuntimeError, match=BAD_STACK_ACCESS):
             step(state, ListIo())
 
     def test_ins_respects_the_stack_limit(self):
-        state = booted(code((Opcode.INS, None, 50)), stack_limit=10)
+        state = booted(code(("INS", None, 50)), stack_limit=10)
         with pytest.raises(PvmRuntimeError, match=BAD_STACK_ACCESS):
             step(state, ListIo())
 
     def test_lee_pushes_wrapped_input(self):
-        state = MachineState(code=code((Opcode.LEE, None, None)))
+        state = MachineState(code=code(("LEE", None, None)))
         step(state, ListIo([1 << 31]))
         assert state.stack[0] == WORD_MIN
 
     def test_lee_without_input_fails(self):
-        state = MachineState(code=code((Opcode.LEE, None, None)))
+        state = MachineState(code=code(("LEE", None, None)))
         with pytest.raises(PvmRuntimeError, match=BAD_INPUT):
             step(state, ListIo())
 
     def test_esc_pops_and_writes(self):
-        state = MachineState(code=code((Opcode.ESC, None, None)))
+        state = MachineState(code=code(("ESC", None, None)))
         state.stack, state.t = [42], 0
         channel = ListIo()
         step(state, channel)
@@ -229,7 +228,7 @@ class TestOpcodes:
         assert state.t == -1
 
     def test_esc_on_empty_stack_fails(self):
-        state = MachineState(code=code((Opcode.ESC, None, None)))
+        state = MachineState(code=code(("ESC", None, None)))
         with pytest.raises(PvmRuntimeError, match=BAD_STACK_ACCESS):
             step(state, ListIo())
 
@@ -311,7 +310,7 @@ class TestOperations:
 
 
 class TestFrames:
-    CHAIN_OPS = (Opcode.CAR, Opcode.ALM, Opcode.LLA)
+    CHAIN_OPS = ("CAR", "ALM", "LLA")
 
     def three_frames(self, op, level):
         # main at 0, a callee at 4, its nested callee at 8; each frame has
@@ -324,13 +323,13 @@ class TestFrames:
 
     def test_car_alm_and_lla_walk_the_static_chain(self):
         for level, frame in ((0, 8), (1, 4), (2, 0)):
-            car = self.three_frames(Opcode.CAR, level)
+            car = self.three_frames("CAR", level)
             step(car, ListIo())
             assert car.stack[car.t] == car.stack[frame + 3]
-            alm = self.three_frames(Opcode.ALM, level)
+            alm = self.three_frames("ALM", level)
             step(alm, ListIo())
             assert (alm.stack[frame + 3], alm.t) == (7, 11)
-            lla = self.three_frames(Opcode.LLA, level)
+            lla = self.three_frames("LLA", level)
             step(lla, ListIo())
             assert lla.stack[13:16] == [frame, 8, 1]   # the callee's links
             assert (lla.b, lla.p) == (13, 3)
@@ -349,12 +348,12 @@ class TestFrames:
 
     def test_call_and_return_keep_the_stack_balanced(self):
         state = booted(code(
-            (Opcode.INS, None, 3),
-            (Opcode.LLA, 0, 3),
-            (Opcode.SAL, None, 5),
-            (Opcode.INS, None, 3),
-            (Opcode.RET, None, None),
-            (Opcode.RET, None, None),
+            ("INS", None, 3),
+            ("LLA", 0, 3),
+            ("SAL", None, 5),
+            ("INS", None, 3),
+            ("RET", None, None),
+            ("RET", None, None),
         ))
         channel = ListIo()
         step(state, channel)                       # main INS
@@ -373,15 +372,15 @@ class TestFrames:
         assert (state.t, state.p) == (-1, 0)
 
     def test_return_halts_only_from_the_main_frame(self):
-        state = MachineState(code=code((Opcode.RET, None, None),
-                                       (Opcode.RET, None, None)))
+        state = MachineState(code=code(("RET", None, None),
+                                       ("RET", None, None)))
         state.stack = [-1, -1, 1]
         step(state, ListIo())
         assert not state.halted
         assert state.p == 1
 
     def test_return_without_a_frame_fails(self):
-        state = MachineState(code=code((Opcode.RET, None, None)))
+        state = MachineState(code=code(("RET", None, None)))
         state.b = 10
         with pytest.raises(PvmRuntimeError, match=BAD_STACK_ACCESS):
             step(state, ListIo())
@@ -394,17 +393,17 @@ class TestStepAndRun:
         assert state.p == 99
 
     def test_step_outside_the_code_fails(self):
-        state = MachineState(code=code((Opcode.RET, None, None)), p=99)
+        state = MachineState(code=code(("RET", None, None)), p=99)
         with pytest.raises(PvmRuntimeError) as info:
             step(state, ListIo())
         assert info.value.message == BAD_CODE_ADDRESS
         assert info.value.address == 99
 
     JUMPS_OUT = [
-        pytest.param([(Opcode.SAL, None, 9)], 9, id="sal-past-the-code"),
-        pytest.param([(Opcode.LIT, None, 0), (Opcode.SAC, None, -2)], -2,
+        pytest.param([("SAL", None, 9)], 9, id="sal-past-the-code"),
+        pytest.param([("LIT", None, 0), ("SAC", None, -2)], -2,
                      id="sac-to-a-negative-address"),
-        pytest.param([(Opcode.LLA, 0, 1)], 1, id="lla-to-the-end"),
+        pytest.param([("LLA", 0, 1)], 1, id="lla-to-the-end"),
     ]
 
     @pytest.mark.parametrize("specs, target", JUMPS_OUT)
@@ -432,15 +431,15 @@ class TestStepAndRun:
             assert (state.p, state.halted) == (target, False)
 
     def test_errors_carry_the_faulting_address(self):
-        state = MachineState(code=code((Opcode.SAL, None, 1),
-                                       (Opcode.ESC, None, None)))
+        state = MachineState(code=code(("SAL", None, 1),
+                                       ("ESC", None, None)))
         step(state, ListIo())
         with pytest.raises(PvmRuntimeError) as info:
             step(state, ListIo())
         assert info.value.address == 1
 
     def test_run_writes_the_main_linkage(self):
-        state = MachineState(code=code((Opcode.RET, None, None)))
+        state = MachineState(code=code(("RET", None, None)))
         err = io.StringIO()
         assert run(state, ListIo(), err=err) == 0
         assert state.stack[:3] == [-1, -1, 0]
@@ -448,14 +447,14 @@ class TestStepAndRun:
         assert err.getvalue() == ""
 
     def test_run_reports_runtime_errors(self):
-        state = MachineState(code=code((Opcode.OPR, None, 5)))
+        state = MachineState(code=code(("OPR", None, 5)))
         err = io.StringIO()
         assert run(state, ListIo(), err=err) == 1
         assert err.getvalue() == ("Error en tiempo de ejecución: "
                                   "Acceso inválido a la pila (dirección 0)\n")
 
     def test_debug_mode_traces_each_step(self):
-        state = MachineState(code=code((Opcode.RET, None, None)))
+        state = MachineState(code=code(("RET", None, None)))
         err = io.StringIO()
         control = io.StringIO("\n")
         assert run(state, ListIo(), debug=True, control=control, err=err) == 0
@@ -465,7 +464,7 @@ class TestStepAndRun:
         assert "pila: []" in trace
 
     def test_debug_mode_traces_an_address_outside_the_code(self):
-        state = machine([(Opcode.SAL, None, 9)], loadable=False)
+        state = machine([("SAL", None, 9)], loadable=False)
         err = io.StringIO()
         assert run(state, ListIo(), debug=True, control=io.StringIO(),
                    err=err) == 1
@@ -568,92 +567,92 @@ def machine(specs, loadable=True, stack_limit=None):
     return state
 
 
-MAIN = (Opcode.INS, None, 3)
-RET = (Opcode.RET, None, None)
+MAIN = ("INS", None, 3)
+RET = ("RET", None, None)
 # main's static link overwritten to point at main's own frame
-SELF_LINKED = [(Opcode.INS, None, 4), (Opcode.LIT, None, 0),
-               (Opcode.ALM, 0, 0)]
+SELF_LINKED = [("INS", None, 4), ("LIT", None, 0),
+               ("ALM", 0, 0)]
 # a procedure stores 1000 in its own dynamic link and returns, so b is
 # 1000, past the end of the stack, when the instruction at 7 runs
-B_PAST_THE_STACK = [(Opcode.SAL, None, 5), MAIN, (Opcode.LIT, None, 1000),
-                    (Opcode.ALM, 0, 1), RET, MAIN, (Opcode.LLA, 0, 1)]
+B_PAST_THE_STACK = [("SAL", None, 5), MAIN, ("LIT", None, 1000),
+                    ("ALM", 0, 1), RET, MAIN, ("LLA", 0, 1)]
 
 FAULTS = [
-    pytest.param([MAIN, (Opcode.LIT, None, 7), (Opcode.LIT, None, 0),
-                  (Opcode.OPR, None, 5), RET], {}, (),
+    pytest.param([MAIN, ("LIT", None, 7), ("LIT", None, 0),
+                  ("OPR", None, 5), RET], {}, (),
                  DIVISION_BY_ZERO, 3, id="division-by-zero"),
-    pytest.param([MAIN, (Opcode.CAR, 0, 3), RET], {}, (),
+    pytest.param([MAIN, ("CAR", 0, 3), RET], {}, (),
                  BAD_STACK_ACCESS, 1, id="car-outside-the-frame"),
-    pytest.param([MAIN, (Opcode.LIT, None, 1), (Opcode.ALM, 0, 3), RET], {},
+    pytest.param([MAIN, ("LIT", None, 1), ("ALM", 0, 3), RET], {},
                  (), BAD_STACK_ACCESS, 2, id="alm-outside-the-frame"),
-    pytest.param([MAIN, (Opcode.CAR, 1, 3), RET], {}, (),
+    pytest.param([MAIN, ("CAR", 1, 3), RET], {}, (),
                  BAD_STACK_ACCESS, 1, id="chain-past-the-sentinel"),
-    pytest.param([MAIN, (Opcode.LLA, 1, 3), RET, MAIN, RET], {}, (),
+    pytest.param([MAIN, ("LLA", 1, 3), RET, MAIN, RET], {}, (),
                  BAD_STACK_ACCESS, 1, id="call-past-the-sentinel"),
-    pytest.param([MAIN, (Opcode.LIT, None, 1), (Opcode.LIT, None, 2),
-                  (Opcode.LIT, None, 3), RET], {"stack_limit": 5}, (),
+    pytest.param([MAIN, ("LIT", None, 1), ("LIT", None, 2),
+                  ("LIT", None, 3), RET], {"stack_limit": 5}, (),
                  BAD_STACK_ACCESS, 3, id="push-hits-the-stack-limit"),
-    pytest.param([MAIN, (Opcode.LLA, 0, 3), RET, MAIN, RET],
+    pytest.param([MAIN, ("LLA", 0, 3), RET, MAIN, RET],
                  {"stack_limit": 5}, (),
                  BAD_STACK_ACCESS, 1, id="lla-hits-the-stack-limit"),
-    pytest.param([(Opcode.INS, None, 6), RET], {"stack_limit": 5}, (),
+    pytest.param([("INS", None, 6), RET], {"stack_limit": 5}, (),
                  BAD_STACK_ACCESS, 0, id="ins-hits-the-stack-limit"),
-    pytest.param([MAIN, (Opcode.LIT, None, -5), (Opcode.ALM, 0, 2), RET], {},
+    pytest.param([MAIN, ("LIT", None, -5), ("ALM", 0, 2), RET], {},
                  (), BAD_CODE_ADDRESS, -5, id="ret-to-a-negative-address"),
-    pytest.param([MAIN, (Opcode.LIT, None, 99), (Opcode.ALM, 0, 2), RET], {},
+    pytest.param([MAIN, ("LIT", None, 99), ("ALM", 0, 2), RET], {},
                  (), BAD_CODE_ADDRESS, 99, id="ret-past-the-code"),
     # a procedure overwrites the return address LLA left in its frame
-    pytest.param([(Opcode.SAL, None, 5), MAIN, (Opcode.LIT, None, 8),
-                  (Opcode.ALM, 0, 2), RET, MAIN, (Opcode.LLA, 0, 1), RET],
+    pytest.param([("SAL", None, 5), MAIN, ("LIT", None, 8),
+                  ("ALM", 0, 2), RET, MAIN, ("LLA", 0, 1), RET],
                  {}, (), BAD_CODE_ADDRESS, 8,
                  id="alm-overwrites-a-return-address"),
     pytest.param([MAIN], {}, (), BAD_CODE_ADDRESS, 1,
                  id="runs-off-the-end"),
-    pytest.param([MAIN, (Opcode.SAL, None, 9), RET], {"loadable": False},
+    pytest.param([MAIN, ("SAL", None, 9), RET], {"loadable": False},
                  (), BAD_CODE_ADDRESS, 9, id="sal-past-the-code"),
-    pytest.param([MAIN, (Opcode.SAL, None, -4), RET], {"loadable": False},
+    pytest.param([MAIN, ("SAL", None, -4), RET], {"loadable": False},
                  (), BAD_CODE_ADDRESS, -4, id="sal-to-a-negative-address"),
-    pytest.param([MAIN, (Opcode.SAL, None, 3), RET], {"loadable": False},
+    pytest.param([MAIN, ("SAL", None, 3), RET], {"loadable": False},
                  (), BAD_CODE_ADDRESS, 3, id="sal-to-the-end"),
-    pytest.param([MAIN, (Opcode.LIT, None, 0), (Opcode.SAC, None, 9), RET],
+    pytest.param([MAIN, ("LIT", None, 0), ("SAC", None, 9), RET],
                  {"loadable": False}, (), BAD_CODE_ADDRESS, 9,
                  id="sac-past-the-code"),
-    pytest.param([MAIN, (Opcode.LIT, None, 0), (Opcode.SAC, None, -4), RET],
+    pytest.param([MAIN, ("LIT", None, 0), ("SAC", None, -4), RET],
                  {"loadable": False}, (), BAD_CODE_ADDRESS, -4,
                  id="sac-to-a-negative-address"),
-    pytest.param([MAIN, (Opcode.LLA, 0, 9), RET], {"loadable": False}, (),
+    pytest.param([MAIN, ("LLA", 0, 9), RET], {"loadable": False}, (),
                  BAD_CODE_ADDRESS, 9, id="lla-past-the-code"),
-    pytest.param([MAIN, (Opcode.LLA, 0, -4), RET], {"loadable": False}, (),
+    pytest.param([MAIN, ("LLA", 0, -4), RET], {"loadable": False}, (),
                  BAD_CODE_ADDRESS, -4, id="lla-to-a-negative-address"),
-    pytest.param([MAIN, (Opcode.LIT, None, 1), (Opcode.ALM, 1, 3), RET], {},
+    pytest.param([MAIN, ("LIT", None, 1), ("ALM", 1, 3), RET], {},
                  (), BAD_STACK_ACCESS, 2, id="alm-chain-past-the-sentinel"),
     # a walk of any level stops at the first link that does not point down
-    pytest.param([*SELF_LINKED, (Opcode.CAR, 10**11, 3), RET], {}, (),
+    pytest.param([*SELF_LINKED, ("CAR", 10**11, 3), RET], {}, (),
                  BAD_STACK_ACCESS, 3, id="car-chain-links-to-itself"),
-    pytest.param([*SELF_LINKED, (Opcode.ALM, 10**11, 3), RET], {}, (),
+    pytest.param([*SELF_LINKED, ("ALM", 10**11, 3), RET], {}, (),
                  BAD_STACK_ACCESS, 3, id="alm-chain-links-to-itself"),
-    pytest.param([*SELF_LINKED, (Opcode.LLA, 10**11, 5), RET, MAIN, RET], {},
+    pytest.param([*SELF_LINKED, ("LLA", 10**11, 5), RET, MAIN, RET], {},
                  (), BAD_STACK_ACCESS, 3, id="lla-chain-links-to-itself"),
     # the first link of a walk is checked too: b may be past the stack
-    pytest.param([*B_PAST_THE_STACK, (Opcode.CAR, 1, 3), RET], {}, (),
+    pytest.param([*B_PAST_THE_STACK, ("CAR", 1, 3), RET], {}, (),
                  BAD_STACK_ACCESS, 7, id="car-chain-from-past-the-stack"),
-    pytest.param([*B_PAST_THE_STACK, (Opcode.LIT, None, 1),
-                  (Opcode.ALM, 1, 3), RET], {}, (),
+    pytest.param([*B_PAST_THE_STACK, ("LIT", None, 1),
+                  ("ALM", 1, 3), RET], {}, (),
                  BAD_STACK_ACCESS, 8, id="alm-chain-from-past-the-stack"),
-    pytest.param([*B_PAST_THE_STACK, (Opcode.LLA, 1, 5), RET], {}, (),
+    pytest.param([*B_PAST_THE_STACK, ("LLA", 1, 5), RET], {}, (),
                  BAD_STACK_ACCESS, 7, id="lla-chain-from-past-the-stack"),
-    pytest.param([MAIN, (Opcode.LIT, None, 1), (Opcode.LIT, None, 2),
-                  (Opcode.OPR, None, 7), RET], {"loadable": False}, (),
+    pytest.param([MAIN, ("LIT", None, 1), ("LIT", None, 2),
+                  ("OPR", None, 7), RET], {"loadable": False}, (),
                  "Operación inválida: 7", 3, id="invalid-operation"),
-    pytest.param([MAIN, (Opcode.LEE, None, None), RET], {}, (),
+    pytest.param([MAIN, ("LEE", None, None), RET], {}, (),
                  BAD_INPUT, 1, id="exhausted-input"),
-    pytest.param([(Opcode.ALM, 0, 0), RET], {}, (), BAD_STACK_ACCESS, 0,
+    pytest.param([("ALM", 0, 0), RET], {}, (), BAD_STACK_ACCESS, 0,
                  id="alm-on-an-empty-stack"),
-    pytest.param([(Opcode.SAC, None, 1), RET], {}, (), BAD_STACK_ACCESS, 0,
+    pytest.param([("SAC", None, 1), RET], {}, (), BAD_STACK_ACCESS, 0,
                  id="sac-on-an-empty-stack"),
-    pytest.param([(Opcode.OPR, None, 6), RET], {}, (), BAD_STACK_ACCESS, 0,
+    pytest.param([("OPR", None, 6), RET], {}, (), BAD_STACK_ACCESS, 0,
                  id="odd-on-an-empty-stack"),
-    pytest.param([MAIN, (Opcode.LEE, None, None), RET], {"stack_limit": 3},
+    pytest.param([MAIN, ("LEE", None, None), RET], {"stack_limit": 3},
                  (4,), BAD_STACK_ACCESS, 1, id="lee-hits-the-stack-limit"),
 ]
 
@@ -685,9 +684,9 @@ class TestFaults:
 # x := 5 and a call at negative levels, then x written by main (CAR -3)
 # and by the callee one static link up: each level below 0 acts as 0.
 NEGATIVE_LEVELS = [
-    (Opcode.INS, None, 4), (Opcode.LIT, None, 5), (Opcode.ALM, -1, 3),
-    (Opcode.LLA, -2, 7), (Opcode.CAR, -3, 3), (Opcode.ESC, None, None), RET,
-    MAIN, (Opcode.CAR, 1, 3), (Opcode.ESC, None, None), RET]
+    ("INS", None, 4), ("LIT", None, 5), ("ALM", -1, 3),
+    ("LLA", -2, 7), ("CAR", -3, 3), ("ESC", None, None), RET,
+    MAIN, ("CAR", 1, 3), ("ESC", None, None), RET]
 
 
 class TestNegativeLevels:
@@ -709,7 +708,7 @@ class TestNegativeLevels:
 
 
 class TestStepLimit:
-    LOOP = [MAIN, (Opcode.SAL, None, 1)]
+    LOOP = [MAIN, ("SAL", None, 1)]
 
     def test_run_stops_at_the_limit(self):
         err = io.StringIO()
@@ -749,7 +748,7 @@ class TestSourceLines:
             "    y := y / x\nend.\n")
         division = next(instruction.address
                         for instruction in artifacts.program.instructions
-                        if instruction.opcode is Opcode.OPR
+                        if instruction.opcode == "OPR"
                         and instruction.param == 5)
         err = io.StringIO()
         state = load(program_to_xml(artifacts.program))
@@ -759,8 +758,8 @@ class TestSourceLines:
             f"(dirección {division}, línea 5)\n")
 
     def test_the_nearest_annotation_before_gives_the_line(self):
-        instructions = code(MAIN, (Opcode.LIT, None, 1),
-                            (Opcode.LIT, None, 0), (Opcode.OPR, None, 5), RET)
+        instructions = code(MAIN, ("LIT", None, 1),
+                            ("LIT", None, 0), ("OPR", None, 5), RET)
         instructions[1].annotations.append(Annotation({"linea": "4"}))
         instructions[2].annotations.append(Annotation({"linea": "x"}))
         err = io.StringIO()
@@ -773,8 +772,8 @@ class TestSourceLines:
     def test_a_line_is_ascii_digits_of_any_number(self, written, shown):
         # int() takes "٣" as 3 and refuses more than 4,300 digits; the
         # line is read as the ASCII digits it is written with.
-        instructions = code(MAIN, (Opcode.LIT, None, 1),
-                            (Opcode.LIT, None, 0), (Opcode.OPR, None, 5), RET)
+        instructions = code(MAIN, ("LIT", None, 1),
+                            ("LIT", None, 0), ("OPR", None, 5), RET)
         instructions[1].annotations.append(Annotation({"linea": "4"}))
         instructions[3].annotations.append(Annotation({"linea": written}))
         err = io.StringIO()

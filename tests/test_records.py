@@ -10,14 +10,14 @@ import pytest
 
 from pl0plus.compiler import PHASES, CompileConfig
 from pl0plus.diagnostics import Diagnostic
-from pl0plus.lexer import Token, TokenKind
+from pl0plus.lexer import Token
 from pl0plus.parser import Empty, Ident, Num, Sequence
 
 # Two argument lists per class that differ in every field.  Num is a
 # leaf node, Ident carries a symbol code and Sequence a list of nodes.
 CASES = {
-    "token": (Token, (TokenKind.IDENTIFICADOR, 1, 4, 3, "abc", None),
-              (TokenKind.NUMERO, 2, 5, 4, "abd", 7)),
+    "token": (Token, ("IDENTIFICADOR", 1, 4, 3, "abc", None),
+              ("NUMERO", 2, 5, 4, "abd", 7)),
     "diagnostic": (Diagnostic, ("error", "sem", 3, 7, "m", ""),
                    ("warning", "sin", 4, 8, "n", "begin")),
     "num": (Num, (1, 2, 3), (4, 5, 6)),
@@ -45,8 +45,8 @@ def test_records_of_different_classes_differ():
 
 
 def test_defaults():
-    assert Token(TokenKind.PUNTO, 1, 0, 1) == \
-        Token(TokenKind.PUNTO, 1, 0, 1, None, None)
+    assert Token("punto", 1, 0, 1) == \
+        Token("punto", 1, 0, 1, None, None)
     assert Ident("x", 2, 3) == Ident("x", 2, 3, None)
     assert Diagnostic("error", "sem", 3, 7, "m").context == ""
     assert CompileConfig("a.pl0+", PHASES) == \
@@ -63,7 +63,7 @@ REPRS = [
     (Ident("x", 2, 3), "Ident(name='x', line=2, column=3, code=None)"),
     (Sequence([Empty(1, 2)], 1, 0),
      "Sequence(statements=[Empty(line=1, column=2)], line=1, column=0)"),
-    (Token(TokenKind.IDENTIFICADOR, 1, 4, 3, "abc"),
+    (Token("IDENTIFICADOR", 1, 4, 3, "abc"),
      "Token(kind='IDENTIFICADOR', line=1, column=4, length=3, name='abc', "
      "value=None)"),
     (Diagnostic("error", "sem", 3, 7, "m"),

@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 
 import checks
 from pl0plus.diagnostics import error, render_xml, warning
-from pl0plus.lexer import (KINDS, Token, TokenKind, tokens_from_xml,
-                           tokens_to_xml)
+from pl0plus.lexer import KINDS, Token, tokens_from_xml, tokens_to_xml
 from pl0plus.parser import ast_from_xml, ast_to_xml, walk
-from pl0plus.pcode import (Annotation, Instruction, Opcode, Program,
-                           program_from_xml, program_to_xml)
+from pl0plus.pcode import (Annotation, Instruction, Program, program_from_xml,
+                           program_to_xml)
 from pl0plus.pvm import WORD_MAX
 from pl0plus.semantics import revised_from_xml, revised_to_xml
 from pl0plus.xmldoc import (MAX_INDENT_LEVELS, Cdata, Text, XmlDocument,
@@ -84,9 +83,9 @@ _DOCUMENTS = st.builds(XmlDocument, _NODES)
 def _tokens(draw):
     kind = draw(st.sampled_from(sorted(KINDS)))
     name = value = None
-    if kind is TokenKind.IDENTIFICADOR:
+    if kind == "IDENTIFICADOR":
         name = draw(st.from_regex(r"[a-z_][a-z0-9_]{0,9}", fullmatch=True))
-    elif kind is TokenKind.NUMERO:
+    elif kind == "NUMERO":
         value = draw(st.integers(min_value=0, max_value=WORD_MAX))
     return Token(kind,
                  line=draw(st.integers(min_value=1, max_value=99)),
@@ -176,7 +175,7 @@ class TestHouseStyleEdges:
         assert sum(line.startswith(cap + "<suma") for line in lines) > 2
 
     def test_markup_in_token_names(self):
-        tokens = [Token(TokenKind.IDENTIFICADOR, 1, 0, 7, name=MARKUP)]
+        tokens = [Token("IDENTIFICADOR", 1, 0, 7, name=MARKUP)]
         text = tokens_to_xml(tokens)
         checks.check_house_style(text)
         assert tokens_from_xml(text)[0] == tokens
@@ -199,9 +198,9 @@ class TestHouseStyleEdges:
 
     def test_markup_in_annotations(self):
         program = Program([
-            Instruction(0, Opcode.INS, param=3, annotations=[
+            Instruction(0, "INS", param=3, annotations=[
                 Annotation({"nota": MARKUP}, MARKUP), Annotation()]),
-            Instruction(1, Opcode.RET)])
+            Instruction(1, "RET")])
         text = program_to_xml(program)
         checks.check_house_style(text)
         assert "    <informacion/>\n" in text
@@ -215,7 +214,7 @@ class TestHouseStyleEdges:
         annotations = [Annotation(text="ñandú"), Annotation(text=""),
                        Annotation({"a": "1"}), Annotation({"a": "2"}, ""),
                        Annotation(text=" ")]
-        program = Program([Instruction(0, Opcode.RET,
+        program = Program([Instruction(0, "RET",
                                        annotations=annotations)])
         text = program_to_xml(program)
         assert ("\n    <informacion></informacion>\n"
@@ -230,7 +229,7 @@ class TestHouseStyleEdges:
         assert program_to_xml(again) == text
 
     def test_annotation_attribute_names_are_checked(self):
-        program = Program([Instruction(0, Opcode.RET, annotations=[
+        program = Program([Instruction(0, "RET", annotations=[
             Annotation({"mal nombre": "1"})])])
         with pytest.raises(ValueError):
             program_to_xml(program)

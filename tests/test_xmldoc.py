@@ -9,7 +9,7 @@ import pytest
 import checks
 from pl0plus.lexer import tokens_from_xml
 from pl0plus.parser import ast_from_xml
-from pl0plus.pcode import Opcode, program_from_xml
+from pl0plus.pcode import program_from_xml
 from pl0plus.semantics import revised_from_xml
 from pl0plus.xmldoc import (Cdata, Text, XmlDocument, XmlLoadError, XmlNode,
                             XmlParseError, cdata_sections, element_text,
@@ -311,8 +311,8 @@ class TestReaders:
         program, source = program_from_xml(text)
         assert source is None
         assert [(i.address, i.opcode, i.param)
-                for i in program.instructions] == [(0, Opcode.INS, 3),
-                                                    (1, Opcode.RET, None)]
+                for i in program.instructions] == [(0, "INS", 3),
+                                                    (1, "RET", None)]
         notes = parse_document(text).root.elements()[0].elements()
         assert [(a.attributes, a.text)
                 for a in program.instructions[0].annotations] == [
