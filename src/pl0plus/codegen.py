@@ -11,14 +11,16 @@ difference between the using and the declaring block.
 Instructions carry optional `informacion` annotations (procedure markers,
 variable references, statement notes).  The p+ format itself, with its XML
 writer and reader, lives in `pcode`, which the machine shares: running a
-`.p+` needs no compiler, and compiling never loads the machine.
+`.p+` needs no compiler, and compiling never loads the machine.  The tree
+comes from an analysis that found no error, or from the `.pl0+sem` check,
+so every declaration and use carries its code; nothing here checks again.
 """
 
 from __future__ import annotations
 
-from .diagnostics import Diagnostic, error
-from .parser import (Assign, BinOp, Block, Call, Cond, Empty, Ident, If, Neg,
-                     Num, Program as Ast, Read, Sequence, While, Write, walk)
+from .diagnostics import Diagnostic
+from .parser import (Assign, BinOp, Block, Call, Cond, Ident, If, Neg, Num,
+                     Program as Ast, Read, Sequence, While, Write)
 from .pcode import OPERATIONS, Annotation, Instruction, Program
 # The compiler's output format, reachable beside the generator.
 from .pcode import program_from_xml, program_to_xml  # noqa: F401
@@ -119,10 +121,6 @@ class _Generator:
         elif isinstance(node, Write):
             self.load(node, depth)
             self.emit("ESC")
-        elif isinstance(node, Empty):
-            pass
-        else:
-            raise TypeError(f"not a statement node: {node!r}")
 
     def condition(self, cond: Cond, depth: int) -> None:
         for operand in cond.operands:
@@ -149,10 +147,8 @@ class _Generator:
                 self.load(node, depth)
             elif isinstance(node, BinOp):
                 self.operation(node.op)
-            elif isinstance(node, Neg):
-                self.operation("negativo")
             else:
-                raise TypeError(f"not an expression node: {node!r}")
+                self.operation("negativo")
 
     def load(self, node, depth: int) -> None:
         """Push the value `node.code` names: LIT for a constant, CAR for a
@@ -178,15 +174,8 @@ class _Generator:
                            "columna": str(node.column)}, text))
 
 
-def generate(revised: Ast) -> tuple[Program | None, list[Diagnostic]]:
-    """Translate an error-free revised tree; refuses trees that still
-    contain unresolved references."""
-    # The first node, in source order, whose `code` field is still empty.
-    dangling = next((node for node in walk(revised.block)
-                     if getattr(node, "code", "") is None), None)
-    if dangling is not None:
-        return None, [error("gen", dangling.line, dangling.column,
-                            "Referencia sin resolver")]
+def generate(revised: Ast) -> tuple[Program, list[Diagnostic]]:
+    """Translate a tree that analysis or the `.pl0+sem` check accepted."""
     generator = _Generator()
     generator.block(revised.block, None, 0)
     for call, code in generator.fixups:

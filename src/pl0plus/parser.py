@@ -683,9 +683,6 @@ def tree_to_xml(root_name: str, tree: Program, source: str | None,
                     value = escape_attr(value)
                 head += f' {key}="{value}"'
         if with_codes and coded:
-            if node.code is None:
-                raise ValueError("tree node carries no symbol code; run "
-                                 "semantic analysis first")
             head += f' codigo="{escape_attr(node.code)}"'
         kids = []
         for name in fields:

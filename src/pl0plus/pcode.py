@@ -16,8 +16,8 @@ from __future__ import annotations
 from xml.parsers.expat import ParserCreate
 
 from .xmldoc import (DECLARATION, Integers, Record, XmlLoadError, cdata_line,
-                     check_name, element_text, escape_attr, escape_text,
-                     indent, int_attr, read_document)
+                     element_text, escape_attr, escape_text, indent,
+                     int_attr, read_document)
 
 # The instruction set, keyed by mnemonic: each instruction's element in
 # the `codigo_pmas` document, whether it takes `diffnivel` and
@@ -112,7 +112,6 @@ def program_to_xml(program: Program, source: str | None = None) -> str:
     annotations, the listing, then `fuente` when a source is given."""
     lines = [DECLARATION, f"<{ROOT_NAME}>"]
     pad, inner = indent(1), indent(2)
-    keys = set()  # of the annotations' attributes, checked once at the end
     for instruction in program.instructions:
         name = INSTRUCTIONS[instruction.opcode][0]
         head = f'{pad}<{name} direccion="{instruction.address}"'
@@ -125,9 +124,8 @@ def program_to_xml(program: Program, source: str | None = None) -> str:
             continue
         lines.append(head + ">")
         for annotation in instruction.annotations:
-            keys.update(annotation.attributes)
             info = f"{inner}<informacion" + "".join([
-                f' {key}="{escape_attr(str(value))}"'
+                f' {key}="{escape_attr(value)}"'
                 for key, value in annotation.attributes.items()])
             if annotation.text is None:
                 lines.append(info + "/>")
@@ -139,8 +137,6 @@ def program_to_xml(program: Program, source: str | None = None) -> str:
     if source is not None:
         lines.append(cdata_line(1, "fuente", source))
     lines.append(f"</{ROOT_NAME}>")
-    for key in keys:
-        check_name(key)
     return "\n".join(lines)
 
 

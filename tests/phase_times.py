@@ -8,13 +8,17 @@ it to one child process per tree.  A round in a child times
 `lexer.tokenize`, `parser.parse`, `semantics.analyze`, `codegen.generate`
 and `pcode.program_to_xml`, each phase on what the phase before it made
 in the same round, then the whole direct compile, `compiler_main` on the
-program's `.pl0+` in the child's own directory.  Each of N pairs (default
-10) is `--calls` rounds (default 10) of each child, the two taking turns
-round by round to go first, so a host that speeds up or slows down moves
-both alike; a pair keeps each side's median.  It prints, per phase, the
-median over the pairs of each side in ms, the median of the per-pair
-ratios SRC / PARENT_SRC, and in how many pairs SRC was faster.  It is a
-report and always exits 0.  pytest does not collect it.
+program's `.pl0+` in the child's own directory.  The cyclic collector is
+off while the phases are timed, so that a collection is not charged to
+whichever phase it happens to land in, and on for the whole compile,
+which pays for its collections as a real compile does.  Each of N pairs
+(default 10) is `--calls` rounds (default 10) of each child, the two
+taking turns round by round to go first, so a host that speeds up or
+slows down moves both alike; a pair keeps each side's median.  It
+prints, per phase, the median over the pairs of each side in ms, the
+median of the per-pair ratios SRC / PARENT_SRC, and in how many pairs
+SRC was faster.  It is a report and always exits 0.  pytest does not
+collect it.
 """
 
 import contextlib
@@ -51,15 +55,19 @@ def child(src: str) -> int:
 
         def one_round() -> list:
             gc.collect()
-            made, times = source, []
-            for step in (lexer.tokenize, parser.parse, semantics.analyze,
-                         codegen.generate):
+            gc.disable()
+            try:
+                made, times = source, []
+                for step in (lexer.tokenize, parser.parse,
+                             semantics.analyze, codegen.generate):
+                    start = time.perf_counter()
+                    made, _ = step(made)
+                    times.append(time.perf_counter() - start)
                 start = time.perf_counter()
-                made, _ = step(made)
+                pcode.program_to_xml(made, source)
                 times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            pcode.program_to_xml(made, source)
-            times.append(time.perf_counter() - start)
+            finally:
+                gc.enable()
             gc.collect()
             with contextlib.redirect_stdout(io.StringIO()):
                 start = time.perf_counter()

@@ -11,9 +11,12 @@ and each document as written, to one reader process per tree: the
 lexeme, tree and revised-tree readers, and `pcode.program_from_xml` with
 `pvm.load` for a `.p+`.  Each process gives back a digest of what it read
 (the records' `repr`, annotations and the `fuente` included, so None and
-"" stay apart) or the exception's class and text.  It prints the counts
-per kind and every document on which the two differ, and always exits 0.
-pytest does not collect it.
+"" stay apart) or the exception's class and text.  For a `.pl0+sem` that
+reads, the digest also covers the `.p+` text that `gen` makes of it
+(`pcode.program_to_xml` of `codegen.generate`), so an accepted document
+that compiles differently shows too.  It prints the counts per kind and
+every document on which the two differ, and always exits 0.  pytest does
+not collect it.
 """
 
 import hashlib
@@ -29,13 +32,15 @@ KINDS = (".pl0+lex", ".pl0+sin", ".pl0+sem", ".p+")
 
 def read(kind: str, text: str):
     """What the tree on sys.path reads from `text` as a `kind` document."""
-    from pl0plus import lexer, parser, pcode, pvm, semantics
+    from pl0plus import codegen, lexer, parser, pcode, pvm, semantics
     if kind == ".pl0+lex":
         return lexer.tokens_from_xml(text)
     if kind == ".pl0+sin":
         return parser.ast_from_xml(text)
     if kind == ".pl0+sem":
-        return semantics.revised_from_xml(text)
+        revised, source = semantics.revised_from_xml(text)
+        program, _ = codegen.generate(revised)
+        return revised, source, pcode.program_to_xml(program)
     return pcode.program_from_xml(text), pvm.load(text).decoded
 
 

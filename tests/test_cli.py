@@ -210,6 +210,23 @@ class TestPipeline:
         assert "Referencia a variable no declarada" in captured.out
         assert captured.err == ""
 
+    def test_analysis_errors_stop_a_staged_gen(self, tmp_path, capsys):
+        # `gen` runs only on a tree that analysis found no error in.
+        source = tmp_path / "malo.pl0+"
+        source.write_text(UNDECLARED, encoding="utf-8")
+        assert compiler_main(["--lex", "--sin", str(source)]) == 0
+        capsys.readouterr()
+        assert compiler_main(
+            ["--sem", "--gen", str(tmp_path / "malo.pl0+sin")]) == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "malo.pl0+", "malo.pl0+sin"]
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "ERROR*****\nFase de origen:sem\n"
+            "Línea 1: Referencia a variable no declarada\n"
+            "begin y := 1 end.\n" + "-" * 6 + "^\n")
+        assert captured.err == ""
+
     def test_fault_in_a_var_section_is_one_finding(self, tmp_path, capsys):
         # The names read before the fault stay declared.
         source = tmp_path / "seccion.pl0+"

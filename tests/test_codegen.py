@@ -3,9 +3,7 @@
 import pytest
 
 import checks
-from pl0plus.codegen import MAIN_LABEL, generate
-from pl0plus.lexer import tokenize
-from pl0plus.parser import parse
+from pl0plus.codegen import MAIN_LABEL
 from pl0plus.pcode import (Annotation, Instruction, Program, assembly_listing,
                            format_instruction, program_from_xml,
                            program_to_xml)
@@ -194,22 +192,6 @@ class TestTranslation:
                 if instruction.opcode == "LLA":
                     target = program.instructions[instruction.param]
                     assert target.opcode == "INS"
-
-    def test_unresolved_tree_is_refused(self):
-        tokens, _ = tokenize("var x;\nbegin x := 1 end.")
-        never_analyzed, _ = parse(tokens)
-        program, diags = generate(never_analyzed)
-        assert program is None
-        assert [(d.phase, d.severity, d.line, d.column, d.message)
-                for d in diags] == [
-            ("gen", "error", 1, 4, "Referencia sin resolver")]
-
-    def test_single_dangling_use_is_located(self):
-        artifacts = checks.compile_clean("var x, y;\nbegin x := y + 1 end.")
-        artifacts.revised.block.body.statements[0].expr.left.code = None
-        program, diags = generate(artifacts.revised)
-        assert program is None
-        assert [(d.line, d.column) for d in diags] == [(2, 11)]
 
 
 class TestAnnotations:

@@ -228,12 +228,6 @@ class TestHouseStyleEdges:
             ({}, " ")]
         assert program_to_xml(again) == text
 
-    def test_annotation_attribute_names_are_checked(self):
-        program = Program([Instruction(0, "RET", annotations=[
-            Annotation({"mal nombre": "1"})])])
-        with pytest.raises(ValueError):
-            program_to_xml(program)
-
     @pytest.mark.parametrize("severities", [(), (error,), (warning,),
                                             (error, warning)],
                              ids=["empty", "errors", "warnings", "both"])
