@@ -43,15 +43,15 @@ class _Generator:
         self.fixups: list[tuple[Instruction, str]] = []
 
     def emit(self, opcode: str, level: int | None = None,
-             param: int | None = None) -> Instruction:
-        instruction = Instruction(len(self.code), opcode, level, param)
+             param: int | None = None, notes=None) -> Instruction:
+        instruction = Instruction(len(self.code), opcode, level, param, notes)
         self.code.append(instruction)
         return instruction
 
     def operation(self, name: str) -> None:
         """OPR for the operation the tree names `name`, noted by it."""
-        operation = self.emit("OPR", param=_OPR_PARAMS[name])
-        operation.annotations.append(Annotation(text=name))
+        self.code.append(Instruction(len(self.code), "OPR", None,
+                                     _OPR_PARAMS[name], [Annotation({}, name)]))
 
     def block(self, blk: Block, proc, depth: int) -> None:
         for const in blk.constants:
@@ -65,18 +65,17 @@ class _Generator:
             name = proc.name
             info = {"columna": str(proc.column), "linea": str(proc.line),
                     "inicio_de_procedimiento": name, "codigo": blk.code}
-        jump = self.emit("SAL")
-        jump.annotations.append(Annotation(dict(info)))
+        jump = self.emit("SAL", None, None, [Annotation(dict(info))])
         for child in blk.procedures:
             self.block(child.block, child, depth + 1)
         jump.param = len(self.code)
-        entry = self.emit("INS", param=3 + len(blk.variables))
-        entry.annotations.append(Annotation(dict(info)))
+        entry = self.emit("INS", None, 3 + len(blk.variables),
+                          [Annotation(dict(info))])
         if proc is not None:
             self.entries[proc.code] = entry.address
         self.statement(blk.body, depth)
-        done = self.emit("RET")
-        done.annotations.append(Annotation({"fin_de_procedimiento": name}))
+        self.emit("RET", None, None,
+                  [Annotation({"fin_de_procedimiento": name})])
 
     def statement(self, node, depth: int) -> None:
         if isinstance(node, Assign):
@@ -142,7 +141,8 @@ class _Generator:
                 stack.append(node.operand)
         for node in reversed(order):
             if isinstance(node, Num):
-                self.emit("LIT", param=node.value)
+                self.code.append(Instruction(len(self.code), "LIT", None,
+                                             node.value))
             elif isinstance(node, Ident):
                 self.load(node, depth)
             elif isinstance(node, BinOp):
@@ -154,17 +154,18 @@ class _Generator:
         """Push the value `node.code` names: LIT for a constant, CAR for a
         variable."""
         if node.code in self.values:
-            self.emit("LIT", param=self.values[node.code])
+            self.code.append(Instruction(len(self.code), "LIT", None,
+                                         self.values[node.code]))
         else:
             self.access("CAR", node, depth)
 
     def access(self, opcode: str, node, depth: int) -> None:
         """CAR or ALM of the variable `node.code` names, noted by it."""
         declared, offset, name = self.places[node.code]
-        instruction = self.emit(opcode, depth - declared, offset)
-        instruction.annotations.append(Annotation(
-            {"codigo": node.code, "linea": str(node.line),
-             "columna": str(node.column), "variable": name}))
+        note = Annotation({"codigo": node.code, "linea": str(node.line),
+                           "columna": str(node.column), "variable": name})
+        self.code.append(Instruction(len(self.code), opcode,
+                                     depth - declared, offset, [note]))
 
     def note_at(self, address: int, node, text: str) -> None:
         # Statement notes go before any variable note already on the

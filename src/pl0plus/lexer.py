@@ -47,26 +47,26 @@ _SYMBOL_KINDS = {text: kind for kind, text in SYMBOL_TEXT.items()}
 # A token's kind is the name of its element in the `lexemas` document.
 KINDS = {*KEYWORDS.values(), *SYMBOL_TEXT, "IDENTIFICADOR", "NUMERO"}
 
-# One alternative per lexical class, tried in order at each position, so
-# a comment opener wins over `(`, and two-character symbols (listed
-# longest first) over their one-character prefixes.  Comments are
-# `(* ... *)` and `{ ... }`; they do not nest, and each form ignores the
-# other's delimiters.  An unterminated comment swallows the rest of the
-# input.  `\d` is exactly the digits `int()` reads.  Only `space` and the
-# comments can span lines.
+# A match is the spaces, tabs and `\r`s before a token, then one
+# alternative per lexical class, tried in order, so a comment opener wins
+# over `(`, and two-character symbols (longest first) over their prefixes.
+# A line break takes the space after it.  Comments are `(* ... *)` and
+# `{ ... }`; they do not nest, and each form ignores the other's
+# delimiters.  An unterminated comment swallows the rest of the input.
+# `\d` is exactly the digits `int()` reads.
 _TOKEN_PATTERNS = (
-    ("space", r"[ \t\r\n]+"),
+    ("word", r"[A-Za-z][A-Za-z\d_]*"),
     ("comment", r"\(\*.*?\*\)|\{[^}]*\}"),
     ("unclosed", r"\(\*.*|\{.*"),
-    ("word", r"[A-Za-z][A-Za-z\d_]*"),
     ("number", r"\d+"),
     ("symbol", "|".join(re.escape(text) for text in
                         sorted(SYMBOL_TEXT.values(), key=len, reverse=True))),
+    ("newline", r"\n[ \t\r\n]*"),
     ("invalid", "."),
 )
-_TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})"
-                                for name, pattern in _TOKEN_PATTERNS),
-                       re.DOTALL)
+_TOKEN_RE = re.compile("[ \t\r]*(?:" + "|".join(
+    f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_PATTERNS) + ")",
+    re.DOTALL)
 
 
 class Token(Record):
@@ -92,17 +92,21 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
     line, line_start = 1, 0
+    # No match takes the space that ends the input.
+    source = source.rstrip(" \t\r")
     for match in _TOKEN_RE.finditer(source):
         group = match.lastgroup
-        text = match.group()
-        column = match.start() - line_start
+        text = match[group]
+        column = match.start(group) - line_start
         if group == "word":
             kind = KEYWORDS.get(text)
-            if kind is not None:
-                tokens.append(Token(kind, line, column, len(text)))
-            else:
+            if kind is None:
                 tokens.append(Token("IDENTIFICADOR", line, column, len(text),
-                                    name=text))
+                                    text))
+            else:
+                tokens.append(Token(kind, line, column, len(text)))
+        elif group == "symbol":
+            tokens.append(Token(_SYMBOL_KINDS[text], line, column, len(text)))
         elif group == "number":
             # A nonzero digit before the last ten makes the value too
             # large, so int() never reads more than ten digits.
@@ -112,22 +116,19 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
                 diags.append(error("lex", line, column,
                                    "Número demasiado grande"))
                 value = MAX_NUMBER
-            tokens.append(Token("NUMERO", line, column, len(text),
-                                value=value))
-        elif group == "symbol":
-            tokens.append(Token(_SYMBOL_KINDS[text], line, column,
-                                len(text)))
+            tokens.append(Token("NUMERO", line, column, len(text), None,
+                                value))
         elif group == "invalid":
             diags.append(error("lex", line, column, "Caracter inválido."))
         else:
-            if group == "unclosed":
-                diags.append(error("lex", line, column,
-                                   "Comentario sin cerrar"))
-            if group != "space":
+            if group != "newline":
+                if group == "unclosed":
+                    diags.append(error("lex", line, column,
+                                       "Comentario sin cerrar"))
                 # The `fuente` of every phase document carries comments,
                 # so a character XML cannot carry is invalid there too.
                 for bad in NOT_XML.finditer(text):
-                    at = match.start() + bad.start()
+                    at = line_start + column + bad.start()
                     diags.append(error(
                         "lex", line + text.count("\n", 0, bad.start()),
                         at - source.rfind("\n", 0, at) - 1,
@@ -135,7 +136,7 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
             newlines = text.count("\n")
             if newlines:
                 line += newlines
-                line_start = match.start() + text.rindex("\n") + 1
+                line_start += column + text.rindex("\n") + 1
     return tokens, diags
 
 

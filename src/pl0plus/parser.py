@@ -362,27 +362,18 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def prev(self) -> Token:
-        return self.tokens[self.pos - 1]
-
     def at(self, *kinds) -> bool:
         return self.tokens[self.pos].kind in kinds
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def accept(self, kind) -> Token | None:
-        if self.at(kind):
-            return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.kind == kind:
+            self.pos += 1
+            return tok
         return None
 
     def cur_pos(self) -> tuple[int, int]:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.line, tok.column
 
     # -- reporting and recovery
@@ -392,14 +383,12 @@ class _Parser:
             self._error_lines.add(line)
             self.diags.append(error("sin", line, column, message))
 
-    def warn_at(self, line: int, column: int, message: str) -> None:
-        self.diags.append(warning("sin", line, column, message))
-
     def expect(self, kind, what: str) -> Token:
-        tok = self.accept(kind)
-        if tok is None:
-            self.error_at(*self.cur_pos(), f"Se esperaba {what}")
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
+            self.error_at(tok.line, tok.column, f"Se esperaba {what}")
             raise _Resync
+        self.pos += 1
         return tok
 
     def nest(self) -> None:
@@ -411,8 +400,8 @@ class _Parser:
             raise _TooDeep
 
     def skip_to_sync(self) -> None:
-        while self.peek().kind not in _SYNC:
-            self.advance()
+        while self.tokens[self.pos].kind not in _SYNC:
+            self.pos += 1
 
     def sync(self) -> None:
         self.skip_to_sync()
@@ -428,7 +417,7 @@ class _Parser:
         if not self.accept("punto"):
             self.error_at(*self.cur_pos(), "Se esperaba '.'")
             while not self.at("punto", None):
-                self.advance()
+                self.pos += 1
             self.accept("punto")
         if not self.at(None):
             self.error_at(*self.cur_pos(), "Se esperaba el fin del programa")
@@ -456,12 +445,12 @@ class _Parser:
         # when the terminator the parent itself needs still follows.
         if self.at("punto_y_coma") and self.tokens[self.pos + 1].kind \
                 in ("punto_y_coma", "punto"):
-            self.advance()
+            self.pos += 1
         block.line, block.column = _block_anchor(block)
         return block
 
     def const_section(self, decls: list[ConstDecl]) -> None:
-        self.advance()  # const
+        self.pos += 1  # const
         while True:
             name = self.expect("IDENTIFICADOR", "un identificador")
             self.expect("igual", "'='")
@@ -476,7 +465,7 @@ class _Parser:
         self.expect("punto_y_coma", "';'")
 
     def var_section(self, decls: list[VarDecl]) -> None:
-        self.advance()  # var
+        self.pos += 1  # var
         while True:
             name = self.expect("IDENTIFICADOR", "un identificador")
             decls.append(VarDecl(name.name, name.line, name.column))
@@ -487,7 +476,7 @@ class _Parser:
     def proc_decl(self, decls: list[ProcDecl]) -> None:
         self.nest()
         try:
-            self.advance()  # procedure
+            self.pos += 1  # procedure
             name = self.expect("IDENTIFICADOR", "un identificador")
             self.expect("punto_y_coma", "';'")
             block = self.block()
@@ -497,57 +486,48 @@ class _Parser:
             self.depth -= 1
 
     def statement(self) -> Stmt:
-        start = self.cur_pos()
+        start = self.tokens[self.pos]
         self.nest()
         try:
             return self._statement()
         except _Resync:
             self.sync()
-            return Empty(*start)
+            return Empty(start.line, start.column)
         finally:
             self.depth -= 1
 
     def _statement(self) -> Stmt:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind not in _STATEMENT_INITIAL:
-            return Empty(*self.cur_pos())
+            return Empty(tok.line, tok.column)
+        self.pos += 1
         if tok.kind == "IDENTIFICADOR":
-            target = self.advance()
             self.expect("asignacion", "':='")
             expr = self.expression()
-            return Assign(target.name, expr, target.line, target.column)
-        if tok.kind == "CALL":
-            self.advance()
-            name = self.expect("IDENTIFICADOR", "un identificador")
-            return Call(name.name, name.line, name.column)
+            return Assign(tok.name, expr, tok.line, tok.column)
         if tok.kind == "BEGIN":
-            return self.sequence()
+            return self.sequence(tok)
         if tok.kind == "IF":
-            kw = self.advance()
             condition = self.condition()
             self.expect("THEN", "'then'")
             then_branch = self.statement()
-            else_branch = None
-            if self.accept("ELSE"):
-                else_branch = self.statement()
-            return If(condition, then_branch, else_branch, kw.line, kw.column)
+            else_branch = self.statement() if self.accept("ELSE") else None
+            return If(condition, then_branch, else_branch, tok.line,
+                      tok.column)
         if tok.kind == "WHILE":
-            kw = self.advance()
             condition = self.condition()
             self.expect("DO", "'do'")
             body = self.statement()
-            return While(condition, body, kw.line, kw.column)
-        if tok.kind == "READ":
-            self.advance()
-            name = self.expect("IDENTIFICADOR", "un identificador")
-            return Read(name.name, name.line, name.column)
-        # write
-        self.advance()
+            return While(condition, body, tok.line, tok.column)
+        # call, read or write, then the name
         name = self.expect("IDENTIFICADOR", "un identificador")
+        if tok.kind == "CALL":
+            return Call(name.name, name.line, name.column)
+        if tok.kind == "READ":
+            return Read(name.name, name.line, name.column)
         return Write(name.name, name.line, name.column)
 
-    def sequence(self) -> Sequence:
-        kw = self.advance()  # begin
+    def sequence(self, begin: Token) -> Sequence:
         statements = [self.statement()]
         while True:
             if self.accept("punto_y_coma"):
@@ -557,51 +537,51 @@ class _Parser:
                 continue
             if self.at("END", "punto", None):
                 break
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             if tok.kind in _STATEMENT_INITIAL:
-                prev = self.prev()
-                self.warn_at(prev.line, prev.column + prev.length,
-                             "Falta un ';'")
+                prev = self.tokens[self.pos - 1]
+                self.diags.append(warning(
+                    "sin", prev.line, prev.column + prev.length, "Falta un ';'"))
                 statements.append(self.statement())
                 continue
             self.error_at(tok.line, tok.column, "Se esperaba ';' o 'end'")
             self.skip_to_sync()
         if not self.accept("END"):
             self.error_at(*self.cur_pos(), "Se esperaba 'end'")
-        return Sequence(statements, kw.line, kw.column)
+        return Sequence(statements, begin.line, begin.column)
 
     def condition(self) -> Cond:
         if self.accept("ODD"):
             operand = self.expression()
             return Cond("odd", [operand], operand.line, operand.column)
         left = self.expression()
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind not in _RELATIONAL:
-            self.error_at(*self.cur_pos(),
+            self.error_at(tok.line, tok.column,
                           "Se esperaba un operador relacional")
             raise _Resync
-        self.advance()
+        self.pos += 1
         right = self.expression()
         return Cond(_RELATIONAL[tok.kind], [left, right],
                     left.line, left.column)
 
     def expression(self) -> Expr:
-        neg = None
-        if not self.accept("mas") and self.at("menos"):
-            neg = self.advance()
+        sign = self.tokens[self.pos]
+        if sign.kind in _ADDING:
+            self.pos += 1
         node = self.term()
-        if neg is not None:
-            node = Neg(node, neg.line, neg.column)
+        if sign.kind == "menos":
+            node = Neg(node, sign.line, sign.column)
         while True:
-            op = self.peek()
+            op = self.tokens[self.pos]
             if op.kind in _ADDING:
-                self.advance()
+                self.pos += 1
                 right = self.term()
                 node = BinOp(_ADDING[op.kind], node, right, op.line, op.column)
-            elif self.at("IDENTIFICADOR", "NUMERO", "parentesis_apertura"):
+            elif op.kind in ("IDENTIFICADOR", "NUMERO", "parentesis_apertura"):
                 # Two operands with nothing in between: the lexer probably
                 # dropped an invalid character here.
-                prev = self.prev()
+                prev = self.tokens[self.pos - 1]
                 self.error_at(prev.line, prev.column + prev.length,
                               "Falta un operador")
                 self.term()
@@ -610,8 +590,8 @@ class _Parser:
 
     def term(self) -> Expr:
         node = self.factor()
-        while self.peek().kind in _MULTIPLYING:
-            op = self.advance()
+        while (op := self.tokens[self.pos]).kind in _MULTIPLYING:
+            self.pos += 1
             right = self.factor()
             node = BinOp(_MULTIPLYING[op.kind], node, right, op.line,
                          op.column)
@@ -619,25 +599,27 @@ class _Parser:
 
     def factor(self) -> Expr:
         minus: list[Token] = []
-        while self.at("menos"):
-            minus.append(self.advance())
-        tok = self.peek()
+        tok = self.tokens[self.pos]
+        while tok.kind == "menos":
+            minus.append(tok)
+            self.pos += 1
+            tok = self.tokens[self.pos]
         if tok.kind == "IDENTIFICADOR":
-            self.advance()
+            self.pos += 1
             node: Expr = Ident(tok.name, tok.line, tok.column)
         elif tok.kind == "NUMERO":
-            self.advance()
+            self.pos += 1
             node = Num(tok.value, tok.line, tok.column)
         elif tok.kind == "parentesis_apertura":
             self.nest()
             try:
-                self.advance()
+                self.pos += 1
                 node = self.expression()
                 self.expect("parentesis_cierre", "')'")
             finally:
                 self.depth -= 1
         else:
-            self.error_at(*self.cur_pos(), "Se esperaba una expresión")
+            self.error_at(tok.line, tok.column, "Se esperaba una expresión")
             raise _Resync
         for sign in reversed(minus):
             node = Neg(node, sign.line, sign.column)

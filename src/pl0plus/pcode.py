@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from xml.parsers.expat import ParserCreate
 
-from .xmldoc import (DECLARATION, Integers, Record, XmlLoadError, cdata_line,
-                     element_text, escape_attr, escape_text, indent,
-                     int_attr, read_document)
+from .xmldoc import (ATTR_SPECIAL, DECLARATION, Integers, Record,
+                     XmlLoadError, cdata_line, element_text, escape_attr,
+                     escape_text, indent, int_attr, read_document)
 
 # The instruction set, keyed by mnemonic: each instruction's element in
 # the `codigo_pmas` document, whether it takes `diffnivel` and
@@ -112,6 +112,7 @@ def program_to_xml(program: Program, source: str | None = None) -> str:
     annotations, the listing, then `fuente` when a source is given."""
     lines = [DECLARATION, f"<{ROOT_NAME}>"]
     pad, inner = indent(1), indent(2)
+    special = ATTR_SPECIAL.search
     for instruction in program.instructions:
         name = INSTRUCTIONS[instruction.opcode][0]
         head = f'{pad}<{name} direccion="{instruction.address}"'
@@ -124,9 +125,11 @@ def program_to_xml(program: Program, source: str | None = None) -> str:
             continue
         lines.append(head + ">")
         for annotation in instruction.annotations:
-            info = f"{inner}<informacion" + "".join([
-                f' {key}="{escape_attr(value)}"'
-                for key, value in annotation.attributes.items()])
+            info = f"{inner}<informacion"
+            for key, value in annotation.attributes.items():
+                if special(value):
+                    value = escape_attr(value)
+                info += f' {key}="{value}"'
             if annotation.text is None:
                 lines.append(info + "/>")
             else:

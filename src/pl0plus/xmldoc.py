@@ -378,7 +378,7 @@ NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 # The characters each escape function rewrites; most values have none.
 _TEXT_SPECIAL = re.compile("[&<>\r]")
-_ATTR_SPECIAL = re.compile('[&<>\r"\n\t]')
+ATTR_SPECIAL = re.compile('[&<>\r"\n\t]')
 
 
 def escape_text(data: str) -> str:
@@ -390,7 +390,7 @@ def escape_text(data: str) -> str:
 
 
 def escape_attr(data: str) -> str:
-    if _ATTR_SPECIAL.search(data) is None:
+    if ATTR_SPECIAL.search(data) is None:
         return data
     # Newlines and tabs in attribute values must become character references
     # or the reparse would whitespace-normalize them to plain spaces.

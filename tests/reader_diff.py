@@ -1,4 +1,4 @@
-"""Compare what two copies of `src/` read from mutated phase documents.
+"""Compare what two copies of `src/` make of mutated documents and sources.
 
     python tests/reader_diff.py BEFORE_SRC AFTER_SRC [--count N]
 
@@ -14,9 +14,18 @@ lexeme, tree and revised-tree readers, and `pcode.program_from_xml` with
 "" stay apart) or the exception's class and text.  For a `.pl0+sem` that
 reads, the digest also covers the `.p+` text that `gen` makes of it
 (`pcode.program_to_xml` of `codegen.generate`), so an accepted document
-that compiles differently shows too.  It prints the counts per kind and
-every document on which the two differ, and always exits 0.  pytest does
-not collect it.
+that compiles differently shows too.
+
+The fifth kind, `.pl0+`, is the programs' sources, mutated the same way
+and compiled directly as `compilador` does: `lexer.tokenize`,
+`parser.parse` and `semantics.analyze`, then, when none of them found an
+error, `codegen.generate` and `pcode.program_to_xml`.  Its digest covers
+the tokens, every finding with its position, and the `.p+` text, so a
+change to the front end that moves a token, a finding or an instruction
+shows on thousands of broken sources.
+
+It prints the counts per kind and every document on which the two
+differ, and always exits 0.  pytest does not collect it.
 """
 
 import hashlib
@@ -27,12 +36,25 @@ from collections import Counter
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
-KINDS = (".pl0+lex", ".pl0+sin", ".pl0+sem", ".p+")
+KINDS = (".pl0+lex", ".pl0+sin", ".pl0+sem", ".p+", ".pl0+")
 
 
 def read(kind: str, text: str):
     """What the tree on sys.path reads from `text` as a `kind` document."""
     from pl0plus import codegen, lexer, parser, pcode, pvm, semantics
+    from pl0plus.diagnostics import has_errors
+    if kind == ".pl0+":
+        tokens, found = lexer.tokenize(text)
+        ast, more = parser.parse(tokens)
+        found += more
+        if ast is None:
+            return tokens, found
+        revised, more = semantics.analyze(ast)
+        found += more
+        if has_errors(found):
+            return tokens, found
+        program, _ = codegen.generate(revised)
+        return tokens, found, pcode.program_to_xml(program, text)
     if kind == ".pl0+lex":
         return lexer.tokens_from_xml(text)
     if kind == ".pl0+sin":
@@ -63,7 +85,7 @@ def worker(src: str) -> int:
 
 
 def documents() -> dict:
-    """The phase documents of every program, by kind."""
+    """The phase documents and the source of every program, by kind."""
     import checks
     import progen
     from pl0plus import codegen, lexer, parser, pcode, semantics
@@ -77,11 +99,11 @@ def documents() -> dict:
         revised, _ = semantics.analyze(ast)
         program, _ = codegen.generate(revised)
         for kind, text in zip(KINDS, (
-                lexer.tokens_to_xml(tokens, source),
-                parser.ast_to_xml(ast, source),
-                semantics.revised_to_xml(revised, source),
-                pcode.program_to_xml(program, source))):
-            docs[kind].append(text + "\n")
+                lexer.tokens_to_xml(tokens, source) + "\n",
+                parser.ast_to_xml(ast, source) + "\n",
+                semantics.revised_to_xml(revised, source) + "\n",
+                pcode.program_to_xml(program, source) + "\n", source)):
+            docs[kind].append(text)
     return docs
 
 

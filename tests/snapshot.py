@@ -6,9 +6,10 @@ For each input, under each tree, in a fresh directory: `compilador`
 plain, with `-x -m`, and phase by phase (`--lex`, `--sin`, `--sem`,
 `--gen`), then `interprete --max-pasos 100000` on the `.p+`.  The inputs
 are the corpus programs, `data/errores_programa.pl0+`,
-`data/errores_semanticos.pl0+` and the progen programs of seeds
-1000-1019, each fed its own inputs (the others get "7\\n3\\n").  It
-prints a Markdown table, one row per input, naming each output that
+`data/errores_semanticos.pl0+`, `data/errores_lexicos.pl0+` (written
+byte for byte, its CRLF line ends kept) and the progen programs of
+seeds 1000-1019, each fed its own inputs (the others get "7\\n3\\n").
+It prints a Markdown table, one row per input, naming each output that
 differs: stdout, stderr, exit code or the files written.  It is a report
 and always exits 0.  pytest does not collect it.
 """
@@ -37,8 +38,9 @@ def inputs():
     """(name, source, stdin) of every input."""
     for path in sorted((TESTS / "corpus").glob("*.pl0+")) + [
             TESTS / "data" / "errores_programa.pl0+",
-            TESTS / "data" / "errores_semanticos.pl0+"]:
-        yield path.stem, path.read_text(encoding="utf-8"), "7\n3\n"
+            TESTS / "data" / "errores_semanticos.pl0+",
+            TESTS / "data" / "errores_lexicos.pl0+"]:
+        yield path.stem, path.read_bytes().decode("utf-8"), "7\n3\n"
     for seed in range(1000, 1020):
         source, values, _ = progen.generate(seed)
         yield f"progen_{seed}", source, "".join(f"{v}\n" for v in values)
@@ -49,7 +51,8 @@ def outcomes(src: str, name: str, source: str, stdin: str) -> list:
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     found = []
     with tempfile.TemporaryDirectory() as work:
-        (Path(work) / f"{name}.pl0+").write_text(source, encoding="utf-8")
+        (Path(work) / f"{name}.pl0+").write_text(source, encoding="utf-8",
+                                                 newline="")
         before: dict = {}
         for command, options, target in RUNS:
             done = subprocess.run(

@@ -35,6 +35,19 @@ RUNAWAY = ("var x;\nbegin\n    x := 0;\n    while 1 = 1 do\n"
 SCRIPT_TIMEOUT = 10
 
 
+# `compilador errores_lexicos.pl0+`'s standard output, byte for byte.  The
+# source has tabs, each one column, and CRLF line ends, which reading the
+# file turns into `\n`.
+ERRORES_LEXICOS_TEXT = (
+    "ERROR*****\nFase de origen:lex\nLínea 3: Caracter inválido.\n"
+    "\tque lleva \x01 dentro *)\n-----------^\n"
+    "ERROR*****\nFase de origen:lex\nLínea 5: Número demasiado grande\n"
+    "\tx := 12345678901;\n------^\n"
+    "ERROR*****\nFase de origen:lex\nLínea 6: Caracter inválido.\n"
+    "\ty := x +   $ 1;\n------------^\n"
+    "ERROR*****\nFase de origen:lex\nLínea 9: Comentario sin cerrar\n"
+    "{ sin cerrar   \n^\n")
+
 # `compilador -x errores_programa.pl0+`'s standard error, byte for byte.
 ERRORES_PROGRAMA_REPORT = """\
 <?xml version="1.0" ?>
@@ -287,6 +300,18 @@ class TestPipeline:
         shutil.copyfile(DATA / "errores_programa.pl0+", source)
         assert compiler_main(["-x", str(source)]) == 1
         assert capsys.readouterr().err == ERRORES_PROGRAMA_REPORT
+
+    def test_lexical_errors_text(self, tmp_path, capsys):
+        # A comment over several lines holding a character XML cannot
+        # carry, an 11-digit number, a `$` after spaces, and an unclosed
+        # comment over the spaces that end the input.
+        source = tmp_path / "errores_lexicos.pl0+"
+        shutil.copyfile(DATA / "errores_lexicos.pl0+", source)
+        assert b"\r\n\t" in source.read_bytes()
+        assert compiler_main([str(source)]) == 1
+        assert capsys.readouterr() == (ERRORES_LEXICOS_TEXT, "")
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "errores_lexicos.pl0+"]
 
     def test_clean_compilation_emits_no_xml_report(self, tmp_path, capsys):
         source = tmp_path / "eco.pl0+"

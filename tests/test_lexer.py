@@ -1,12 +1,12 @@
 """Scanner behavior and the `lexemas` XML representation."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pl0plus.lexer import (KEYWORDS, MAX_NUMBER, SYMBOL_TEXT, Token, tokenize,
                            tokens_from_xml, tokens_to_xml)
-from pl0plus.xmldoc import XmlLoadError, parse_document
+from pl0plus.xmldoc import NOT_XML, XmlLoadError, parse_document
 
 
 def kinds(source):
@@ -216,12 +216,20 @@ _SCAN_TEXT = st.text(
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_SCAN_TEXT)
+@example("x:=\t 99999999999;\r\n  12345678901234 0000000000099\n")
+@example("a (* \x01\r\n\t\x0b *) {\n\x1f} $ @  \n  (* \x02\n x")
+@example("\t{ sin cerrar\r\n 1")
 def test_every_token_is_its_source_slice(source):
-    tokens, _ = tokenize(source)
+    """Every token is the slice of the source at its position, and every
+    finding points at the character it is about."""
+    tokens, diags = tokenize(source)
     lines = source.split("\n")
+    taken = set()  # (line, column) of each character a token takes
     for tok in tokens:
         text = lines[tok.line - 1][tok.column:tok.column + tok.length]
         assert len(text) == tok.length
+        taken.update((tok.line, column) for column in
+                     range(tok.column, tok.column + tok.length))
         if tok.kind == "IDENTIFICADOR":
             assert text == tok.name
         elif tok.kind == "NUMERO":
@@ -231,6 +239,25 @@ def test_every_token_is_its_source_slice(source):
             assert text == SYMBOL_TEXT[tok.kind]
         else:
             assert KEYWORDS[text] is tok.kind
+    for diag in diags:
+        line = lines[diag.line - 1]
+        assert diag.column < len(line)
+        at = line[diag.column]
+        assert (diag.line, diag.column) not in taken or \
+            diag.message == "Número demasiado grande"
+        if diag.message == "Caracter inválido.":
+            # No token, or a character XML cannot carry, in a comment too.
+            assert tokenize(at)[0] == [] and at not in " \t\r" \
+                or NOT_XML.match(at)
+        elif diag.message == "Comentario sin cerrar":
+            assert at == "{" or line[diag.column:diag.column + 2] == "(*"
+        else:
+            assert diag.message == "Número demasiado grande"
+            assert at.isdecimal()
+            assert diag.column == 0 or not line[diag.column - 1].isdecimal()
+            assert any(tok.kind == "NUMERO" and tok.value == MAX_NUMBER
+                       and (tok.line, tok.column) == (diag.line, diag.column)
+                       for tok in tokens)
 
 
 class TestXml:

@@ -640,17 +640,19 @@ def test_tree_envelope_messages(loader, document, message):
 
 
 def string_uses(module) -> dict:
-    """The string literals in `module`'s source, by use: `(method,
-    position)` for an argument of a method call, and `(".kind", None)` for
-    a string compared with a `.kind`."""
+    """The string literals in `module`'s source, by use: `(name,
+    position)` for an argument of a call of a method or function `name`,
+    and `(".kind", None)` for a string compared with a `.kind`."""
     uses = defaultdict(set)
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, (ast.Attribute, ast.Name)):
+            name = getattr(node.func, "attr", None) or node.func.id
             for position, argument in enumerate(node.args):
                 if isinstance(argument, ast.Constant) \
                         and isinstance(argument.value, str):
-                    uses[node.func.attr, position].add(argument.value)
+                    uses[name, position].add(argument.value)
         elif isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
             if any(isinstance(operand, ast.Attribute) and operand.attr == "kind"
@@ -678,6 +680,6 @@ def test_every_kind_the_parser_names_is_a_token_kind():
 
 def test_every_mnemonic_the_generator_emits_is_an_instruction():
     uses = string_uses(codegen)
-    sites = [uses["emit", 0], uses["access", 0]]
+    sites = [uses["emit", 0], uses["access", 0], uses["Instruction", 1]]
     assert all(sites)
     assert set().union(*sites) - INSTRUCTIONS.keys() == set()
