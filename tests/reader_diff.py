@@ -72,28 +72,37 @@ def worker(src: str) -> int:
     sys.path.insert(0, src)
     sys.setrecursionlimit(20000)  # repr recurses over the trees
     for line in sys.stdin:
-        kind, text, full = json.loads(line)
-        try:
-            shown = repr(read(kind, text))
-        except Exception as exc:  # noqa: BLE001 - a traceback is a result
-            outcome = ["error", f"{type(exc).__name__}: {exc}"]
-        else:
-            outcome = ["ok", shown if full else
-                       hashlib.sha256(shown.encode()).hexdigest()]
-        print(json.dumps(outcome), flush=True)
+        print(json.dumps(outcome(*json.loads(line))), flush=True)
     return 0
 
 
-def documents() -> dict:
-    """The phase documents and the source of every program, by kind."""
+def outcome(kind: str, text: str, full: bool = False) -> list:
+    """`["ok", digest of what `read` gives, or its repr when `full`]`, or
+    `["error", the exception's class and text]`."""
+    try:
+        shown = repr(read(kind, text))
+    except Exception as exc:  # noqa: BLE001 - a traceback is a result
+        return ["error", f"{type(exc).__name__}: {exc}"]
+    return ["ok", shown if full else
+            hashlib.sha256(shown.encode()).hexdigest()]
+
+
+def sources(seeds=range(1000, 1020)) -> dict:
+    """The corpus programs and the progen programs of `seeds`, by name."""
     import checks
     import progen
+    named = {name: (checks.CORPUS / name).read_text(encoding="utf-8")
+             for name in checks.CORPUS_NAMES}
+    named |= {f"progen {seed}": progen.generate(seed)[0] for seed in seeds}
+    return named
+
+
+def documents(programs=None) -> dict:
+    """The phase documents and the source of every program (default:
+    `sources()`), by kind, in the programs' order."""
     from pl0plus import codegen, lexer, parser, pcode, semantics
-    sources = [(checks.CORPUS / name).read_text(encoding="utf-8")
-               for name in checks.CORPUS_NAMES]
-    sources += [progen.generate(seed)[0] for seed in range(1000, 1020)]
     docs = {kind: [] for kind in KINDS}
-    for source in sources:
+    for source in (programs or sources()).values():
         tokens, _ = lexer.tokenize(source)
         ast, _ = parser.parse(tokens)
         revised, _ = semantics.analyze(ast)
