@@ -1,5 +1,6 @@
 """What the `compilador` and `interprete` commands share: reading the input
-file, and a small table-driven parser for their command lines.
+file, a small table-driven parser for their command lines, and how a
+command ends.
 
 A command line holds options and exactly one `archivo`, in any order; `--`
 ends the options.  The help text is fixed, so it does not depend on the
@@ -9,7 +10,30 @@ usage line and the message to stderr and exits with status 2.
 
 from __future__ import annotations
 
+import os
 import sys
+
+
+def guard(action) -> int:
+    """`action()`'s exit status, with standard output flushed.  A failed
+    write to it, as to a closed pipe or a full disk, or an interrupt ends
+    the command with status 2 and one line on stderr, not a traceback."""
+    try:
+        try:
+            return action()
+        finally:
+            if sys.stdout is not None:  # None: started with it closed
+                sys.stdout.flush()
+    except KeyboardInterrupt:
+        message = "ejecución interrumpida"
+    except OSError as exc:
+        # So that the flush at exit fails no more (the `signal` module's
+        # note on SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        message = ("no se pudo escribir en la salida estándar: "
+                   f"{exc.strerror or exc}")
+    print(f"Error: {message}", file=sys.stderr)
+    return 2
 
 
 def read_input(path: str) -> str | None:

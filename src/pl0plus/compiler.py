@@ -23,7 +23,7 @@ from __future__ import annotations
 import sys
 
 from . import codegen, diagnostics, lexer, parser, semantics
-from .command import Command, Option, read_input
+from .command import Command, Option, guard, read_input
 from .diagnostics import PHASE_DESCRIPTIONS, has_errors
 from .xmldoc import Record, XmlLoadError, XmlParseError
 
@@ -173,7 +173,7 @@ def run_pipeline(config: CompileConfig) -> int:
 
 
 def compiler_main(argv=None) -> int:
-    return run_pipeline(parse_compiler_args(argv))
+    return guard(lambda: run_pipeline(parse_compiler_args(argv)))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -65,8 +65,15 @@ def sort_diagnostics(items) -> list[Diagnostic]:
     return sorted(items, key=lambda d: (d.severity != ERROR, d.line, d.column))
 
 
+def newlines(text: str) -> str:
+    """`text` with each `\r\n` and each lone `\r` made `\n`: a source's
+    lines end as XML ends them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text \
+        else text
+
+
 def attach_context(items, source: str) -> None:
-    lines = source.split("\n")
+    lines = newlines(source).split("\n")
     for item in items:
         if 1 <= item.line <= len(lines):
             item.context = lines[item.line - 1]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .diagnostics import Diagnostic, error
+from .diagnostics import Diagnostic, error, newlines
 from .xmldoc import (DECLARATION, NOT_XML, Integers, Record, XmlLoadError,
                      cdata_line, escape_attr, indent, int_attr, read_document,
                      str_attr)
@@ -47,12 +47,13 @@ _SYMBOL_KINDS = {text: kind for kind, text in SYMBOL_TEXT.items()}
 # A token's kind is the name of its element in the `lexemas` document.
 KINDS = {*KEYWORDS.values(), *SYMBOL_TEXT, "IDENTIFICADOR", "NUMERO"}
 
-# A match is the spaces, tabs and `\r`s before a token, then one
-# alternative per lexical class, tried in order, so a comment opener wins
-# over `(`, and two-character symbols (longest first) over their prefixes.
-# A line break takes the space after it.  Comments are `(* ... *)` and
-# `{ ... }`; they do not nest, and each form ignores the other's
-# delimiters.  An unterminated comment swallows the rest of the input.
+# A match is the spaces and tabs before a token, then one alternative per
+# lexical class, tried in order, so a comment opener wins over `(`, and
+# two-character symbols (longest first) over their prefixes.  A line
+# break (`tokenize` makes each line end `\n`) takes the space after it.
+# Comments are `(* ... *)` and `{ ... }`; they do not nest, and each form
+# ignores the other's delimiters.  An unterminated comment swallows the
+# rest of the input.
 # `\d` is exactly the digits `int()` reads.
 _TOKEN_PATTERNS = (
     ("word", r"[A-Za-z][A-Za-z\d_]*"),
@@ -61,10 +62,10 @@ _TOKEN_PATTERNS = (
     ("number", r"\d+"),
     ("symbol", "|".join(re.escape(text) for text in
                         sorted(SYMBOL_TEXT.values(), key=len, reverse=True))),
-    ("newline", r"\n[ \t\r\n]*"),
+    ("newline", r"\n[ \t\n]*"),
     ("invalid", "."),
 )
-_TOKEN_RE = re.compile("[ \t\r]*(?:" + "|".join(
+_TOKEN_RE = re.compile("[ \t]*(?:" + "|".join(
     f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_PATTERNS) + ")",
     re.DOTALL)
 
@@ -87,13 +88,14 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
 
     Lexical errors never abort the scan: an invalid character is skipped,
     an oversized number is clamped to 2**31 - 1, and an unterminated
-    comment is reported at the position where it opened.
+    comment is reported at the position where it opened.  `\r\n`, a lone
+    `\r` and `\n` each end one line, as in XML.
     """
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
     line, line_start = 1, 0
     # No match takes the space that ends the input.
-    source = source.rstrip(" \t\r")
+    source = newlines(source).rstrip(" \t")
     for match in _TOKEN_RE.finditer(source):
         group = match.lastgroup
         text = match[group]
@@ -133,9 +135,9 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
                         "lex", line + text.count("\n", 0, bad.start()),
                         at - source.rfind("\n", 0, at) - 1,
                         "Caracter inválido."))
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
+            breaks = text.count("\n")
+            if breaks:
+                line += breaks
                 line_start += column + text.rindex("\n") + 1
     return tokens, diags
 
@@ -186,30 +188,34 @@ def tokens_from_xml(text: str) -> tuple[list[Token], str | None]:
                 raise XmlLoadError(f"se esperaba el elemento raíz 'lexemas', "
                                    f"no '{name}'")
             return
-        if name == "fuente":
-            sections = []
-            return
-        if name not in KINDS:
-            raise XmlLoadError(f"lexema desconocido: '{name}'")
-        line = (ints[attributes.get("linea")]
-                or int_attr(name, attributes, "linea"))
-        column = (ints[attributes.get("columna")]
-                  or int_attr(name, attributes, "columna"))
-        length = (ints[attributes.get("longitud")]
-                  or int_attr(name, attributes, "longitud"))
+        line = ints[attributes.get("linea")]
+        column = ints[attributes.get("columna")]
+        length = ints[attributes.get("longitud")]
+        if line is None or column is None or length is None \
+                or name not in KINDS:
+            if name == "fuente":
+                sections = []
+                return
+            if name not in KINDS:
+                raise XmlLoadError(f"lexema desconocido: '{name}'")
+            for key in ("linea", "columna", "longitud"):
+                int_attr(name, attributes, key)  # the first fault
         if name == "IDENTIFICADOR":
             tokens.append(Token(name, line, column, length,
-                                name=str_attr(name, attributes, "nombre")))
+                                attributes.get("nombre")
+                                or str_attr(name, attributes, "nombre")))
         elif name == "NUMERO":
-            tokens.append(Token(name, line, column, length,
-                                value=int_attr(name, attributes, "valor")))
+            value = ints[attributes.get("valor")]
+            if value is None:
+                int_attr(name, attributes, "valor")
+            tokens.append(Token(name, line, column, length, None, value))
         else:
             tokens.append(Token(name, line, column, length))
 
     def end(name):
         nonlocal depth, sections, source
         depth -= 1
-        if depth == 1 and sections is not None:
+        if sections is not None and depth == 1:
             source = "".join(sections)
             sections = None
 

@@ -157,6 +157,7 @@ def program_from_xml(text: str) -> tuple[Program, str | None]:
     pieces = None  # the text of the `informacion` open at 3; expat adds it
     sections = None  # of the `fuente` being read
     ints = Integers()
+    new = object.__new__
     parser = ParserCreate()
     raw = text.encode()  # what expat's byte positions count
 
@@ -167,7 +168,11 @@ def program_from_xml(text: str) -> tuple[Program, str | None]:
             if notes is not None and name == "informacion":
                 pieces = []
                 parser.CharacterDataHandler = pieces.append
-                notes.append(Annotation(attributes))
+                # Built field by field: __init__ would cost as much again.
+                annotation = new(Annotation)
+                annotation.attributes = attributes
+                annotation.text = None
+                notes.append(annotation)
             return
         if depth != 2:
             if depth == 1 and name != ROOT_NAME:
@@ -194,20 +199,26 @@ def program_from_xml(text: str) -> tuple[Program, str | None]:
                                    f"esperaba {address} y aparece {found}")
         level = None
         if leveled:
-            level = (ints[attributes.get("diffnivel")]
-                     or int_attr(name, attributes, "diffnivel"))
+            level = ints[attributes.get("diffnivel")]
+            if level is None:
+                int_attr(name, attributes, "diffnivel")
         elif "diffnivel" in attributes:
             raise XmlLoadError(f"'{name}' no admite el atributo 'diffnivel'")
         param = None
         if with_param:
-            param = (ints[attributes.get("parametro")]
-                     or int_attr(name, attributes, "parametro"))
+            param = ints[attributes.get("parametro")]
+            if param is None:
+                int_attr(name, attributes, "parametro")
         elif "parametro" in attributes:
             raise XmlLoadError(f"'{name}' no admite el atributo 'parametro'")
         if opcode == "OPR" and param not in OPERATIONS:
             raise XmlLoadError(f"código de operación inválido: {param}")
-        notes = []
-        instruction = Instruction(address, opcode, level, param, notes)
+        instruction = new(Instruction)
+        instruction.address = address
+        instruction.opcode = opcode
+        instruction.level = level
+        instruction.param = param
+        instruction.annotations = notes = []
         instructions.append(instruction)
         if jump:
             jumps.append(instruction)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import sys
 from itertools import repeat
 
-from .command import Command, Option, read_input
+from .command import Command, Option, guard, read_input
 # Bound here by name: perfbench's tracer wraps program_from_xml wherever a
 # traced module holds it, and pcode is not one of them.
 from .pcode import OPERATIONS, format_instruction, program_from_xml
@@ -502,7 +502,10 @@ def parse_interpreter_args(argv=None) -> InterpretConfig:
 
 
 def interpreter_main(argv=None) -> int:
-    config = parse_interpreter_args(argv)
+    return guard(lambda: _interpret(parse_interpreter_args(argv)))
+
+
+def _interpret(config: InterpretConfig) -> int:
     text = read_input(config.input_path)
     if text is None:
         return 2

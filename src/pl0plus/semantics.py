@@ -31,12 +31,13 @@ from .xmldoc import XmlLoadError
 # the validator's messages.
 _KINDS = {ConstDecl: ("c", "constante"), VarDecl: ("v", "variable"),
           ProcDecl: ("p", "procedimiento")}
-# Each node class that uses a name: the field that holds the name, and
-# the kinds of declaration the name may denote there.
-_USES = {Assign: ("target", VarDecl), Read: ("variable", VarDecl),
-         Call: ("procedure", ProcDecl),
-         Write: ("symbol", (VarDecl, ConstDecl)),
-         Ident: ("name", (VarDecl, ConstDecl))}
+# Each node class that uses a name: the field that holds the name, the
+# kinds of declaration the name may denote there, and whether the revised
+# tree's XML form carries the use's code.
+_USES = {cls: (field, kinds, _FORMS[cls].coded) for cls, field, kinds in (
+    (Assign, "target", VarDecl), (Read, "variable", VarDecl),
+    (Call, "procedure", ProcDecl), (Write, "symbol", (VarDecl, ConstDecl)),
+    (Ident, "name", (VarDecl, ConstDecl)))}
 
 
 class Scope:
@@ -113,11 +114,8 @@ def analyze(ast: Program) -> tuple[Program, list[Diagnostic]]:
         block.code = scope.code
         # A statement never contains declarations, so the whole body
         # resolves in the block's own scope.
-        for node in walk(block.body):
-            use = _USES.get(type(node))
-            if use is None:
-                continue
-            field, kinds = use
+        for node in walk(block.body, _USES):
+            field, kinds, _ = _USES[type(node)]
             decl = scope.lookup(getattr(node, field))
             if isinstance(decl, kinds):
                 node.code = decl.code
@@ -187,12 +185,9 @@ def rebuild_symbol_table(revised: Program) -> dict:
 
     enter(revised.block)
     for block, scope in _declare_blocks(revised.block, Scope([0]), declare):
-        for node in walk(block.body):
-            use = _USES.get(type(node))
-            if use is None:
-                continue
-            field, kinds = use
-            if _FORMS[type(node)].coded:
+        for node in walk(block.body, _USES):
+            field, kinds, coded = _USES[type(node)]
+            if coded:
                 _check_code(declarations, scope, node, kinds)
                 continue
             name = getattr(node, field)

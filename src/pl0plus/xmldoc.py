@@ -189,9 +189,9 @@ def integer(raw: str | None) -> int | None:
 
 
 class Integers(dict):
-    """`integer` of each value looked up, by the value.  Readers write
-    `ints[value] or int_attr(...)`: a value seen before costs one lookup,
-    and a 0 or a None takes int_attr's way, to the same 0 or the error."""
+    """`integer` of each value looked up, by the value: a value seen
+    before costs one lookup.  A reader calls int_attr for its error only
+    where the lookup gives None."""
 
     def __missing__(self, raw):
         value = self[raw] = integer(raw)

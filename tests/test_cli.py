@@ -313,6 +313,14 @@ class TestPipeline:
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "errores_lexicos.pl0+"]
 
+    def test_a_lone_carriage_return_ends_a_line(self, tmp_path, capsys):
+        source = tmp_path / "retornos.pl0+"
+        source.write_bytes(b"var x;\rbegin x := 1; write x end.\r$")
+        assert compiler_main([str(source)]) == 1
+        assert capsys.readouterr() == (
+            "ERROR*****\nFase de origen:lex\nLínea 3: Caracter inválido.\n"
+            "$\n^\n", "")
+
     def test_clean_compilation_emits_no_xml_report(self, tmp_path, capsys):
         source = tmp_path / "eco.pl0+"
         source.write_text(ECHO, encoding="utf-8")
@@ -661,6 +669,74 @@ class TestInterpreter:
         err = capsys.readouterr().err
         assert "p=0 b=0 t=-1" in err
         assert "pila:" in err
+
+
+# A program that writes numbers without end, and one whose `.p+` is far
+# larger than a pipe's buffer.
+ENDLESS_WRITES = ("var x;\nbegin\n    x := 0;\n    while 1 = 1 do\n"
+                  "    begin\n        write x;\n        x := x + 1\n"
+                  "    end\nend.\n")
+LONG_PROGRAM = "var x;\nbegin\n    x := 1" + ";\n    write x" * 6000 + "\nend.\n"
+
+
+def started(argv: list, **streams) -> subprocess.Popen:
+    """`python -m` of a command's module, run from `src/`."""
+    return subprocess.Popen(
+        [sys.executable, "-m", *argv], text=True, stderr=subprocess.PIPE,
+        cwd=Path(__file__).resolve().parents[1] / "src", **streams)
+
+
+class TestHowACommandEnds:
+    """A closed pipe, a full disk and an interrupt end a command with
+    status 2 and one line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize("module, flags, source, first", [
+        ("pl0plus.pvm", [], ENDLESS_WRITES, "0\n"),
+        ("pl0plus.compiler", ["-m"], LONG_PROGRAM,
+         '<?xml version="1.0" ?>\n')])
+    def test_output_into_a_closed_pipe(self, tmp_path, module, flags,
+                                       source, first):
+        # As `... | head -1`: the reader takes one line and goes.
+        target = compiled_file(tmp_path, source)
+        if module == "pl0plus.compiler":
+            target = target.with_suffix(".pl0+")
+        process = started([module, *flags, str(target)],
+                          stdout=subprocess.PIPE)
+        assert process.stdout.readline() == first
+        process.stdout.close()
+        err = process.stderr.read()
+        process.stderr.close()
+        assert process.wait(timeout=SCRIPT_TIMEOUT) == 2
+        assert err == ("Error: no se pudo escribir en la salida estándar: "
+                       f"{os.strerror(errno.EPIPE)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full here")
+    @pytest.mark.parametrize("module", ["pl0plus.pvm", "pl0plus.compiler"])
+    def test_output_onto_a_full_disk(self, tmp_path, module):
+        target = compiled_file(tmp_path, ECHO)
+        flags = ["-m", str(target.with_suffix(".pl0+"))] \
+            if module == "pl0plus.compiler" else [str(target)]
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            process = started([module, *flags], stdout=full,
+                              stdin=subprocess.PIPE)
+            _, err = process.communicate("7\n", timeout=SCRIPT_TIMEOUT)
+        assert process.returncode == 2
+        assert err == ("Error: no se pudo escribir en la salida estándar: "
+                       f"{os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.skipif(sys.platform == "win32",
+                        reason="no SIGINT to send here")
+    def test_interrupt(self, tmp_path):
+        import signal
+        target = compiled_file(tmp_path, ENDLESS_WRITES)
+        process = started(["pl0plus.pvm", str(target)],
+                          stdout=subprocess.PIPE)
+        assert process.stdout.readline() == "0\n"  # the machine runs
+        process.send_signal(signal.SIGINT)
+        _, err = process.communicate(timeout=SCRIPT_TIMEOUT)
+        assert process.returncode == 2
+        assert err == "Error: ejecución interrumpida\n"
 
 
 class TestFlatSums:

@@ -58,6 +58,13 @@ class TestContext:
         assert items[0].context == "segunda"
         assert items[1].context == "primera"
 
+    def test_each_line_end_is_one_line_break(self):
+        # As in the scanner: `\r\n`, a lone `\r` and `\n`.
+        items = [error("lex", line, 0, "x") for line in (1, 2, 3, 4)]
+        attach_context(items, "uno\r\ndos\rtres\ncuatro")
+        assert [item.context for item in items] == [
+            "uno", "dos", "tres", "cuatro"]
+
     def test_line_out_of_range_leaves_context_empty(self):
         item = error("lex", 9, 0, "x")
         attach_context([item], "una sola\n")

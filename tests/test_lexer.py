@@ -1,5 +1,7 @@
 """Scanner behavior and the `lexemas` XML representation."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -206,6 +208,12 @@ class TestTokenize:
         assert [(t.name, t.line, t.column) for t in tokens] == [
             ("a", 1, 0), ("b", 2, 0)]
 
+    def test_a_lone_carriage_return_ends_a_line(self):
+        tokens, diags = tokenize("a\rb \r\r c\r\n$")
+        assert [(t.name, t.line, t.column) for t in tokens] == [
+            ("a", 1, 0), ("b", 2, 0), ("c", 4, 1)]
+        assert [(d.line, d.column) for d in diags] == [(5, 0)]
+
 
 # Arbitrary text, biased towards the characters the scanner treats
 # specially.
@@ -223,7 +231,7 @@ def test_every_token_is_its_source_slice(source):
     """Every token is the slice of the source at its position, and every
     finding points at the character it is about."""
     tokens, diags = tokenize(source)
-    lines = source.split("\n")
+    lines = re.split("\r\n|\r|\n", source)
     taken = set()  # (line, column) of each character a token takes
     for tok in tokens:
         text = lines[tok.line - 1][tok.column:tok.column + tok.length]
@@ -247,7 +255,7 @@ def test_every_token_is_its_source_slice(source):
             diag.message == "Número demasiado grande"
         if diag.message == "Caracter inválido.":
             # No token, or a character XML cannot carry, in a comment too.
-            assert tokenize(at)[0] == [] and at not in " \t\r" \
+            assert tokenize(at)[0] == [] and at not in " \t" \
                 or NOT_XML.match(at)
         elif diag.message == "Comentario sin cerrar":
             assert at == "{" or line[diag.column:diag.column + 2] == "(*"
@@ -258,6 +266,17 @@ def test_every_token_is_its_source_slice(source):
             assert any(tok.kind == "NUMERO" and tok.value == MAX_NUMBER
                        and (tok.line, tok.column) == (diag.line, diag.column)
                        for tok in tokens)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_SCAN_TEXT)
+@example("var x;\rbegin x := 1; write x end.\r$")
+@example("(* \x01\r\x02 *) \r\n\r 12345678901 \r{\r")
+def test_each_line_end_is_one_line_break(source):
+    """`\r\n`, a lone `\r` and `\n` each end one line, as in XML: the
+    tokens and findings of a text are those of the text with its line
+    ends made `\n`."""
+    assert tokenize(source) == tokenize(re.sub("\r\n?", "\n", source))
 
 
 class TestXml:
