@@ -29,7 +29,6 @@ operator token, conditions at their first operand.
 from __future__ import annotations
 
 from collections import namedtuple
-
 from xml.parsers.expat import ParserCreate
 
 from .diagnostics import Diagnostic, error, warning

@@ -676,7 +676,8 @@ class TestInterpreter:
 ENDLESS_WRITES = ("var x;\nbegin\n    x := 0;\n    while 1 = 1 do\n"
                   "    begin\n        write x;\n        x := x + 1\n"
                   "    end\nend.\n")
-LONG_PROGRAM = "var x;\nbegin\n    x := 1" + ";\n    write x" * 6000 + "\nend.\n"
+LONG_PROGRAM = ("var x;\nbegin\n    x := 1" + ";\n    write x" * 6000
+                + "\nend.\n")
 
 
 def started(argv: list, **streams) -> subprocess.Popen:

@@ -82,7 +82,8 @@ def edit(before: str, after: str) -> tuple[int, str, str]:
     while end < min(len(before), len(after)) - start \
             and before[-1 - end] == after[-1 - end]:
         end += 1
-    return start, before[start:len(before) - end], after[start:len(after) - end]
+    return (start, before[start:len(before) - end],
+            after[start:len(after) - end])
 
 
 def take(count: int) -> dict:
