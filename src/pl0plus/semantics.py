@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from .diagnostics import Diagnostic, error
 from .parser import (_FORMS, Assign, Block, Call, ConstDecl, Ident, ProcDecl,
-                     Program, Read, VarDecl, Write, tree_from_xml,
-                     tree_to_xml, walk)
+                     Program, Read, VarDecl, Write, tree_to_xml, walk)
 from .xmldoc import XmlLoadError
 
 # Each kind of declaration's code prefix, and the noun that names it in
@@ -222,6 +221,7 @@ def _check_code(declarations: dict, scope: Scope, node, kinds) -> None:
 def revised_from_xml(text: str) -> tuple[Program, str | None]:
     """Inverse of revised_to_xml; also validates every code reference.
     Returns the tree and the source text when the document carries it."""
+    from .treereader import tree_from_xml  # not loaded to compile a source
 
     def check_root(name):
         if name != ROOT_NAME:
