@@ -70,8 +70,8 @@ def _quick(name: str, cls, keep_codes: bool):
         line = ints[attributes.get("linea")]
         column = ints[attributes.get("columna")]
         if len(kids) not in form.arity or type(kids[0]) not in first \
-                or type(kids[-1]) not in kinds or type(kids[1]) not in kinds \
-                or line is None or column is None:
+                or type(kids[1]) not in kinds or type(kids[-1]) not in kinds \
+                or line is None or column is None:  # [-1]: an else branch
             return None
         if cls is BinOp:
             return BinOp(name, *kids, line, column)
