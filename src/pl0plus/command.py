@@ -10,26 +10,42 @@ usage line and the message to stderr and exits with status 2.
 
 from __future__ import annotations
 
+import errno
 import os
 import sys
 
 
+class _ClosedOutput:
+    """Standard output for a process started with it closed, where Python
+    leaves `sys.stdout` None: a write fails as one to a closed descriptor
+    does, and a run that writes nothing is not disturbed."""
+
+    def write(self, text: str):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    def flush(self) -> None:
+        pass
+
+
 def guard(action) -> int:
     """`action()`'s exit status, with standard output flushed.  A failed
-    write to it, as to a closed pipe or a full disk, or an interrupt ends
-    the command with status 2 and one line on stderr, not a traceback."""
+    write to it, as to a closed pipe, a full disk or a closed descriptor,
+    or an interrupt ends the command with status 2 and one line on stderr,
+    not a traceback."""
+    if sys.stdout is None:
+        sys.stdout = _ClosedOutput()
     try:
         try:
             return action()
         finally:
-            if sys.stdout is not None:  # None: started with it closed
-                sys.stdout.flush()
+            sys.stdout.flush()
     except KeyboardInterrupt:
         message = "ejecución interrumpida"
     except OSError as exc:
-        # So that the flush at exit fails no more (the `signal` module's
-        # note on SIGPIPE).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(sys.stdout, _ClosedOutput):
+            # So that the flush at exit fails no more (the `signal`
+            # module's note on SIGPIPE).
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         message = ("no se pudo escribir en la salida estándar: "
                    f"{exc.strerror or exc}")
     print(f"Error: {message}", file=sys.stderr)

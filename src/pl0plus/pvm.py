@@ -1,7 +1,10 @@
 """The p+ machine, and `interprete`, the command that runs a `.p+` file.
 
-The program format, with its XML reader, is `pcode`'s; running a `.p+`
-needs no compiler, and compiling one never loads this module.
+The program format, with its XML reader, is `pcode`'s.  Running a `.p+`
+needs no compiler: this module imports no compiler module, not even
+inside a function, and compiling one never loads it.  The tests'
+tree-walking oracle, which reads the compiler's trees, is kept in
+`tests/reference.py` for that reason.
 
 The machine keeps three registers: p (next instruction), b (base of the
 current frame) and t (top of stack, -1 when empty).  A frame is three
@@ -77,28 +80,11 @@ class InputError(Exception):
     """Raised by an IO channel when no further integer can be read."""
 
 
-class ListIo:
-    """In-memory channel for tests: fixed inputs, collected outputs."""
-
-    def __init__(self, inputs=()):
-        self._inputs = list(inputs)
-        self._cursor = 0
-        self.outputs: list[int] = []
-
-    def read_integer(self) -> int:
-        if self._cursor >= len(self._inputs):
-            raise InputError("no hay más entradas")
-        value = self._inputs[self._cursor]
-        self._cursor += 1
-        return value
-
-    def write_integer(self, value: int) -> None:
-        self.outputs.append(value)
-
-
 class StreamIo:
     """Whitespace-separated decimal integers on text streams.  The streams
-    default to the process stdin/stdout, resolved at call time."""
+    default to the process stdin/stdout, resolved at call time; a stdin
+    that is None, as when the process started with it closed, is at its
+    end."""
 
     def __init__(self, stdin=None, stdout=None):
         self._stdin = stdin
@@ -108,7 +94,7 @@ class StreamIo:
     def read_integer(self) -> int:
         stream = self._stdin if self._stdin is not None else sys.stdin
         while not self._pending:
-            line = stream.readline()
+            line = "" if stream is None else stream.readline()
             if line == "":
                 raise InputError("fin de la entrada")
             self._pending = line.split()
@@ -128,24 +114,23 @@ class StreamIo:
 
 
 class MachineState(Record):
-    """The registers and stack of a machine running `code`, and that code
-    as the loop dispatches on it, `decoded` once here."""
+    """The registers and stack of a machine about to run `code` from its
+    first instruction, and that code as the loop dispatches on it,
+    `decoded` once here."""
 
     __slots__ = ("code", "decoded", "p", "b", "t", "stack", "halted",
                  "stack_limit")
     _uncompared = ("decoded",)
 
-    def __init__(self, code: list, p: int = 0, b: int = 0, t: int = -1,
-                 stack: list[int] | None = None, halted: bool = False,
-                 stack_limit: int = DEFAULT_STACK_LIMIT):
+    def __init__(self, code: list):
         self.code = code
         self.decoded = _decode(code)
-        self.p = p
-        self.b = b
-        self.t = t
-        self.stack = [] if stack is None else stack
-        self.halted = halted
-        self.stack_limit = stack_limit
+        self.p = 0
+        self.b = 0
+        self.t = -1
+        self.stack = []
+        self.halted = False
+        self.stack_limit = DEFAULT_STACK_LIMIT
 
 
 def load(text: str) -> MachineState:
@@ -435,7 +420,8 @@ def run(state: MachineState, io, debug: bool = False, control=None,
     (reported to err, default stderr), which includes running more than
     max_steps instructions when that is given.  In debug mode one trace
     line per step goes to err and execution waits for a newline on the
-    control stream (default stdin) before each step.
+    control stream (default stdin) before each step; with stdin closed
+    (None) it steps without waiting, as at the end of the stream.
     """
     if err is None:
         err = sys.stderr
@@ -451,7 +437,9 @@ def run(state: MachineState, io, debug: bool = False, control=None,
                 if state.halted:
                     break
                 _trace(state, err)
-                (control if control is not None else sys.stdin).readline()
+                stream = control if control is not None else sys.stdin
+                if stream is not None:
+                    stream.readline()
                 _execute(state, io, 1)
         if not state.halted:
             raise PvmRuntimeError(STEP_LIMIT, state.p)
@@ -531,138 +519,6 @@ def _interpret(config: InterpretConfig) -> int:
     finally:
         if opened is not None:
             opened.close()
-
-
-# ---------------------------------------------------------------------------
-# Reference evaluator
-
-class _Frame:
-    __slots__ = ("values", "parent", "depth")
-
-    def __init__(self, parent, depth):
-        self.values: dict[str, int] = {}
-        self.parent = parent
-        self.depth = depth
-
-
-def reference_eval(revised, inputs=()) -> list[int]:
-    """Evaluate a code-annotated tree by direct recursion and return the
-    written integers.
-
-    This is a second, independent route to a program's meaning (its own
-    arithmetic included), kept deliberately separate from the compiled
-    route so the two can be checked against each other.  Raises
-    PvmRuntimeError for the same error conditions the machine reports.
-    """
-    # The compiler's modules load here, so running a .p+ never needs them.
-    from .parser import (Assign, BinOp, Call, Cond, ConstDecl, Empty, Ident,
-                         If, Neg, Num, Read, Sequence, While, Write)
-    from .semantics import rebuild_symbol_table
-
-    declarations = rebuild_symbol_table(revised)
-    depths: dict[str, int] = {}  # the declaring block's, by code
-
-    def collect(block, depth):
-        for node in block.constants + block.variables + block.procedures:
-            depths[node.code] = depth
-        for proc in block.procedures:
-            collect(proc.block, depth + 1)
-
-    collect(revised.block, 0)
-    pending = list(inputs)
-    pending.reverse()
-    outputs: list[int] = []
-
-    def clip(value: int) -> int:
-        value %= 1 << 32
-        return value - (1 << 32) if value >= 1 << 31 else value
-
-    def frame_at(frame: _Frame, depth: int) -> _Frame:
-        while frame.depth > depth:
-            frame = frame.parent
-        return frame
-
-    def fetch(code: str, frame: _Frame) -> int:
-        decl = declarations[code]
-        if isinstance(decl, ConstDecl):
-            return clip(decl.value)
-        return frame_at(frame, depths[code]).values.get(code, 0)
-
-    def evaluate(node, frame: _Frame) -> int:
-        if isinstance(node, Num):
-            return clip(node.value)
-        if isinstance(node, Ident):
-            return fetch(node.code, frame)
-        if isinstance(node, BinOp):
-            left = evaluate(node.left, frame)
-            right = evaluate(node.right, frame)
-            if node.op == "suma":
-                return clip(left + right)
-            if node.op == "resta":
-                return clip(left - right)
-            if node.op == "multiplicacion":
-                return clip(left * right)
-            if right == 0:
-                raise PvmRuntimeError(DIVISION_BY_ZERO)
-            quotient = abs(left) // abs(right)
-            if (left < 0) != (right < 0):
-                quotient = -quotient
-            return clip(quotient)
-        if isinstance(node, Neg):
-            return clip(-evaluate(node.operand, frame))
-        raise TypeError(f"not an expression node: {node!r}")
-
-    def holds(cond: Cond, frame: _Frame) -> bool:
-        if cond.op == "odd":
-            return evaluate(cond.operands[0], frame) % 2 != 0
-        left = evaluate(cond.operands[0], frame)
-        right = evaluate(cond.operands[1], frame)
-        if cond.op == "comparacion":
-            return left == right
-        if cond.op == "diferente":
-            return left != right
-        if cond.op == "menor_que":
-            return left < right
-        if cond.op == "mayor_igual":
-            return left >= right
-        if cond.op == "mayor_que":
-            return left > right
-        return left <= right
-
-    def execute(node, frame: _Frame) -> None:
-        if isinstance(node, Assign):
-            value = evaluate(node.expr, frame)
-            frame_at(frame, depths[node.code]).values[node.code] = value
-        elif isinstance(node, Call):
-            depth = depths[node.code]
-            callee = declarations[node.code]
-            execute(callee.block.body,
-                    _Frame(frame_at(frame, depth), depth + 1))
-        elif isinstance(node, Sequence):
-            for child in node.statements:
-                execute(child, frame)
-        elif isinstance(node, If):
-            if holds(node.condition, frame):
-                execute(node.then_branch, frame)
-            elif node.else_branch is not None:
-                execute(node.else_branch, frame)
-        elif isinstance(node, While):
-            while holds(node.condition, frame):
-                execute(node.body, frame)
-        elif isinstance(node, Read):
-            if not pending:
-                raise PvmRuntimeError(BAD_INPUT)
-            frame_at(frame, depths[node.code]).values[node.code] = \
-                clip(pending.pop())
-        elif isinstance(node, Write):
-            outputs.append(fetch(node.code, frame))
-        elif isinstance(node, Empty):
-            pass
-        else:
-            raise TypeError(f"not a statement node: {node!r}")
-
-    execute(revised.block.body, _Frame(None, 0))
-    return outputs
 
 
 if __name__ == "__main__":  # pragma: no cover

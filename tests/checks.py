@@ -20,6 +20,7 @@ from pl0plus.parser import ast_from_xml, ast_to_xml, parse
 from pl0plus.pcode import program_from_xml, program_to_xml
 from pl0plus.semantics import analyze, revised_from_xml, revised_to_xml
 from pl0plus.xmldoc import parse_document, serialize_document
+from reference import ListIo
 
 TESTS_DIR = Path(__file__).parent
 DATA = TESTS_DIR / "data"
@@ -150,7 +151,7 @@ def corpus(name: str) -> Artifacts:
 def run_vm(program, inputs):
     """Execute on the virtual machine; return (exit_code, outputs)."""
     state = pvm.load(program_to_xml(program))
-    io = pvm.ListIo(list(inputs))
+    io = ListIo(list(inputs))
     return pvm.run(state, io), io.outputs
 
 

@@ -16,11 +16,11 @@ from pl0plus.lexer import tokenize, tokens_to_xml
 from pl0plus.parser import ast_to_xml, parse
 from pl0plus.pcode import (Instruction, assembly_listing, program_from_xml,
                            program_to_xml)
-from pl0plus.pvm import (BAD_STACK_ACCESS, DIVISION_BY_ZERO, ListIo,
-                         MachineState, PvmRuntimeError, StreamIo,
-                         reference_eval, step)
+from pl0plus.pvm import (BAD_STACK_ACCESS, DIVISION_BY_ZERO, MachineState,
+                         PvmRuntimeError, StreamIo, step)
 from pl0plus.semantics import analyze
 from pl0plus.xmldoc import XmlDocument, XmlNode, parse_document
+from reference import ListIo, reference_eval
 from xmltree import canonical_equal
 
 FIB_OUTPUTS = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]

@@ -1,5 +1,6 @@
 """The compiler driver and the interpreter front end."""
 
+import ast
 import errno
 import io
 import json
@@ -687,6 +688,21 @@ def started(argv: list, **streams) -> subprocess.Popen:
         cwd=Path(__file__).resolve().parents[1] / "src", **streams)
 
 
+def run_closed(redirect: str, argv: list, stdin: str = "") -> tuple:
+    """`(status, stdout, stderr)` of `python -m` of a command's module, run
+    from `src/` by the shell with `redirect` applied, such as `<&-`, which
+    closes its standard input.  It runs in a session of its own, so the
+    debugger finds no terminal to open."""
+    if sys.platform == "win32":
+        pytest.skip("no POSIX shell to close a descriptor with")
+    done = subprocess.run(
+        ["/bin/sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable,
+         "-m", *argv], input=stdin, capture_output=True, text=True,
+        cwd=Path(__file__).resolve().parents[1] / "src",
+        start_new_session=True, timeout=SCRIPT_TIMEOUT)
+    return done.returncode, done.stdout, done.stderr
+
+
 class TestHowACommandEnds:
     """A closed pipe, a full disk and an interrupt end a command with
     status 2 and one line on stderr, never a traceback."""
@@ -738,6 +754,56 @@ class TestHowACommandEnds:
         _, err = process.communicate(timeout=SCRIPT_TIMEOUT)
         assert process.returncode == 2
         assert err == "Error: ejecución interrumpida\n"
+
+    # Python sets `sys.stdin` or `sys.stdout` to None for a process started
+    # with that descriptor closed.
+
+    def test_closed_stdin_is_the_end_of_input(self, tmp_path):
+        target = compiled_file(tmp_path, ECHO)
+        status, out, err = run_closed("<&-", ["pl0plus.pvm", str(target)])
+        assert (status, out) == (1, "")
+        assert err == ("Error en tiempo de ejecución: Entrada inválida "
+                       "(dirección 2)\n")
+
+    def test_debugger_with_closed_stdin_steps_without_waiting(self,
+                                                              tmp_path):
+        target = compiled_file(tmp_path, ECHO)
+        argv = ["pl0plus.pvm", "-d", str(target)]
+        status, out, err = run_closed("<&-", argv)
+        assert (status, out) == (1, "")
+        assert err == run_closed("< /dev/null", argv)[2]
+        assert err.startswith("p=0 b=0 t=-1 ")
+        assert err.endswith("Error en tiempo de ejecución: Entrada inválida "
+                            "(dirección 2)\n")
+
+    @pytest.mark.parametrize("module, flags, source", [
+        pytest.param("pl0plus.pvm", [], ECHO, id="write"),
+        pytest.param("pl0plus.compiler", [], UNDECLARED, id="findings"),
+        pytest.param("pl0plus.compiler", ["-m"], ECHO, id="listing"),
+        pytest.param("pl0plus.compiler", ["-a"], None, id="compiler-help"),
+        pytest.param("pl0plus.pvm", ["-a"], None, id="interpreter-help")])
+    def test_write_to_a_closed_stdout(self, tmp_path, module, flags, source):
+        argv = [module, *flags]
+        if source is not None and module == "pl0plus.pvm":
+            argv.append(str(compiled_file(tmp_path, source)))
+        elif source is not None:
+            target = tmp_path / "programa.pl0+"
+            target.write_text(source, encoding="utf-8")
+            argv.append(str(target))
+        status, _, err = run_closed(">&-", argv, "7\n")
+        assert status == 2
+        assert err == ("Error: no se pudo escribir en la salida estándar: "
+                       f"{os.strerror(errno.EBADF)}\n")
+
+    @pytest.mark.parametrize("module, extension", [
+        ("pl0plus.compiler", ".pl0+"),  # a clean compile without -m
+        ("pl0plus.pvm", ".p+")])        # a program that does no I/O
+    def test_closed_stdout_with_nothing_written(self, tmp_path, module,
+                                                extension):
+        target = compiled_file(tmp_path, "var x;\nbegin x := 1 end.\n")
+        status, _, err = run_closed(
+            ">&-", [module, str(target.with_suffix(extension))])
+        assert (status, err) == (0, "")
 
 
 class TestFlatSums:
@@ -823,6 +889,40 @@ class TestNesting:
             assert status == 2
             assert err == (f"Error: '{path}': elemento '{name}': "
                            f"anidamiento de más de {MAX_NESTING} niveles\n")
+
+
+class TestStructure:
+    """What each module may import, read from its source, so that an
+    import inside a function counts as well as one that runs at start-up.
+    """
+
+    # The modules an `interprete` process loads, and the compiler's.
+    MACHINE = ("__init__", "command", "pcode", "pvm", "xmldoc")
+    COMPILER = {"lexer", "parser", "treereader", "semantics", "codegen",
+                "compiler", "diagnostics", "cli"}
+
+    @staticmethod
+    def imported(source: str) -> set:
+        """Each dotted part of every name an `import` or `from` in
+        `source` names, at any depth, imported names included."""
+        parts = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name
+                                                for alias in node.names]
+            else:
+                continue
+            for name in names:
+                parts.update(name.split("."))
+        return parts
+
+    @pytest.mark.parametrize("module", MACHINE)
+    def test_the_machine_imports_no_compiler_module(self, module):
+        path = Path(__file__).resolve().parents[1] / "src" / "pl0plus"
+        source = (path / f"{module}.py").read_text(encoding="utf-8")
+        assert self.imported(source) & self.COMPILER == set()
 
 
 @pytest.mark.usefixtures("installed_scripts")

@@ -11,7 +11,7 @@ import pytest
 import checks
 import progen
 from pl0plus.parser import Empty, walk
-from pl0plus.pvm import reference_eval
+from reference import reference_eval
 
 SEEDS = range(1000, 1020)
 

@@ -9,10 +9,10 @@ from pl0plus import pvm
 from pl0plus.pcode import Annotation, Instruction, Program, program_to_xml
 from pl0plus.pvm import (BAD_CODE_ADDRESS, BAD_INPUT, BAD_STACK_ACCESS,
                          DIVISION_BY_ZERO, STEP_LIMIT, WORD_MAX, WORD_MIN,
-                         InputError, ListIo, MachineState, PvmRuntimeError,
-                         StreamIo, load, parse_interpreter_args,
-                         reference_eval, run, step, wrap32)
+                         InputError, MachineState, PvmRuntimeError, StreamIo,
+                         load, parse_interpreter_args, run, step, wrap32)
 from pl0plus.xmldoc import parse_document, serialize_document
+from reference import ListIo, reference_eval
 
 
 def code(*specs):
@@ -20,8 +20,8 @@ def code(*specs):
             for address, (op, level, param) in enumerate(specs)]
 
 
-def booted(instructions, **kwargs):
-    state = MachineState(code=instructions, **kwargs)
+def booted(instructions):
+    state = MachineState(code=instructions)
     state.stack = [-1, -1, 0]
     return state
 
@@ -205,7 +205,8 @@ class TestOpcodes:
             step(state, ListIo())
 
     def test_ins_respects_the_stack_limit(self):
-        state = booted(code(("INS", None, 50)), stack_limit=10)
+        state = booted(code(("INS", None, 50)))
+        state.stack_limit = 10
         with pytest.raises(PvmRuntimeError, match=BAD_STACK_ACCESS):
             step(state, ListIo())
 
@@ -388,12 +389,14 @@ class TestFrames:
 
 class TestStepAndRun:
     def test_step_after_halt_does_nothing(self):
-        state = MachineState(code=[], halted=True, p=99)
+        state = MachineState(code=[])
+        state.halted, state.p = True, 99
         assert step(state, ListIo()) is state
         assert state.p == 99
 
     def test_step_outside_the_code_fails(self):
-        state = MachineState(code=code(("RET", None, None)), p=99)
+        state = MachineState(code=code(("RET", None, None)))
+        state.p = 99
         with pytest.raises(PvmRuntimeError) as info:
             step(state, ListIo())
         assert info.value.message == BAD_CODE_ADDRESS
