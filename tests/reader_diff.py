@@ -9,7 +9,9 @@ mutates N of them (default 1,000) with `test_fuzz.mutate`, drawn by
 Hypothesis from a fixed seed per kind, and hands each mutated document,
 and each document as written, to one reader process per tree: the
 lexeme, tree and revised-tree readers, and `pcode.program_from_xml` with
-`pvm.load` for a `.p+`.  Each process gives back a digest of what it read
+`pvm.load` for a `.p+`, whose decoded opcodes are given by their names
+in `pvm` (`_CAR` as `CAR`), so renumbering them changes no digest.  Each
+process gives back a digest of what it read
 (the records' `repr`, annotations and the `fuente` included, so None and
 "" stay apart) or the exception's class and text.  For a `.pl0+sem` that
 reads, the digest also covers the `.p+` text that `gen` makes of it
@@ -63,7 +65,11 @@ def read(kind: str, text: str):
         revised, source = semantics.revised_from_xml(text)
         program, _ = codegen.generate(revised)
         return revised, source, pcode.program_to_xml(program)
-    return pcode.program_from_xml(text), pvm.load(text).decoded
+    names = {number: name[1:] for name, number in vars(pvm).items()
+             if name[:1] == "_" and name[1:].isupper() and type(number) is int}
+    decoded = pvm.load(text).decoded
+    return pcode.program_from_xml(text), [
+        (names[op], level, param) for op, level, param in decoded]
 
 
 def worker(src: str) -> int:
