@@ -9,9 +9,11 @@ once under `sys.settrace` with `f_trace_opcodes`, the four phases
 (`lexer.tokenize`, `parser.parse`, `semantics.analyze`,
 `codegen.generate`), each on what the phase before made; the four
 writers, each writing its document with its `fuente`; the four readers,
-each on the document its tree wrote; and `pvm.load` on the `.p+`.  It
-prints the bytecodes each step executed in Python on both trees, and
-their ratio SRC / PARENT_SRC.  With `--lines`, it also prints, for each
+each on the document its tree wrote; and `pvm.load` on the `.p+`.  Last,
+`pvm.run` runs perfbench's `vm` kernel of seed 1 (`maquina`, a nested
+loop and a 1,002-frame recursion), so a change to the machine loop shows
+as a count.  It prints the bytecodes each step executed in Python on
+both trees, and their ratio SRC / PARENT_SRC.  With `--lines`, it also prints, for each
 step and tree, the ten source lines that executed the most bytecodes.
 
 A count does not move with the host's speed, so two runs give the same
@@ -33,7 +35,7 @@ from phase_times import program_source
 
 STEPS = ("tokenize", "parse", "analyze", "generate", "tokens_to_xml",
          "ast_to_xml", "revised_to_xml", "program_to_xml", "tokens_from_xml",
-         "ast_from_xml", "revised_from_xml", "program_from_xml", "pvm.load")
+         "ast_from_xml", "revised_from_xml", "program_from_xml", "pvm.load", "pvm.run")
 
 
 def counted(function, *args, lines: Counter | None = None):
@@ -67,6 +69,7 @@ def child(src: str, with_lines: bool) -> int:
     ten busiest lines as `[file:line, count]`."""
     sys.path.insert(0, src)
     from pl0plus import codegen, lexer, parser, pcode, pvm, semantics
+    from reference import ListIo
     source = program_source()
     tokens, _ = lexer.tokenize(source)
     ast, _ = parser.parse(tokens)
@@ -88,13 +91,29 @@ def child(src: str, with_lines: bool) -> int:
              (pcode.program_from_xml, documents[3]),
              (pvm.load, documents[3]))
     report = {}
-    for step, (function, *args) in zip(STEPS, calls):
-        function(*args)  # warm-up: first-call imports and caches
+
+    def count(step, function, *args):
         lines = Counter() if with_lines else None
-        _, total = counted(function, *args, lines=lines)
+        made, total = counted(function, *args, lines=lines)
         report[step] = {"count": total, "lines": [
             [f"{Path(file).name}:{line}", number]
             for (file, line), number in (lines or Counter()).most_common(10)]}
+        return made
+
+    for step, (function, *args) in zip(STEPS, calls):
+        function(*args)  # warm-up: first-call imports and caches
+        count(step, function, *args)
+    # A run uses its state up, so the warm-up runs a state of its own.
+    import workloads  # perfbench's, on the path since program_source()
+    kernel = workloads.vm(1, workloads.load_recorded())[0]
+    tokens, _ = lexer.tokenize(kernel.source)
+    revised, _ = semantics.analyze(parser.parse(tokens)[0])
+    text = pcode.program_to_xml(codegen.generate(revised)[0])
+    pvm.run(pvm.load(text), ListIo())
+    channel = ListIo()
+    if count("pvm.run", pvm.run, pvm.load(text), channel) != 0 \
+            or tuple(channel.outputs) != kernel.outputs:
+        raise SystemExit("the vm kernel did not run as recorded")
     print(json.dumps(report))
     return 0
 
@@ -106,7 +125,8 @@ def main(parent: str, src: str, with_lines: bool) -> int:
         + ["--lines"] * with_lines, env=environment, check=True,
         capture_output=True, text=True).stdout) for tree in (parent, src)]
     print(f"Bytecodes executed by `{src}` against `{parent}`, on the "
-          f"compile_large program of seed 1\n")
+          f"compile_large program of seed 1 and, for `pvm.run`, on the vm "
+          f"kernel of seed 1\n")
     print("| step | parent | src | ratio |")
     print("| --- | ---: | ---: | ---: |")
     for step in STEPS:
