@@ -19,8 +19,8 @@ static chain that walks past main must fail, not loop), the return
 address gets 0, which is what lets main's RET halt the machine.  Every
 static link a walk reads must point below the frame it is read from, as
 the links LLA writes do; any other, such as one a hand-edited `.p+`
-stores, is an invalid stack access, so a walk of any level reads at
-most b + 1 links.
+stores, is an invalid stack access, so the walk, which CAR, ALM and LLA
+share as Wirth's LOD, STO and CAL share `base`, reads at most b + 1 links.
 
 Instructions are executed by one loop, `_execute`, over the program
 decoded into tuples of small ints and ended by a sentinel entry.  A
@@ -141,12 +141,13 @@ def load(text: str) -> MachineState:
 
 
 # Decoded opcodes are small ints, numbered in the order the loop tests them,
-# which is about how often programs execute them.  OPR is split by its
-# operation code; the ten operations on two operands are numbered together,
-# so one test picks them, and an operation code no OPR has is _BAD_OPR.
-# _END is the sentinel entry after the last instruction.
-(_CAR, _LIT, _ALM, _ADD, _SUB, _MUL, _DIV, _LT, _GT, _LE, _GE, _EQ, _NE,
- _SAC, _SAL, _ODD, _NEG, _LLA, _INS, _RET, _LEE, _ESC, _BAD_OPR,
+# which is about how often programs execute them.  One test picks each group
+# that shares code: CAR, ALM and LLA the static-chain walk, the ten
+# operations on two operands their pops, SAC and SAL the jump, ODD and NEG
+# the check for an operand.  OPR is split by its operation code; one no OPR
+# has is _BAD_OPR.  _END is the sentinel entry after the last instruction.
+(_CAR, _ALM, _LLA, _LIT, _ADD, _SUB, _MUL, _DIV, _LT, _GT, _LE, _GE, _EQ,
+ _NE, _SAC, _SAL, _ODD, _NEG, _INS, _RET, _LEE, _ESC, _BAD_OPR,
  _END) = range(24)
 
 # Keyed by mnemonic, the instruction's opcode.
@@ -191,7 +192,8 @@ def _execute(state: MachineState, io, budget: int | None) -> None:
     stack limit, so t stays below it and an operation may write its
     result in place.  A result is wrapped to a word only when it leaves
     the word range.  A runtime error carries the address of the
-    instruction that raised it.
+    instruction that raised it.  CAR, ALM and LLA walk the static chain in
+    one branch; SAC and SAL share one jump, ODD and NEG one operand check.
 
     A p set outside the code is kept in `target` while p is the _END
     sentinel's index; on the way out the state gets `target` in its
@@ -211,7 +213,7 @@ def _execute(state: MachineState, io, budget: int | None) -> None:
         for _ in repeat(None) if budget is None else repeat(None, budget):
             op, level, param = code[p]
             p += 1
-            if op == _CAR:
+            if op <= _LLA:   # CAR, ALM and LLA: one static-chain walk
                 index = b
                 while level > 0:
                     if not 0 <= index < len(stack):
@@ -221,14 +223,33 @@ def _execute(state: MachineState, io, budget: int | None) -> None:
                         raise PvmRuntimeError(BAD_STACK_ACCESS)
                     index = link
                     level -= 1
-                index += param
-                if index < 0 or index > t or t >= highest:
-                    raise PvmRuntimeError(BAD_STACK_ACCESS)
-                t += 1
-                try:
-                    stack[t] = stack[index]
-                except IndexError:
-                    stack.append(stack[index])
+                if op == _CAR:
+                    index += param
+                    if index < 0 or index > t or t >= highest:
+                        raise PvmRuntimeError(BAD_STACK_ACCESS)
+                    t += 1
+                    try:
+                        stack[t] = stack[index]
+                    except IndexError:
+                        stack.append(stack[index])
+                elif op == _ALM:
+                    if t < 0:
+                        raise PvmRuntimeError(BAD_STACK_ACCESS)
+                    t -= 1
+                    index += param
+                    if index < 0 or index > t:
+                        raise PvmRuntimeError(BAD_STACK_ACCESS)
+                    stack[index] = stack[t + 1]
+                else:
+                    if t + 3 > highest:
+                        raise PvmRuntimeError(BAD_STACK_ACCESS)
+                    # t < len(stack), so this writes cells t+1..t+3,
+                    # growing the list by what it lacks
+                    stack[t + 1:t + 4] = index, b, p
+                    b = t + 1
+                    p = param
+                    if not 0 <= p < end:
+                        target, p = p, end
             elif op == _LIT:
                 if t >= highest:
                     raise PvmRuntimeError(BAD_STACK_ACCESS)
@@ -237,23 +258,6 @@ def _execute(state: MachineState, io, budget: int | None) -> None:
                     stack[t] = param
                 except IndexError:
                     stack.append(param)
-            elif op == _ALM:
-                if t < 0:
-                    raise PvmRuntimeError(BAD_STACK_ACCESS)
-                t -= 1
-                index = b
-                while level > 0:
-                    if not 0 <= index < len(stack):
-                        raise PvmRuntimeError(BAD_STACK_ACCESS)
-                    link = stack[index]
-                    if not 0 <= link < index:
-                        raise PvmRuntimeError(BAD_STACK_ACCESS)
-                    index = link
-                    level -= 1
-                index += param
-                if index < 0 or index > t:
-                    raise PvmRuntimeError(BAD_STACK_ACCESS)
-                stack[index] = stack[t + 1]
             elif op <= _NE:   # two operands, one result
                 if t < 1:
                     raise PvmRuntimeError(BAD_STACK_ACCESS)
@@ -287,46 +291,25 @@ def _execute(state: MachineState, io, budget: int | None) -> None:
                     stack[t] = 1 if left == right else 0
                 else:
                     stack[t] = 1 if left != right else 0
-            elif op == _SAC:
-                if t < 0:
-                    raise PvmRuntimeError(BAD_STACK_ACCESS)
-                t -= 1
-                if stack[t + 1] == 0:
-                    p = param
-                    if not 0 <= p < end:
-                        target, p = p, end
-            elif op == _SAL:
+            elif op <= _SAL:   # SAC and SAL: one jump
+                if op == _SAC:
+                    if t < 0:
+                        raise PvmRuntimeError(BAD_STACK_ACCESS)
+                    t -= 1
+                    if stack[t + 1]:
+                        continue
                 p = param
                 if not 0 <= p < end:
                     target, p = p, end
-            elif op == _ODD:
+            elif op <= _NEG:   # ODD and NEG: one operand, in place
                 if t < 0:
                     raise PvmRuntimeError(BAD_STACK_ACCESS)
-                stack[t] %= 2
-            elif op == _NEG:
-                if t < 0:
-                    raise PvmRuntimeError(BAD_STACK_ACCESS)
-                value = -stack[t]
-                stack[t] = (value if WORD_MIN <= value <= WORD_MAX
-                            else wrap32(value))
-            elif op == _LLA:
-                link = b
-                while level > 0:
-                    if not 0 <= link < len(stack):
-                        raise PvmRuntimeError(BAD_STACK_ACCESS)
-                    frame, link = link, stack[link]
-                    if not 0 <= link < frame:
-                        raise PvmRuntimeError(BAD_STACK_ACCESS)
-                    level -= 1
-                if t + 3 > highest:
-                    raise PvmRuntimeError(BAD_STACK_ACCESS)
-                # t < len(stack), so this writes cells t+1..t+3, growing
-                # the list by what it lacks
-                stack[t + 1:t + 4] = link, b, p
-                b = t + 1
-                p = param
-                if not 0 <= p < end:
-                    target, p = p, end
+                if op == _ODD:
+                    stack[t] %= 2
+                else:
+                    value = -stack[t]
+                    stack[t] = (value if WORD_MIN <= value <= WORD_MAX
+                                else wrap32(value))
             elif op == _INS:
                 top = t + param
                 if top < -1 or top > highest:
