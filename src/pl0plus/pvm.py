@@ -45,7 +45,7 @@ from .command import Command, Option, guard, read_input
 # Bound here by name: perfbench's tracer wraps program_from_xml wherever a
 # traced module holds it, and pcode is not one of them.
 from .pcode import OPERATIONS, format_instruction, program_from_xml
-from .xmldoc import Record, XmlLoadError, XmlParseError
+from .xmldoc import Record, XmlLoadError, XmlParseError, integer
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +449,10 @@ class InterpretConfig(Record):
 
 
 def _step_count(text: str) -> int:
-    if text.isascii() and text.isdigit():
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
-            pass
-    raise ValueError(f"no es un número de pasos: '{text}'")
+    count = None if text[:1] == "-" else integer(text)
+    if count is None:
+        raise ValueError(f"no es un número de pasos: '{text}'")
+    return count
 
 
 INTERPRETER = Command(

@@ -352,6 +352,14 @@ class TestXml:
         with pytest.raises(XmlLoadError):
             tokens_from_xml(text)
 
+    def test_identifier_without_name_rejected(self):
+        text = ('<lexemas><IDENTIFICADOR linea="1" columna="0" longitud="1"/>'
+                '</lexemas>')
+        with pytest.raises(XmlLoadError) as info:
+            tokens_from_xml(text)
+        assert str(info.value) == (
+            "elemento 'IDENTIFICADOR': falta el atributo 'nombre'")
+
     def test_non_numeric_attribute_rejected(self):
         text = (
             '<lexemas><VAR linea="x" columna="0" longitud="3"/></lexemas>')

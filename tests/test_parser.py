@@ -16,7 +16,7 @@ from pl0plus.parser import (MAX_NESTING, TOO_DEEP, Assign, BinOp, Block,
                             Call, Cond, ConstDecl, Empty, Ident, If, Neg, Num,
                             Program, Read, Sequence, VarDecl, While, Write,
                             ast_from_xml, ast_to_xml, parse)
-from pl0plus.semantics import analyze, revised_from_xml
+from pl0plus.semantics import analyze, revised_from_xml, revised_to_xml
 from pl0plus.xmldoc import XmlLoadError, parse_document
 from xmltree import canonical_equal
 
@@ -386,6 +386,20 @@ class TestXml:
             ast_to_xml(ast, source))
         assert again == ast
         assert source_again == source
+
+    @pytest.mark.parametrize("revised", [False, True], ids=["sin", "sem"])
+    def test_element_inside_fuente_is_skipped(self, revised):
+        # With its CDATA: only the fuente's own sections are the source.
+        source = "var x;\nbegin x := 1 end.\n"
+        ast = parsed(source)
+        text = (revised_to_xml(analyze(ast)[0], source) if revised
+                else ast_to_xml(ast, source))
+        read = revised_from_xml if revised else ast_from_xml
+        nested = text.replace(
+            "<fuente>", '<fuente><otro n="1"><![CDATA[no]]><mas/></otro>')
+        assert nested != text
+        assert read(nested) == read(text)
+        assert read(nested)[1] == source
 
     def test_wrong_root_rejected(self):
         with pytest.raises(XmlLoadError):
