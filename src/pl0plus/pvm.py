@@ -19,8 +19,8 @@ static chain that walks past main must fail, not loop), the return
 address gets 0, which is what lets main's RET halt the machine.  Every
 static link a walk reads must point below the frame it is read from, as
 the links LLA writes do; any other, such as one a hand-edited `.p+`
-stores, is an invalid stack access, so the walk, which CAR, ALM and LLA
-share as Wirth's LOD, STO and CAL share `base`, reads at most b + 1 links.
+stores, is an invalid stack access, so a walk reads at most b + 1 links.
+CAR, ALM and LLA share one walk, as Wirth's LOD, STO and CAL share `base`.
 
 Instructions are executed by one loop, `_execute`, over the program
 decoded into tuples of small ints and ended by a sentinel entry.  A

@@ -13,8 +13,9 @@ each on the document its tree wrote; and `pvm.load` on the `.p+`.  Last,
 `pvm.run` runs perfbench's `vm` kernel of seed 1 (`maquina`, a nested
 loop and a 1,002-frame recursion), so a change to the machine loop shows
 as a count.  It prints the bytecodes each step executed in Python on
-both trees, and their ratio SRC / PARENT_SRC.  With `--lines`, it also prints, for each
-step and tree, the ten source lines that executed the most bytecodes.
+both trees, and their ratio SRC / PARENT_SRC.  With `--lines`, it also
+prints, for each step and tree, the ten source lines that executed the
+most bytecodes.
 
 A count does not move with the host's speed, so two runs give the same
 figures (the children run with `PYTHONHASHSEED=0`).  It counts only
@@ -35,7 +36,8 @@ from phase_times import program_source
 
 STEPS = ("tokenize", "parse", "analyze", "generate", "tokens_to_xml",
          "ast_to_xml", "revised_to_xml", "program_to_xml", "tokens_from_xml",
-         "ast_from_xml", "revised_from_xml", "program_from_xml", "pvm.load", "pvm.run")
+         "ast_from_xml", "revised_from_xml", "program_from_xml", "pvm.load",
+         "pvm.run")
 
 
 def counted(function, *args, lines: Counter | None = None):

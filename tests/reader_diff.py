@@ -11,12 +11,12 @@ and each document as written, to one reader process per tree: the
 lexeme, tree and revised-tree readers, and `pcode.program_from_xml` with
 `pvm.load` for a `.p+`, whose decoded opcodes are given by their names
 in `pvm` (`_CAR` as `CAR`), so renumbering them changes no digest.  Each
-process gives back a digest of what it read
-(the records' `repr`, annotations and the `fuente` included, so None and
-"" stay apart) or the exception's class and text.  For a `.pl0+sem` that
-reads, the digest also covers the `.p+` text that `gen` makes of it
-(`pcode.program_to_xml` of `codegen.generate`), so an accepted document
-that compiles differently shows too.
+process gives back a digest of what it read (the records' `repr`,
+annotations and the `fuente` included, so None and "" stay apart) or the
+exception's class and text.  For a `.pl0+sem` that reads, the digest
+also covers the `.p+` text that `gen` makes of it (`pcode.program_to_xml`
+of `codegen.generate`), so an accepted document that compiles
+differently shows too.
 
 The fifth kind, `.pl0+`, is the programs' sources, mutated the same way
 and compiled directly as `compilador` does: `lexer.tokenize`,
