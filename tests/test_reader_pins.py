@@ -17,6 +17,13 @@ fails here.
 
 takes the pins again, with the readers of the `src/` on the path: do
 that only where a reader's result is meant to change.
+
+    PYTHONPATH=src python tests/test_reader_pins.py --replay
+
+keeps the stored edits and gives each the outcome those readers give
+now.  Per kind, it prints how many outcomes changed and whether an
+`error` outcome is among them, so a change meant to move only what
+documents read shows that it moved nothing else.
 """
 
 import json
@@ -54,17 +61,20 @@ def pins() -> dict:
     return json.loads(PINS.read_text(encoding="utf-8"))
 
 
+def replayed(kind: str) -> list:
+    """The stored edits of `kind`, each with the outcome the readers on
+    the path give for it."""
+    return [[*key, reader_diff.outcome(kind, edited(kind, *key))]
+            for *key, _ in pins()[kind]]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_reader_results_are_pinned(kind):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 20000))  # repr recurses over trees
     try:
-        wrong = []
-        for program, offset, old, new, expected in pins()[kind]:
-            found = reader_diff.outcome(
-                kind, edited(kind, program, offset, old, new))
-            if found != expected:
-                wrong.append((program, offset, old, new, expected, found))
+        wrong = [(pin[:4], pin[4], found[4]) for pin, found
+                 in zip(pins()[kind], replayed(kind)) if pin != found]
     finally:
         sys.setrecursionlimit(limit)
     assert not wrong, "\n".join(map(repr, wrong[:5]))
@@ -116,9 +126,27 @@ def take(count: int) -> dict:
     return taken
 
 
+def replay() -> dict:
+    """Every kind's stored edits with their outcomes now, after printing
+    per kind how many changed and whether an `error` outcome did."""
+    taken = {}
+    for kind in KINDS:
+        taken[kind] = replayed(kind)
+        changed = [(pin[4][0], now[4][0]) for pin, now
+                   in zip(pins()[kind], taken[kind]) if pin != now]
+        errors = sum("error" in pair for pair in changed)
+        print(f"{kind}: {len(changed)} of {len(taken[kind])} outcomes "
+              f"changed, {errors} of them an error outcome")
+    return taken
+
+
 if __name__ == "__main__":
     sys.setrecursionlimit(20000)
     arguments = sys.argv[1:]
-    number = int(arguments[1]) if arguments[:1] == ["--count"] else 100
-    PINS.write_text(json.dumps(take(number), ensure_ascii=False, indent=1)
+    if arguments == ["--replay"]:
+        taken = replay()
+    else:
+        taken = take(int(arguments[1]) if arguments[:1] == ["--count"]
+                     else 100)
+    PINS.write_text(json.dumps(taken, ensure_ascii=False, indent=1)
                     + "\n", encoding="utf-8")
