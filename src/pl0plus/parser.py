@@ -36,7 +36,8 @@ from .xmldoc import (DECLARATION, Record, XmlLoadError, cdata_line,
                      escape_attr, indent, int_attr, str_attr)
 
 # ---------------------------------------------------------------------------
-# Tree nodes.  `code` fields stay None until semantic analysis fills them.
+# Tree nodes.  A node that names a symbol holds the name in `name`, and
+# `code` fields stay None until semantic analysis fills them.
 
 
 class ConstDecl(Record):
@@ -51,14 +52,22 @@ class ConstDecl(Record):
         self.code = code
 
 
-class VarDecl(Record):
-    __slots__ = ("name", "line", "column", "code")
+class _Named(Record):
+    """The one constructor of the nodes whose fields are a name, its
+    position and its code.  Each subclass lists them in its own
+    `__slots__`, which `Record`'s equality and repr read."""
+
+    __slots__ = ()
 
     def __init__(self, name: str, line: int, column: int, code=None):
         self.name = name
         self.line = line
         self.column = column
         self.code = code
+
+
+class VarDecl(_Named):
+    __slots__ = ("name", "line", "column", "code")
 
 
 class ProcDecl(Record):
@@ -82,14 +91,8 @@ class Num(Record):
         self.column = column
 
 
-class Ident(Record):
+class Ident(_Named):
     __slots__ = ("name", "line", "column", "code")
-
-    def __init__(self, name: str, line: int, column: int, code=None):
-        self.name = name
-        self.line = line
-        self.column = column
-        self.code = code
 
 
 class BinOp(Record):
@@ -125,25 +128,19 @@ class Cond(Record):
 
 
 class Assign(Record):
-    __slots__ = ("target", "expr", "line", "column", "code")
+    __slots__ = ("name", "expr", "line", "column", "code")
 
-    def __init__(self, target: str, expr: Expr, line: int, column: int,
+    def __init__(self, name: str, expr: Expr, line: int, column: int,
                  code=None):
-        self.target = target
+        self.name = name
         self.expr = expr
         self.line = line
         self.column = column
         self.code = code
 
 
-class Call(Record):
-    __slots__ = ("procedure", "line", "column", "code")
-
-    def __init__(self, procedure: str, line: int, column: int, code=None):
-        self.procedure = procedure
-        self.line = line
-        self.column = column
-        self.code = code
+class Call(_Named):
+    __slots__ = ("name", "line", "column", "code")
 
 
 class Sequence(Record):
@@ -177,24 +174,12 @@ class While(Record):
         self.column = column
 
 
-class Read(Record):
-    __slots__ = ("variable", "line", "column", "code")
-
-    def __init__(self, variable: str, line: int, column: int, code=None):
-        self.variable = variable
-        self.line = line
-        self.column = column
-        self.code = code
+class Read(_Named):
+    __slots__ = ("name", "line", "column", "code")
 
 
-class Write(Record):
-    __slots__ = ("symbol", "line", "column", "code")
-
-    def __init__(self, symbol: str, line: int, column: int, code=None):
-        self.symbol = symbol
-        self.line = line
-        self.column = column
-        self.code = code
+class Write(_Named):
+    __slots__ = ("name", "line", "column", "code")
 
 
 class Empty(Record):
@@ -257,11 +242,11 @@ _FORMS = {
                      (), True, *_LEAF),
     VarDecl: _Form("variable", _NAME, (), True, *_LEAF),
     ProcDecl: _Form("procedimiento", _NAME, ("block",), False, *_ONE_BLOCK),
-    Assign: _Form("asignacion", (("variable", "target", str_attr),),
+    Assign: _Form("asignacion", (("variable", "name", str_attr),),
                   ("expr",), True,
                   (1,), "se esperaba exactamente una expresión", None,
                   _EXPRESSIONS),
-    Call: _Form("llamada", (("procedimiento", "procedure", str_attr),),
+    Call: _Form("llamada", (("procedimiento", "name", str_attr),),
                 (), False, *_LEAF),
     Sequence: _Form("secuencia", (), ("statements",), False,
                     None, None, None, _STATEMENTS),
@@ -272,9 +257,8 @@ _FORMS = {
     While: _Form("ciclo", (), ("condition", "body"), False,
                  (2,), "se esperaba una condición y una instrucción", Cond,
                  _STATEMENTS),
-    Read: _Form("leer", (("variable", "variable", str_attr),), (), False,
-                *_LEAF),
-    Write: _Form("escribir", (("simbolo", "symbol", str_attr),), (), False,
+    Read: _Form("leer", (("variable", "name", str_attr),), (), False, *_LEAF),
+    Write: _Form("escribir", (("simbolo", "name", str_attr),), (), False,
                  *_LEAF),
     Empty: _Form("nada", (), (), False, *_LEAF),
     # The operand count depends on the operation; the reader checks it.

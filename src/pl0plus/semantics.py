@@ -30,13 +30,12 @@ from .xmldoc import XmlLoadError
 # the validator's messages.
 _KINDS = {ConstDecl: ("c", "constante"), VarDecl: ("v", "variable"),
           ProcDecl: ("p", "procedimiento")}
-# Each node class that uses a name: the field that holds the name, the
-# kinds of declaration the name may denote there, and whether the revised
-# tree's XML form carries the use's code.
-_USES = {cls: (field, kinds, _FORMS[cls].coded) for cls, field, kinds in (
-    (Assign, "target", VarDecl), (Read, "variable", VarDecl),
-    (Call, "procedure", ProcDecl), (Write, "symbol", (VarDecl, ConstDecl)),
-    (Ident, "name", (VarDecl, ConstDecl)))}
+# Each node class that uses the name in its `name`: the kinds of
+# declaration the name may denote there, and whether the revised tree's XML
+# form carries the use's code.
+_USES = {cls: (kinds, _FORMS[cls].coded) for cls, kinds in (
+    (Assign, VarDecl), (Read, VarDecl), (Call, ProcDecl),
+    (Write, (VarDecl, ConstDecl)), (Ident, (VarDecl, ConstDecl)))}
 
 
 class Scope:
@@ -114,8 +113,8 @@ def analyze(ast: Program) -> tuple[Program, list[Diagnostic]]:
         # A statement never contains declarations, so the whole body
         # resolves in the block's own scope.
         for node in walk(block.body, _USES):
-            field, kinds, _ = _USES[type(node)]
-            decl = scope.lookup(getattr(node, field))
+            kinds, _ = _USES[type(node)]
+            decl = scope.lookup(node.name)
             if isinstance(decl, kinds):
                 node.code = decl.code
                 continue
@@ -185,15 +184,14 @@ def rebuild_symbol_table(revised: Program) -> dict:
     enter(revised.block)
     for block, scope in _declare_blocks(revised.block, Scope([0]), declare):
         for node in walk(block.body, _USES):
-            field, kinds, coded = _USES[type(node)]
+            kinds, coded = _USES[type(node)]
             if coded:
                 _check_code(declarations, scope, node, kinds)
                 continue
-            name = getattr(node, field)
-            decl = scope.lookup(name)
+            decl = scope.lookup(node.name)
             if not isinstance(decl, kinds):
-                raise XmlLoadError(
-                    f"referencia irresoluble a '{name}' (línea {node.line})")
+                raise XmlLoadError(f"referencia irresoluble a '{node.name}' "
+                                   f"(línea {node.line})")
             node.code = decl.code
     return declarations
 

@@ -93,9 +93,9 @@ class TestStructure:
         classes = [type(s) for s in seq.statements]
         assert classes == [Assign, Call, Read, Write, Sequence, If, While]
         read = seq.statements[2]
-        assert (read.variable, read.line, read.column) == ("a", 4, 9)
+        assert (read.name, read.line, read.column) == ("a", 4, 9)
         write = seq.statements[3]
-        assert (write.symbol, write.line, write.column) == ("b", 5, 10)
+        assert (write.name, write.line, write.column) == ("b", 5, 10)
 
     def test_if_else(self):
         stmt = body("if odd x then y := 1 else y := 2.")
