@@ -31,21 +31,20 @@ _NESTED = _STATEMENTS | {ProcDecl}
 
 def _quick(name: str, cls, keep_codes: bool):
     """The quick path's reader of an element `name` of `cls`: a function
-    of its attributes, its children and the reader's integers that gives
-    its node, or None when the element has a fault or is the program or
-    a constant, which `_build` reads."""
+    of its attributes, its children, the reader's integers and its
+    `linea` and `columna` read by them, that gives its node, or None when
+    the element has a fault or is the program or a constant, which
+    `_build` reads."""
     form = _FORMS[cls]
     key = form.attributes[0][0] if form.attributes else None
     coded = keep_codes and form.coded
     kinds = form.kinds
     first = {form.first} if form.first else kinds
 
-    def leaf(attributes, kids, ints):
+    def leaf(attributes, kids, ints, line, column):
         value = attributes.get(key) if key else name
         if cls is Num:
             value = ints[value]
-        line = ints[attributes.get("linea")]
-        column = ints[attributes.get("columna")]
         if kids or value is None or line is None or column is None:
             return None
         node = cls(value, line, column) if key else cls(line, column)
@@ -53,10 +52,8 @@ def _quick(name: str, cls, keep_codes: bool):
             node.code = attributes.get("codigo")
         return node
 
-    def unary(attributes, kids, ints):
+    def unary(attributes, kids, ints, line, column):
         value = attributes.get(key) if key else name
-        line = ints[attributes.get("linea")]
-        column = ints[attributes.get("columna")]
         if len(kids) != 1 or type(kids[0]) not in first or value is None \
                 or line is None or column is None:
             return None
@@ -66,9 +63,8 @@ def _quick(name: str, cls, keep_codes: bool):
             node.code = attributes.get("codigo")
         return node
 
-    def binary(attributes, kids, ints):  # operations, `ciclo`, `condicional`
-        line = ints[attributes.get("linea")]
-        column = ints[attributes.get("columna")]
+    def binary(attributes, kids, ints, line, column):
+        # operations, `ciclo`, `condicional`
         if len(kids) not in form.arity or type(kids[0]) not in first \
                 or type(kids[1]) not in kinds or type(kids[-1]) not in kinds \
                 or line is None or column is None:  # [-1]: an else branch
@@ -78,7 +74,8 @@ def _quick(name: str, cls, keep_codes: bool):
         return cls(*kids, line, column) if len(kids) == len(form.children) \
             else If(*kids, None, line, column)
 
-    def listed(attributes, kids, ints):  # `secuencia`, `condicion`, `bloque`
+    def listed(attributes, kids, ints, line, column):
+        # `secuencia`, `condicion`, `bloque`
         if not kinds.issuperset(map(type, kids)):
             return None
         if cls is Block:
@@ -87,8 +84,6 @@ def _quick(name: str, cls, keep_codes: bool):
                 node.code = attributes.get("codigo")
             return node
         value = attributes.get(key) if key else name
-        line = ints[attributes.get("linea")]
-        column = ints[attributes.get("columna")]
         if value is None or line is None or column is None:
             return None
         if cls is Sequence:
@@ -218,8 +213,9 @@ def tree_from_xml(text: str, check_root,
         _, attributes, kids = stack.pop()
         found = early and early.pop(id(kids), None)
         quick = table.get(name)
-        node = None if found or quick is None else quick(attributes, kids,
-                                                         ints)
+        node = None if found or quick is None else quick(
+            attributes, kids, ints, ints[attributes.get("linea")],
+            ints[attributes.get("columna")])
         if node is None:
             cls = _CLASSES.get(name)
             if type(found) is str:
