@@ -100,13 +100,11 @@ class StreamIo:
             self._pending = line.split()
             self._pending.reverse()
         token = self._pending.pop()
-        digits = token[1:] if token[0] in "+-" else token
-        if digits.isascii() and digits.isdigit():  # int() takes "0_1", "٣"
-            try:
-                return int(token)
-            except ValueError:  # more digits than int() converts
-                pass
-        raise InputError(f"no es un entero: '{token}'")
+        # What `integer` takes, after an optional "+" that no "-" follows.
+        value = integer(token[1:] if token[0] == "+" else token)
+        if value is None or token[:2] == "+-":
+            raise InputError(f"no es un entero: '{token}'")
+        return value
 
     def write_integer(self, value: int) -> None:
         stream = self._stdout if self._stdout is not None else sys.stdout
