@@ -204,6 +204,11 @@ class TestOpcodes:
         with pytest.raises(PvmRuntimeError, match=BAD_STACK_ACCESS):
             step(state, ListIo())
 
+    def test_ins_may_claim_nothing_on_an_empty_stack(self):
+        state = MachineState(code=code(("INS", None, 0)))
+        step(state, ListIo())
+        assert (state.t, state.p) == (-1, 1)
+
     def test_ins_respects_the_stack_limit(self):
         state = booted(code(("INS", None, 50)))
         state.stack_limit = 10
@@ -575,10 +580,16 @@ RET = ("RET", None, None)
 # main's static link overwritten to point at main's own frame
 SELF_LINKED = [("INS", None, 4), ("LIT", None, 0),
                ("ALM", 0, 0)]
-# a procedure stores 1000 in its own dynamic link and returns, so b is
-# 1000, past the end of the stack, when the instruction at 7 runs
-B_PAST_THE_STACK = [("SAL", None, 5), MAIN, ("LIT", None, 1000),
-                    ("ALM", 0, 1), RET, MAIN, ("LLA", 0, 1)]
+
+
+def returned_to(b):
+    """A procedure stores `b` in its own dynamic link and returns, so b is
+    that when the instruction at 7 runs, with 7 cells on the stack."""
+    return [("SAL", None, 5), MAIN, ("LIT", None, b), ("ALM", 0, 1), RET,
+            MAIN, ("LLA", 0, 1)]
+
+
+B_PAST_THE_STACK = returned_to(1000)
 
 FAULTS = [
     pytest.param([MAIN, ("LIT", None, 7), ("LIT", None, 0),
@@ -598,6 +609,8 @@ FAULTS = [
     pytest.param([MAIN, ("LLA", 0, 3), RET, MAIN, RET],
                  {"stack_limit": 5}, (),
                  BAD_STACK_ACCESS, 1, id="lla-hits-the-stack-limit"),
+    pytest.param([MAIN, ("CAR", 0, 0), RET], {"stack_limit": 3}, (),
+                 BAD_STACK_ACCESS, 1, id="car-hits-the-stack-limit"),
     pytest.param([("INS", None, 6), RET], {"stack_limit": 5}, (),
                  BAD_STACK_ACCESS, 0, id="ins-hits-the-stack-limit"),
     pytest.param([MAIN, ("LIT", None, -5), ("ALM", 0, 2), RET], {},
@@ -644,6 +657,9 @@ FAULTS = [
                  BAD_STACK_ACCESS, 8, id="alm-chain-from-past-the-stack"),
     pytest.param([*B_PAST_THE_STACK, ("LLA", 1, 5), RET], {}, (),
                  BAD_STACK_ACCESS, 7, id="lla-chain-from-past-the-stack"),
+    # the frame's return-address cell would be the one after the last
+    pytest.param([*returned_to(5), RET], {}, (), BAD_STACK_ACCESS, 7,
+                 id="ret-from-a-frame-one-cell-short"),
     pytest.param([MAIN, ("LIT", None, 1), ("LIT", None, 2),
                   ("OPR", None, 7), RET], {"loadable": False}, (),
                  "Operación inválida: 7", 3, id="invalid-operation"),
@@ -682,6 +698,35 @@ class TestFaults:
             for _ in range(2 * len(specs)):
                 step(state, channel)
         assert (info.value.message, info.value.address) == (message, address)
+
+
+# Programs that halt normally at the edge of a check: LLA's linkage
+# reaching the stack limit's last cell, and a jump back to address 0 by
+# each instruction that sets p.
+HALTS = [
+    pytest.param([MAIN, ("LLA", 0, 3), RET, MAIN, RET], {"stack_limit": 6},
+                 (), id="lla-up-to-the-stack-limit"),
+    pytest.param([MAIN, ("LEE", None, None), ("SAC", None, 4),
+                  ("LLA", 0, 0), RET], {}, (1, 0), id="lla-to-address-0"),
+    pytest.param([MAIN, ("LEE", None, None), ("SAC", None, 0), RET], {},
+                 (0, 5), id="sac-to-address-0"),
+    pytest.param([MAIN, ("LEE", None, None), ("SAC", None, 4),
+                  ("SAL", None, 0), RET], {}, (1, 0), id="sal-to-address-0"),
+    # a procedure overwrites its return address with 0
+    pytest.param([MAIN, ("LEE", None, None), ("SAC", None, 4),
+                  ("LLA", 0, 5), RET, MAIN, ("LIT", None, 0),
+                  ("ALM", 0, 2), RET], {}, (1, 0), id="ret-to-address-0"),
+]
+
+
+@pytest.mark.parametrize("specs,options,inputs", HALTS)
+def test_run_halts_at_the_edge_of_a_check(specs, options, inputs):
+    channel, err = ListIo(inputs), io.StringIO()
+    state = machine(specs, **options)
+    assert run(state, channel, err=err) == 0
+    assert (err.getvalue(), state.halted) == ("", True)
+    with pytest.raises(InputError):  # every input was read
+        channel.read_integer()
 
 
 # x := 5 and a call at negative levels, then x written by main (CAR -3)
@@ -768,6 +813,17 @@ class TestSourceLines:
         err = io.StringIO()
         assert run(MachineState(code=instructions), ListIo(), err=err) == 1
         assert err.getvalue().endswith("(dirección 3, línea 4)\n")
+
+    def test_an_error_at_address_0_names_its_line(self):
+        # Compiled code notes no line at address 0; a hand-edited one may.
+        instructions = code(("ESC", None, None), RET)
+        instructions[0].annotations.append(Annotation({"linea": "2"}))
+        err = io.StringIO()
+        assert run(load(program_to_xml(Program(instructions))), ListIo(),
+                   err=err) == 1
+        assert err.getvalue() == (f"Error en tiempo de ejecución: "
+                                  f"{BAD_STACK_ACCESS} (dirección 0, "
+                                  f"línea 2)\n")
 
     @pytest.mark.parametrize("written, shown", [
         ("٣", "4"), ("007", "7"), ("0", "0"),
