@@ -12,8 +12,10 @@ The declaration nodes are the symbol table: a scope maps each name to the
 `ConstDecl`, `VarDecl` or `ProcDecl` that declares it, and the `.pl0+sem`
 validator returns the declarations by code.  One walk over the blocks
 declares their names and lists each block with its scope, and one table
-says which node classes use a name; the analysis and the validator share
-both and differ only in what they do with a declaration and with a use.
+says which node classes use a name and what it may denote there; a
+declaration and a use alike hold the name in `name` and the code in
+`code`.  The analysis and the validator share the walk and the table and
+differ only in what they do with a declaration and with a use.
 
 Visibility follows declaration order: a procedure sees itself (recursion
 works) and everything declared before it, but not siblings declared later.
