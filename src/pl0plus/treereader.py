@@ -32,8 +32,8 @@ _NESTED = _STATEMENTS | {ProcDecl}
 def _quick(name: str, cls, keep_codes: bool):
     """The quick path's reader of an element `name` of `cls`: a function
     of its attributes, its children, the reader's integers and its
-    `linea` and `columna` read by them, that gives its node, or None when
-    the element has a fault or is the program or a constant, which
+    `linea` and `columna` as those read them, that gives its node, or None
+    when the element has a fault or is the program or a constant, which
     `_build` reads."""
     form = _FORMS[cls]
     key = form.attributes[0][0] if form.attributes else None

@@ -583,8 +583,9 @@ SELF_LINKED = [("INS", None, 4), ("LIT", None, 0),
 
 
 def returned_to(b):
-    """A procedure stores `b` in its own dynamic link and returns, so b is
-    that when the instruction at 7 runs, with 7 cells on the stack."""
+    """A procedure stores `b` in its own dynamic link and returns, so the
+    register b holds it when the instruction at 7 runs, with 7 cells on
+    the stack."""
     return [("SAL", None, 5), MAIN, ("LIT", None, b), ("ALM", 0, 1), RET,
             MAIN, ("LLA", 0, 1)]
 

@@ -21,8 +21,8 @@ that only where a reader's result is meant to change.
     PYTHONPATH=src python tests/test_reader_pins.py --replay
 
 keeps the stored edits and gives each the outcome those readers give
-now.  Per kind, it prints how many outcomes changed and whether an
-`error` outcome is among them, so a change meant to move only what
+now.  Per kind, it prints how many outcomes changed and how many of
+those were or became an `error`, so a change meant to move only what
 documents read shows that it moved nothing else.
 """
 
@@ -128,7 +128,7 @@ def take(count: int) -> dict:
 
 def replay() -> dict:
     """Every kind's stored edits with their outcomes now, after printing
-    per kind how many changed and whether an `error` outcome did."""
+    per kind how many changed and how many of those an `error` is in."""
     taken = {}
     for kind in KINDS:
         taken[kind] = replayed(kind)
@@ -136,7 +136,7 @@ def replay() -> dict:
                    in zip(pins()[kind], taken[kind]) if pin != now]
         errors = sum("error" in pair for pair in changed)
         print(f"{kind}: {len(changed)} of {len(taken[kind])} outcomes "
-              f"changed, {errors} of them an error outcome")
+              f"changed, {errors} of them to or from an error")
     return taken
 
 
@@ -145,8 +145,9 @@ if __name__ == "__main__":
     arguments = sys.argv[1:]
     if arguments == ["--replay"]:
         taken = replay()
-    else:
-        taken = take(int(arguments[1]) if arguments[:1] == ["--count"]
-                     else 100)
+    elif not arguments or len(arguments) == 2 and arguments[0] == "--count":
+        taken = take(int(arguments[1]) if arguments else 100)
+    else:  # an unknown argument rewrites nothing
+        sys.exit(__doc__)
     PINS.write_text(json.dumps(taken, ensure_ascii=False, indent=1)
                     + "\n", encoding="utf-8")
