@@ -6,9 +6,10 @@ each with optional `informacion` annotations (procedure markers, variable
 references, statement notes).  Annotations make the XML readable but are
 never load-bearing: equality and execution ignore them.  `codegen` writes
 programs in this format and `pvm` runs them; neither needs the other.
-The instruction set is declared once, here: `INSTRUCTIONS` gives each
-instruction's element and attributes, and `OPERATIONS` numbers OPR's
-operations, which `codegen` and `pvm` look up by name.
+The instruction set and the document's checks are declared once, here:
+`INSTRUCTIONS` gives each instruction's element and attributes,
+`OPERATIONS` numbers OPR's operations, which the others look up by name,
+and `instruction_reader` checks for `program_from_xml` and `pvm.load`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ OPERATIONS = {1: "negativo", 2: "suma", 3: "resta", 4: "multiplicacion",
               13: "menor_igual"}
 
 # INSTRUCTIONS by element, with the mnemonic in place of the element, for
-# the reader.
+# instruction_reader.
 _BY_ELEMENT = {element: (mnemonic, *form)
                for mnemonic, (element, *form) in INSTRUCTIONS.items()}
 
@@ -143,6 +144,62 @@ def program_to_xml(program: Program, source: str | None = None) -> str:
     return "\n".join(lines)
 
 
+def check_root(name: str) -> None:
+    if name != ROOT_NAME:
+        raise XmlLoadError(
+            f"se esperaba el elemento '{ROOT_NAME}', no '{name}'")
+
+
+def instruction_reader(read: list) -> tuple:
+    """For a reader that collects instructions in `read`: a function that
+    gives the address, mnemonic, level and parameter of a `codigo_pmas`
+    child, None for `ensamblador` and `fuente`, or raises for its first
+    fault (name, `direccion`, `diffnivel`, `parametro`, OPR's code); and
+    one that raises, once all is read, for the first jump out of range."""
+    ints = Integers()
+    jumps = []   # (address, parameter) of each jump and call
+
+    def read_instruction(name, attributes):
+        form = _BY_ELEMENT.get(name)
+        if form is None:
+            if name == "fuente" or name == "ensamblador":
+                return None
+            raise XmlLoadError(f"instrucción desconocida: '{name}'")
+        opcode, leveled, with_param, jump = form
+        address = len(read)
+        if attributes.get("direccion") != str(address):
+            found = int_attr(name, attributes, "direccion")
+            if found != address:
+                raise XmlLoadError(f"direcciones no consecutivas: se "
+                                   f"esperaba {address} y aparece {found}")
+        level = param = None
+        if leveled:
+            level = ints[attributes.get("diffnivel")]
+            if level is None:
+                int_attr(name, attributes, "diffnivel")
+        elif "diffnivel" in attributes:
+            raise XmlLoadError(f"'{name}' no admite el atributo 'diffnivel'")
+        if with_param:
+            param = ints[attributes.get("parametro")]
+            if param is None:
+                int_attr(name, attributes, "parametro")
+        elif "parametro" in attributes:
+            raise XmlLoadError(f"'{name}' no admite el atributo 'parametro'")
+        if jump:
+            jumps.append((address, param))
+        elif opcode == "OPR" and param not in OPERATIONS:
+            raise XmlLoadError(f"código de operación inválido: {param}")
+        return address, opcode, level, param
+
+    def check_jumps():
+        for address, target in jumps:
+            if not 0 <= target < len(read):
+                raise XmlLoadError(f"salto fuera de rango en la dirección "
+                                   f"{address}: {target}")
+
+    return read_instruction, check_jumps
+
+
 def program_from_xml(text: str) -> tuple[Program, str | None]:
     """Inverse of program_to_xml: the program, and the `fuente` text when
     the document carries it.  Annotations are carried along but the
@@ -150,13 +207,12 @@ def program_from_xml(text: str) -> tuple[Program, str | None]:
     define the program.  An `informacion` written as an empty-element tag
     has no text (None), one with an end tag has its text, maybe ""."""
     instructions: list[Instruction] = []
-    jumps: list[Instruction] = []
+    read_instruction, check_jumps = instruction_reader(instructions)
     source = None
     depth = 0  # of the open elements; instructions are at 2
     notes = None  # the annotations of the instruction element being read
     pieces = None  # the text of the `informacion` open at 3; expat adds it
     sections = None  # of the `fuente` being read
-    ints = Integers()
     new = object.__new__
     parser = ParserCreate()
     raw = text.encode()  # what expat's byte positions count
@@ -164,64 +220,32 @@ def program_from_xml(text: str) -> tuple[Program, str | None]:
     def start(name, attributes):
         nonlocal depth, notes, pieces, sections
         depth += 1
-        if depth == 3:
+        if depth == 2:
+            fields = read_instruction(name, attributes)
+            if fields is None:
+                notes = None
+                if name == "fuente":
+                    sections = []
+                return
+            # Built field by field: __init__ would cost as much again.
+            instruction = new(Instruction)
+            (instruction.address, instruction.opcode, instruction.level,
+             instruction.param) = fields
+            instruction.annotations = notes = []
+            instructions.append(instruction)
+        elif depth == 3:
             if notes is not None and name == "informacion":
                 pieces = []
                 parser.CharacterDataHandler = pieces.append
-                # Built field by field: __init__ would cost as much again.
                 annotation = new(Annotation)
                 annotation.attributes = attributes
                 annotation.text = None
                 notes.append(annotation)
-            return
-        if depth != 2:
-            if depth == 1 and name != ROOT_NAME:
-                raise XmlLoadError(
-                    f"se esperaba el elemento '{ROOT_NAME}', no '{name}'")
-            elif depth == 4 and pieces is not None:
-                pieces.append(None)
-                parser.CharacterDataHandler = None
-            return
-        form = _BY_ELEMENT.get(name)
-        if form is None:
-            notes = None
-            if name == "fuente":
-                sections = []
-            elif name != "ensamblador":
-                raise XmlLoadError(f"instrucción desconocida: '{name}'")
-            return
-        opcode, leveled, with_param, jump = form
-        address = len(instructions)
-        if attributes.get("direccion") != str(address):
-            found = int_attr(name, attributes, "direccion")
-            if found != address:
-                raise XmlLoadError(f"direcciones no consecutivas: se "
-                                   f"esperaba {address} y aparece {found}")
-        level = None
-        if leveled:
-            level = ints[attributes.get("diffnivel")]
-            if level is None:
-                int_attr(name, attributes, "diffnivel")
-        elif "diffnivel" in attributes:
-            raise XmlLoadError(f"'{name}' no admite el atributo 'diffnivel'")
-        param = None
-        if with_param:
-            param = ints[attributes.get("parametro")]
-            if param is None:
-                int_attr(name, attributes, "parametro")
-        elif "parametro" in attributes:
-            raise XmlLoadError(f"'{name}' no admite el atributo 'parametro'")
-        if opcode == "OPR" and param not in OPERATIONS:
-            raise XmlLoadError(f"código de operación inválido: {param}")
-        instruction = new(Instruction)
-        instruction.address = address
-        instruction.opcode = opcode
-        instruction.level = level
-        instruction.param = param
-        instruction.annotations = notes = []
-        instructions.append(instruction)
-        if jump:
-            jumps.append(instruction)
+        elif depth == 1:
+            check_root(name)
+        elif depth == 4 and pieces is not None:
+            pieces.append(None)
+            parser.CharacterDataHandler = None
 
     def end(name):
         nonlocal depth, pieces, sections, source
@@ -249,9 +273,5 @@ def program_from_xml(text: str) -> tuple[Program, str | None]:
             sections.append(data)
 
     read_document(text, start, end, cdata=cdata, parser=parser)
-    for instruction in jumps:
-        if not 0 <= instruction.param < len(instructions):
-            raise XmlLoadError(
-                f"salto fuera de rango en la dirección "
-                f"{instruction.address}: {instruction.param}")
+    check_jumps()
     return Program(instructions), source

@@ -23,16 +23,17 @@ stores, is an invalid stack access, so a walk reads at most b + 1 links.
 CAR, ALM and LLA share one walk, as Wirth's LOD, STO and CAL share `base`.
 
 Instructions are executed by one loop, `_execute`, over the program
-decoded into tuples of small ints and ended by a sentinel entry.  A
-machine state decodes its code once, when it is built, and `run`, `step`
-and the debugger share that decode: `run` gives the loop the whole step
-budget, `step` and the debugger one instruction at a time.  p is checked
-only where it is set from something other than p + 1: on entry to
-`_execute` and by SAL, a taken SAC, LLA and RET.  A p outside the code
-goes to the sentinel, whose execution reports `Dirección de código
-inválida` at that address; the last instruction falls through into it,
-so running off the end reports the address after it.  The state's p is
-the address itself, so a jump out of the code faults on the step after
+decoded into tuples of small ints and ended by a sentinel entry.  `load`
+decodes a `.p+` while expat reads it, and builds no instruction record; a
+state built on records, as the tests build them, decodes them once.
+`run`, `step` and the debugger share the one decode: `run` gives the loop
+the whole step budget, `step` and the debugger one instruction at a time.
+p is checked only where it is set from something other than p + 1: on
+entry to `_execute` and by SAL, a taken SAC, LLA and RET.  A p outside
+the code goes to the sentinel, whose execution reports `Dirección de
+código inválida` at that address; the last instruction falls through into
+it, so running off the end reports the address after it.  The state's p
+is the address itself, so a jump out of the code faults on the step after
 it, as it would if p were checked on every step.
 """
 
@@ -42,10 +43,9 @@ import sys
 from itertools import repeat
 
 from .command import Command, Option, guard, read_input
-# Bound here by name: perfbench's tracer wraps program_from_xml wherever a
-# traced module holds it, and pcode is not one of them.
-from .pcode import OPERATIONS, format_instruction, program_from_xml
-from .xmldoc import Record, XmlLoadError, XmlParseError, integer
+from .pcode import (OPERATIONS, check_root, format_instruction,
+                    instruction_reader, program_from_xml)
+from .xmldoc import Record, XmlLoadError, XmlParseError, integer, read_document
 
 
 # ---------------------------------------------------------------------------
@@ -112,17 +112,21 @@ class StreamIo:
 
 
 class MachineState(Record):
-    """The registers and stack of a machine about to run `code` from its
-    first instruction, and that code as the loop dispatches on it,
-    `decoded` once here."""
+    """The registers and stack of a machine about to run `decoded` from its
+    first instruction, and each address's first ASCII-digit `linea`, or
+    None.  `code`, the records, is None unless the debugger lists it."""
 
-    __slots__ = ("code", "decoded", "p", "b", "t", "stack", "halted",
-                 "stack_limit")
-    _uncompared = ("decoded",)
+    __slots__ = ("code", "decoded", "lines", "p", "b", "t", "stack",
+                 "halted", "stack_limit")
+    _uncompared = ("code", "lines")
 
-    def __init__(self, code: list):
+    def __init__(self, code: list, decoded=None, lines=None):
         self.code = code
-        self.decoded = _decode(code)
+        self.decoded = _decode(code) if decoded is None else decoded
+        self.lines = lines if lines is not None else [next(
+            (line for note in instruction.annotations
+             if (line := note.attributes.get("linea", "")).isascii()
+             and line.isdigit()), None) for instruction in code]
         self.p = 0
         self.b = 0
         self.t = -1
@@ -131,11 +135,49 @@ class MachineState(Record):
         self.stack_limit = DEFAULT_STACK_LIMIT
 
 
-def load(text: str) -> MachineState:
-    program, _ = program_from_xml(text)
-    if not program.instructions:
+def load(text: str, listing: bool = False) -> MachineState:
+    """The machine of a `.p+` text, decoded as it is read and checked as
+    `program_from_xml` checks; the debugger's `listing` reads records."""
+    decoded, lines = [], []
+    read_instruction, check_jumps = instruction_reader(decoded)
+    depth = 0     # of the open elements; instructions are at 2
+    noting = False  # in an instruction element with no line found yet
+
+    def start(name, attributes):
+        nonlocal depth, noting
+        depth += 1
+        if depth == 2:
+            fields = read_instruction(name, attributes)
+            if fields is None:
+                noting = False
+                return
+            _, opcode, level, param = fields
+            number = (_OPERATIONS[param] if opcode == "OPR"
+                      else _DECODED[opcode])
+            if number == _LIT:
+                param = wrap32(param)
+            decoded.append((number, level, param))
+            lines.append(None)
+            noting = True
+        elif depth == 3 and noting and name == "informacion":
+            line = attributes.get("linea", "")
+            if line.isascii() and line.isdigit():
+                lines[-1] = line
+                noting = False
+        elif depth == 1:
+            check_root(name)
+
+    def end(name):
+        nonlocal depth
+        depth -= 1
+
+    read_document(text, start, end)
+    check_jumps()
+    if not decoded:
         raise XmlLoadError("el programa no contiene instrucciones")
-    return MachineState(code=program.instructions)
+    decoded.append((_END, None, None))
+    return MachineState(program_from_xml(text)[0].instructions
+                        if listing else None, decoded, lines)
 
 
 # Decoded opcodes are small ints, numbered in the order the loop tests them,
@@ -160,18 +202,15 @@ _OPERATIONS = {number: {
 
 
 def _decode(code: list) -> list[tuple]:
-    """The program as (opcode, level, param) tuples the loop dispatches on,
-    followed by the _END sentinel; LIT's param is wrapped to a word here,
-    once."""
+    """The records as the (opcode, level, param) tuples the loop dispatches
+    on, and the _END sentinel; LIT's param is wrapped to a word here."""
     decoded = []
     for instruction in code:
         name, param = instruction.opcode, instruction.param
-        if name == "OPR":
-            number = _OPERATIONS.get(param, _BAD_OPR)
-        else:
-            number = _DECODED[name]
-            if number == _LIT:
-                param = wrap32(param)
+        number = (_OPERATIONS.get(param, _BAD_OPR) if name == "OPR"
+                  else _DECODED[name])
+        if number == _LIT:
+            param = wrap32(param)
         decoded.append((number, instruction.level, param))
     decoded.append((_END, None, None))
     return decoded
@@ -379,17 +418,13 @@ def _trace(state: MachineState, err) -> None:
           f"pila: [{values}]", file=err)
 
 
-def _source_line(code: list, address: int) -> str:
-    """`, línea L` for the instruction at address: the `linea` of its
-    first `informacion` whose `linea` is ASCII digits, or of the nearest
-    such instruction before it; empty when there is none.  The digits are
-    printed as a number, with no conversion to limit their count."""
-    if 0 <= address < len(code):
-        for instruction in reversed(code[:address + 1]):
-            for annotation in instruction.annotations:
-                line = annotation.attributes.get("linea", "")
-                if line.isascii() and line.isdigit():
-                    return f", línea {line.lstrip('0') or '0'}"
+def _source_line(lines: list, address: int) -> str:
+    """`, línea L` for the instruction at address, from its line or the
+    nearest before it; empty if none.  The digits print as a number."""
+    if 0 <= address < len(lines):
+        for line in reversed(lines[:address + 1]):
+            if line is not None:
+                return f", línea {line.lstrip('0') or '0'}"
     return ""
 
 
@@ -427,7 +462,7 @@ def run(state: MachineState, io, debug: bool = False, control=None,
     except PvmRuntimeError as error:
         print(f"Error en tiempo de ejecución: {error.message} "
               f"(dirección {error.address}"
-              f"{_source_line(state.code, error.address)})", file=err)
+              f"{_source_line(state.lines, error.address)})", file=err)
         return 1
     return 0
 
@@ -477,27 +512,25 @@ def _interpret(config: InterpretConfig) -> int:
     if text is None:
         return 2
     try:
-        state = load(text)
+        state = load(text, config.debug)
     except (XmlParseError, XmlLoadError) as exc:
         print(f"Error: '{config.input_path}': {exc}", file=sys.stderr)
         return 2
 
     control = None
-    opened = None
     if config.debug:
         # With program input redirected from a file, stepping must still
         # read from the terminal; fall back to stdin when there is none.
         try:
-            opened = open("/dev/tty", "r", encoding="utf-8")
-            control = opened
+            control = open("/dev/tty", "r", encoding="utf-8")
         except OSError:
-            control = None
+            pass
     try:
         return run(state, StreamIo(), debug=config.debug, control=control,
                    max_steps=config.max_steps)
     finally:
-        if opened is not None:
-            opened.close()
+        if control is not None:
+            control.close()
 
 
 if __name__ == "__main__":  # pragma: no cover

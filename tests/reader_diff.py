@@ -26,8 +26,9 @@ the tokens, every finding with its position, and the `.p+` text, so a
 change to the front end that moves a token, a finding or an instruction
 shows on thousands of broken sources.
 
-It prints the counts per kind and every document on which the two
-differ, and always exits 0.  pytest does not collect it.
+It prints the counts per kind, the first 20 documents on which the two
+differ and the number of the others, and always exits 0.  pytest does
+not collect it.
 """
 
 import hashlib
@@ -39,6 +40,9 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 KINDS = (".pl0+lex", ".pl0+sin", ".pl0+sem", ".p+", ".pl0+")
+# The differing documents printed: at most 6,000 characters each, so the
+# report stays well inside the 1 MiB that GitHub keeps of a step summary.
+SHOWN = 20
 
 
 def read(kind: str, text: str):
@@ -187,9 +191,11 @@ def main(before: str, after: str, count: int) -> int:
     for kind, refused in refusals.items():
         print(f"{kind} refused: " + ", ".join(
             f"{name} {number}" for name, number in sorted(refused.items())))
-    for kind, text, old, new in differences:
+    for kind, text, old, new in differences[:SHOWN]:
         print(f"\n{kind} document differs:\n{text[:2000]}\n"
               f"before: {old[1][:2000]}\nafter:  {new[1][:2000]}")
+    if len(differences) > SHOWN:
+        print(f"\n{len(differences) - SHOWN} more documents differ.")
     for process in workers:
         process.stdin.close()
         process.wait()

@@ -537,6 +537,49 @@ class TestCommandLines:
         assert parse_interpreter_args(["-"]).input_path == "-"
 
 
+# A hand-edited `.p+`: a LIT outside the word range, an OPR, a taken jump,
+# a division by zero, and an ensamblador text that matches none of it.
+HAND_EDITED_PROGRAM = """\
+<?xml version="1.0" ?>
+<codigo_pmas>
+  <instanciar_procedimiento direccion="0" parametro="3"/>
+  <cargar_literal direccion="1" parametro="4294967301">
+    <informacion linea="2">5 más dos elevado a 32</informacion>
+  </cargar_literal>
+  <cargar_literal direccion="2" parametro="-2"/>
+  <operacion direccion="3" parametro="2">
+    <informacion linea="3">suma</informacion>
+  </operacion>
+  <escribir direccion="4"/>
+  <cargar_literal direccion="5" parametro="0"/>
+  <salto_condicional direccion="6" parametro="8"/>
+  <escribir direccion="7"/>
+  <cargar_literal direccion="8" parametro="0">
+    <informacion linea="siete"/>
+    <informacion linea="07"/>
+  </cargar_literal>
+  <operacion direccion="9" parametro="5"/>
+  <retornar direccion="10"/>
+  <ensamblador><![CDATA[0 RET 9 9
+]]></ensamblador>
+</codigo_pmas>
+"""
+
+# `interprete -d`'s standard error on it, byte for byte.
+HAND_EDITED_TRACE = """\
+p=0 b=0 t=-1  0 INS      -          3  pila: []
+p=1 b=0 t=2  1 LIT      -          4294967301  pila: [0 -1 -1]
+p=2 b=0 t=3  2 LIT      -          -2  pila: [5 0 -1 -1]
+p=3 b=0 t=4  3 OPR      -          2  pila: [-2 5 0 -1]
+p=4 b=0 t=3  4 ESC      -          -  pila: [3 0 -1 -1]
+p=5 b=0 t=2  5 LIT      -          0  pila: [0 -1 -1]
+p=6 b=0 t=3  6 SAC      -          8  pila: [0 0 -1 -1]
+p=8 b=0 t=2  8 LIT      -          0  pila: [0 -1 -1]
+p=9 b=0 t=3  9 OPR      -          5  pila: [0 0 -1 -1]
+Error en tiempo de ejecución: División por cero (dirección 9, línea 7)
+"""
+
+
 def compiled_file(tmp_path, source_text, name="programa"):
     source = tmp_path / f"{name}.pl0+"
     source.write_text(source_text, encoding="utf-8")
@@ -670,6 +713,16 @@ class TestInterpreter:
         err = capsys.readouterr().err
         assert "p=0 b=0 t=-1" in err
         assert "pila:" in err
+
+    def test_debug_listing_of_a_hand_edited_program(self, tmp_path):
+        # The listing shows each instruction element as written: LIT's
+        # parametro before it is wrapped to a word, never the ensamblador
+        # text.  The error names the first ASCII-digit linea at 8.
+        target = tmp_path / "editado.p+"
+        target.write_text(HAND_EDITED_PROGRAM, encoding="utf-8")
+        assert run_closed("< /dev/null",
+                          ["pl0plus.pvm", "-d", str(target)]) == (
+            1, "3\n", HAND_EDITED_TRACE)
 
 
 # A program that writes numbers without end, and one whose `.p+` is far

@@ -6,13 +6,16 @@ import pytest
 
 import checks
 from pl0plus import pvm
-from pl0plus.pcode import Annotation, Instruction, Program, program_to_xml
+from pl0plus.pcode import (Annotation, Instruction, Program, program_from_xml,
+                           program_to_xml)
 from pl0plus.pvm import (BAD_CODE_ADDRESS, BAD_INPUT, BAD_STACK_ACCESS,
                          DIVISION_BY_ZERO, STEP_LIMIT, WORD_MAX, WORD_MIN,
                          InputError, MachineState, PvmRuntimeError, StreamIo,
                          load, parse_interpreter_args, run, step, wrap32)
 from pl0plus.xmldoc import parse_document, serialize_document
 from reference import ListIo, reference_eval
+from test_golden import GOLDEN
+from test_reader_pins import edited, pins
 
 
 def code(*specs):
@@ -482,21 +485,20 @@ class TestStepAndRun:
             "(dirección 9)"]
 
     def test_the_code_is_decoded_once_per_machine(self, monkeypatch):
-        calls = []
-
-        def counted(code):
-            calls.append(len(code))
-            return decode(code)
-
-        decode = pvm._decode
-        monkeypatch.setattr(pvm, "_decode", counted)
-        state = load(program_to_xml(checks.seeded(1000).program))
-        assert len(calls) == 1
+        # `load` decodes each instruction as it reads it, with no second
+        # pass over records, and every step runs that one decoded list.
+        monkeypatch.setattr(pvm, "_decode", None)
+        text = program_to_xml(checks.seeded(1000).program)
+        state = load(text)
+        decoded = state.decoded
+        monkeypatch.undo()
+        assert decoded == pvm._decode(program_from_xml(text)[0].instructions)
         state.stack[:3] = [-1, -1, 0]
         channel = ListIo([3] * 100)
         for _ in range(100):
             step(state, channel)
-        assert (state.halted, calls) == (False, [len(state.code)])
+        assert state.halted is False
+        assert state.decoded is decoded
 
     def test_load_rejects_empty_programs(self):
         from pl0plus.xmldoc import XmlLoadError
@@ -561,13 +563,13 @@ class TestPrograms:
 
 def machine(specs, loadable=True, stack_limit=None):
     """A machine for hand-written instructions: loaded from their `.p+`
-    text, like a hand-edited file, or built directly when `load` would
-    refuse them."""
+    text, like a hand-edited file, with the listing the debugger shows, or
+    built directly when `load` would refuse them."""
     instructions = code(*specs)
     if loadable:
         text = serialize_document(
             parse_document(program_to_xml(Program(instructions))))
-        state = load(text)
+        state = load(text, listing=True)
     else:
         state = MachineState(code=instructions)
     if stack_limit is not None:
@@ -841,11 +843,67 @@ class TestSourceLines:
         assert err.getvalue().endswith(f"(dirección 3, línea {shown})\n")
 
 
+# Hand-edited: at 0 a `linea` that is no number, then two lines, of which
+# the first counts; at 1 a `nota` and a nested `informacion` before its
+# line; no line at 2, nor at 3, which holds one a level deeper; and one
+# inside the section after the instructions, `{0}`.
+NOTES_IN_THE_WAY = """\
+<codigo_pmas>
+  <instanciar_procedimiento direccion="0" parametro="3">
+    <informacion linea="tres"/>
+    <informacion linea="4"/>
+    <informacion linea="5"/>
+  </instanciar_procedimiento>
+  <cargar_literal direccion="1" parametro="1">
+    <nota linea="6"/>
+    <informacion linea="7"><informacion linea="8"/></informacion>
+    <informacion linea="9"/>
+  </cargar_literal>
+  <cargar_literal direccion="2" parametro="0"><informacion/></cargar_literal>
+  <retornar direccion="3">
+    <informacion>sin línea<informacion linea="10"/></informacion>
+  </retornar>
+  <{0}><informacion linea="11"/></{0}>
+</codigo_pmas>
+"""
+
+
+def loadable_documents():
+    """Every `.p+` the tests hold that `load` reads: the corpus goldens,
+    the progen programs of seeds 1000-1019, the stored `.p+` edits of the
+    reader pins, and the hand-edited ones here."""
+    texts = [path.read_text(encoding="utf-8")
+             for path in sorted(GOLDEN.glob("*.p+"))]
+    texts += [NOTES_IN_THE_WAY.format(section)
+              for section in ("ensamblador", "fuente")]
+    texts += [program_to_xml(checks.seeded(seed).program,
+                             checks.seeded(seed).source)
+              for seed in range(1000, 1020)]
+    texts += [edited(".p+", *key) for *key, outcome in pins()[".p+"]
+              if outcome[0] == "ok"]
+    return texts
+
+
+def test_the_line_table_equals_the_annotation_scan():
+    # `load` keeps each address's first ASCII-digit `linea` as it reads;
+    # a machine built on the instruction records scans their annotations.
+    texts = loadable_documents()
+    assert len(texts) > 50
+    for text in texts:
+        loaded = load(text)
+        built = MachineState(program_from_xml(text)[0].instructions)
+        assert loaded == built
+        assert [pvm._source_line(loaded.lines, address)
+                for address in range(-1, len(loaded.lines) + 1)] == \
+            [pvm._source_line(built.lines, address)
+             for address in range(-1, len(built.lines) + 1)]
+
+
 @pytest.mark.parametrize("seed", range(1000, 1020))
 def test_debug_mode_runs_like_run(seed):
     artifacts = checks.seeded(seed)
     document = program_to_xml(artifacts.program)
-    plain, stepped = load(document), load(document)
+    plain, stepped = load(document), load(document, listing=True)
     plain_io, stepped_io = ListIo(artifacts.inputs), ListIo(artifacts.inputs)
     plain_err, stepped_err = io.StringIO(), io.StringIO()
     assert run(plain, plain_io, err=plain_err) == \
