@@ -11,6 +11,7 @@ usage line and the message to stderr and exits with status 2.
 from __future__ import annotations
 
 import errno
+import gc
 import os
 import sys
 
@@ -31,13 +32,20 @@ def guard(action) -> int:
     """`action()`'s exit status, with standard output flushed.  A failed
     write to it, as to a closed pipe, a full disk or a closed descriptor,
     or an interrupt ends the command with status 2 and one line on stderr,
-    not a traceback."""
+    not a traceback.  The action runs with the cyclic collector off, and
+    the collector is on afterwards only if it was on before: what a
+    command builds holds no reference cycle, so reference counting frees
+    it all and each collection would find nothing."""
     if sys.stdout is None:
         sys.stdout = _ClosedOutput()
+    collecting = gc.isenabled()
     try:
         try:
+            gc.disable()
             return action()
         finally:
+            if collecting:
+                gc.enable()
             sys.stdout.flush()
     except KeyboardInterrupt:
         message = "ejecución interrumpida"

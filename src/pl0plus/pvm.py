@@ -437,8 +437,11 @@ def run(state: MachineState, io, debug: bool = False, control=None,
     max_steps instructions when that is given.  In debug mode one trace
     line per step goes to err and execution waits for a newline on the
     control stream (default stdin) before each step; with stdin closed
-    (None) it steps without waiting, as at the end of the stream.
+    (None) it steps without waiting, as at the end of the stream.  Debug
+    mode lists the records that only `load(text, listing=True)` reads.
     """
+    if debug and state.code is None:
+        raise ValueError("debug mode needs load(text, listing=True)")
     if err is None:
         err = sys.stderr
     if max_steps is not None:  # no run takes more steps than sys.maxsize

@@ -21,7 +21,8 @@ A count does not move with the host's speed, so two runs give the same
 figures (the children run with `PYTHONHASHSEED=0`).  It counts only
 Python: the work done in C, by expat, `re` or a `str` method, is not in
 it, so a step that moves work into C shows fewer bytecodes than the time
-it saves, and a count is no time.  It is a report and always exits 0.
+it saves, and a count is no time.  It is a report and exits 0; with
+other arguments it prints the usage line above to stderr and exits 2.
 pytest does not collect it.
 """
 
@@ -151,4 +152,8 @@ if __name__ == "__main__":
         arguments.remove("--lines")
     if arguments[:1] == ["--child"]:
         sys.exit(child(arguments[1], lines_wanted))
+    if len(arguments) != 2:
+        print("usage: " + __doc__.split("\n\n")[1].strip(),
+              file=sys.stderr)
+        sys.exit(2)
     sys.exit(main(arguments[0], arguments[1], lines_wanted))

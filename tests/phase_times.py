@@ -10,15 +10,19 @@ and `pcode.program_to_xml`, each phase on what the phase before it made
 in the same round, then the whole direct compile, `compiler_main` on the
 program's `.pl0+` in the child's own directory.  The cyclic collector is
 off while the phases are timed, so that a collection is not charged to
-whichever phase it happens to land in, and on for the whole compile,
-which pays for its collections as a real compile does.  Each of N pairs
-(default 10) is `--calls` rounds (default 10) of each child, the two
-taking turns round by round to go first, so a host that speeds up or
-slows down moves both alike; a pair keeps each side's median.  It
-prints, per phase, the median over the pairs of each side in ms, the
-median of the per-pair ratios SRC / PARENT_SRC, and in how many pairs
-SRC was faster.  It is a report and always exits 0.  pytest does not
-collect it.
+whichever phase it happens to land in.  It is on when the whole compile
+is called, so that compile runs as the tree's `compilador` does, with
+the collections its tree's commands allow: none, where they turn the
+collector off.  Those collections are counted with `gc.callbacks`.
+Each of N pairs (default 10) is `--calls` rounds (default 10) of each
+child, the two taking turns round by round to go first, so a host that
+speeds up or slows down moves both alike; a pair keeps each side's
+median.  It prints, per phase, the median over the pairs of each side in
+ms, the median of the per-pair ratios SRC / PARENT_SRC and in how many
+pairs SRC was faster, and beside the compile row each side's median
+count of collections per compile.  It is a report and exits 0; with
+other arguments it prints the usage line above to stderr and exits 2.
+pytest does not collect it.
 """
 
 import contextlib
@@ -45,15 +49,22 @@ def program_source() -> str:
 
 def child(src: str) -> int:
     """Answer each line on stdin with one JSON line: the time in seconds
-    of each of PHASES in one round."""
+    of each of PHASES in one round, and the collections in the compile."""
     sys.path.insert(0, src)
     from pl0plus import codegen, compiler, lexer, parser, pcode, semantics
     source = program_source()
     with tempfile.TemporaryDirectory() as work:
         path = str(Path(work) / "grande.pl0+")
         Path(path).write_text(source, encoding="utf-8")
+        collections = []  # the generation of each one since the last clear
 
-        def one_round() -> list:
+        def collected(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.callbacks.append(collected)
+
+        def one_round() -> tuple:
             gc.collect()
             gc.disable()
             try:
@@ -69,11 +80,12 @@ def child(src: str) -> int:
             finally:
                 gc.enable()
             gc.collect()
+            collections.clear()
             with contextlib.redirect_stdout(io.StringIO()):
                 start = time.perf_counter()
                 compiler.compiler_main([path])
                 times.append(time.perf_counter() - start)
-            return times
+            return times, len(collections)
 
         one_round()  # warm-up
         for _ in sys.stdin:
@@ -93,12 +105,15 @@ def main(parent: str, src: str, pairs: int, calls: int) -> int:
         return json.loads(children[side].stdout.readline())
 
     results = ([], [])  # per side, the median of PHASES' times per pair
+    collections = ([], [])  # per side, those of each round's compile
     for pair in range(pairs):
         rounds = ([], [])
         for turn in range(calls):
             for side in ((0, 1) if (pair * calls + turn) % 2 == 0
                          else (1, 0)):
-                rounds[side].append(one_round(side))
+                times, count = one_round(side)
+                rounds[side].append(times)
+                collections[side].append(count)
         for side in (0, 1):
             results[side].append([statistics.median(column)
                                   for column in zip(*rounds[side])])
@@ -107,16 +122,19 @@ def main(parent: str, src: str, pairs: int, calls: int) -> int:
         process.wait()
     print(f"`{src}` against `{parent}`: {pairs} alternating pairs, each "
           f"side the median of {calls} rounds per pair\n")
-    print("| phase | parent ms | ms | ratio | faster in |")
-    print("| --- | ---: | ---: | ---: | ---: |")
+    print("| phase | parent ms | ms | ratio | faster in "
+          "| parent collections | collections |")
+    print("| --- | ---: | ---: | ---: | ---: | ---: | ---: |")
     for index, phase in enumerate(PHASES):
         before = [times[index] for times in results[0]]
         after = [times[index] for times in results[1]]
         ratio = statistics.median(a / b for a, b in zip(after, before))
         faster = sum(a < b for a, b in zip(after, before))
+        counts = ([f"{statistics.median(side):g}" for side in collections]
+                  if phase == "compile" else ["off", "off"])
         print(f"| {phase} | {statistics.median(before) * 1e3:.2f} | "
               f"{statistics.median(after) * 1e3:.2f} | {ratio:.3f} | "
-              f"{faster} of {pairs} |")
+              f"{faster} of {pairs} | {' | '.join(counts)} |")
     return 0
 
 
@@ -125,10 +143,17 @@ if __name__ == "__main__":
     if arguments[:1] == ["--child"]:
         sys.exit(child(arguments[1]))
     options = {"--pairs": 10, "--calls": 10}
-    for option in options:
-        if option in arguments:
-            at = arguments.index(option)
-            options[option] = int(arguments[at + 1])
-            del arguments[at:at + 2]
+    try:
+        for option in options:
+            if option in arguments:
+                at = arguments.index(option)
+                options[option] = int(arguments[at + 1])
+                del arguments[at:at + 2]
+    except (IndexError, ValueError):
+        arguments = []
+    if len(arguments) != 2 or min(options.values()) < 1:
+        print("usage: " + __doc__.split("\n\n")[1].strip(),
+              file=sys.stderr)
+        sys.exit(2)
     sys.exit(main(arguments[0], arguments[1], options["--pairs"],
                   options["--calls"]))

@@ -27,8 +27,9 @@ change to the front end that moves a token, a finding or an instruction
 shows on thousands of broken sources.
 
 It prints the counts per kind, the first 20 documents on which the two
-differ and the number of the others, and always exits 0.  pytest does
-not collect it.
+differ and the number of the others, and exits 0; with other arguments
+it prints the usage line above to stderr and exits 2.  pytest does not
+collect it.
 """
 
 import hashlib
@@ -207,8 +208,15 @@ if __name__ == "__main__":
         sys.exit(worker(sys.argv[2]))
     arguments = sys.argv[1:]
     number = 1000
-    if "--count" in arguments:
-        at = arguments.index("--count")
-        number = int(arguments[at + 1])
-        del arguments[at:at + 2]
+    try:
+        if "--count" in arguments:
+            at = arguments.index("--count")
+            number = int(arguments[at + 1])
+            del arguments[at:at + 2]
+    except (IndexError, ValueError):
+        arguments = []
+    if len(arguments) != 2:
+        print("usage: " + __doc__.split("\n\n")[1].strip(),
+              file=sys.stderr)
+        sys.exit(2)
     sys.exit(main(arguments[0], arguments[1], number))

@@ -11,7 +11,8 @@ byte for byte, its CRLF line ends kept) and the progen programs of
 seeds 1000-1019, each fed its own inputs (the others get "7\\n3\\n").
 It prints a Markdown table, one row per input, naming each output that
 differs: stdout, stderr, exit code or the files written.  It is a report
-and always exits 0.  pytest does not collect it.
+and exits 0; with other arguments it prints the usage line above to
+stderr and exits 2.  pytest does not collect it.
 """
 
 import os
@@ -86,4 +87,8 @@ def main(before: str, after: str) -> int:
 
 
 if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        print("usage: " + __doc__.split("\n\n")[1].strip(),
+              file=sys.stderr)
+        sys.exit(2)
     sys.exit(main(*sys.argv[1:]))

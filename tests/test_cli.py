@@ -1134,3 +1134,16 @@ class TestInstalledScripts:
         assert result.returncode == 1
         assert result.stdout == ""
         assert "Límite de pasos alcanzado" in result.stderr
+
+
+@pytest.mark.parametrize("tool", ["snapshot.py", "reader_diff.py",
+                                  "phase_times.py", "op_counts.py"])
+def test_report_tool_without_arguments_prints_its_usage(tool):
+    path = Path(__file__).parent / tool
+    doc = ast.get_docstring(ast.parse(path.read_text(encoding="utf-8")))
+    line = doc.split("\n\n")[1].strip()
+    assert line.startswith(f"python tests/{tool} ")
+    result = subprocess.run([sys.executable, str(path)], capture_output=True,
+                            text=True, timeout=SCRIPT_TIMEOUT)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", f"usage: {line}\n")

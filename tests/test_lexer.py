@@ -163,6 +163,14 @@ class TestTokenize:
         assert [(d.line, d.column, d.message) for d in diags] == [
             (4, 11, "Caracter inválido.")]
 
+    def test_wirths_not_equal_is_an_invalid_character(self):
+        # pl0+ writes not-equal `<>`; Wirth's `#` is not a second spelling.
+        tokens, diags = tokenize("if x # y then")
+        assert [t.kind for t in tokens] == [
+            "IF", "IDENTIFICADOR", "IDENTIFICADOR", "THEN"]
+        assert [(d.column, d.message) for d in diags] == [
+            (5, "Caracter inválido.")]
+
     def test_several_invalid_characters(self):
         tokens, diags = tokenize("¿x?")
         assert [t.kind for t in tokens] == ["IDENTIFICADOR"]

@@ -484,6 +484,14 @@ class TestStepAndRun:
             f"Error en tiempo de ejecución: {BAD_CODE_ADDRESS} "
             "(dirección 9)"]
 
+    def test_debug_mode_refuses_a_state_loaded_without_its_listing(self):
+        state = load(program_to_xml(checks.corpus("fibonacci.pl0+").program))
+        err = io.StringIO()
+        with pytest.raises(ValueError, match=r"load\(text, listing=True\)"):
+            run(state, ListIo([5]), debug=True, control=io.StringIO(),
+                err=err)
+        assert (state.t, state.stack, err.getvalue()) == (-1, [], "")
+
     def test_the_code_is_decoded_once_per_machine(self, monkeypatch):
         # `load` decodes each instruction as it reads it, with no second
         # pass over records, and every step runs that one decoded list.
